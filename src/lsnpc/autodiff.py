@@ -3,7 +3,9 @@
 Small by design: exactly the primitives needed for MLP encoders/decoders and
 the variational losses (matmul, broadcasting elementwise arithmetic, GELU,
 sigmoid, softplus, relu, log, exp, sqrt, square, lgamma, clamp, reductions,
-concatenation).  No GPU, no fusion, no higher-order derivatives.
+concatenation), plus one fused op, :func:`dense`, that runs a whole MLP layer
+(affine, layer norm, GELU) as a single node with a hand-written backward
+pass.  No GPU, no higher-order derivatives.
 
 The programming model is a dynamic tape: every operation produces a
 :class:`Tensor` that records its parents and a backward rule.  A
@@ -36,6 +38,7 @@ _FINITE_CHECKS = True
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-5
 
 
 def set_finite_checks(enabled: bool) -> bool:
@@ -208,15 +211,7 @@ class Tensor:
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError(
-                f"matmul: expects 2-d operands, got {self.shape} @ {other.shape}"
-            )
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(
-                f"matmul: inner dimensions differ for {self._label()} {self.shape} "
-                f"@ {other._label()} {other.shape}"
-            )
+        _check_matmul(self, other)
         return Tensor(
             self.data @ other.data,
             _op="matmul",
@@ -249,10 +244,9 @@ class Tensor:
         return self._unary("log", np.log, lambda g, a: (g / a,))
 
     def sigmoid(self):
-        return self._unary(
-            "sigmoid",
-            _sp.expit,
-            lambda g, a: ((lambda s: s * (1.0 - s) * g)(_sp.expit(a)),),
+        s = _sp.expit(self.data)
+        return Tensor(
+            s, _op="sigmoid", _parents=(self,), _bwd=lambda g, a: (s * (1.0 - s) * g,)
         )
 
     def softplus(self):
@@ -330,6 +324,73 @@ class Tensor:
     def __repr__(self):
         tag = self.name or self._op
         return f"Tensor({tag}, shape={self.shape})"
+
+
+def _check_matmul(a: Tensor, b: Tensor) -> None:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul: expects 2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"matmul: inner dimensions differ for {a._label()} {a.shape} "
+            f"@ {b._label()} {b.shape}"
+        )
+
+
+def dense(
+    x: Tensor,
+    W: Tensor,
+    b: Tensor,
+    ln: tuple[Tensor, Tensor] | None = None,
+    gelu: bool = False,
+) -> Tensor:
+    """One MLP layer as one tape node: ``x @ W + b``, then layer norm with
+    ``ln = (gain, shift)`` if given, then GELU if ``gelu``.
+
+    Both passes repeat the primitive chain (matmul, add, mean, sub, square,
+    mean, add, sqrt, div, mul, add, gelu) expression by expression and in the
+    same order, keeping the forward intermediates for the backward pass.
+    Inside the layer every value feeds at most two consumers, and a sum of
+    two floats does not depend on order, so values and gradients are
+    bit-identical to that chain.  The node is labelled ``dense(<W's name>)``,
+    so a non-finite output names its layer.
+    """
+    _check_matmul(x, W)
+    parents = (x, W, b) if ln is None else (x, W, b, *ln)
+    n = W.shape[1]
+    with np.errstate(all="ignore"):
+        o = x.data @ W.data + b.data
+        if ln is not None:
+            centered = o - np.mean(o, axis=-1, keepdims=True)
+            var = np.mean(np.square(centered), axis=-1, keepdims=True)
+            std = np.sqrt(var + _LN_EPS)
+            normed = centered / std
+            o = normed * ln[0].data + ln[1].data
+        if gelu:
+            erf1 = 1.0 + _sp.erf(o / _SQRT2)
+            out = 0.5 * o * erf1
+        else:
+            out = o
+
+    def bwd(g, xd, Wd, _b, *gain_shift):
+        if gelu:
+            g = (0.5 * erf1 + o * _INV_SQRT_2PI * np.exp(-0.5 * o * o)) * g
+        ln_grads = ()
+        if ln is not None:
+            ln_grads = ((g * normed).sum(axis=0), g.sum(axis=0))
+            g = g * gain_shift[0]
+            g_var = 0.5 * (-g * centered / (std * std)).sum(axis=1, keepdims=True) / std
+            g = g / std + 2.0 * centered * (g_var / n)
+            g = g + (-g).sum(axis=1, keepdims=True) / n
+        g_x = g @ Wd.T if x.requires_grad else None
+        return (g_x, xd.T @ g, g.sum(axis=0), *ln_grads)
+
+    node = Tensor(out, name=W.name, _op="dense", _parents=parents, _bwd=bwd)
+    # An overflow inside layer norm can leave the output finite (x / inf
+    # is 0); it is still a non-finite value of this layer.
+    if ln is not None and _FINITE_CHECKS and node.nonfinite_op is None:
+        if not np.all(np.isfinite(var)):
+            node.nonfinite_op = node._label()
+    return node
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

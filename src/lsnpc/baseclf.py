@@ -83,7 +83,7 @@ class BaseClassifier:
 
 def _new_classifier(d: int, k: int, hidden: tuple[int, ...], seed: int) -> BaseClassifier:
     rng = rngs.stream(seed, "base", "init")
-    net = Mlp("clf", d, tuple(hidden), k, rng, activation="gelu", zero_init_head=True)
+    net = Mlp("clf", d, tuple(hidden), k, rng, zero_init_head=True)
     return BaseClassifier(net=net, d=d, k=k, hidden=tuple(hidden))
 
 

@@ -1,11 +1,11 @@
 """MLP building blocks and the optimizer shared by all trained components.
 
-Every multilayer perceptron here follows one recipe: linear layers with
-layer normalization between the connecting layers (a deliberate stand-in for
-batch normalization: no running statistics, no train/eval mode, no batch
-order sensitivity), a configurable activation on hidden layers, and a
-zero-initialized output head so fresh models start at their symmetric point
-(probabilities 0.5, latent means 0).
+Every multilayer perceptron here follows one recipe: hidden layers are
+affine, then layer normalization (a deliberate stand-in for batch
+normalization: no running statistics, no train/eval mode, no batch order
+sensitivity), then GELU; the output head is affine only and zero-initialized,
+so fresh models start at their symmetric point (probabilities 0.5, latent
+means 0).  Each layer is a single tape node (:func:`autodiff.dense`).
 
 Hidden weights draw from a caller-supplied stream: models built from the same
 seed are bit-identical.
@@ -18,30 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, dense
 
 __all__ = ["Mlp", "AdamW", "Sgd", "make_optimizer", "cosine_lr", "flatten_params"]
 
-_ACTIVATIONS = ("gelu", "relu", "sigmoid", "softplus", "identity")
-_LN_EPS = 1e-5
-
-
-def _activate(x: Tensor, kind: str) -> Tensor:
-    if kind == "gelu":
-        return x.gelu()
-    if kind == "relu":
-        return x.relu()
-    if kind == "sigmoid":
-        return x.sigmoid()
-    if kind == "softplus":
-        return x.softplus()
-    if kind == "identity":
-        return x
-    raise ValueError(f"unknown activation {kind!r}; expected one of {_ACTIVATIONS}")
-
 
 class Mlp:
-    """A named stack of linear layers with layer norm on hidden outputs.
+    """A named stack of linear layers with layer norm and GELU on hidden outputs.
 
     Parameters live in ``self.params`` keyed ``{prefix}.W{i}`` etc. so several
     networks can share one flat parameter dict for the optimizer and the
@@ -55,16 +38,11 @@ class Mlp:
         hidden: tuple[int, ...],
         out_dim: int,
         rng: np.random.Generator,
-        activation: str = "gelu",
-        layer_norm: bool = True,
         zero_init_head: bool = True,
     ):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         self.prefix = prefix
-        self.activation = activation
-        self.layer_norm = layer_norm
         self.params: dict[str, Tensor] = {}
+        self._layers: list[tuple[Tensor, Tensor, tuple[Tensor, Tensor] | None]] = []
         dims = [in_dim, *hidden, out_dim]
         self.n_layers = len(dims) - 1
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -73,34 +51,25 @@ class Mlp:
                 W = np.zeros((fan_in, fan_out))
             else:
                 W = rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in)
-            self._add(f"W{i}", W)
-            self._add(f"b{i}", np.zeros(fan_out))
-            if not last and layer_norm:
-                self._add(f"ln{i}.g", np.ones(fan_out))
-                self._add(f"ln{i}.b", np.zeros(fan_out))
+            W = self._add(f"W{i}", W)
+            b = self._add(f"b{i}", np.zeros(fan_out))
+            ln = None
+            if not last:
+                ln = (self._add(f"ln{i}.g", np.ones(fan_out)),
+                      self._add(f"ln{i}.b", np.zeros(fan_out)))
+            self._layers.append((W, b, ln))
 
-    def _add(self, key: str, value: np.ndarray) -> None:
+    def _add(self, key: str, value: np.ndarray) -> Tensor:
         name = f"{self.prefix}.{key}"
         self.params[name] = Tensor(value, requires_grad=True, name=name)
+        return self.params[name]
 
-    def _get(self, key: str) -> Tensor:
-        return self.params[f"{self.prefix}.{key}"]
-
-    def __call__(self, x) -> Tensor:
+    def __call__(self, x, gelu_out: bool = False) -> Tensor:
+        """Output-head values; ``gelu_out`` applies GELU to them in the head's node."""
         h = x if isinstance(x, Tensor) else Tensor(x)
-        for i in range(self.n_layers):
-            h = h @ self._get(f"W{i}") + self._get(f"b{i}")
-            if i < self.n_layers - 1:
-                if self.layer_norm:
-                    h = _layer_norm(h, self._get(f"ln{i}.g"), self._get(f"ln{i}.b"))
-                h = _activate(h, self.activation)
+        for W, b, ln in self._layers:
+            h = dense(h, W, b, ln, gelu=ln is not None or gelu_out)
         return h
-
-
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = centered.square().mean(axis=-1, keepdims=True)
-    return centered / (var + _LN_EPS).sqrt() * gain + bias
 
 
 def flatten_params(*networks: Mlp) -> dict[str, Tensor]:

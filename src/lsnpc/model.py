@@ -36,7 +36,7 @@ from .distributions import (
     rsample_diag_normal,
     rsample_diag_student,
 )
-from .layers import Mlp, _activate, cosine_lr, make_optimizer
+from .layers import Mlp, cosine_lr, make_optimizer
 from . import checkpoint
 
 __all__ = [
@@ -179,7 +179,7 @@ class LsnpcModel:
         return self.emb(y)
 
     def _heads(self, trunk, mu_head, sigma_head, h_in):
-        h = _activate(trunk(h_in), "gelu")
+        h = trunk(h_in, gelu_out=True)
         mu = mu_head(h)
         sigma = sigma_head(h).softplus() + self.cfg.lambda_floor
         return mu, sigma

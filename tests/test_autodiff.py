@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsnpc.autodiff import ComputeGraph, Tensor, backward, concat, eval_graph, grad_check
+from lsnpc.autodiff import ComputeGraph, Tensor, backward, concat, dense, eval_graph, grad_check
 
 
 def scalar_graph(fn, x0):
@@ -230,3 +230,78 @@ def test_mean_and_sum_reductions_with_axis():
     g = ComputeGraph(lambda t: t["w"].mean(axis=0).sum(), {"w": w})
     eval_graph(g)
     np.testing.assert_allclose(backward(g)["w"], np.full((2, 3), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# fused dense layer
+
+
+def chain_layer(x, W, b, ln, gelu):
+    """The dense layer spelled out in tape primitives."""
+    h = x @ W + b
+    if ln is not None:
+        centered = h - h.mean(axis=-1, keepdims=True)
+        var = centered.square().mean(axis=-1, keepdims=True)
+        h = centered / (var + 1e-5).sqrt() * ln[0] + ln[1]
+    return h.gelu() if gelu else h
+
+
+LAYER_SHAPES = {"hidden": (True, True), "trunk": (False, True), "head": (False, False)}
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["x_const", "x_grad"])
+@pytest.mark.parametrize("shape", sorted(LAYER_SHAPES))
+def test_dense_is_bit_identical_to_primitive_chain(shape, x_grad):
+    has_ln, gelu = LAYER_SHAPES[shape]
+    rng = np.random.default_rng(13)
+    B, n_in, n_out = 33, 21, 17
+    x = rng.standard_normal((B, n_in)) * 2.0
+    weights = rng.standard_normal((B, n_out))
+    arrays = {
+        "W": rng.standard_normal((n_in, n_out)) * 0.4,
+        "b": rng.standard_normal(n_out) * 0.2,
+    }
+    if has_ln:
+        arrays["g"] = 1.0 + 0.3 * rng.standard_normal(n_out)
+        arrays["s"] = 0.3 * rng.standard_normal(n_out)
+    if x_grad:
+        arrays["x"] = x
+
+    def run(layer):
+        params = {k: Tensor(v.copy(), requires_grad=True, name=k) for k, v in arrays.items()}
+        kept = {}
+
+        def fn(t):
+            ln = (t["g"], t["s"]) if has_ln else None
+            kept["out"] = layer(t["x"], t["W"], t["b"], ln, gelu)
+            return (kept["out"] * weights).sum()
+
+        graph = ComputeGraph(fn, params)
+        graph.eval({} if x_grad else {"x": x})
+        return graph, kept["out"].data, graph.backward()
+
+    fused, fused_out, fused_grads = run(dense)
+    _, chain_out, chain_grads = run(chain_layer)
+    assert np.array_equal(fused_out, chain_out)
+    assert sorted(fused_grads) == sorted(arrays)
+    for name in arrays:
+        assert np.array_equal(fused_grads[name], chain_grads[name]), name
+    assert grad_check(fused, {} if x_grad else {"x": x}, sample=40) < 1e-4
+
+
+def test_dense_node_is_labelled_with_its_weight():
+    W = Tensor(np.ones((2, 3)), requires_grad=True, name="net.W0")
+    W.data[0, 0] = np.nan
+    out = dense(Tensor(np.ones((4, 2))), W, Tensor(np.zeros(3)))
+    assert out.nonfinite_op == "dense(net.W0)"
+
+
+def test_dense_flags_layer_norm_overflow_with_finite_output():
+    # squares of 1e200 overflow the variance; the normalised output is
+    # finite (x / inf == 0) but the layer still reports a non-finite value
+    W = Tensor(np.eye(3), requires_grad=True, name="net.W0")
+    ln = (Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True))
+    x = Tensor(np.array([[1e200, -1e200, 0.0]]))
+    out = dense(x, W, Tensor(np.zeros(3)), ln, gelu=True)
+    assert np.all(np.isfinite(out.data))
+    assert out.nonfinite_op == "dense(net.W0)"

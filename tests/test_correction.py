@@ -11,6 +11,7 @@ from scipy.special import expit
 
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, train_base
 from lsnpc.correction import (
+    _KNN_BLOCK,
     CorrectionConfig,
     CorrectionResult,
     binarize,
@@ -193,15 +194,18 @@ def test_knn_matches_exhaustive_scan():
     rng = np.random.default_rng(11)
     T = rng.standard_normal((120, 5))
     L = (rng.random((120, 7)) < 0.4).astype(np.uint8)
-    Q = rng.standard_normal((500, 5))
-    for K in (1, 5, 8):
-        got = knn_correct(T, L, Q, K=K)
-        want = np.zeros_like(got)
-        for i, q in enumerate(Q):
-            order = np.argsort(np.sum(np.square(T - q), axis=1))[:K]
-            votes = L[order].sum(axis=0)
-            want[i] = (2 * votes >= K).astype(np.uint8)
-        assert_array_equal(got, want), f"K={K}"
+    # the second count spans more than one distance block, and not a whole
+    # number of blocks
+    for n_query in (500, 2 * _KNN_BLOCK + 37):
+        Q = rng.standard_normal((n_query, 5))
+        for K in (1, 5, 8):
+            got = knn_correct(T, L, Q, K=K)
+            want = np.zeros_like(got)
+            for i, q in enumerate(Q):
+                order = np.argsort(np.sum(np.square(T - q), axis=1))[:K]
+                votes = L[order].sum(axis=0)
+                want[i] = (2 * votes >= K).astype(np.uint8)
+            assert_array_equal(got, want), f"K={K}"
 
 
 def test_knn_even_split_votes_positive():

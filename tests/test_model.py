@@ -348,6 +348,27 @@ def test_non_finite_inputs_raise_with_term_breakdown():
         unsupervised_loss(model, x, yhat, noise=noise)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_parameter_names_its_subnetwork():
+    model = tiny_model()
+    x, yhat, noise = _frozen_batch(model)
+    model.params["phi.W0"].data[0, 0] = np.nan
+    with pytest.raises(NonFiniteLoss, match=r"first bad op: dense\(phi\.W0\)"):
+        unsupervised_loss(model, x, yhat, noise=noise)
+
+
+def test_default_size_loss_tape_stays_fused():
+    # one node per Mlp layer; spelling each layer out in primitives gives 180
+    model = LsnpcModel(ModelConfig(d=32, k=10), seed=0)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((128, 32))
+    yhat = (rng.random((128, 10)) < 0.3).astype(float)
+    loss = unsupervised_loss(model, x, yhat, rng=rng)
+    graph = ComputeGraph(lambda bound: loss, model.params)
+    graph.eval({})
+    assert len(graph.nodes()) <= 114
+
+
 # ---------------------------------------------------------------------------
 # supervised loss and the eta mixture
 
