@@ -413,7 +413,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None 
         a, b = random_label_pairs(cfg.k, 1, rng, delta=int(deltas[i]))
         Y0[i], Y1[i] = a[0], b[0]
     const = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
-    report.add("encoder-constants", tc.pairs, tc.pairs, const.lam)
+    report.add("encoder-constants", tc.pairs, const.n_regular, const.lam)
     report.notes.append(
         f"encoder-constants (x1.5 inflated): M={const.M:.4f} L={const.L:.4f} "
         f"lam={const.lam:.6f} alpha={const.alpha:.4f} C1={const.C1:.4f} "

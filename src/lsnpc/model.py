@@ -234,12 +234,16 @@ class LsnpcModel:
 
 
 def learned_nu(model: LsnpcModel, x, yhat) -> Tensor:
-    """relu(net(x, yhat)) + 1, guaranteeing nu >= 1; only in learned mode."""
+    """2 + softplus(net(x, yhat)), keeping nu > 2; only in learned mode.
+
+    The zero-initialized head starts nu at 2 + ln 2, where softplus has a
+    non-zero slope, so the net receives a gradient from its first step.
+    """
     if model.nu_net is None:
         raise RuntimeError("model carries a fixed nu; no learned-nu network exists")
     x = _lift(x)
     joined = concat([x, model.embed_labels(yhat)], axis=-1)
-    return model.nu_net(joined).relu() + 1.0
+    return model.nu_net(joined).softplus() + 2.0
 
 
 def _lift(value) -> Tensor:

@@ -47,6 +47,8 @@ class TransitionMatrix:
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.shape != (self.k, self.k):
             raise ValueError(f"rows must be {self.k}x{self.k}, got {rows.shape}")
+        if not np.all(rows >= 0.0):
+            raise ValueError("transition probabilities must be non-negative")
         sums = rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError("every row must sum to 1 within 1e-12")
@@ -152,18 +154,24 @@ def corrupt_labels(Y: np.ndarray, T: TransitionMatrix, seed: int) -> np.ndarray:
     if Y.shape[1] != T.k:
         raise ValueError(f"label count {Y.shape[1]} does not match k={T.k}")
     out = Y.astype(np.uint8).copy()
-    labels = np.arange(T.k)
-    for row_index in range(Y.shape[0]):
-        positives = np.flatnonzero(Y[row_index])
-        if positives.size == 0:
-            continue
-        grow = np.random.Generator(np.random.PCG64(int(seed) ^ int(row_index)))
-        targets = [int(grow.choice(labels, p=T.rows[i])) for i in positives]
-        moves = [(int(i), j) for i, j in zip(positives, targets) if j != int(i)]
-        for i, _ in moves:
-            out[row_index, i] = 0
-        for _, j in moves:
-            out[row_index, j] = 1
+    rows, cols = np.nonzero(Y)
+    # One uniform per positive from its row's stream, in ascending label order:
+    # the draw Generator.choice(k, p=T.rows[i]) makes before it returns
+    # searchsorted(cdf_i, u, side="right").
+    u = np.empty(rows.size)
+    row_ids, starts, counts = np.unique(rows, return_index=True, return_counts=True)
+    for row_index, start, count in zip(row_ids.tolist(), starts.tolist(), counts.tolist()):
+        grow = np.random.Generator(np.random.PCG64(int(seed) ^ row_index))
+        u[start : start + count] = grow.random(count)
+    cdfs = T.rows.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    targets = np.empty_like(cols)
+    for i in range(T.k):
+        source = cols == i
+        targets[source] = np.searchsorted(cdfs[i], u[source], side="right")
+    moved = targets != cols
+    out[rows[moved], cols[moved]] = 0
+    out[rows[moved], targets[moved]] = 1
     return out
 
 

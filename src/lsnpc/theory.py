@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln
 
 from . import rngs
 from .distributions import (
@@ -149,24 +149,27 @@ def verify_theorem1(
     mu_k = mu_k.data[:, 0]
     sig_k = sig_k.data[:, 0]
     # log q(z_i | zhat_j), rows index z, columns index zhat
-    log_q_z = (
-        -0.5 * np.square((g[:, None] - mu_k[None, :]) / sig_k[None, :])
-        - np.log(sig_k)[None, :]
-        - 0.5 * math.log(2 * math.pi)
-    )
+    log_q_z = np.subtract(g[:, None], mu_k[None, :])
+    log_q_z /= sig_k
+    np.square(log_q_z, out=log_q_z)
+    np.multiply(-0.5, log_q_z, out=log_q_z)
+    log_q_z -= np.log(sig_k)
+    log_q_z -= 0.5 * math.log(2 * math.pi)
 
     psi_vals = model.decode_shift(col).data[:, 0]
-    t = g[None, :] - psi_vals[:, None]
-    log_p_shift = logpdf_diag_student(t[:, :, None], 0.0, 1.0, model.cfg.nu0)
+    joint = _shift_logpdf(g[None, :] - psi_vals[:, None], model.cfg.nu0)
     log_p_z = -0.5 * np.square(g) - 0.5 * math.log(2 * math.pi)
     probs = model.decode_labels(np.tile(x, (G, 1)), col).data
     log_p_yhat = logpmf_bernoulli(np.tile(yhat, (G, 1)), probs)
 
-    joint = log_p_z[:, None] + log_p_shift + log_p_yhat[None, :]
-    log_evidence = float(logsumexp(joint)) + 2.0 * math.log(dz)
-    gen_mass = float(np.exp(logsumexp(log_p_z[:, None] + log_p_shift))) * dz * dz
+    # joint = (log p(z) + log p(zhat|z)) + log p(yhat|x,zhat), built in the
+    # shift table's buffer; the bracket is the generative density
+    np.add(log_p_z[:, None], joint, out=joint)
+    gen_mass = float(np.exp(_logsumexp(joint))) * dz * dz
+    joint += log_p_yhat[None, :]
+    log_evidence = float(_logsumexp(joint)) + 2.0 * math.log(dz)
     log_q_joint = log_q_zhat[None, :] + log_q_z
-    q_mass = float(np.exp(logsumexp(log_q_joint))) * dz * dz
+    q_mass = float(np.exp(_logsumexp(log_q_joint))) * dz * dz
     for name, mass in (("proposal", q_mass), ("generative", gen_mass)):
         if abs(mass - 1.0) > tol:
             raise GridError(
@@ -174,17 +177,17 @@ def verify_theorem1(
                 f"refine or widen it"
             )
 
-    log_post = joint - log_evidence
-    q_joint = np.exp(log_q_joint)
-    rhs = float(np.sum(np.where(q_joint > 0, q_joint * (log_q_joint - log_post), 0.0))
-                ) * dz * dz
+    log_post_z = _logsumexp(joint, axis=1) + math.log(dz) - log_evidence
+    log_post = np.subtract(joint, log_evidence, out=joint)
+    rhs = _kl_sum(log_q_joint, log_post, diff_out=log_post, q_out=log_q_joint)
+    rhs = float(rhs) * dz * dz
+    del log_q_joint
 
-    log_post_z = logsumexp(joint, axis=1) + math.log(dz) - log_evidence
     lq = log_q_z if qz_log_override is None else np.broadcast_to(
         np.asarray(qz_log_override, dtype=np.float64).reshape(-1, 1), (G, G)
     )
-    qz = np.exp(lq)
-    inner = np.sum(np.where(qz > 0, qz * (lq - log_post_z[:, None]), 0.0), axis=0) * dz
+    inner = _kl_sum(lq, log_post_z[:, None], diff_out=log_post, q_out=log_q_z,
+                    axis=0) * dz
     w = np.exp(log_q_zhat) * dz
     lhs = float(np.sum(w * inner))
 
@@ -200,6 +203,72 @@ def verify_theorem1(
     )
 
 
+def _logsumexp(a, axis=None):
+    """``scipy.special.logsumexp(a, axis)`` for real input, bit for bit.
+
+    Runs the steps of scipy 1.17's algorithm in the same order: the maxima
+    are split out of the shifted sum and counted, the result is
+    log1p(s) + log(count) + max, NaN where its sign is negative, and the naive
+    log(sum(exp(a))) replaces it where it is not finite.  It makes one
+    full-size buffer where scipy makes several copies, and takes the naive
+    pass only when some result needs it.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=axes, keepdims=True)
+        ties = a == a_max
+        shifted = np.subtract(a, a_max)
+        np.exp(shifted, out=shifted)
+        # scipy sets the tied entries to -inf before the shift; their
+        # exponentials are 0 wherever the result can stay finite
+        np.copyto(shifted, 0.0, where=ties)
+        m = np.sum(ties, axis=axes, keepdims=True, dtype=np.float64)
+        s = np.sum(shifted, axis=axes, keepdims=True)
+        del ties, shifted
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        out = np.log1p(s) + np.log(m) + a_max
+        out[sign < 0] = np.nan
+        bad = ~np.isfinite(out)
+        if bad.any():
+            with np.errstate(over="ignore"):
+                naive = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+            out = np.where(bad, naive, out)
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
+def _shift_logpdf(t: np.ndarray, nu0: float) -> np.ndarray:
+    """``logpdf_diag_student(t[..., None], 0.0, 1.0, nu0)`` bit for bit, in t's buffer.
+
+    Leaves out only the exact no-ops of that call (``- 0.0``, ``/ 1.0``,
+    ``- log(1.0)`` and the sum over a size-1 axis).
+    """
+    nu = np.asarray(nu0, dtype=np.float64)
+    half = (nu + 1.0) / 2.0
+    const = gammaln(half) - gammaln(nu / 2.0) - 0.5 * np.log(nu) - 0.5 * math.log(math.pi)
+    np.square(t, out=t)
+    t /= nu
+    np.add(1.0, t, out=t)
+    np.log(t, out=t)
+    np.multiply(half, t, out=t)
+    return np.subtract(const, t, out=t)
+
+
+def _kl_sum(lq, lp, diff_out, q_out, axis=None):
+    """``np.sum(np.where(q > 0, q * (lq - lp), 0.0), axis)`` with q = exp(lq).
+
+    Writes lq - lp into ``diff_out`` and q into ``q_out``, which may be
+    inputs the caller no longer needs, so no full-size array is made.
+    """
+    diff = np.subtract(lq, lp, out=diff_out)
+    q = np.exp(lq, out=q_out)
+    diff *= q
+    np.copyto(diff, 0.0, where=~(q > 0))
+    return np.sum(diff, axis=axis)
+
+
 # --------------------------------------------------------------------------
 # Encoder constants and the affine bound
 
@@ -211,7 +280,9 @@ class BoundConstants:
     M bounds per-dimension variance ratios per unit Hamming distance (both
     ratio directions), L bounds the mean shift per unit distance in the
     chosen norm, lam is the smallest observed variance.  alpha, C1, C2 are
-    evaluated at (nu, m).
+    evaluated at (nu, m).  n_regular counts the pairs whose variance ratio,
+    mean shift and smaller variance are finite, with that variance at least
+    the model's lambda_floor squared.
     """
 
     M: float
@@ -222,6 +293,7 @@ class BoundConstants:
     norm: str = "l2"
     n_pairs: int = 0
     l_degenerate: bool = False
+    n_regular: int = 0
 
     def inflated(self, factor: float = 1.5) -> "BoundConstants":
         return replace(self, M=self.M * factor, L=self.L * factor, lam=self.lam / factor)
@@ -302,6 +374,13 @@ def estimate_constants(
         )
         L = float(np.finfo(np.float64).eps)
     lam = float(min(var0.min(), var1.min()))
+    smaller = np.minimum(var0, var1).min(axis=-1)
+    regular = (
+        np.all(np.isfinite(ratio), axis=-1)
+        & np.isfinite(shift)
+        & np.isfinite(smaller)
+        & (smaller >= model.cfg.lambda_floor ** 2)
+    )
     return BoundConstants(
         M=M,
         L=L,
@@ -311,6 +390,7 @@ def estimate_constants(
         norm=norm,
         n_pairs=int(X.shape[0]),
         l_degenerate=l_degenerate,
+        n_regular=int(np.count_nonzero(regular)),
     )
 
 

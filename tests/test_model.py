@@ -3,9 +3,13 @@ oracles with injected noise, the eta-mixture branch accounting, the trainer's
 two-sweep update order, and the Gaussian-ablation limit."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erf, expit, gammaincinv
 
@@ -128,7 +132,7 @@ def test_config_rejects_bad_values():
 
 def test_beta_zero_and_learned_low_nu_allowed():
     ModelConfig(**{**TINY, "beta": 0.0})
-    # learned mode ignores the fixed-nu floor; the network guarantees nu >= 1
+    # learned mode ignores the fixed-nu floor; the network guarantees nu > 2
     ModelConfig(**{**TINY, "nu": 1.5, "nu_mode": "learned"})
 
 
@@ -483,20 +487,31 @@ def test_learned_nu_floor_and_gradient():
     rng = np.random.default_rng(26)
     x = rng.standard_normal((5, 3))
     yhat = (rng.random((5, 4)) < 0.5).astype(float)
-    # zero-initialized head: relu(0) + 1 = 1 exactly
-    assert_array_equal(learned_nu(model, x, yhat).data, 1.0)
+    # zero-initialized head: softplus(0) + 2 = 2 + ln 2
+    assert_array_equal(learned_nu(model, x, yhat).data, 2.0 + np.log(2.0))
 
     for p in model.params.values():
         p.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
     big_x = rng.standard_normal((10_000, 3)) * 4.0
     big_y = (rng.random((10_000, 4)) < 0.5).astype(float)
-    assert np.all(learned_nu(model, big_x, big_y).data >= 1.0)
+    assert np.all(learned_nu(model, big_x, big_y).data > 2.0)
 
     graph = ComputeGraph(lambda bound: learned_nu(model, x, yhat).mean(), model.params)
     graph.eval({})
     graph.backward()
     grads = [np.abs(model.params[n].grad).max() for n in model.params if n.startswith("nu.")]
     assert max(grads) > 0.0
+
+
+def test_learned_nu_trains_in_one_epoch():
+    X, _, h = _toy_training_setup()
+    model = LsnpcModel(ModelConfig(**{**TINY, "nu_mode": "learned"}), seed=7)
+    before = {n: p.data.copy() for n, p in model.params.items() if n.startswith("nu.")}
+    # with no weight decay, a parameter moves only if it receives a gradient
+    cfg = LsnpcTrainConfig(epochs=1, batch_size=8, s_y=2, weight_decay=0.0, seed=7)
+    train_semi_supervised(model, h, X, None, cfg)
+    for name, value in before.items():
+        assert not np.array_equal(model.params[name].data, value), name
 
 
 def test_learned_nu_requires_learned_mode():
@@ -661,6 +676,45 @@ def test_model_checkpoint_round_trip(tmp_path):
     for name, value in model.params_arrays().items():
         assert_array_equal(value, loaded.params_arrays()[name])
     assert loaded.metadata["epochs"] == "2"
+
+
+MODEL_CONFIG_FIELDS = {
+    "d": st.integers(1, 4),
+    "k": st.integers(1, 4),
+    "m": st.integers(1, 3),
+    "nu": st.floats(2.0, 1e6, exclude_min=True),
+    "nu0": st.floats(2.0, 1e6, exclude_min=True),
+    "beta": st.floats(0.0, 10.0),
+    "eta": st.floats(0.0, 1.0),
+    "lambda_floor": st.floats(1e-300, 1.0),
+    "proposal": st.sampled_from(["student", "normal"]),
+    "nu_mode": st.sampled_from(["fixed", "learned"]),
+    "embed_hidden": st.integers(1, 4),
+    "embed_dim": st.integers(1, 4),
+    "encoder_hidden": st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+    "decoder_hidden": st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    "shift_hidden": st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    "shift_identity": st.booleans(),
+    "sigma_bias_init": st.floats(-5.0, 5.0),
+}
+
+
+def test_checkpoint_property_covers_every_config_field():
+    assert set(MODEL_CONFIG_FIELDS) == {f.name for f in dataclasses.fields(ModelConfig)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=st.fixed_dictionaries(MODEL_CONFIG_FIELDS), seed=st.integers(0, 2**16))
+def test_checkpoint_round_trips_every_config_field(fields, seed):
+    model = LsnpcModel(ModelConfig(**fields), seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lsck"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.cfg == model.cfg
+    assert loaded.params_arrays().keys() == model.params_arrays().keys()
+    for name, value in model.params_arrays().items():
+        assert_array_equal(value, loaded.params_arrays()[name])
 
 
 def test_checkpoint_rejects_foreign_kind(tmp_path):

@@ -47,6 +47,13 @@ def test_pair_matrix_k3():
     np.testing.assert_allclose(T.rows, expected)
 
 
+def test_negative_or_nan_probabilities_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        TransitionMatrix(k=2, kind="sym", nr=0.5, rows=[[1.5, -0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        TransitionMatrix(k=2, kind="sym", nr=0.5, rows=[[np.nan, 1.0], [0.0, 1.0]])
+
+
 def test_rate_bounds_enforced():
     with pytest.raises(ValueError):
         build_transition_matrix("sym", 4, 1.0)
@@ -94,6 +101,32 @@ def test_corruption_deterministic():
     np.testing.assert_array_equal(a, b)
     c = corrupt_labels(ds.Y, T, seed=12)
     assert not np.array_equal(a, c)
+
+
+def _choice_reference(Y, T, seed):
+    """Per-positive Generator.choice draws, one stream per row."""
+    out = Y.astype(np.uint8).copy()
+    labels = np.arange(T.k)
+    for row_index in range(Y.shape[0]):
+        positives = np.flatnonzero(Y[row_index])
+        if positives.size == 0:
+            continue
+        grow = np.random.Generator(np.random.PCG64(int(seed) ^ int(row_index)))
+        targets = [int(grow.choice(labels, p=T.rows[i])) for i in positives]
+        moves = [(int(i), j) for i, j in zip(positives, targets) if j != int(i)]
+        for i, _ in moves:
+            out[row_index, i] = 0
+        for _, j in moves:
+            out[row_index, j] = 1
+    return out
+
+
+@pytest.mark.parametrize("kind,nr", [("sym", 0.3), ("pair", 0.4), ("sym", 0.5)])
+def test_corruption_equals_choice_reference(kind, nr):
+    rng = np.random.default_rng(50)
+    Y = (rng.random((1500, 7)) < 0.35).astype(np.uint8)
+    T = build_transition_matrix(kind, 7, nr)
+    np.testing.assert_array_equal(corrupt_labels(Y, T, seed=21), _choice_reference(Y, T, 21))
 
 
 def test_flip_frequencies_match_transition_rows():

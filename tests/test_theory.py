@@ -8,9 +8,14 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
-from lsnpc.distributions import DiagNormalParams, kl_diag_normal
+from lsnpc import rngs
+from lsnpc.distributions import DiagNormalParams, kl_diag_normal, logpdf_diag_student
 from lsnpc.model import LsnpcModel, ModelConfig
 from lsnpc.theory import (
+    Theorem1Result,
+    _kl_sum,
+    _logsumexp,
+    _shift_logpdf,
     BoundCheckRow,
     BoundConstants,
     GridError,
@@ -129,6 +134,83 @@ def test_evidence_is_a_probability_mass():
     assert 0.0 < result.evidence < 1.0
 
 
+def _lse_cases():
+    rng = np.random.default_rng(40)
+    random = rng.standard_normal((7, 9)) * 30.0
+    tied = np.round(rng.standard_normal((7, 9)))
+    tied[:, :3] = tied.max()
+    special = rng.standard_normal((5, 6))
+    special[1, 2] = np.inf
+    special[2, :] = -np.inf
+    special[3, 4] = np.nan
+    special[4, 1:] = -np.inf
+    return {"random": random, "tied": tied, "special": special,
+            "all_neg_inf": np.full((3, 4), -np.inf), "nan": np.full((2, 3), np.nan)}
+
+
+@pytest.mark.parametrize("case", sorted(_lse_cases()))
+@pytest.mark.parametrize("axis", [None, 1])
+def test_logsumexp_equals_scipy_bit_for_bit(case, axis):
+    a = _lse_cases()[case]
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, axis=axis)
+    got = _logsumexp(a, axis=axis)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("nu0", [2.01, 4.0, 30.0])
+def test_shift_table_equals_student_logpdf_bit_for_bit(nu0):
+    g = QuadratureGrid(lo=-4.0, hi=4.0, step=0.01).values
+    psi = np.sin(3.0 * g) * 1.7
+    t = g[None, :] - psi[:, None]
+    want = logpdf_diag_student(t[:, :, None], 0.0, 1.0, nu0)
+    assert np.array_equal(_shift_logpdf(t.copy(), nu0), want)
+
+
+@pytest.mark.parametrize("axis", [None, 0])
+def test_kl_sum_equals_masked_where_sum(axis):
+    rng = np.random.default_rng(41)
+    lq = rng.standard_normal((6, 5)) * 3.0
+    lq[1, :2] = -800.0  # exp underflows to 0
+    lq[2, 3] = -np.inf
+    lp = rng.standard_normal((6, 5))
+    q = np.exp(lq)
+    with np.errstate(invalid="ignore"):
+        want = np.sum(np.where(q > 0, q * (lq - lp), 0.0), axis=axis)
+        got = _kl_sum(lq.copy(), lp, diff_out=np.empty_like(lq), q_out=np.empty_like(lq),
+                      axis=axis)
+    assert np.array_equal(got, want)
+
+
+# Instance 0 of verify_all's expected-vs-joint-kl check, computed with
+# scipy.special.logsumexp and out-of-place grid tables; the quadrature must
+# reproduce these values bit for bit.
+PINNED_THEOREM1 = {
+    "student": Theorem1Result(
+        lhs=0.7199099806827963, rhs=1.7874585491006858,
+        proposal_entropy=1.0659046603728801, entropy_nonneg=True, holds=True,
+        evidence=0.24997775085294885, proposal_mass=0.9999916327476518,
+        generative_mass=0.9999110034117963,
+    ),
+    "normal": Theorem1Result(
+        lhs=0.6892846586225159, rhs=1.9691181811442402,
+        proposal_entropy=0.8030831766988865, entropy_nonneg=True, holds=True,
+        evidence=0.24997775085294885, proposal_mass=1.0000000000000007,
+        generative_mass=0.9999110034117963,
+    ),
+}
+
+
+@pytest.mark.parametrize("proposal", sorted(PINNED_THEOREM1))
+def test_theorem1_result_is_pinned(proposal):
+    model = tiny_model(seed=0, proposal=proposal)
+    rng = rngs.stream(0, "theory", "inputs")
+    x = rng.standard_normal(model.cfg.d)
+    yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
+    assert verify_theorem1(model, x, yhat) == PINNED_THEOREM1[proposal]
+
+
 # ---------------------------------------------------------------------------
 # encoder constants
 
@@ -148,7 +230,18 @@ def test_constants_respect_scale_floor():
     assert constants.M > 0.0
     assert constants.L > 0.0
     assert constants.n_pairs == X.shape[0]
+    assert constants.n_regular == X.shape[0]
     assert not constants.l_degenerate
+
+
+def test_non_finite_pair_is_not_counted_regular():
+    model, X, pairs = _perturbed_pairs(1)
+    X = X.copy()
+    X[4] = np.nan
+    constants = estimate_constants(model, X, pairs)
+    assert constants.n_pairs == X.shape[0]
+    assert constants.n_regular == X.shape[0] - 1
+    assert constants.inflated().n_regular == X.shape[0] - 1
 
 
 def test_constant_encoder_degenerates_with_warning():
