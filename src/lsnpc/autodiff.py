@@ -2,7 +2,7 @@
 
 Small by design: exactly the primitives needed for MLP encoders/decoders and
 the variational losses (matmul, broadcasting elementwise arithmetic, GELU,
-sigmoid, softplus, relu, log, exp, sqrt, square, lgamma, clamp, reductions,
+sigmoid, softplus, log, exp, sqrt, square, lgamma, clamp, reductions,
 concatenation), plus one fused op, :func:`dense`, that runs a whole MLP layer
 (affine, layer norm, GELU) as a single node with a hand-written backward
 pass.  No GPU, no higher-order derivatives.
@@ -22,31 +22,21 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 from scipy import special as _sp
 
-from .special import digamma_array
-
 __all__ = [
     "Tensor",
     "ComputeGraph",
-    "eval_graph",
-    "backward",
     "grad_check",
     "concat",
-    "set_finite_checks",
+    "NonFiniteLoss",
 ]
-
-_FINITE_CHECKS = True
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-5
 
 
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-operation non-finite detection; returns the previous value."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
+class NonFiniteLoss(RuntimeError):
+    """A loss left the finite range; the message names the first bad op."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -109,11 +99,7 @@ class Tensor:
                 if p.nonfinite_op is not None:
                     self.nonfinite_op = p.nonfinite_op
                     break
-        if (
-            self.nonfinite_op is None
-            and _FINITE_CHECKS
-            and not np.all(np.isfinite(self.data))
-        ):
+        if self.nonfinite_op is None and not np.all(np.isfinite(self.data)):
             self.nonfinite_op = self._label()
 
     def _label(self) -> str:
@@ -226,9 +212,6 @@ class Tensor:
             data = forward(self.data)
         return Tensor(data, _op=op, _parents=(self,), _bwd=bwd)
 
-    def identity(self):
-        return self._unary("identity", lambda a: a.copy(), lambda g, a: (g,))
-
     def square(self):
         return self._unary("square", np.square, lambda g, a: (2.0 * a * g,))
 
@@ -256,13 +239,6 @@ class Tensor:
             lambda g, a: (_sp.expit(a) * g,),
         )
 
-    def relu(self):
-        return self._unary(
-            "relu",
-            lambda a: np.maximum(a, 0.0),
-            lambda g, a: ((a > 0.0) * g,),
-        )
-
     def gelu(self):
         return self._unary(
             "gelu",
@@ -278,7 +254,7 @@ class Tensor:
 
     def lgamma(self):
         return self._unary(
-            "lgamma", _sp.gammaln, lambda g, a: (digamma_array(a) * g,)
+            "lgamma", _sp.gammaln, lambda g, a: (_sp.psi(a) * g,)
         )
 
     def clamp(self, lo: float, hi: float):
@@ -387,7 +363,7 @@ def dense(
     node = Tensor(out, name=W.name, _op="dense", _parents=parents, _bwd=bwd)
     # An overflow inside layer norm can leave the output finite (x / inf
     # is 0); it is still a non-finite value of this layer.
-    if ln is not None and _FINITE_CHECKS and node.nonfinite_op is None:
+    if ln is not None and node.nonfinite_op is None:
         if not np.all(np.isfinite(var)):
             node.nonfinite_op = node._label()
     return node
@@ -434,7 +410,7 @@ class ComputeGraph:
     """A differentiable function of named input tensors.
 
     ``fn`` receives a dict mapping names to Tensors (the bound parameters
-    plus whatever ``eval_graph`` supplies) and returns the output Tensor.
+    plus whatever ``eval`` supplies) and returns the output Tensor.
     Evaluation retains the dynamic tape; ``backward`` replays it.  A graph
     instance must not be evaluated concurrently from several threads;
     distinct instances are independent.
@@ -508,16 +484,6 @@ class ComputeGraph:
             p.grad = g if p.grad is None else p.grad + g
             result[name] = g
         return result
-
-
-def eval_graph(graph: ComputeGraph, inputs: Mapping[str, object] | None = None) -> Tensor:
-    """Evaluate ``graph`` on named inputs, retaining the tape for backward."""
-    return graph.eval(inputs)
-
-
-def backward(graph: ComputeGraph, seed_grad=None) -> dict[str, np.ndarray]:
-    """Fill gradient buffers of the graph's parameters; returns them by name."""
-    return graph.backward(seed_grad)
 
 
 def grad_check(

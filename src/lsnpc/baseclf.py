@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import checkpoint, rngs
-from .autodiff import ComputeGraph, Tensor
+from .autodiff import ComputeGraph, NonFiniteLoss, Tensor
 from .distributions import EPS_P
 from .evaluation import micro_f1
 from .layers import Mlp, cosine_lr, make_optimizer
@@ -102,50 +102,64 @@ def train_base(X, Y, cfg: BaseTrainConfig, validation=None) -> BaseClassifier:
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"inconsistent shapes {X.shape} and {Y.shape}")
-    n, d = X.shape
-    k = Y.shape[1]
-    h = _new_classifier(d, k, cfg.hidden, cfg.seed)
-    graph = ComputeGraph(lambda b: _bce(h.net(b["X"]), b["Y"]), h.net.params)
-    opt = make_optimizer(cfg.optimizer, h.net.params, cfg.lr, cfg.weight_decay)
-    shuffle_rng = rngs.stream(cfg.seed, "base", "shuffle")
-
-    best_f1 = -1.0
-    best_arrays = None
-    losses: list[float] = []
-    val_scores: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-        lr_scale = cosine_lr(1.0, epoch)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            opt.zero_grad()
-            loss = graph.eval({"X": X[idx], "Y": Y[idx]})
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            graph.backward()
-            opt.step(lr_scale=lr_scale)
-            epoch_loss += loss.item()
-            n_batches += 1
-        losses.append(epoch_loss / max(n_batches, 1))
-        if validation is not None:
-            X_val, Y_val = validation
-            preds = (predict_probs(h, X_val) > 0.5).astype(np.uint8)
-            score = micro_f1(Y_val, preds)
-            val_scores.append(score)
-            if score > best_f1:
-                best_f1 = score
-                best_arrays = h.params_arrays()
-    if best_arrays is not None:
-        h.load_arrays(best_arrays)
-    h.history = {"train_loss": losses, "val_micro_f1": val_scores}
-    h.metadata = {
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
-        "val_micro_f1": best_f1 if best_f1 >= 0 else float("nan"),
-    }
+    h = _new_classifier(X.shape[1], Y.shape[1], cfg.hidden, cfg.seed)
+    score = None
+    if validation is not None:
+        X_val, Y_val = validation
+        score = lambda: micro_f1(Y_val, (predict_probs(h, X_val) > 0.5).astype(np.uint8))
+    sweep = ("train", X.shape[0], rngs.stream(cfg.seed, "base", "shuffle"),
+             lambda idx: _bce(h.net(X[idx]), Tensor(Y[idx])))
+    losses, scores, _, best = _fit(h.net.params, cfg, [sweep], score)
+    h.history = {"train_loss": losses["train"], "val_micro_f1": scores}
+    h.metadata = {"epochs": cfg.epochs, "seed": cfg.seed, "val_micro_f1": best}
     return h
+
+
+def _fit(params: dict[str, Tensor], cfg, sweeps, score=None):
+    """The epoch schedule shared by the base and latent-shift trainers.
+
+    ``cfg`` supplies optimizer, lr, weight_decay, epochs, batch_size and
+    shuffle.  Each epoch runs every sweep ``(name, rows, shuffle_rng,
+    batch_loss)`` in order: ``batch_loss`` maps a batch of row indices to a
+    loss Tensor, and every batch takes one cosine-scaled optimizer step.
+    ``score()`` then rates the epoch's parameters, and the best-rated epoch
+    is restored at the end (ties keep the earlier one).  Returns the mean
+    loss per epoch of each sweep by name, the scores, the best epoch (-1
+    without ``score``) and its score (NaN without ``score``).
+    """
+    opt = make_optimizer(cfg.optimizer, params, cfg.lr, cfg.weight_decay)
+    losses: dict[str, list[float]] = {name: [] for name, *_ in sweeps}
+    scores: list[float] = []
+    best_epoch, best, best_arrays = -1, float("nan"), None
+    for epoch in range(cfg.epochs):
+        lr_scale = cosine_lr(1.0, epoch)
+        for name, n, shuffle_rng, batch_loss in sweeps:
+            order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+            total, n_batches = 0.0, 0
+            for start in range(0, n, cfg.batch_size):
+                try:
+                    loss = batch_loss(order[start : start + cfg.batch_size])
+                    if not np.isfinite(loss.data):
+                        raise NonFiniteLoss(f"non-finite loss (first bad op: {loss.nonfinite_op})")
+                except NonFiniteLoss as err:
+                    raise TrainingDiverged(f"epoch {epoch} ({name} sweep): {err}") from err
+                graph = ComputeGraph(lambda bound: loss, params)
+                graph.eval()
+                opt.zero_grad()
+                graph.backward()
+                opt.step(lr_scale=lr_scale)
+                total += loss.item()
+                n_batches += 1
+            losses[name].append(total / max(n_batches, 1))
+        if score is not None:
+            scores.append(score())
+            if best_epoch < 0 or scores[-1] > best:
+                best_epoch, best = epoch, scores[-1]
+                best_arrays = {key: p.data.copy() for key, p in params.items()}
+    if best_arrays is not None:
+        for key, p in params.items():
+            p.data = best_arrays[key]
+    return losses, scores, best_epoch, best
 
 
 def predict_probs(h: BaseClassifier, X) -> np.ndarray:
@@ -183,5 +197,7 @@ def load_base(path) -> BaseClassifier:
     hidden = tuple(int(w) for w in meta["hidden"].split(",") if w)
     h = _new_classifier(int(meta["d"]), int(meta["k"]), hidden, seed=0)
     h.load_arrays(arrays)
-    h.metadata = {k: v for k, v in meta.items() if k not in {"kind", "d", "k", "hidden"}}
+    h.metadata = {
+        k: checkpoint.literal(v) for k, v in meta.items() if k not in {"kind", "d", "k", "hidden"}
+    }
     return h

@@ -10,11 +10,13 @@ Layout (all integers little-endian):
         name_len u16, name utf-8, ndim u8, ndim x u32 dims, float64 payload
 
 Sorting plus repr-based metadata makes saves byte-deterministic, so equal
-digests imply equal checkpoints.
+digests imply equal checkpoints.  :func:`literal` parses a repr'd value
+back, so a load followed by a save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import struct
 
@@ -54,39 +56,57 @@ def serialize_params(params: dict[str, np.ndarray], meta: dict[str, str]) -> byt
 
 
 def deserialize_params(blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    if blob[:4] != MAGIC:
+    view = memoryview(blob)
+    offset = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if offset + n > len(view):
+            raise ValueError(f"truncated checkpoint: {what} needs {n} bytes at offset "
+                             f"{offset}, but the file ends at {len(view)}")
+        offset += n
+        return view[offset - n : offset]
+
+    if take(4, "magic") != MAGIC:
         raise ValueError("not a checkpoint file: bad magic")
-    version = blob[4]
+    version = take(1, "version")[0]
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = 5
-    (meta_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    meta_text = blob[offset : offset + meta_len].decode("utf-8")
-    offset += meta_len
+    (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
+    meta_text = str(take(meta_len, "metadata"), "utf-8")
     meta: dict[str, str] = {}
     for line in meta_text.splitlines():
         key, _, value = line.partition("=")
         meta[key] = value
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    (count,) = struct.unpack("<I", take(4, "array count"))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        ndim = blob[offset]
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
+        (name_len,) = struct.unpack("<H", take(2, "array name length"))
+        name = str(take(name_len, "array name"), "utf-8")
+        ndim = take(1, f"rank of {name}")[0]
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name}"))
         size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
+        arr = np.frombuffer(take(8 * size, f"values of {name}"), dtype="<f8")
         params[name] = arr.reshape(shape).astype(np.float64)
     if offset != len(blob):
         raise ValueError("trailing bytes after checkpoint payload")
     return params, meta
+
+
+def literal(raw: str):
+    """A metadata value saved as ``repr(value)``, parsed back.
+
+    Python literals and the float spellings nan, inf and -inf come back as
+    values; any other text comes back as the string itself.
+    """
+    try:
+        return ast.literal_eval(raw)
+    except (ValueError, SyntaxError):
+        pass
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str]) -> None:

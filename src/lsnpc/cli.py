@@ -12,6 +12,16 @@ plus the composite drivers:
     verify-theory  numerical bound checks
     run-all        eval + verify-theory
 
+From a checkout without installing, the benchmark table, the sensitivity
+grid, the proposal ablation and the bound checks run as:
+
+    PYTHONPATH=src python -m lsnpc.cli eval --config configs/default.ini
+    PYTHONPATH=src python -m lsnpc.cli sweep --config configs/default.ini
+    PYTHONPATH=src python -m lsnpc.cli ablate --config configs/default.ini
+    PYTHONPATH=src python -m lsnpc.cli verify-theory --config configs/theory.ini
+
+each taking ``--out DIR``, ``--seed N`` and ``--quiet``.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import rngs
 from .baseclf import BaseClassifier, predict_probs, sample_predictions
-from .model import LsnpcModel, _chi2_from_uniform
-from .distributions import rsample_diag_normal, rsample_diag_student
+from .distributions import rsample_diag_normal
+from .model import LsnpcModel, _chain
 
 __all__ = [
     "CorrectionConfig",
@@ -76,16 +76,11 @@ def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> C
         nu = model.proposal_nu(X, yhat)
         eps_zhat = noise_rng.standard_normal((cfg.s_zhat, n, m))
         eps_z = noise_rng.standard_normal((cfg.s_zhat, cfg.s_z, n, m))
-        chi2_u = None
+        chi2_u = (None,) * cfg.s_zhat
         if model.cfg.proposal == "student":
             chi2_u = noise_rng.random((cfg.s_zhat, n, 1))
         for t in range(cfg.s_zhat):
-            if model.cfg.proposal == "student":
-                chi2 = _chi2_from_uniform(nu, chi2_u[t])
-                zhat = rsample_diag_student((mu_t, sig_t, nu), eps_zhat[t], chi2)
-            else:
-                zhat = rsample_diag_normal((mu_t, sig_t), eps_zhat[t])
-            mu_k, sig_k = model.encode_zhat_to_z(zhat)
+            _, mu_k, sig_k = _chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
             for u in range(cfg.s_z):
                 z = rsample_diag_normal((mu_k, sig_k), eps_z[t, u])
                 chains.append(model.decode_labels(X, z).data.copy())

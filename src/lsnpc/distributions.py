@@ -3,7 +3,7 @@
 Diagonal Normal, diagonal Student (realized as independent univariate Student
 components per dimension, matching the diagonal determinant and trace algebra
 of the bounds), and multivariate Bernoulli: reparameterized samplers,
-log-densities, closed-form and bounded KL divergences, and digamma.
+log-densities, and closed-form and bounded KL divergences.
 
 The log-density and sampler cores are polymorphic: they accept either plain
 numpy arrays or autodiff :class:`~lsnpc.autodiff.Tensor` operands, so the
@@ -21,7 +21,6 @@ import numpy as np
 from scipy import special as _sp
 
 from .autodiff import Tensor
-from .special import digamma, digamma_array
 
 __all__ = [
     "DiagNormalParams",
@@ -38,8 +37,6 @@ __all__ = [
     "kl_student_same_nu_upper_bound",
     "mc_kl_diag_student",
     "student_entropy",
-    "digamma",
-    "digamma_array",
 ]
 
 EPS_P = 1e-6
@@ -289,9 +286,9 @@ def kl_student_same_nu_upper_bound(p: DiagStudentParams, q: DiagStudentParams) -
     trace_term = float(np.sum(var1 / var2)) / (nu - 2.0)
     mean_term = float(np.sum(np.square(p.mean - q.mean) / var2)) / nu
     half_nm = (nu + m) / 2.0
-    return (
+    return float(
         0.5 * log_det_ratio
-        - half_nm * (digamma(half_nm) - digamma(nu / 2.0))
+        - half_nm * (_sp.psi(half_nm) - _sp.psi(nu / 2.0))
         + half_nm * math.log(1.0 + trace_term + mean_term)
     )
 
@@ -326,7 +323,7 @@ def student_entropy(params: DiagStudentParams) -> float:
         + _sp.gammaln(0.5)
         - _sp.gammaln(half)
     )
-    per_dim_const = log_norm + half * (digamma(half) - digamma(nu / 2.0))
+    per_dim_const = log_norm + half * (_sp.psi(half) - _sp.psi(nu / 2.0))
     return float(np.sum(np.log(params.scale)) + params.dim * per_dim_const)
 
 

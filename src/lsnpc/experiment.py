@@ -190,10 +190,9 @@ class _Pipeline:
                 train_semi_supervised(model, h, train.X, (clean.X, clean.Y), cfg,
                                       validation=(val.X, val.Y), correction_cfg=corr)
             tag = "semi" if semi else "unsup"
-            log = getattr(model, "last_log", None)
-            best = log.best_val if log is not None else float("nan")
             self.say(f"  lsnpc-{tag} [{kind} nr={_nr_tag(nr)} s={seed}] "
-                     f"val={best:.4f} ({time.time() - t0:.1f}s)")
+                     f"val={model.metadata['best_val_micro_f1']:.4f} "
+                     f"({time.time() - t0:.1f}s)")
             self._lsnpc[key] = model
             self._write(
                 self.out / "lsnpc" / f"{kind}_{_nr_tag(nr)}_s{seed}_{tag}.ckpt",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, dense
 
-__all__ = ["Mlp", "AdamW", "Sgd", "make_optimizer", "cosine_lr", "flatten_params"]
+__all__ = ["Mlp", "AdamW", "Sgd", "make_optimizer", "cosine_lr"]
 
 
 class Mlp:
@@ -70,16 +70,6 @@ class Mlp:
         for W, b, ln in self._layers:
             h = dense(h, W, b, ln, gelu=ln is not None or gelu_out)
         return h
-
-
-def flatten_params(*networks: Mlp) -> dict[str, Tensor]:
-    merged: dict[str, Tensor] = {}
-    for net in networks:
-        overlap = merged.keys() & net.params.keys()
-        if overlap:
-            raise ValueError(f"duplicate parameter names: {sorted(overlap)}")
-        merged.update(net.params)
-    return merged
 
 
 def cosine_lr(base_lr: float, epoch: int, cycle: int = 10) -> float:

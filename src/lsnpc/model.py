@@ -20,14 +20,15 @@ corrected validation predictions score the best micro-F1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import gammaincinv
 
 from . import rngs
-from .autodiff import ComputeGraph, Tensor, concat
-from .baseclf import BaseClassifier, TrainingDiverged, predict_probs, sample_predictions
+from .autodiff import NonFiniteLoss, Tensor, concat
+from .baseclf import BaseClassifier, _fit, predict_probs, sample_predictions
 from .distributions import (
     EPS_P,
     logpdf_diag_normal,
@@ -36,14 +37,13 @@ from .distributions import (
     rsample_diag_normal,
     rsample_diag_student,
 )
-from .layers import Mlp, cosine_lr, make_optimizer
+from .layers import Mlp
 from . import checkpoint
 
 __all__ = [
     "ModelConfig",
     "LsnpcModel",
     "LsnpcTrainConfig",
-    "TrainingLog",
     "NonFiniteLoss",
     "unsupervised_loss",
     "supervised_loss",
@@ -55,10 +55,6 @@ __all__ = [
 
 PROPOSALS = ("student", "normal")
 NU_MODES = ("fixed", "learned")
-
-
-class NonFiniteLoss(RuntimeError):
-    """A loss term left the finite range; message carries the term breakdown."""
 
 
 @dataclass(frozen=True)
@@ -285,6 +281,99 @@ def _check_terms(loss: Tensor, terms: dict) -> None:
     )
 
 
+def _chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
+    """One draw of zhat from q(zhat | x, yhat) and the q(z | zhat) it encodes.
+
+    Student proposals turn ``chi2_u`` into the chi-square mixing draw; the
+    Normal proposal ignores it.  Returns (zhat, mu_k, sig_k).
+    """
+    if model.cfg.proposal == "student":
+        chi2 = _chi2_from_uniform(nu, chi2_u)
+        zhat = rsample_diag_student((mu_t, sig_t, nu), eps_zhat, chi2)
+    else:
+        zhat = rsample_diag_normal((mu_t, sig_t), eps_zhat)
+    mu_k, sig_k = model.encode_zhat_to_z(zhat)
+    return zhat, mu_k, sig_k
+
+
+def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
+    """Negative ELBO of the noisy path (``y`` None) or the clean path."""
+    cfg = model.cfg
+    x = np.asarray(x, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=np.float64)
+    if y is None:
+        if x.shape[0] != yhat.shape[0]:
+            raise ValueError(f"row mismatch: {x.shape[0]} features vs {yhat.shape[0]} labels")
+    else:
+        y = np.asarray(y, dtype=np.float64)
+        if not x.shape[0] == y.shape[0] == yhat.shape[0]:
+            raise ValueError("feature, label, and sampled-label row counts differ")
+    if s_z < 1:
+        raise ValueError("need at least one latent sample")
+    B, m = x.shape[0], cfg.m
+    eps_zhat = _draw(rng, noise, "eps_zhat", (s_z, B, m))
+    eps_z = _draw(rng, noise, "eps_z", (s_z, B, m))
+    if y is not None:
+        eps_za = _draw(rng, noise, "eps_za", (s_z, B, m))
+        branch_u = _draw(rng, noise, "branch_u", (s_z, B, 1), uniform=True)
+    chi2_u = (None,) * s_z
+    if cfg.proposal == "student":
+        chi2_u = _draw(rng, noise, "chi2_u", (s_z, B, 1), uniform=True)
+
+    mu_t, sig_t = model.encode_xy(x, yhat)
+    nu = model.proposal_nu(x, yhat)
+    detail: dict = {"terms": {}, "zhat": [], "z": [], "nu": nu}
+    if y is not None:
+        mu_s, sig_s = model.encode_xy(x, y)
+        detail.update(branch=[], n_branch_encoded=0, n_rows=s_z * B)
+    ones = np.ones(m)
+    zeros = np.zeros(m)
+    total = None
+    for s in range(s_z):
+        zhat, mu_k, sig_k = _chain(model, mu_t, sig_t, nu, eps_zhat[s], chi2_u[s])
+        if cfg.proposal == "student":
+            lq_zhat = logpdf_diag_student(zhat, mu_t, sig_t, nu)
+        else:
+            lq_zhat = logpdf_diag_normal(zhat, mu_t, sig_t)
+        rec_hat = logpmf_bernoulli(yhat, model.decode_labels(x, zhat))
+        if y is None:
+            z = rsample_diag_normal((mu_k, sig_k), eps_z[s])
+            lq_z = logpdf_diag_normal(z, mu_k, sig_k)
+            rec, recs = rec_hat, {"rec": rec_hat}
+        else:
+            b = (branch_u[s] < cfg.eta).astype(np.float64)
+            detail["n_branch_encoded"] += int(b.sum())
+            detail["branch"].append(b.copy())
+            z_a = rsample_diag_normal((mu_s, sig_s), eps_za[s])
+            z_b = rsample_diag_normal((mu_k, sig_k), eps_z[s])
+            z = z_a * b + z_b * (1.0 - b)
+            b_row = b[:, 0]
+            lq_z = logpdf_diag_normal(z, mu_s, sig_s) * b_row + logpdf_diag_normal(
+                z, mu_k, sig_k
+            ) * (1.0 - b_row)
+            rec_y = logpmf_bernoulli(y, model.decode_labels(x, z))
+            rec, recs = rec_hat + rec_y, {"rec_hat": rec_hat, "rec_y": rec_y}
+        lp_shift = logpdf_diag_student(zhat, model.decode_shift(z), ones, cfg.nu0)
+        lp_z = logpdf_diag_normal(z, zeros, ones)
+        elbo_rows = rec + (lp_shift + lp_z - lq_zhat - lq_z) * cfg.beta
+        sample_loss = -elbo_rows.mean()
+        total = sample_loss if total is None else total + sample_loss
+        terms = {**recs, "lp_shift": lp_shift, "lp_z": lp_z, "lq_zhat": lq_zhat, "lq_z": lq_z}
+        for name, t in terms.items():
+            detail["terms"].setdefault(name, []).append(t.data.copy())
+        detail["zhat"].append(zhat.data.copy())
+        detail["z"].append(z.data.copy())
+    loss = total * (1.0 / s_z)
+    _check_terms(loss, detail["terms"])
+    if not collect:
+        return loss
+    detail["terms"] = {k: np.stack(v) for k, v in detail["terms"].items()}
+    for key in ("zhat", "z", "branch"):
+        if key in detail:
+            detail[key] = np.stack(detail[key])
+    return loss, detail
+
+
 def unsupervised_loss(
     model: LsnpcModel,
     x,
@@ -302,56 +391,7 @@ def unsupervised_loss(
     run consumes a prefix of the Student run's stream; ``noise`` may inject
     any of the arrays by name for replay.
     """
-    cfg = model.cfg
-    x = np.asarray(x, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if x.shape[0] != yhat.shape[0]:
-        raise ValueError(f"row mismatch: {x.shape[0]} features vs {yhat.shape[0]} labels")
-    if s_z < 1:
-        raise ValueError("need at least one latent sample")
-    B, m = x.shape[0], cfg.m
-    eps_zhat = _draw(rng, noise, "eps_zhat", (s_z, B, m))
-    eps_z = _draw(rng, noise, "eps_z", (s_z, B, m))
-    chi2_u = None
-    if cfg.proposal == "student":
-        chi2_u = _draw(rng, noise, "chi2_u", (s_z, B, 1), uniform=True)
-
-    mu_t, sig_t = model.encode_xy(x, yhat)
-    nu = model.proposal_nu(x, yhat)
-    ones = np.ones(m)
-    zeros = np.zeros(m)
-    total = None
-    detail: dict = {"terms": {}, "zhat": [], "z": [], "nu": nu}
-    for s in range(s_z):
-        if cfg.proposal == "student":
-            chi2 = _chi2_from_uniform(nu, chi2_u[s])
-            zhat = rsample_diag_student((mu_t, sig_t, nu), eps_zhat[s], chi2)
-            lq_zhat = logpdf_diag_student(zhat, mu_t, sig_t, nu)
-        else:
-            zhat = rsample_diag_normal((mu_t, sig_t), eps_zhat[s])
-            lq_zhat = logpdf_diag_normal(zhat, mu_t, sig_t)
-        mu_k, sig_k = model.encode_zhat_to_z(zhat)
-        z = rsample_diag_normal((mu_k, sig_k), eps_z[s])
-        rec = logpmf_bernoulli(yhat, model.decode_labels(x, zhat))
-        lp_shift = logpdf_diag_student(zhat, model.decode_shift(z), ones, cfg.nu0)
-        lp_z = logpdf_diag_normal(z, zeros, ones)
-        lq_z = logpdf_diag_normal(z, mu_k, sig_k)
-        elbo_rows = rec + (lp_shift + lp_z - lq_zhat - lq_z) * cfg.beta
-        sample_loss = -elbo_rows.mean()
-        total = sample_loss if total is None else total + sample_loss
-        terms = {"rec": rec, "lp_shift": lp_shift, "lp_z": lp_z, "lq_zhat": lq_zhat, "lq_z": lq_z}
-        for name, t in terms.items():
-            detail["terms"].setdefault(name, []).append(t.data.copy())
-        detail["zhat"].append(zhat.data.copy())
-        detail["z"].append(z.data.copy())
-    loss = total * (1.0 / s_z)
-    _check_terms(loss, detail["terms"])
-    if collect:
-        detail["terms"] = {k: np.stack(v) for k, v in detail["terms"].items()}
-        detail["zhat"] = np.stack(detail["zhat"])
-        detail["z"] = np.stack(detail["z"])
-        return loss, detail
-    return loss
+    return _elbo(model, x, None, yhat, rng, s_z, noise, collect)
 
 
 def supervised_loss(
@@ -371,80 +411,9 @@ def supervised_loss(
     log density of the branch that produced the draw.  Noise draw order:
     eps_zhat, eps_z, eps_za, branch uniforms, chi2 uniforms last.
     """
-    cfg = model.cfg
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if not x.shape[0] == y.shape[0] == yhat.shape[0]:
-        raise ValueError("feature, label, and sampled-label row counts differ")
-    if s_z < 1:
-        raise ValueError("need at least one latent sample")
-    B, m = x.shape[0], cfg.m
-    eps_zhat = _draw(rng, noise, "eps_zhat", (s_z, B, m))
-    eps_z = _draw(rng, noise, "eps_z", (s_z, B, m))
-    eps_za = _draw(rng, noise, "eps_za", (s_z, B, m))
-    branch_u = _draw(rng, noise, "branch_u", (s_z, B, 1), uniform=True)
-    chi2_u = None
-    if cfg.proposal == "student":
-        chi2_u = _draw(rng, noise, "chi2_u", (s_z, B, 1), uniform=True)
-
-    mu_t, sig_t = model.encode_xy(x, yhat)
-    nu = model.proposal_nu(x, yhat)
-    mu_s, sig_s = model.encode_xy(x, y)
-    ones = np.ones(m)
-    zeros = np.zeros(m)
-    total = None
-    n_branch_a = 0
-    detail: dict = {"terms": {}, "zhat": [], "z": [], "branch": [], "nu": nu}
-    for s in range(s_z):
-        if cfg.proposal == "student":
-            chi2 = _chi2_from_uniform(nu, chi2_u[s])
-            zhat = rsample_diag_student((mu_t, sig_t, nu), eps_zhat[s], chi2)
-            lq_zhat = logpdf_diag_student(zhat, mu_t, sig_t, nu)
-        else:
-            zhat = rsample_diag_normal((mu_t, sig_t), eps_zhat[s])
-            lq_zhat = logpdf_diag_normal(zhat, mu_t, sig_t)
-        mu_k, sig_k = model.encode_zhat_to_z(zhat)
-        b = (branch_u[s] < cfg.eta).astype(np.float64)
-        n_branch_a += int(b.sum())
-        z_a = rsample_diag_normal((mu_s, sig_s), eps_za[s])
-        z_b = rsample_diag_normal((mu_k, sig_k), eps_z[s])
-        z = z_a * b + z_b * (1.0 - b)
-        b_row = b[:, 0]
-        lq_z = logpdf_diag_normal(z, mu_s, sig_s) * b_row + logpdf_diag_normal(
-            z, mu_k, sig_k
-        ) * (1.0 - b_row)
-        rec_hat = logpmf_bernoulli(yhat, model.decode_labels(x, zhat))
-        rec_y = logpmf_bernoulli(y, model.decode_labels(x, z))
-        lp_shift = logpdf_diag_student(zhat, model.decode_shift(z), ones, cfg.nu0)
-        lp_z = logpdf_diag_normal(z, zeros, ones)
-        elbo_rows = rec_hat + rec_y + (lp_shift + lp_z - lq_zhat - lq_z) * cfg.beta
-        sample_loss = -elbo_rows.mean()
-        total = sample_loss if total is None else total + sample_loss
-        terms = {
-            "rec_hat": rec_hat,
-            "rec_y": rec_y,
-            "lp_shift": lp_shift,
-            "lp_z": lp_z,
-            "lq_zhat": lq_zhat,
-            "lq_z": lq_z,
-        }
-        for name, t in terms.items():
-            detail["terms"].setdefault(name, []).append(t.data.copy())
-        detail["zhat"].append(zhat.data.copy())
-        detail["z"].append(z.data.copy())
-        detail["branch"].append(b.copy())
-    loss = total * (1.0 / s_z)
-    _check_terms(loss, detail["terms"])
-    if collect:
-        detail["terms"] = {k: np.stack(v) for k, v in detail["terms"].items()}
-        detail["zhat"] = np.stack(detail["zhat"])
-        detail["z"] = np.stack(detail["z"])
-        detail["branch"] = np.stack(detail["branch"])
-        detail["n_branch_encoded"] = n_branch_a
-        detail["n_rows"] = s_z * B
-        return loss, detail
-    return loss
+    if y is None:
+        raise ValueError("the supervised loss needs clean labels y")
+    return _elbo(model, x, y, yhat, rng, s_z, noise, collect)
 
 
 # --------------------------------------------------------------------------
@@ -472,16 +441,6 @@ class LsnpcTrainConfig:
             raise ValueError("sample counts must be >= 1")
 
 
-@dataclass
-class TrainingLog:
-    unsup_losses: list[float] = field(default_factory=list)
-    sup_losses: list[float] = field(default_factory=list)
-    val_scores: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-    best_val: float = float("nan")
-    branch_encoded: int = 0
-
-
 def train_semi_supervised(
     model: LsnpcModel,
     h: BaseClassifier,
@@ -504,120 +463,62 @@ def train_semi_supervised(
     from .evaluation import micro_f1
 
     X_noisy = np.asarray(X_noisy, dtype=np.float64)
-    if clean is not None:
-        X_clean = np.asarray(clean[0], dtype=np.float64)
-        Y_clean = np.asarray(clean[1], dtype=np.float64)
-        if X_clean.shape[0] == 0:
-            clean = None
     P_noisy = predict_probs(h, X_noisy)
-    if validation is not None and correction_cfg is None:
-        correction_cfg = CorrectionConfig(seed=cfg.seed)
-
-    opt = make_optimizer(cfg.optimizer, model.params, cfg.lr, cfg.weight_decay)
-    shuffle_rng = rngs.stream(cfg.seed, "lsnpc", "shuffle")
     yhat_rng = rngs.stream(cfg.seed, "lsnpc", "yhat")
     noise_rng = rngs.stream(cfg.seed, "lsnpc", "noise")
-    clean_shuffle_rng = rngs.stream(cfg.seed, "lsnpc", "clean_shuffle")
     clean_noise_rng = rngs.stream(cfg.seed, "lsnpc", "clean_noise")
+    branch_encoded = 0
 
-    log = TrainingLog()
-    best_arrays = None
-    n = X_noisy.shape[0]
-    for epoch in range(cfg.epochs):
-        lr_scale = cosine_lr(1.0, epoch)
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = X_noisy[idx]
-            yhat_s = sample_predictions(P_noisy[idx], cfg.s_y, yhat_rng)
-            x_rep = np.tile(xb, (cfg.s_y, 1))
-            yhat_rep = yhat_s.reshape(cfg.s_y * len(idx), -1)
-            try:
-                loss = unsupervised_loss(
-                    model, x_rep, yhat_rep, rng=noise_rng, s_z=cfg.s_z
-                )
-            except NonFiniteLoss as err:
-                raise TrainingDiverged(f"epoch {epoch} (noisy sweep): {err}") from err
-            _step(model, opt, loss, lr_scale)
-            epoch_loss += loss.item()
-            n_batches += 1
-        log.unsup_losses.append(epoch_loss / max(n_batches, 1))
+    def tiled(xb, P):
+        """Each feature row repeated for its s_y sampled label vectors."""
+        yhat_s = sample_predictions(P, cfg.s_y, yhat_rng)
+        return np.tile(xb, (cfg.s_y, 1)), yhat_s.reshape(cfg.s_y * len(xb), -1)
 
-        if clean is not None:
-            n_c = X_clean.shape[0]
-            order_c = clean_shuffle_rng.permutation(n_c) if cfg.shuffle else np.arange(n_c)
-            epoch_loss, n_batches = 0.0, 0
-            for start in range(0, n_c, cfg.batch_size):
-                idx = order_c[start : start + cfg.batch_size]
-                xb = X_clean[idx]
-                yb = Y_clean[idx]
-                yhat_s = sample_predictions(predict_probs(h, xb), cfg.s_y, yhat_rng)
-                x_rep = np.tile(xb, (cfg.s_y, 1))
-                y_rep = np.tile(yb, (cfg.s_y, 1))
-                yhat_rep = yhat_s.reshape(cfg.s_y * len(idx), -1)
-                try:
-                    loss, det = supervised_loss(
-                        model,
-                        x_rep,
-                        y_rep,
-                        yhat_rep,
-                        rng=clean_noise_rng,
-                        s_z=cfg.s_z,
-                        collect=True,
-                    )
-                except NonFiniteLoss as err:
-                    raise TrainingDiverged(f"epoch {epoch} (clean sweep): {err}") from err
-                _step(model, opt, loss, lr_scale)
-                log.branch_encoded += det["n_branch_encoded"]
-                epoch_loss += loss.item()
-                n_batches += 1
-            log.sup_losses.append(epoch_loss / max(n_batches, 1))
+    def noisy_loss(idx):
+        x_rep, yhat_rep = tiled(X_noisy[idx], P_noisy[idx])
+        return unsupervised_loss(model, x_rep, yhat_rep, rng=noise_rng, s_z=cfg.s_z)
 
-        if validation is not None:
-            X_val, Y_val = validation
-            result = correct(model, h, X_val, correction_cfg)
-            score = micro_f1(Y_val, binarize(result.probs, correction_cfg.tau))
-            log.val_scores.append(score)
-            if log.best_epoch < 0 or score > log.best_val:
-                log.best_epoch = epoch
-                log.best_val = score
-                best_arrays = model.params_arrays()
+    def clean_loss(idx):
+        nonlocal branch_encoded
+        xb = X_clean[idx]
+        x_rep, yhat_rep = tiled(xb, predict_probs(h, xb))
+        y_rep = np.tile(Y_clean[idx], (cfg.s_y, 1))
+        loss, det = supervised_loss(model, x_rep, y_rep, yhat_rep, rng=clean_noise_rng,
+                                    s_z=cfg.s_z, collect=True)
+        branch_encoded += det["n_branch_encoded"]
+        return loss
 
-    if best_arrays is not None:
-        model.load_arrays(best_arrays)
+    sweeps = [("noisy", len(X_noisy), rngs.stream(cfg.seed, "lsnpc", "shuffle"), noisy_loss)]
+    if clean is not None:
+        X_clean, Y_clean = (np.asarray(a, dtype=np.float64) for a in clean)
+        if len(X_clean):
+            sweeps.append(("clean", len(X_clean),
+                           rngs.stream(cfg.seed, "lsnpc", "clean_shuffle"), clean_loss))
+    score = None
+    if validation is not None:
+        X_val, Y_val = validation
+        corr = correction_cfg if correction_cfg is not None else CorrectionConfig(seed=cfg.seed)
+        score = lambda: micro_f1(Y_val, binarize(correct(model, h, X_val, corr).probs, corr.tau))
+    losses, scores, best_epoch, best = _fit(model.params, cfg, sweeps, score)
     model.history = {
-        "unsup_losses": log.unsup_losses,
-        "sup_losses": log.sup_losses,
-        "val_scores": log.val_scores,
-        "best_epoch": log.best_epoch,
+        "unsup_losses": losses["noisy"],
+        "sup_losses": losses.get("clean", []),
+        "val_scores": scores,
+        "best_epoch": best_epoch,
+        "branch_encoded": branch_encoded,
     }
-    model.metadata.update(
-        {"epochs": cfg.epochs, "seed": cfg.seed, "best_val_micro_f1": log.best_val}
-    )
-    model.last_log = log
+    model.metadata.update({"epochs": cfg.epochs, "seed": cfg.seed, "best_val_micro_f1": best})
     return model
-
-
-def _step(model: LsnpcModel, opt, loss: Tensor, lr_scale: float) -> None:
-    graph = ComputeGraph(lambda bound: loss, model.params)
-    graph.eval({})
-    opt.zero_grad()
-    graph.backward()
-    opt.step(lr_scale=lr_scale)
 
 
 # --------------------------------------------------------------------------
 # Checkpointing
 
 
-_TUPLE_FIELDS = ("encoder_hidden", "decoder_hidden", "shift_hidden")
-
-
 def save_model(model: LsnpcModel, path) -> None:
     meta = {"kind": "lsnpc"}
     for name, value in vars(model.cfg).items():
-        if name in _TUPLE_FIELDS:
+        if isinstance(value, tuple):
             meta[f"cfg.{name}"] = ",".join(str(v) for v in value)
         else:
             meta[f"cfg.{name}"] = repr(value)
@@ -630,24 +531,22 @@ def load_model(path) -> LsnpcModel:
     arrays, meta = checkpoint.load_params(path)
     if meta.get("kind") != "lsnpc":
         raise ValueError("checkpoint does not hold a latent-shift model")
+    types = get_type_hints(ModelConfig)
     kwargs = {}
     for key, raw in meta.items():
         if not key.startswith("cfg."):
             continue
         name = key[4:]
-        if name in _TUPLE_FIELDS:
-            kwargs[name] = tuple(int(v) for v in raw.split(",") if v)
-        elif name in {"d", "k", "m", "embed_hidden", "embed_dim"}:
-            kwargs[name] = int(raw)
-        elif name in {"proposal", "nu_mode"}:
-            kwargs[name] = raw.strip("'\"")
-        elif name == "shift_identity":
-            kwargs[name] = raw == "True"
+        if name not in types:
+            raise ValueError(f"checkpoint field {key!r} is not a ModelConfig field")
+        if get_origin(types[name]) is tuple:
+            item = get_args(types[name])[0]
+            kwargs[name] = tuple(item(v) for v in raw.split(",") if v)
         else:
-            kwargs[name] = float(raw)
+            kwargs[name] = types[name](checkpoint.literal(raw))
     model = LsnpcModel(ModelConfig(**kwargs), seed=0)
     model.load_arrays(arrays)
     model.metadata = {
-        key[5:]: value for key, value in meta.items() if key.startswith("meta.")
+        key[5:]: checkpoint.literal(value) for key, value in meta.items() if key.startswith("meta.")
     }
     return model

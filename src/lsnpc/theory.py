@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, psi
 
 from . import rngs
 from .distributions import (
@@ -37,7 +37,6 @@ from .distributions import (
     student_entropy,
 )
 from .model import LsnpcModel, ModelConfig
-from .special import digamma
 
 __all__ = [
     "QuadratureGrid",
@@ -313,11 +312,11 @@ class BoundConstants:
 
 def _c1(m: int, nu: float, M: float, alpha: float) -> float:
     half_nm = (nu + m) / 2.0
-    return half_nm * (
+    return float(half_nm * (
         M * math.sqrt(m) * alpha / (2.0 * (nu - 2.0))
-        - digamma(half_nm)
-        + digamma(nu / 2.0)
-    )
+        - psi(half_nm)
+        + psi(nu / 2.0)
+    ))
 
 
 def _c2(m: int, nu: float, M: float, alpha: float) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsnpc.autodiff import ComputeGraph, Tensor, backward, concat, dense, eval_graph, grad_check
+from lsnpc.autodiff import ComputeGraph, Tensor, concat, dense, grad_check
 
 
 def scalar_graph(fn, x0):
@@ -26,17 +26,17 @@ def scalar_graph(fn, x0):
 
 def test_square_at_three():
     g, _ = scalar_graph(lambda x: x * x, 3.0)
-    assert eval_graph(g).item() == 9.0
+    assert g.eval().item() == 9.0
 
 
 def test_sigmoid_at_zero():
     g, _ = scalar_graph(lambda x: x.sigmoid(), 0.0)
-    assert eval_graph(g).item() == 0.5
+    assert g.eval().item() == 0.5
 
 
 def test_softplus_at_zero_is_ln2():
     g, _ = scalar_graph(lambda x: x.softplus(), 0.0)
-    assert eval_graph(g).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert g.eval().item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_eval_is_pure():
@@ -44,9 +44,9 @@ def test_eval_is_pure():
     W = Tensor(rng.standard_normal((4, 3)), requires_grad=True, name="W")
     x = rng.standard_normal((2, 4))
     g = ComputeGraph(lambda t: ((t["x"] @ t["W"]).gelu()).sum(), {"W": W})
-    first = eval_graph(g, {"x": x}).data.copy()
+    first = g.eval({"x": x}).data.copy()
     for _ in range(5):
-        assert np.array_equal(eval_graph(g, {"x": x}).data, first)
+        assert np.array_equal(g.eval({"x": x}).data, first)
 
 
 def test_matmul_shape_mismatch_names_operands():
@@ -66,7 +66,7 @@ def test_broadcast_only_over_leading_batch():
 
 def test_nonfinite_flag_propagates():
     g, _ = scalar_graph(lambda x: x.log(), -1.0)
-    out = eval_graph(g)
+    out = g.eval()
     assert out.nonfinite_op is not None
 
 
@@ -76,15 +76,15 @@ def test_nonfinite_flag_propagates():
 
 def test_derivative_of_square():
     g, p = scalar_graph(lambda x: x * x, 3.0)
-    eval_graph(g)
-    grads = backward(g)
+    g.eval()
+    grads = g.backward()
     assert grads["x"] == pytest.approx(6.0)
 
 
 def test_backward_before_forward_errors():
     g, _ = scalar_graph(lambda x: x * x, 3.0)
     with pytest.raises(RuntimeError):
-        backward(g)
+        g.backward()
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -116,8 +116,8 @@ def test_two_layer_gelu_mlp_gradient():
 def test_gradient_accumulates_over_reused_node():
     # x used twice: d/dx (x*x + x) = 2x + 1
     g, _ = scalar_graph(lambda x: x * x + x, 2.0)
-    eval_graph(g)
-    assert backward(g)["x"] == pytest.approx(5.0)
+    g.eval()
+    assert g.backward()["x"] == pytest.approx(5.0)
 
 
 def test_backward_linearity_over_graph_copies():
@@ -131,8 +131,8 @@ def test_backward_linearity_over_graph_copies():
             lambda t: sum(((t["W"] * x).gelu().sum() for x in xs), start=Tensor(0.0)),
             {"W": W},
         )
-        eval_graph(g)
-        return backward(g)["W"]
+        g.eval()
+        return g.backward()["W"]
 
     combined = run([x1, x2])
     separate = run([x1]) + run([x2])
@@ -141,9 +141,9 @@ def test_backward_linearity_over_graph_copies():
 
 def test_seed_gradient_shape_checked():
     g, _ = scalar_graph(lambda x: x * x, 3.0)
-    eval_graph(g)
+    g.eval()
     with pytest.raises(ValueError, match="seed"):
-        backward(g, np.ones(3))
+        g.backward(np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,8 @@ def test_grad_check_linear_is_exact():
 def test_grad_check_constant_function():
     w = Tensor(np.ones(3), requires_grad=True, name="w")
     g = ComputeGraph(lambda t: (t["w"] * 0.0).sum(), {"w": w})
-    eval_graph(g)
-    grads = backward(g)
+    g.eval()
+    grads = g.backward()
     assert np.array_equal(grads["w"], np.zeros(3))
     assert grad_check(g) == 0.0
 
@@ -181,7 +181,6 @@ UNARY_OPS = [
     ("log", lambda x: x.log(), (0.1, 5.0)),
     ("sigmoid", lambda x: x.sigmoid(), (-4.0, 4.0)),
     ("softplus", lambda x: x.softplus(), (-4.0, 4.0)),
-    ("relu", lambda x: x.relu(), (0.1, 3.0)),
     ("gelu", lambda x: x.gelu(), (-3.0, 3.0)),
     ("lgamma", lambda x: x.lgamma(), (0.5, 5.0)),
 ]
@@ -221,15 +220,15 @@ def test_concat_gradient_splits():
 def test_clamp_gradient_zero_outside():
     w = Tensor(np.array([-2.0, 0.0, 2.0]), requires_grad=True, name="w")
     g = ComputeGraph(lambda t: t["w"].clamp(-1.0, 1.0).sum(), {"w": w})
-    eval_graph(g)
-    np.testing.assert_array_equal(backward(g)["w"], [0.0, 1.0, 0.0])
+    g.eval()
+    np.testing.assert_array_equal(g.backward()["w"], [0.0, 1.0, 0.0])
 
 
 def test_mean_and_sum_reductions_with_axis():
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="w")
     g = ComputeGraph(lambda t: t["w"].mean(axis=0).sum(), {"w": w})
-    eval_graph(g)
-    np.testing.assert_allclose(backward(g)["w"], np.full((2, 3), 0.5))
+    g.eval()
+    np.testing.assert_allclose(g.backward()["w"], np.full((2, 3), 0.5))
 
 
 # ---------------------------------------------------------------------------

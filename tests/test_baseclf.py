@@ -1,5 +1,7 @@
 """The noisy base classifier: training, prediction, label sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -93,6 +95,29 @@ def test_checkpoint_selected_by_validation_f1():
     assert h.metadata["val_micro_f1"] == max(h.history["val_micro_f1"])
 
 
+# Digest of the exact float64 bytes of the parameters and the history after
+# two epochs with validation.  Any change to the floating-point operations of
+# training, or to their order, changes it.
+TRAIN_PIN = "87fd2b768decc9486ac4bf79"
+
+
+def _train_digest():
+    X, Y = separable_toy(n=70, seed=5)
+    Xv, Yv = separable_toy(n=30, seed=6)
+    h = train_base(X, Y, BaseTrainConfig(epochs=2, batch_size=16, hidden=(8,), seed=5),
+                   validation=(Xv, Yv))
+    arrays = {**h.params_arrays(), "loss": h.history["train_loss"],
+              "val": h.history["val_micro_f1"]}
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode() + np.asarray(arrays[name], dtype=np.float64).tobytes())
+    return digest.hexdigest()[:24]
+
+
+def test_training_is_pinned():
+    assert _train_digest() == TRAIN_PIN
+
+
 def test_predict_probs_zero_weights_half():
     h = _new_classifier(d=3, k=2, hidden=(4,), seed=0)
     for p in h.net.params.values():
@@ -149,6 +174,18 @@ def test_sample_predictions_deterministic():
     a = sample_predictions(P, 1, rngs.stream(5, "s"))
     b = sample_predictions(P, 1, rngs.stream(5, "s"))
     np.testing.assert_array_equal(a, b)
+
+
+def test_base_checkpoint_load_then_save_is_byte_identical(tmp_path):
+    X, Y = separable_toy(n=40)
+    h = train_base(X, Y, BaseTrainConfig(epochs=1, seed=7, hidden=(8,)))
+    assert np.isnan(h.metadata["val_micro_f1"])  # no validation set
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_base(h, first)
+    loaded = load_base(first)
+    assert (loaded.metadata["epochs"], loaded.metadata["seed"]) == (1, 7)
+    save_base(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_base_checkpoint_round_trip(tmp_path):

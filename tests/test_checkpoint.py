@@ -79,6 +79,14 @@ def test_trailing_bytes_are_rejected():
         deserialize_params(blob + b"\x00")
 
 
+def test_every_proper_prefix_is_rejected_as_truncated():
+    # every cut: inside the header, the metadata, a name, a shape, the values
+    blob = serialize_params(sample_params(), {"kind": "test", "epochs": "7"})
+    for n in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            deserialize_params(blob[:n])
+
+
 def test_empty_params_and_meta_round_trip():
     blob = serialize_params({}, {})
     params, meta = deserialize_params(blob)

@@ -2,6 +2,7 @@
 agreement with 2-D quadrature at m=1, thresholding, and the KNN baseline
 against an exhaustive scan."""
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -57,6 +58,33 @@ def test_config_validation():
 def test_correct_signature_takes_no_labels():
     names = list(inspect.signature(correct).parameters)
     assert names == ["model", "h", "X", "cfg"]
+
+
+# Digests of the exact float64 bytes of probs and se.  Any change to the
+# floating-point operations of the correction chain, or to their order,
+# changes them.
+CORRECT_PINS = {
+    "student": "7431dd172cb52820d74ae13e",
+    "normal": "a843eab459c604e577d14f0a",
+    "learned-nu": "7dadf1287b013177743da5e8",
+}
+PROPOSAL_CASES = {
+    "student": {},
+    "normal": {"proposal": "normal"},
+    "learned-nu": {"nu_mode": "learned"},
+}
+
+
+def _correct_digest(case):
+    model, h, X = tiny_setup(seed=3, **PROPOSAL_CASES[case])
+    res = correct(model, h, X, CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4))
+    digest = hashlib.sha256(res.probs.tobytes() + res.se.tobytes())
+    return digest.hexdigest()[:24]
+
+
+@pytest.mark.parametrize("case", sorted(CORRECT_PINS))
+def test_correct_is_pinned(case):
+    assert _correct_digest(case) == CORRECT_PINS[case]
 
 
 # ---------------------------------------------------------------------------

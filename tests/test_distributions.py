@@ -1,8 +1,8 @@
-"""Distribution families: samplers, densities, divergences, special functions.
+"""Distribution families: samplers, densities, divergences.
 
-Scalar reference values are closed forms (ln 2pi, Euler-Mascheroni, the
-two-component Bernoulli KL) evaluated independently here; integral checks
-use dense trapezoid quadrature; Monte-Carlo checks freeze their seeds.
+Scalar reference values are closed forms (ln 2pi, the two-component
+Bernoulli KL) evaluated independently here; integral checks use dense
+trapezoid quadrature; Monte-Carlo checks freeze their seeds.
 """
 
 import math
@@ -30,7 +30,6 @@ from lsnpc.distributions import (
     rsample_diag_student,
     student_entropy,
 )
-from lsnpc.special import digamma, digamma_array
 
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -288,40 +287,6 @@ def test_kl_bernoulli_matched_components_free(extra, prob):
 
 
 # ---------------------------------------------------------------------------
-# digamma
-
-
-def test_digamma_at_one_is_negative_euler():
-    assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-10)
-
-
-def test_digamma_at_half():
-    # psi(1/2) = -gamma - 2 ln 2
-    assert digamma(0.5) == pytest.approx(-0.5772156649015329 - 2 * math.log(2), abs=1e-10)
-    assert digamma(0.5) == pytest.approx(-1.9635100, abs=1e-7)
-
-
-def test_digamma_recurrence(rng):
-    x = rng.uniform(0.05, 50.0, size=100)
-    lhs = digamma_array(x + 1.0) - digamma_array(x)
-    np.testing.assert_allclose(lhs, 1.0 / x, atol=1e-9)
-
-
-def test_digamma_against_mpmath(rng):
-    for x in rng.uniform(0.01, 30.0, size=25):
-        assert digamma(float(x)) == pytest.approx(
-            float(mpmath.digamma(x)), abs=1e-10
-        )
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        digamma(0.0)
-    with pytest.raises(ValueError):
-        digamma(-1.3)
-
-
-# ---------------------------------------------------------------------------
 # Student KL upper bound
 
 
@@ -345,7 +310,8 @@ def test_student_bound_identity_simplification():
         got = kl_student_same_nu_upper_bound(p, p)
         half_nm = (nu + m) / 2.0
         expected = half_nm * (
-            math.log(1.0 + m / (nu - 2.0)) - digamma(half_nm) + digamma(nu / 2.0)
+            math.log(1.0 + m / (nu - 2.0))
+            - float(mpmath.digamma(half_nm)) + float(mpmath.digamma(nu / 2.0))
         )
         assert got == pytest.approx(expected, abs=1e-12)
         assert got >= 0.0

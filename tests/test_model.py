@@ -3,6 +3,7 @@ oracles with injected noise, the eta-mixture branch accounting, the trainer's
 two-sweep update order, and the Gaussian-ablation limit."""
 
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -572,6 +573,65 @@ def test_elbo_lower_bounds_quadrature_evidence():
 
 
 # ---------------------------------------------------------------------------
+# bit-identity pins: digests of the exact float64 bytes of a loss and its
+# gradients.  Any change to the floating-point operations, or to their order,
+# changes them.  The learned-nu gradients pass through the lgamma backward
+# and so through scipy's psi.
+
+
+def _digest(arrays: dict) -> str:
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+    return h.hexdigest()[:24]
+
+
+PROPOSAL_CASES = {
+    "student": {},
+    "normal": {"proposal": "normal"},
+    "learned-nu": {"nu_mode": "learned"},
+}
+
+LOSS_PINS = {
+    ("unsupervised", "student"): "9b3a0bdbe79ab3ee139aac1f",
+    ("unsupervised", "normal"): "9f04e1c0ead66fa0c7ba11c5",
+    ("unsupervised", "learned-nu"): "8c90bb1de1d1fd9399db1c4c",
+    ("supervised", "student"): "0865d3ed2b702d28eb8c0f82",
+    ("supervised", "normal"): "5bf033067383b4f78493405b",
+    ("supervised", "learned-nu"): "e12f38404749f2245b83bcf2",
+}
+
+
+def _loss_and_gradients_digest(kind, case):
+    model = tiny_model(seed=31, **PROPOSAL_CASES[case])
+    rng = np.random.default_rng(32)
+    B, m = 6, model.cfg.m
+    x = rng.standard_normal((B, model.cfg.d))
+    y = (rng.random((B, model.cfg.k)) < 0.5).astype(float)
+    yhat = np.abs(y - (rng.random(y.shape) < 0.3))
+    noise = {
+        "eps_zhat": rng.standard_normal((2, B, m)),
+        "eps_z": rng.standard_normal((2, B, m)),
+        "eps_za": rng.standard_normal((2, B, m)),
+        "branch_u": rng.random((2, B, 1)),
+        "chi2_u": rng.random((2, B, 1)),
+    }
+    if kind == "unsupervised":
+        loss = unsupervised_loss(model, x, yhat, s_z=2, noise=noise)
+    else:
+        loss = supervised_loss(model, x, y, yhat, s_z=2, noise=noise)
+    graph = ComputeGraph(lambda bound: loss, model.params)
+    graph.eval()
+    return _digest({"loss": loss.data, **graph.backward()})
+
+
+@pytest.mark.parametrize("kind,case", sorted(LOSS_PINS))
+def test_loss_and_gradients_are_pinned(kind, case):
+    assert _loss_and_gradients_digest(kind, case) == LOSS_PINS[(kind, case)]
+
+
+# ---------------------------------------------------------------------------
 # trainer
 
 
@@ -581,6 +641,25 @@ def _toy_training_setup(n=16, seed=7):
     Y = (rng.random((n, 4)) < 0.5).astype(np.uint8)
     h = train_base(X, Y, BaseTrainConfig(epochs=0, hidden=(8,), seed=seed))
     return X, Y, h
+
+
+TRAINER_PIN = "04b9612f58b34d2cab235c88"
+
+
+def _trainer_digest():
+    X, Y, h = _toy_training_setup(n=20, seed=8)
+    cfg = LsnpcTrainConfig(epochs=2, batch_size=8, s_y=2, seed=8)
+    model = train_semi_supervised(
+        LsnpcModel(ModelConfig(**TINY), seed=8), h, X, (X[:6], Y[:6].astype(float)), cfg,
+        validation=(X[:10], Y[:10]),
+    )
+    hist = model.history
+    return _digest({**model.params_arrays(), "unsup": hist["unsup_losses"],
+                    "sup": hist["sup_losses"], "val": hist["val_scores"]})
+
+
+def test_trainer_is_pinned():
+    assert _trainer_digest() == TRAINER_PIN
 
 
 def test_empty_clean_set_equals_unsupervised_training():
@@ -659,7 +738,7 @@ def test_training_log_tracks_sweeps():
     )
     assert len(model.history["unsup_losses"]) == 2
     assert len(model.history["sup_losses"]) == 2
-    assert model.last_log.branch_encoded > 0
+    assert model.history["branch_encoded"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +754,19 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert loaded.cfg == model.cfg
     for name, value in model.params_arrays().items():
         assert_array_equal(value, loaded.params_arrays()[name])
-    assert loaded.metadata["epochs"] == "2"
+    assert loaded.metadata == {"epochs": 2, "seed": 19}
+
+
+def test_checkpoint_load_then_save_is_byte_identical(tmp_path):
+    X, Y, h = _toy_training_setup()
+    cfg = LsnpcTrainConfig(epochs=1, batch_size=8, s_y=2, seed=3)
+    model = train_semi_supervised(LsnpcModel(ModelConfig(**TINY), seed=3), h, X, None, cfg)
+    assert np.isnan(model.metadata["best_val_micro_f1"])  # no validation set
+    model.metadata.update(note="a=b", shape=(2, 3), inf=float("-inf"))
+    first, second = tmp_path / "a.lsck", tmp_path / "b.lsck"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 MODEL_CONFIG_FIELDS = {
