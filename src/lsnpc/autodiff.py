@@ -3,15 +3,23 @@
 Small by design: exactly the primitives needed for MLP encoders/decoders and
 the variational losses (matmul, broadcasting elementwise arithmetic, GELU,
 sigmoid, softplus, log, exp, sqrt, square, lgamma, clamp, reductions,
-concatenation), plus one fused op, :func:`dense`, that runs a whole MLP layer
-(affine, layer norm, GELU) as a single node with a hand-written backward
-pass.  No GPU, no higher-order derivatives.
+concatenation), plus fused ops that each run a whole primitive chain as a
+single node with a hand-written backward pass, bit-identical to the chain:
+
+- :func:`dense`, one MLP layer (affine, layer norm, GELU);
+- the Normal, Student (fixed or learned nu) and Bernoulli log densities of
+  :mod:`lsnpc.distributions` (``logpdf_normal``, ``logpdf_student``,
+  ``logpmf_bernoulli`` nodes), built with :func:`fused`.
+
+No GPU, no higher-order derivatives.
 
 The programming model is a dynamic tape: every operation produces a
 :class:`Tensor` that records its parents and a backward rule.  A
 :class:`ComputeGraph` wraps a python callable of named tensors; evaluating it
 retains the tape so gradients can be replayed in reverse topological order
-with deterministic accumulation.
+with deterministic accumulation.  Both passes run under
+``np.errstate(all="ignore")``: a non-finite value does not warn but marks
+its node (``nonfinite_op`` names the first op that made one).
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ class NonFiniteLoss(RuntimeError):
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -84,23 +94,32 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _bwd: Callable | None = None,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
         self.name = name
         self._op = _op
         self._parents = _parents
         self._bwd = _bwd
-        self.nonfinite_op: str | None = None
-        if _parents:
-            for p in _parents:
-                if p.nonfinite_op is not None:
-                    self.nonfinite_op = p.nonfinite_op
-                    break
-        if self.nonfinite_op is None and not np.all(np.isfinite(self.data)):
-            self.nonfinite_op = self._label()
+        requires_grad = bool(requires_grad)
+        nonfinite_op = None
+        for p in _parents:
+            requires_grad = requires_grad or p.requires_grad
+            if nonfinite_op is None:
+                nonfinite_op = p.nonfinite_op
+        self.requires_grad = requires_grad
+        if nonfinite_op is None:
+            # A finite sum implies finite elements, so only a non-finite sum
+            # (a nan or inf, or finite values whose sum overflows) needs the
+            # element-wise test.  Ops whose values can overflow build their
+            # node inside np.errstate; a leaf silences the overflow here.
+            if _parents:
+                total = data.sum()
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total = data.sum()
+            if not math.isfinite(total) and not np.all(np.isfinite(data)):
+                nonfinite_op = self._label()
+        self.nonfinite_op: str | None = nonfinite_op
 
     def _label(self) -> str:
         return self._op if self.name is None else f"{self._op}({self.name})"
@@ -127,51 +146,44 @@ class Tensor:
             return value
         return Tensor(value)
 
-    def _binary(self, other, op: str, forward, bwd) -> "Tensor":
+    def _binary(self, other, op: str, forward, grad_a, grad_b) -> "Tensor":
+        """``forward(a, b)`` as a node; ``grad_a``/``grad_b`` map (g, a, b) to
+        the unreduced gradient of each operand, computed only for operands
+        that require one."""
         other = Tensor._lift(other)
-        try:
-            np.broadcast_shapes(self.shape, other.shape)
-        except ValueError:
-            raise ValueError(
-                f"{op}: operands {self._label()} {self.shape} and "
-                f"{other._label()} {other.shape} do not broadcast"
-            ) from None
+
+        def bwd(g, a, b):
+            return (
+                _unbroadcast(grad_a(g, a, b), a.shape) if self.requires_grad else None,
+                _unbroadcast(grad_b(g, a, b), b.shape) if other.requires_grad else None,
+            )
+
         with np.errstate(all="ignore"):
-            data = forward(self.data, other.data)
-        return Tensor(data, _op=op, _parents=(self, other), _bwd=bwd)
+            try:
+                data = forward(self.data, other.data)
+            except ValueError:
+                raise ValueError(
+                    f"{op}: operands {self._label()} {self.shape} and "
+                    f"{other._label()} {other.shape} do not broadcast"
+                ) from None
+            return Tensor(data, _op=op, _parents=(self, other), _bwd=bwd)
 
     # ---- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        return self._binary(
-            other,
-            "add",
-            np.add,
-            lambda g, a, b: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        )
+        return self._binary(other, "add", np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(
-            other,
-            "sub",
-            np.subtract,
-            lambda g, a, b: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-        )
+        return self._binary(other, "sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return Tensor._lift(other).__sub__(self)
 
     def __mul__(self, other):
         return self._binary(
-            other,
-            "mul",
-            np.multiply,
-            lambda g, a, b: (
-                _unbroadcast(g * b, a.shape),
-                _unbroadcast(g * a, b.shape),
-            ),
+            other, "mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a
         )
 
     __rmul__ = __mul__
@@ -181,36 +193,35 @@ class Tensor:
             other,
             "div",
             np.divide,
-            lambda g, a, b: (
-                _unbroadcast(g / b, a.shape),
-                _unbroadcast(-g * a / (b * b), b.shape),
-            ),
+            lambda g, a, b: g / b,
+            lambda g, a, b: -g * a / (b * b),
         )
 
     def __rtruediv__(self, other):
         return Tensor._lift(other).__truediv__(self)
 
     def __neg__(self):
-        return Tensor(
-            -self.data, _op="neg", _parents=(self,), _bwd=lambda g, a: (-g,)
-        )
+        return self._unary("neg", np.negative, lambda g, a: (-g,))
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
         _check_matmul(self, other)
-        return Tensor(
-            self.data @ other.data,
-            _op="matmul",
-            _parents=(self, other),
-            _bwd=lambda g, a, b: (g @ b.T, a.T @ g),
-        )
+        with np.errstate(all="ignore"):
+            return Tensor(
+                self.data @ other.data,
+                _op="matmul",
+                _parents=(self, other),
+                _bwd=lambda g, a, b: (
+                    g @ b.T if self.requires_grad else None,
+                    a.T @ g if other.requires_grad else None,
+                ),
+            )
 
     # ---- unary math ------------------------------------------------------
 
     def _unary(self, op: str, forward, bwd) -> "Tensor":
         with np.errstate(all="ignore"):
-            data = forward(self.data)
-        return Tensor(data, _op=op, _parents=(self,), _bwd=bwd)
+            return Tensor(forward(self.data), _op=op, _parents=(self,), _bwd=bwd)
 
     def square(self):
         return self._unary("square", np.square, lambda g, a: (2.0 * a * g,))
@@ -227,6 +238,7 @@ class Tensor:
         return self._unary("log", np.log, lambda g, a: (g / a,))
 
     def sigmoid(self):
+        # Values in [0, 1]: the finiteness sum cannot overflow.
         s = _sp.expit(self.data)
         return Tensor(
             s, _op="sigmoid", _parents=(self,), _bwd=lambda g, a: (s * (1.0 - s) * g,)
@@ -279,23 +291,25 @@ class Tensor:
         return np.broadcast_to(grad, self.shape)
 
     def sum(self, axis=None, keepdims: bool = False):
-        return Tensor(
-            np.sum(self.data, axis=axis, keepdims=keepdims),
-            _op="sum",
-            _parents=(self,),
-            _bwd=lambda g, a: (self._reduce_bwd(g, axis, keepdims),),
-        )
+        with np.errstate(all="ignore"):
+            return Tensor(
+                np.sum(self.data, axis=axis, keepdims=keepdims),
+                _op="sum",
+                _parents=(self,),
+                _bwd=lambda g, a: (self._reduce_bwd(g, axis, keepdims),),
+            )
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.size if axis is None else np.prod(
             [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
         )
-        return Tensor(
-            np.mean(self.data, axis=axis, keepdims=keepdims),
-            _op="mean",
-            _parents=(self,),
-            _bwd=lambda g, a: (self._reduce_bwd(g, axis, keepdims) / count,),
-        )
+        with np.errstate(all="ignore"):
+            return Tensor(
+                np.mean(self.data, axis=axis, keepdims=keepdims),
+                _op="mean",
+                _parents=(self,),
+                _bwd=lambda g, a: (self._reduce_bwd(g, axis, keepdims) / count,),
+            )
 
     def __repr__(self):
         tag = self.name or self._op
@@ -346,6 +360,7 @@ def dense(
             out = 0.5 * o * erf1
         else:
             out = o
+        node = Tensor(out, name=W.name, _op="dense", _parents=parents)
 
     def bwd(g, xd, Wd, _b, *gain_shift):
         if gelu:
@@ -360,13 +375,32 @@ def dense(
         g_x = g @ Wd.T if x.requires_grad else None
         return (g_x, xd.T @ g, g.sum(axis=0), *ln_grads)
 
-    node = Tensor(out, name=W.name, _op="dense", _parents=parents, _bwd=bwd)
+    node._bwd = bwd
     # An overflow inside layer norm can leave the output finite (x / inf
     # is 0); it is still a non-finite value of this layer.
     if ln is not None and node.nonfinite_op is None:
         if not np.all(np.isfinite(var)):
             node.nonfinite_op = node._label()
     return node
+
+
+def fused(op: str, out: np.ndarray, operands, grads) -> Tensor:
+    """``out`` as one tape node over the Tensor entries of ``operands``.
+
+    ``operands`` lists every use of an input in the order in which the
+    primitive chain adds that use's gradient, so an input the chain uses
+    twice is listed twice; plain arrays are constants and drop out.
+    ``grads(g)`` returns one thunk per entry, giving that use's gradient;
+    a thunk runs only when its operand requires a gradient.  Like every op,
+    call it inside ``np.errstate(all="ignore")``.
+    """
+    keep = [i for i, t in enumerate(operands) if isinstance(t, Tensor)]
+
+    def bwd(g, *_):
+        thunks = grads(g)
+        return tuple(thunks[i]() if operands[i].requires_grad else None for i in keep)
+
+    return Tensor(out, _op=op, _parents=tuple(operands[i] for i in keep), _bwd=bwd)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
@@ -378,12 +412,13 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     def bwd(g, *arrays):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
-    return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        _op="concat",
-        _parents=tensors,
-        _bwd=bwd,
-    )
+    with np.errstate(all="ignore"):
+        return Tensor(
+            np.concatenate([t.data for t in tensors], axis=axis),
+            _op="concat",
+            _parents=tensors,
+            _bwd=bwd,
+        )
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -463,19 +498,20 @@ class ComputeGraph:
                     f"shape {out.data.shape}"
                 )
         grads: dict[int, np.ndarray] = {id(out): seed}
-        for node in reversed(self.nodes()):
-            g = grads.get(id(node))
-            if g is None or node._bwd is None:
-                continue
-            with np.errstate(all="ignore"):
-                parent_grads = node._bwd(g, *(p.data for p in node._parents))
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
+        with np.errstate(all="ignore"):
+            for node in reversed(self.nodes()):
+                g = grads.get(id(node))
+                if g is None or node._bwd is None:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
+                parent_grads = node._bwd(g, *(p.data for p in node._parents))
+                for parent, pg in zip(node._parents, parent_grads):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    key = id(parent)
+                    if key in grads:
+                        grads[key] = grads[key] + pg
+                    else:
+                        grads[key] = pg
         result: dict[str, np.ndarray] = {}
         for name, p in self.params.items():
             g = grads.get(id(p))

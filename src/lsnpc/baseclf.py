@@ -185,7 +185,7 @@ def save_base(h: BaseClassifier, path) -> None:
         "d": str(h.d),
         "k": str(h.k),
         "hidden": ",".join(str(w) for w in h.hidden),
-        **{key: repr(value) for key, value in h.metadata.items()},
+        **{key: checkpoint.text(value) for key, value in h.metadata.items()},
     }
     checkpoint.save_params(path, h.params_arrays(), meta)
 

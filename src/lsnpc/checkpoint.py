@@ -9,9 +9,10 @@ Layout (all integers little-endian):
     per array, sorted by name:
         name_len u16, name utf-8, ndim u8, ndim x u32 dims, float64 payload
 
-Sorting plus repr-based metadata makes saves byte-deterministic, so equal
-digests imply equal checkpoints.  :func:`literal` parses a repr'd value
-back, so a load followed by a save reproduces the file byte for byte.
+Sorting plus repr-based metadata (:func:`text`) makes saves
+byte-deterministic, so equal digests imply equal checkpoints.
+:func:`literal` parses a saved value back, so a load followed by a save
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -93,8 +94,14 @@ def deserialize_params(blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, st
     return params, meta
 
 
+def text(value) -> str:
+    """A metadata value as saved: its ``repr``, with a numpy scalar written
+    as the Python scalar it holds, so that :func:`literal` parses it back."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def literal(raw: str):
-    """A metadata value saved as ``repr(value)``, parsed back.
+    """A metadata value saved by :func:`text`, parsed back.
 
     Python literals and the float spellings nan, inf and -inf come back as
     values; any other text comes back as the string itself.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _unbroadcast, fused
 
 __all__ = [
     "DiagNormalParams",
@@ -51,14 +51,6 @@ def _is_tensor(*values) -> bool:
 
 def _log(a):
     return a.log() if isinstance(a, Tensor) else np.log(a)
-
-
-def _lgamma(a):
-    return a.lgamma() if isinstance(a, Tensor) else _sp.gammaln(a)
-
-
-def _sum_last(a):
-    return a.sum(axis=-1) if isinstance(a, Tensor) else np.sum(a, axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -184,10 +176,12 @@ def logpdf_diag_normal(x, params, scale=None):
         mean, scale = _normal_fields(params)
     else:
         mean = params
+    if _is_tensor(x, mean, scale):
+        return _normal_node(x, mean, scale)
     z = (x - mean) / scale
-    per_dim = -0.5 * z.square() if isinstance(z, Tensor) else -0.5 * np.square(z)
-    per_dim = per_dim - _log(scale) - 0.5 * _LN_2PI
-    return _sum_last(per_dim)
+    per_dim = -0.5 * np.square(z)
+    per_dim = per_dim - np.log(scale) - 0.5 * _LN_2PI
+    return np.sum(per_dim, axis=-1)
 
 
 def logpdf_diag_student(x, params, scale=None, nu=None):
@@ -204,18 +198,20 @@ def logpdf_diag_student(x, params, scale=None, nu=None):
         nu = np.asarray(nu, dtype=np.float64)
         if np.any(nu <= 1.0):
             raise ValueError("degrees of freedom must exceed 1")
+    if _is_tensor(x, mean, scale, nu):
+        return _student_node(x, mean, scale, nu)
     t = (x - mean) / scale
-    t2 = t.square() if isinstance(t, Tensor) else np.square(t)
+    t2 = np.square(t)
     half = (nu + 1.0) / 2.0
     per_dim = (
-        _lgamma(half)
-        - _lgamma(nu / 2.0)
-        - 0.5 * _log(nu)
+        _sp.gammaln(half)
+        - _sp.gammaln(nu / 2.0)
+        - 0.5 * np.log(nu)
         - 0.5 * _LN_PI
-        - _log(scale)
-        - half * _log(1.0 + t2 / nu)
+        - np.log(scale)
+        - half * np.log(1.0 + t2 / nu)
     )
-    return _sum_last(per_dim)
+    return np.sum(per_dim, axis=-1)
 
 
 def logpmf_bernoulli(y, probs):
@@ -224,8 +220,123 @@ def logpmf_bernoulli(y, probs):
     if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
         raise ValueError("labels must be binary")
     p = probs.probs if isinstance(probs, BernoulliVec) else probs
-    per_dim = y_arr * _log(p) + (1.0 - y_arr) * _log(1.0 - p)
-    return _sum_last(per_dim)
+    if isinstance(p, Tensor):
+        return _bernoulli_node(y_arr, p)
+    per_dim = y_arr * np.log(p) + (1.0 - y_arr) * np.log(1.0 - p)
+    return np.sum(per_dim, axis=-1)
+
+
+# --------------------------------------------------------------------------
+# Log densities as tape nodes
+#
+# Each node's forward pass repeats the numpy expression above in named
+# steps, and its backward pass repeats the backward rules of the primitive
+# chain those steps spell out, operation by operation and reduction by
+# reduction.  A value used once inside the chain gets the same gradient
+# either way; a value used twice sums two terms, and a sum of two floats
+# does not depend on their order.  Inputs shared with the rest of the tape
+# receive their gradient terms in the chain's order (``autodiff.fused``),
+# so losses and gradients are bit-identical to the chain.  The numpy path
+# stays one expression: it frees each temporary as it goes, which keeps the
+# large Monte-Carlo batches of the theory checks fast.
+
+
+def _normal_node(x, mean, scale) -> Tensor:
+    # log(scale) stays a node of its own: q(z | zhat) adds that term to the
+    # scale's gradient after the term of the draw z = mean + scale * eps.
+    log_scale = _log(scale)
+    xd, md, sd, ld = _values(x, mean, scale, log_scale)
+    with np.errstate(all="ignore"):
+        d = xd - md
+        z = d / sd
+        per_dim = -0.5 * np.square(z) - ld - 0.5 * _LN_2PI
+
+        def grads(g):
+            G = _sum_last_grad(g, per_dim.shape)
+            g_z = 2.0 * z * _unbroadcast(G * -0.5, z.shape)
+            g_d = _unbroadcast(g_z / sd, d.shape)
+            return (
+                lambda: _unbroadcast(g_d, xd.shape),
+                lambda: _unbroadcast(-g_d, md.shape),
+                lambda: _unbroadcast(-g_z * d / (sd * sd), sd.shape),
+                lambda: _unbroadcast(-G, ld.shape),
+            )
+
+        return fused("logpdf_normal", np.sum(per_dim, axis=-1),
+                     (x, mean, scale, log_scale), grads)
+
+
+def _student_node(x, mean, scale, nu) -> Tensor:
+    xd, md, sd, nd = _values(x, mean, scale, nu)
+    with np.errstate(all="ignore"):
+        d = xd - md
+        t = d / sd
+        t2 = np.square(t)
+        half = (nd + 1.0) / 2.0
+        nu2 = nd / 2.0
+        head = _sp.gammaln(half) - _sp.gammaln(nu2) - 0.5 * np.log(nd) - 0.5 * _LN_PI
+        head = head - np.log(sd)
+        q = t2 / nd
+        r = 1.0 + q
+        log_r = np.log(r)
+        tail = half * log_r
+        per_dim = head - tail
+
+        def grads(g):
+            G = _sum_last_grad(g, per_dim.shape)
+            g_head = _unbroadcast(G, head.shape)
+            g_tail = _unbroadcast(-G, tail.shape)
+            g_q = _unbroadcast(_unbroadcast(g_tail * half, log_r.shape) / r, q.shape)
+            g_t = 2.0 * t * _unbroadcast(g_q / nd, t2.shape)
+            g_d = _unbroadcast(g_t / sd, d.shape)
+            uses = [
+                lambda: _unbroadcast(g_d, xd.shape),
+                lambda: _unbroadcast(-g_d, md.shape),
+                lambda: _unbroadcast(-g_head, sd.shape) / sd,
+                lambda: _unbroadcast(-g_t * d / (sd * sd), sd.shape),
+            ]
+            if isinstance(nu, Tensor):
+                g_s = _unbroadcast(g_head, nd.shape)
+                g_half = _sp.psi(half) * g_s + _unbroadcast(g_tail * log_r, half.shape)
+                uses += [
+                    lambda: _sp.psi(nu2) * -g_s / 2.0,
+                    lambda: -g_s * 0.5 / nd,
+                    lambda: g_half / 2.0,
+                    lambda: _unbroadcast(-g_q * t2 / (nd * nd), nd.shape),
+                ]
+            return uses
+
+        # The chain adds the scale's log term before its t term, and a
+        # learned nu's terms in the order nu / 2, log(nu), nu + 1, t^2 / nu.
+        return fused("logpdf_student", np.sum(per_dim, axis=-1),
+                     (x, mean, scale, scale, nu, nu, nu, nu), grads)
+
+
+def _bernoulli_node(y, p: Tensor) -> Tensor:
+    pd = p.data
+    with np.errstate(all="ignore"):
+        not_y = 1.0 - y
+        not_p = 1.0 - pd
+        per_dim = y * np.log(pd) + not_y * np.log(not_p)
+
+        def grads(g):
+            G = _sum_last_grad(g, per_dim.shape)
+            return (
+                lambda: _unbroadcast(G * y, pd.shape) / pd,
+                lambda: -(_unbroadcast(G * not_y, pd.shape) / not_p),
+            )
+
+        return fused("logpmf_bernoulli", np.sum(per_dim, axis=-1), (p, p), grads)
+
+
+def _values(*operands) -> list[np.ndarray]:
+    return [v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+            for v in operands]
+
+
+def _sum_last_grad(g, shape) -> np.ndarray:
+    """The gradient of a sum over the last axis, spread back over ``shape``."""
+    return np.broadcast_to(np.reshape(g, shape[:-1] + (1,)), shape)
 
 
 # --------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
         else:
             b = (branch_u[s] < cfg.eta).astype(np.float64)
             detail["n_branch_encoded"] += int(b.sum())
-            detail["branch"].append(b.copy())
+            detail["branch"].append(b)
             z_a = rsample_diag_normal((mu_s, sig_s), eps_za[s])
             z_b = rsample_diag_normal((mu_k, sig_k), eps_z[s])
             z = z_a * b + z_b * (1.0 - b)
@@ -359,10 +359,12 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
         sample_loss = -elbo_rows.mean()
         total = sample_loss if total is None else total + sample_loss
         terms = {**recs, "lp_shift": lp_shift, "lp_z": lp_z, "lq_zhat": lq_zhat, "lq_z": lq_z}
+        # Node values are never written to, and np.stack copies, so the
+        # per-draw arrays are kept as they are.
         for name, t in terms.items():
-            detail["terms"].setdefault(name, []).append(t.data.copy())
-        detail["zhat"].append(zhat.data.copy())
-        detail["z"].append(z.data.copy())
+            detail["terms"].setdefault(name, []).append(t.data)
+        detail["zhat"].append(zhat.data)
+        detail["z"].append(z.data)
     loss = total * (1.0 / s_z)
     _check_terms(loss, detail["terms"])
     if not collect:
@@ -521,9 +523,9 @@ def save_model(model: LsnpcModel, path) -> None:
         if isinstance(value, tuple):
             meta[f"cfg.{name}"] = ",".join(str(v) for v in value)
         else:
-            meta[f"cfg.{name}"] = repr(value)
+            meta[f"cfg.{name}"] = checkpoint.text(value)
     for key, value in model.metadata.items():
-        meta[f"meta.{key}"] = repr(value)
+        meta[f"meta.{key}"] = checkpoint.text(value)
     checkpoint.save_params(path, model.params_arrays(), meta)
 
 

@@ -70,6 +70,41 @@ def test_nonfinite_flag_propagates():
     assert out.nonfinite_op is not None
 
 
+def test_huge_finite_values_are_not_flagged():
+    # the sum overflows to inf, but every element is finite
+    assert Tensor(np.array([1e308, 1e308])).nonfinite_op is None
+    assert (Tensor(np.array([1e308, 1e308])) * 1.0).nonfinite_op is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_first_non_finite_op_is_named(bad):
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="w")
+    out = (w * np.array([bad, 1.0])).exp().sum()
+    assert out.nonfinite_op == "leaf"
+    assert Tensor(np.array([bad, 1.0]), name="v").nonfinite_op == "leaf(v)"
+    assert Tensor(np.array([np.inf, -np.inf])).nonfinite_op == "leaf"
+    assert ((w - 3.0).log() + w).nonfinite_op == "log"
+    assert (Tensor(np.array([1e200, 1.0])).square() + w).nonfinite_op == "square"
+
+
+def test_non_broadcasting_operands_are_named():
+    a = Tensor(np.zeros((5, 3)), name="a")
+    b = Tensor(np.zeros((5, 4)), name="b")
+    with pytest.raises(ValueError) as err:
+        a - b
+    assert str(err.value) == "sub: operands leaf(a) (5, 3) and leaf(b) (5, 4) do not broadcast"
+
+
+def test_constant_operands_get_no_gradient():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="w")
+    c = Tensor(np.array([3.0, 4.0]))
+    product = w * c
+    assert product._bwd(np.ones(2), w.data, c.data)[1] is None
+    g = ComputeGraph(lambda t: (t["w"] * c / c - c).sum(), {"w": w})
+    g.eval()
+    np.testing.assert_array_equal(g.backward()["w"], [1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # backward
 

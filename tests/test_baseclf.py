@@ -198,3 +198,16 @@ def test_base_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(
         predict_probs(loaded, X[:5]), predict_probs(h, X[:5])
     )
+
+
+def test_base_checkpoint_saves_numpy_scalars_as_python_scalars(tmp_path):
+    X, Y = separable_toy(n=40)
+    h = train_base(X, Y, BaseTrainConfig(epochs=0, seed=7, hidden=(8,)))
+    h.metadata = {"score": np.float64(0.5), "n": np.int64(3)}
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_base(h, first)
+    loaded = load_base(first)
+    assert loaded.metadata == {"score": 0.5, "n": 3}
+    assert type(loaded.metadata["score"]) is float and type(loaded.metadata["n"]) is int
+    save_base(loaded, second)
+    assert second.read_bytes() == first.read_bytes()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.distributions import (
@@ -210,6 +211,148 @@ def test_bernoulli_logpmf_normalizes(k, rng):
 def test_bernoulli_logpmf_rejects_nonbinary():
     with pytest.raises(ValueError):
         logpmf_bernoulli(np.array([0.5, 1.0]), BernoulliVec(np.array([0.4, 0.4])))
+
+
+# ---------------------------------------------------------------------------
+# log densities as single tape nodes, against the primitive chains they fuse
+
+LN_PI = math.log(math.pi)
+
+
+def _log(a):
+    return a.log() if isinstance(a, Tensor) else np.log(a)
+
+
+def _lgamma(a):
+    return a.lgamma() if isinstance(a, Tensor) else gammaln(a)
+
+
+def chain_normal(x, mean, scale):
+    z = (x - mean) / scale
+    per_dim = -0.5 * z.square() - _log(scale) - HALF_LN_2PI
+    return per_dim.sum(axis=-1)
+
+
+def chain_student(x, mean, scale, nu):
+    t2 = ((x - mean) / scale).square()
+    half = (nu + 1.0) / 2.0
+    per_dim = (
+        _lgamma(half)
+        - _lgamma(nu / 2.0)
+        - 0.5 * _log(nu)
+        - 0.5 * LN_PI
+        - _log(scale)
+        - half * _log(1.0 + t2 / nu)
+    )
+    return per_dim.sum(axis=-1)
+
+
+def chain_bernoulli(y, p):
+    return (y * _log(p) + (1.0 - y) * _log(1.0 - p)).sum(axis=-1)
+
+
+def _run_density(density, arrays, build):
+    """Output and every leaf gradient of a two-draw graph around ``density``.
+
+    ``build(t, density)`` gets the leaf Tensors by name; each draw reuses the
+    leaves elsewhere too, so the order in which their gradients add up
+    matters.
+    """
+    leaves = {k: Tensor(v.copy(), requires_grad=True, name=k) for k, v in arrays.items()}
+    kept = {}
+
+    def fn(t):
+        kept["out"] = build(t, density)
+        return kept["out"]
+
+    graph = ComputeGraph(fn, leaves)
+    graph.eval()
+    return kept["out"].data, graph.backward()
+
+
+def _assert_fused_matches_chain(fused, chain, arrays, build):
+    out, grads = _run_density(fused, arrays, build)
+    chain_out, chain_grads = _run_density(chain, arrays, build)
+    assert np.array_equal(out, chain_out)
+    assert sorted(grads) == sorted(chain_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], chain_grads[name]), name
+
+
+def _density_arrays(seed, B=5, m=4):
+    rng = np.random.default_rng(seed)
+    return rng, {
+        "mean": rng.standard_normal((B, m)),
+        "raw_scale": rng.standard_normal((B, m)),
+        "raw_nu": rng.standard_normal((B, 1)),
+        "w": rng.standard_normal(B),
+    }
+
+
+MIXES = [(True, True), (True, False), (False, True), (False, False)]
+MIX_IDS = ["mean_T-scale_T", "mean_T-scale_np", "mean_np-scale_T", "mean_np-scale_np"]
+
+
+def _operands(t, arrays, mean_tensor, scale_tensor):
+    mean = t["mean"] if mean_tensor else arrays["mean"]
+    scale = t["raw_scale"].softplus() + 0.1 if scale_tensor else np.exp(arrays["raw_scale"])
+    return mean, scale
+
+
+@pytest.mark.parametrize("mean_tensor,scale_tensor", MIXES, ids=MIX_IDS)
+def test_normal_logpdf_node_is_bit_identical_to_chain(mean_tensor, scale_tensor):
+    rng, arrays = _density_arrays(41)
+    eps = rng.standard_normal((2, 5, 4))
+
+    def build(t, density):
+        mean, scale = _operands(t, arrays, mean_tensor, scale_tensor)
+        total = None
+        for e in eps:
+            x = t["mean"] + scale * e
+            row = (density(x, mean, scale) + density(x, np.zeros(4), np.ones(4))) * t["w"]
+            total = row.sum() if total is None else total + row.sum()
+        return total
+
+    _assert_fused_matches_chain(logpdf_diag_normal, chain_normal, arrays, build)
+
+
+@pytest.mark.parametrize("learned_nu", [False, True], ids=["nu_float", "nu_tensor"])
+@pytest.mark.parametrize("mean_tensor,scale_tensor", MIXES, ids=MIX_IDS)
+def test_student_logpdf_node_is_bit_identical_to_chain(mean_tensor, scale_tensor, learned_nu):
+    rng, arrays = _density_arrays(43)
+    eps = rng.standard_normal((2, 5, 4))
+
+    def build(t, density):
+        mean, scale = _operands(t, arrays, mean_tensor, scale_tensor)
+        nu = t["raw_nu"].softplus() + 2.0 if learned_nu else 3.5
+        total = None
+        for e in eps:
+            x = t["mean"] + scale * e
+            row = (density(x, mean, scale, nu) + density(x, mean, np.ones(4), 2.01)) * t["w"]
+            total = row.sum() if total is None else total + row.sum()
+        return total
+
+    _assert_fused_matches_chain(logpdf_diag_student, chain_student, arrays, build)
+
+
+def test_bernoulli_logpmf_node_is_bit_identical_to_chain():
+    rng, arrays = _density_arrays(47)
+    y = (rng.random((5, 4)) < 0.5).astype(float)
+
+    def build(t, density):
+        p = t["mean"].sigmoid().clamp(1e-6, 1.0 - 1e-6)
+        return ((density(y, p) + density(1.0 - y, p)) * t["w"]).sum()
+
+    _assert_fused_matches_chain(logpmf_bernoulli, chain_bernoulli, arrays, build)
+
+
+def test_log_densities_are_one_tape_node_each():
+    mean = Tensor(np.zeros((2, 3)), requires_grad=True)
+    scale = Tensor(np.ones((2, 3)), requires_grad=True)
+    x = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+    assert logpdf_diag_normal(x, mean, scale)._op == "logpdf_normal"
+    assert logpdf_diag_student(x, mean, scale, 3.0)._op == "logpdf_student"
+    assert logpmf_bernoulli(np.ones((2, 3)), x)._op == "logpmf_bernoulli"
 
 
 # ---------------------------------------------------------------------------

@@ -362,16 +362,59 @@ def test_non_finite_parameter_names_its_subnetwork():
         unsupervised_loss(model, x, yhat, noise=noise)
 
 
-def test_default_size_loss_tape_stays_fused():
-    # one node per Mlp layer; spelling each layer out in primitives gives 180
+def _default_size_tape_nodes(kind):
     model = LsnpcModel(ModelConfig(d=32, k=10), seed=0)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((128, 32))
+    y = (rng.random((128, 10)) < 0.3).astype(float)
     yhat = (rng.random((128, 10)) < 0.3).astype(float)
-    loss = unsupervised_loss(model, x, yhat, rng=rng)
+    if kind == "unsupervised":
+        loss = unsupervised_loss(model, x, yhat, rng=rng)
+    else:
+        loss = supervised_loss(model, x, y, yhat, rng=rng)
     graph = ComputeGraph(lambda bound: loss, model.params)
     graph.eval({})
-    assert len(graph.nodes()) <= 114
+    return len(graph.nodes())
+
+
+def test_default_size_loss_tape_stays_fused():
+    # one node per Mlp layer and per log density; spelling the layers out in
+    # primitives gives 180 nodes, and the densities 114
+    assert _default_size_tape_nodes("unsupervised") <= 78
+
+
+def test_default_size_supervised_tape_stays_fused():
+    # 153 nodes with the log densities spelled out in primitives
+    assert _default_size_tape_nodes("supervised") <= 105
+
+
+@pytest.mark.parametrize("kind", ["unsupervised", "supervised"])
+def test_non_finite_draw_message_counts_rows_over_draws(kind):
+    model = tiny_model(perturb=0.0)
+    rng = np.random.default_rng(5)
+    B, m = 3, model.cfg.m
+    x = rng.standard_normal((B, 3))
+    y = (rng.random((B, 4)) < 0.5).astype(float)
+    noise = {
+        "eps_zhat": rng.standard_normal((2, B, m)),
+        "eps_z": rng.standard_normal((2, B, m)),
+        "eps_za": rng.standard_normal((2, B, m)),
+        "branch_u": rng.random((2, B, 1)),
+        "chi2_u": rng.random((2, B, 1)),
+    }
+    noise["eps_z"][1, 0, 0] = np.nan
+    rec = {"unsupervised": "rec: 0 non-finite of 6",
+           "supervised": "rec_hat: 0 non-finite of 6; rec_y: 1 non-finite of 6"}[kind]
+    expected = (
+        f"non-finite loss (first bad op: leaf); {rec}; lp_shift: 1 non-finite of 6; "
+        "lp_z: 1 non-finite of 6; lq_zhat: 0 non-finite of 6; lq_z: 1 non-finite of 6"
+    )
+    with pytest.raises(NonFiniteLoss) as err:
+        if kind == "unsupervised":
+            unsupervised_loss(model, x, y, s_z=2, noise=noise)
+        else:
+            supervised_loss(model, x, y, y, s_z=2, noise=noise)
+    assert str(err.value) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +809,18 @@ def test_checkpoint_load_then_save_is_byte_identical(tmp_path):
     first, second = tmp_path / "a.lsck", tmp_path / "b.lsck"
     save_model(model, first)
     save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_saves_numpy_scalars_as_python_scalars(tmp_path):
+    model = tiny_model(seed=19, perturb=0.0)
+    model.metadata = {"score": np.float64(0.5), "n": np.int64(3)}
+    first, second = tmp_path / "a.lsck", tmp_path / "b.lsck"
+    save_model(model, first)
+    loaded = load_model(first)
+    assert loaded.metadata == {"score": 0.5, "n": 3}
+    assert type(loaded.metadata["score"]) is float and type(loaded.metadata["n"]) is int
+    save_model(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 
 
