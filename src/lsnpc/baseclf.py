@@ -13,6 +13,7 @@ saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 from scipy.special import expit
@@ -68,17 +69,9 @@ class BaseClassifier:
     metadata: dict = field(default_factory=dict)
     history: dict = field(default_factory=dict)
 
-    def params_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.net.params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.net.params):
-            raise ValueError("parameter names do not match this architecture")
-        for name, value in arrays.items():
-            p = self.net.params[name]
-            if p.data.shape != value.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            p.data = value.astype(np.float64).copy()
+# The BaseClassifier fields a checkpoint needs to rebuild the network.
+_ARCH = ("d", "k", "hidden")
 
 
 def _new_classifier(d: int, k: int, hidden: tuple[int, ...], seed: int) -> BaseClassifier:
@@ -155,10 +148,9 @@ def _fit(params: dict[str, Tensor], cfg, sweeps, score=None):
             scores.append(score())
             if best_epoch < 0 or scores[-1] > best:
                 best_epoch, best = epoch, scores[-1]
-                best_arrays = {key: p.data.copy() for key, p in params.items()}
+                best_arrays = checkpoint.snapshot(params)
     if best_arrays is not None:
-        for key, p in params.items():
-            p.data = best_arrays[key]
+        checkpoint.restore(params, best_arrays)
     return losses, scores, best_epoch, best
 
 
@@ -182,22 +174,20 @@ def sample_predictions(P, S: int, rng: np.random.Generator) -> np.ndarray:
 def save_base(h: BaseClassifier, path) -> None:
     meta = {
         "kind": "base",
-        "d": str(h.d),
-        "k": str(h.k),
-        "hidden": ",".join(str(w) for w in h.hidden),
+        **{name: checkpoint.field_text(getattr(h, name)) for name in _ARCH},
         **{key: checkpoint.text(value) for key, value in h.metadata.items()},
     }
-    checkpoint.save_params(path, h.params_arrays(), meta)
+    checkpoint.save_params(path, checkpoint.snapshot(h.net.params), meta)
 
 
 def load_base(path) -> BaseClassifier:
     arrays, meta = checkpoint.load_params(path)
     if meta.get("kind") != "base":
         raise ValueError("checkpoint does not hold a base classifier")
-    hidden = tuple(int(w) for w in meta["hidden"].split(",") if w)
-    h = _new_classifier(int(meta["d"]), int(meta["k"]), hidden, seed=0)
-    h.load_arrays(arrays)
+    types = get_type_hints(BaseClassifier)
+    h = _new_classifier(*(checkpoint.field_value(types[f], meta[f]) for f in _ARCH), seed=0)
+    checkpoint.restore(h.net.params, arrays)
     h.metadata = {
-        k: checkpoint.literal(v) for k, v in meta.items() if k not in {"kind", "d", "k", "hidden"}
+        k: checkpoint.literal(v) for k, v in meta.items() if k not in {"kind", *_ARCH}
     }
     return h

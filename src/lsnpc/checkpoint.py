@@ -1,4 +1,4 @@
-"""Binary checkpoint format shared by the classifier and the latent model.
+"""Binary checkpoint format, and the artifact codec shared by every saver.
 
 Layout (all integers little-endian):
 
@@ -12,7 +12,11 @@ Layout (all integers little-endian):
 Sorting plus repr-based metadata (:func:`text`) makes saves
 byte-deterministic, so equal digests imply equal checkpoints.
 :func:`literal` parses a saved value back, so a load followed by a save
-reproduces the file byte for byte.
+reproduces the file byte for byte.  Dataset files (``datagen``) keep their
+own layout but write and parse their metadata with the same two functions,
+and both checkpoint kinds encode their architecture fields with
+:func:`field_text` / :func:`field_value` and move parameters in and out of
+a model with :func:`snapshot` / :func:`restore`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import struct
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -114,6 +119,39 @@ def literal(raw: str):
         return float(raw)
     except ValueError:
         return raw
+
+
+def field_text(value) -> str:
+    """A dataclass field as saved: a tuple as its comma-joined items, any
+    other value as :func:`text`."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return text(value)
+
+
+def field_value(hint, raw: str):
+    """A field saved by :func:`field_text`, converted by its type ``hint``
+    (``tuple[T, ...]`` applies T to each item)."""
+    if get_origin(hint) is tuple:
+        return tuple(get_args(hint)[0](v) for v in raw.split(",") if v)
+    return hint(literal(raw))
+
+
+def snapshot(params: dict) -> dict[str, np.ndarray]:
+    """Copies of the arrays behind a name -> Tensor parameter dict."""
+    return {name: p.data.copy() for name, p in params.items()}
+
+
+def restore(params: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Load ``arrays`` into a name -> Tensor parameter dict, after checking
+    that the names and every shape match."""
+    if set(arrays) != set(params):
+        raise ValueError("parameter names do not match this architecture")
+    for name, value in arrays.items():
+        p = params[name]
+        if p.data.shape != value.shape:
+            raise ValueError(f"shape mismatch for {name}")
+        p.data = value.astype(np.float64)
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str]) -> None:

@@ -6,8 +6,9 @@ keys are optional and fall back to the defaults in ``ExperimentConfig``.
 
 Schema (defaults in parentheses):
 
-[data]        source (synthetic | path to a dataset file), n (2000), d (32),
-              k (10), rank (8), noise_scale (0.5), b_loc (-2.0), b_scale (0.5)
+[data]        source (synthetic | path to a binary dataset file written by
+              datagen.save_dataset), n (2000), d (32), k (10), rank (8),
+              noise_scale (0.5), b_loc (-2.0), b_scale (0.5)
 [split]       train (0.7), validation (0.1), clean (0.035), test (0.165)
 [noise]       kinds (sym,pair), rates (0.0,0.3,0.4,0.5)
 [model]       m (16), nu (2.01), nu0 (2.01), beta (0.01), eta (0.5),

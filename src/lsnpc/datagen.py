@@ -11,17 +11,21 @@ configs reproduce byte-identical files:
 
     magic 'LSDS' | version u8 | n u32 | d u32 | k u32 | meta_len u32 |
     metadata utf-8 | X float32 row-major | Y bit-packed rows (flattened)
+
+The metadata is sorted "key=value" lines joined by newlines, each value a
+``checkpoint.text`` that ``checkpoint.literal`` parses back, so a load
+followed by a save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rngs
+from . import checkpoint, rngs
 
 __all__ = [
     "FeatureDataset",
@@ -30,8 +34,6 @@ __all__ = [
     "generate_synthetic",
     "save_dataset",
     "load_dataset",
-    "load_csv",
-    "save_csv",
 ]
 
 _MAGIC = b"LSDS"
@@ -153,41 +155,16 @@ def generate_synthetic(cfg: GeneratorConfig) -> tuple[FeatureDataset, SyntheticA
 # --------------------------------------------------------------------------
 # Binary persistence
 
-
-def _encode_metadata(metadata: dict) -> bytes:
-    lines = [f"{key}={metadata[key]!r}" for key in sorted(metadata)]
-    return "\n".join(lines).encode("utf-8")
-
-
-def _decode_metadata(blob: bytes) -> dict:
-    metadata = {}
-    for line in blob.decode("utf-8").splitlines():
-        if not line:
-            continue
-        key, _, raw = line.partition("=")
-        metadata[key] = _parse_literal(raw)
-    return metadata
-
-
-def _parse_literal(raw: str):
-    import ast
-
-    try:
-        return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        return raw
+_HEADER = 21  # magic, version, then n, d, k and the metadata length as u32
 
 
 def save_dataset(ds: FeatureDataset, path) -> None:
-    meta = _encode_metadata(ds.metadata)
-    header = io.BytesIO()
-    header.write(_MAGIC)
-    header.write(bytes([_VERSION]))
-    for value in (ds.n, ds.d, ds.k, len(meta)):
-        header.write(int(value).to_bytes(4, "little"))
+    lines = [f"{key}={checkpoint.text(ds.metadata[key])}" for key in sorted(ds.metadata)]
+    meta = "\n".join(lines).encode("utf-8")
+    header = _MAGIC + bytes([_VERSION]) + struct.pack("<4I", ds.n, ds.d, ds.k, len(meta))
     packed = np.packbits(ds.Y.reshape(-1))
     with open(path, "wb") as fh:
-        fh.write(header.getvalue())
+        fh.write(header)
         fh.write(meta)
         fh.write(np.ascontiguousarray(ds.X, dtype="<f4").tobytes())
         fh.write(packed.tobytes())
@@ -196,66 +173,25 @@ def save_dataset(ds: FeatureDataset, path) -> None:
 def load_dataset(path) -> FeatureDataset:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
+    if not _MAGIC.startswith(blob[:4]):
         raise ValueError(f"not a dataset file: bad magic {blob[:4]!r}")
+    if len(blob) < _HEADER:
+        raise ValueError(f"truncated dataset file: the header needs {_HEADER} bytes, "
+                         f"found {len(blob)}")
     if blob[4] != _VERSION:
         raise ValueError(f"unsupported dataset format version {blob[4]}")
-    n, d, k, meta_len = (
-        int.from_bytes(blob[5 + 4 * i : 9 + 4 * i], "little") for i in range(4)
-    )
-    offset = 21
-    meta = _decode_metadata(blob[offset : offset + meta_len])
-    offset += meta_len
-    x_bytes = 4 * n * d
-    y_bytes = math.ceil(n * k / 8)
-    if len(blob) != offset + x_bytes + y_bytes:
-        raise ValueError(
-            f"truncated or oversized dataset file: expected "
-            f"{offset + x_bytes + y_bytes} bytes, found {len(blob)}"
-        )
-    X = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
-    packed = np.frombuffer(blob, dtype=np.uint8, offset=offset + x_bytes)
-    Y = np.unpackbits(packed, count=n * k).reshape(n, k)
-    return FeatureDataset(X=X.copy(), Y=Y.copy(), metadata=meta)
-
-
-# --------------------------------------------------------------------------
-# CSV interchange
-
-
-def save_csv(ds: FeatureDataset, path) -> None:
-    """Write d feature columns then k 0/1 label columns with a header row."""
-    headers = [f"f{i}" for i in range(ds.d)] + [f"label{j}" for j in range(ds.k)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(headers) + "\n")
-        for xi, yi in zip(ds.X, ds.Y):
-            cells = [repr(float(v)) for v in xi] + [str(int(v)) for v in yi]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_csv(path, n_labels: int | None = None) -> FeatureDataset:
-    """Read the comma-separated interchange format.
-
-    The header row is required.  Label columns are those whose header starts
-    with 'label'; alternatively pass ``n_labels`` to take the trailing
-    columns regardless of their names.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError("empty csv file")
-    headers = lines[0].split(",")
-    if n_labels is None:
-        label_cols = [i for i, h in enumerate(headers) if h.startswith("label")]
-        if not label_cols:
-            raise ValueError(
-                "no 'label*' columns found in header; pass n_labels explicitly"
-            )
-    else:
-        label_cols = list(range(len(headers) - n_labels, len(headers)))
-    label_set = set(label_cols)
-    feature_cols = [i for i in range(len(headers)) if i not in label_set]
-    rows = [line.split(",") for line in lines[1:]]
-    X = np.array([[float(r[i]) for i in feature_cols] for r in rows], dtype=np.float32)
-    Y = np.array([[int(r[i]) for i in label_cols] for r in rows], dtype=np.uint8)
-    return FeatureDataset(X=X, Y=Y, metadata={"source": "csv"})
+    n, d, k, meta_len = struct.unpack("<4I", blob[5:_HEADER])
+    x_at = _HEADER + meta_len
+    y_at = x_at + 4 * n * d
+    size = y_at + math.ceil(n * k / 8)
+    if len(blob) < size:
+        raise ValueError(f"truncated dataset file: expected {size} bytes, found {len(blob)}")
+    if len(blob) > size:
+        raise ValueError(f"oversized dataset file: expected {size} bytes, found {len(blob)}")
+    meta = {}
+    for line in str(blob[_HEADER:x_at], "utf-8").splitlines():
+        key, _, raw = line.partition("=")
+        meta[key] = checkpoint.literal(raw)
+    X = np.frombuffer(blob, dtype="<f4", count=n * d, offset=x_at).reshape(n, d)
+    Y = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=y_at), count=n * k)
+    return FeatureDataset(X=X.copy(), Y=Y.reshape(n, k), metadata=meta)

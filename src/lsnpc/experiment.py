@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rngs
 from .baseclf import BaseClassifier, train_base, predict_probs, save_base
-from .checkpoint import digest, file_digest
+from .checkpoint import file_digest, restore, snapshot
 from .config import ExperimentConfig
 from .correction import binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
@@ -180,7 +180,7 @@ class _Pipeline:
                 # Warm start: clean sweeps refine the unsupervised endpoint.
                 warm = self.lsnpc(seed, kind, nr, semi=False)
                 model = LsnpcModel(self.cfg.model_config(train.d, train.k), seed=seed)
-                model.load_arrays(warm.params_arrays())
+                restore(model.params, snapshot(warm.params))
                 clean = sp.splits["clean"]
                 cfg = dataclasses.replace(
                     self.cfg.lsnpc,
@@ -201,15 +201,13 @@ class _Pipeline:
         return self._lsnpc[key]
 
     # -- stages: correct + eval
-    def evaluate_cell(self, seed: int, kind: str, nr: float,
-                      stage: str) -> list[RunMetrics]:
+    def evaluate_cell(self, seed: int, kind: str, nr: float) -> list[RunMetrics]:
         sp = self.split(seed, kind, nr)
         test = sp.splits["test"]
         truth = sp.true_labels["test"]
         train = sp.splits["train"]
         h = self.base(seed, kind, nr)
         corr_cfg = dataclasses.replace(self.cfg.correction, seed=seed)
-        rank = STAGES.index(stage)
         rows: list[RunMetrics] = []
 
         def add(method: str, labels: np.ndarray) -> None:
@@ -223,12 +221,7 @@ class _Pipeline:
 
         variants = [False] + ([True] if self.cfg.paradigm == "semi-supervised" else [])
         for semi in variants:
-            if rank < STAGES.index("train-lsnpc"):
-                continue
-            model = self.lsnpc(seed, kind, nr, semi)
-            if rank < STAGES.index("correct"):
-                continue
-            res = correct(model, h, test.X, corr_cfg)
+            res = correct(self.lsnpc(seed, kind, nr, semi), h, test.X, corr_cfg)
             tag = "lsnpc-semi" if semi else "lsnpc"
             self._write(
                 self.out / "correction" / f"{kind}_{_nr_tag(nr)}_s{seed}_{tag}.csv",
@@ -269,14 +262,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
                 if rank < STAGES.index("correct"):
                     continue
                 current = "correct"
-                pipe.art.rows.extend(pipe.evaluate_cell(seed, kind, nr, stage))
+                pipe.art.rows.extend(pipe.evaluate_cell(seed, kind, nr))
     except Exception as e:
         pipe.art.write_manifest()
         raise StageError(current, e) from e
 
     art = pipe.art
     if rank >= STAGES.index("eval") and art.rows:
-        current = "eval"
         art.report = build_report(art.rows)
         report_csv = out / "report.csv"
         report_csv.write_text(art.report.to_csv(), encoding="utf-8")

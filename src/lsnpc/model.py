@@ -21,7 +21,7 @@ corrected validation predictions score the best micro-F1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -209,24 +209,6 @@ class LsnpcModel:
         if self.cfg.nu_mode == "fixed":
             return self.cfg.nu
         return learned_nu(self, x, yhat)
-
-    # -- parameter plumbing --------------------------------------------------
-
-    def params_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ValueError("parameter names do not match this architecture")
-        for name, value in arrays.items():
-            p = self.params[name]
-            if p.data.shape != value.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            p.data = value.astype(np.float64).copy()
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
 
 
 def learned_nu(model: LsnpcModel, x, yhat) -> Tensor:
@@ -520,13 +502,10 @@ def train_semi_supervised(
 def save_model(model: LsnpcModel, path) -> None:
     meta = {"kind": "lsnpc"}
     for name, value in vars(model.cfg).items():
-        if isinstance(value, tuple):
-            meta[f"cfg.{name}"] = ",".join(str(v) for v in value)
-        else:
-            meta[f"cfg.{name}"] = checkpoint.text(value)
+        meta[f"cfg.{name}"] = checkpoint.field_text(value)
     for key, value in model.metadata.items():
         meta[f"meta.{key}"] = checkpoint.text(value)
-    checkpoint.save_params(path, model.params_arrays(), meta)
+    checkpoint.save_params(path, checkpoint.snapshot(model.params), meta)
 
 
 def load_model(path) -> LsnpcModel:
@@ -541,13 +520,9 @@ def load_model(path) -> LsnpcModel:
         name = key[4:]
         if name not in types:
             raise ValueError(f"checkpoint field {key!r} is not a ModelConfig field")
-        if get_origin(types[name]) is tuple:
-            item = get_args(types[name])[0]
-            kwargs[name] = tuple(item(v) for v in raw.split(",") if v)
-        else:
-            kwargs[name] = types[name](checkpoint.literal(raw))
+        kwargs[name] = checkpoint.field_value(types[name], raw)
     model = LsnpcModel(ModelConfig(**kwargs), seed=0)
-    model.load_arrays(arrays)
+    checkpoint.restore(model.params, arrays)
     model.metadata = {
         key[5:]: checkpoint.literal(value) for key, value in meta.items() if key.startswith("meta.")
     }

@@ -17,6 +17,7 @@ from lsnpc.baseclf import (
     train_base,
     _new_classifier,
 )
+from lsnpc.checkpoint import snapshot
 from lsnpc.evaluation import micro_f1
 from lsnpc.layers import Mlp
 from lsnpc import rngs
@@ -106,7 +107,7 @@ def _train_digest():
     Xv, Yv = separable_toy(n=30, seed=6)
     h = train_base(X, Y, BaseTrainConfig(epochs=2, batch_size=16, hidden=(8,), seed=5),
                    validation=(Xv, Yv))
-    arrays = {**h.params_arrays(), "loss": h.history["train_loss"],
+    arrays = {**snapshot(h.net.params), "loss": h.history["train_loss"],
               "val": h.history["val_micro_f1"]}
     digest = hashlib.sha256()
     for name in sorted(arrays):

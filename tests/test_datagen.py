@@ -11,9 +11,7 @@ from lsnpc.datagen import (
     FeatureDataset,
     GeneratorConfig,
     generate_synthetic,
-    load_csv,
     load_dataset,
-    save_csv,
     save_dataset,
 )
 from lsnpc.evaluation import micro_f1
@@ -123,6 +121,37 @@ def test_truncated_file_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_numpy_and_nonfinite_metadata_round_trip_as_values(tmp_path):
+    ds = FeatureDataset(X=np.ones((3, 2)), Y=np.eye(3, 2), metadata={
+        "f": np.float64(0.5), "i": np.int64(7), "nan": float("nan"),
+        "inf": float("inf"), "ninf": -np.inf, "pair": (1, "b"), "word": "inf",
+    })
+    path, again = tmp_path / "ds.bin", tmp_path / "again.bin"
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    meta = loaded.metadata
+    assert meta["f"] == 0.5 and type(meta["f"]) is float
+    assert meta["i"] == 7 and type(meta["i"]) is int
+    assert math.isnan(meta["nan"])
+    assert meta["inf"] == math.inf and meta["ninf"] == -math.inf
+    assert meta["pair"] == (1, "b") and meta["word"] == "inf"
+    save_dataset(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_every_proper_prefix_is_rejected_as_truncated(tmp_path):
+    # every cut: inside the magic, the header, a multi-byte metadata
+    # character, the features and the packed labels
+    ds = FeatureDataset(X=np.ones((3, 2)), Y=np.eye(3, 2), metadata={"name": "größe"})
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match="truncated dataset file"):
+            load_dataset(path)
+
+
 def test_file_size_arithmetic(tmp_path):
     n, d, k = 53, 7, 5
     ds, _ = generate_synthetic(GeneratorConfig(n=n, d=d, k=k, rank=4, seed=5))
@@ -135,28 +164,6 @@ def test_file_size_arithmetic(tmp_path):
     meta_len = int.from_bytes(blob[17:21], "little")
     expected = header + meta_len + 4 * n * d + math.ceil(n * k / 8)
     assert len(blob) == expected
-
-
-def test_csv_round_trip(tmp_path, rng):
-    X = rng.standard_normal((11, 4)).astype(np.float32)
-    Y = (rng.random((11, 2)) < 0.5).astype(np.uint8)
-    ds = FeatureDataset(X=X, Y=Y)
-    path = tmp_path / "ds.csv"
-    save_csv(ds, path)
-    loaded = load_csv(path)
-    np.testing.assert_array_equal(loaded.X, ds.X)
-    np.testing.assert_array_equal(loaded.Y, ds.Y)
-
-
-def test_csv_requires_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.1,0.2,1\n0.3,0.4,0\n")
-    with pytest.raises(ValueError):
-        load_csv(path)
-    # trailing-column fallback still works when headers are foreign
-    path.write_text("a,b,c\n0.1,0.2,1\n0.3,0.4,0\n")
-    ds = load_csv(path, n_labels=1)
-    assert ds.d == 2 and ds.k == 1
 
 
 def test_dataset_validation():

@@ -12,6 +12,7 @@ import pytest
 
 from lsnpc.checkpoint import file_digest
 from lsnpc.config import ExperimentConfig, TheoryConfig, override
+from lsnpc.datagen import GeneratorConfig, generate_synthetic, save_dataset
 from lsnpc.experiment import (
     STAGES,
     StageError,
@@ -124,6 +125,16 @@ def test_stage_error_names_failing_stage(tmp_path):
         run_experiment(cfg, out_dir=tmp_path, quiet=True)
     # partial manifest still written for post-mortem
     assert (tmp_path / "manifest.txt").exists()
+
+
+def test_dataset_file_source_is_written_back_byte_identical(tmp_path):
+    ds, _ = generate_synthetic(GeneratorConfig(n=240, d=6, k=3, rank=3, seed=1))
+    ds.metadata.update(scale=np.float64(0.25), missing=float("nan"))
+    source = tmp_path / "source.bin"
+    save_dataset(ds, source)
+    art = run_experiment(tiny_config(source=str(source)), out_dir=tmp_path / "run",
+                         stage="corrupt", quiet=True)
+    assert art.manifest["data/ds_s1.bin"] == file_digest(source)
 
 
 def test_correction_never_sees_test_truth(tmp_path, monkeypatch):

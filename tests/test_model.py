@@ -17,6 +17,7 @@ from scipy.special import erf, expit, gammaincinv
 from lsnpc import rngs
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, train_base
+from lsnpc.checkpoint import restore, snapshot
 from lsnpc.layers import cosine_lr
 from lsnpc.model import (
     LsnpcModel,
@@ -189,8 +190,8 @@ def test_decoder_finite_for_large_latents():
 
 
 def test_same_seed_builds_identical_parameters():
-    a = LsnpcModel(ModelConfig(**TINY), seed=11).params_arrays()
-    b = LsnpcModel(ModelConfig(**TINY), seed=11).params_arrays()
+    a = snapshot(LsnpcModel(ModelConfig(**TINY), seed=11).params)
+    b = snapshot(LsnpcModel(ModelConfig(**TINY), seed=11).params)
     assert set(a) == set(b)
     for name in a:
         assert_array_equal(a[name], b[name])
@@ -208,15 +209,15 @@ def test_input_dimension_mismatches_are_named():
 
 def test_load_arrays_validates_names_and_shapes():
     model = tiny_model()
-    arrays = model.params_arrays()
+    arrays = snapshot(model.params)
     extra = dict(arrays)
     extra["ghost"] = np.zeros(3)
     with pytest.raises(ValueError, match="names"):
-        model.load_arrays(extra)
+        restore(model.params, extra)
     wrong = dict(arrays)
     wrong["phi.b1"] = np.zeros(99)
     with pytest.raises(ValueError, match="shape"):
-        model.load_arrays(wrong)
+        restore(model.params, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ def test_unsupervised_loss_matches_straight_line_oracle():
     x, yhat, noise = _frozen_batch(model)
     loss = unsupervised_loss(model, x, yhat, noise=noise)
     elbo, _, _ = np_unsup_elbo(
-        model.params_arrays(), model.cfg, x, yhat,
+        snapshot(model.params), model.cfg, x, yhat,
         noise["eps_zhat"][0], noise["eps_z"][0], noise["chi2_u"][0],
     )
     assert_allclose(loss.item(), -elbo.mean(), rtol=0, atol=1e-10)
@@ -428,7 +429,7 @@ def test_supervised_loss_matches_straight_line_oracle():
     y = (np.random.default_rng(8).random((6, 4)) < 0.5).astype(float)
     loss = supervised_loss(model, x, y, yhat, noise=noise)
 
-    arr = model.params_arrays()
+    arr = snapshot(model.params)
     elbo_hat, zhat, _ = np_unsup_elbo(
         arr, cfg, x, yhat, noise["eps_zhat"][0], noise["eps_z"][0], noise["chi2_u"][0]
     )
@@ -589,7 +590,7 @@ def test_elbo_lower_bounds_quadrature_evidence():
     x = rng.standard_normal((1, 2))
     yhat = np.array([[1.0, 0.0]])
 
-    arr = model.params_arrays()
+    arr = snapshot(model.params)
     grid = np.linspace(-20.0, 20.0, 1601)
     zc, zhc = np.meshgrid(grid, grid, indexing="ij")  # z runs on axis 0
     flat_z = zc.reshape(-1, 1)
@@ -697,7 +698,7 @@ def _trainer_digest():
         validation=(X[:10], Y[:10]),
     )
     hist = model.history
-    return _digest({**model.params_arrays(), "unsup": hist["unsup_losses"],
+    return _digest({**snapshot(model.params), "unsup": hist["unsup_losses"],
                     "sup": hist["sup_losses"], "val": hist["val_scores"]})
 
 
@@ -711,8 +712,8 @@ def test_empty_clean_set_equals_unsupervised_training():
     a = train_semi_supervised(LsnpcModel(ModelConfig(**TINY), seed=7), h, X, None, cfg)
     empty = (np.zeros((0, 3)), np.zeros((0, 4)))
     b = train_semi_supervised(LsnpcModel(ModelConfig(**TINY), seed=7), h, X, empty, cfg)
-    for name, value in a.params_arrays().items():
-        assert_array_equal(value, b.params_arrays()[name])
+    for name, value in snapshot(a.params).items():
+        assert_array_equal(value, snapshot(b.params)[name])
 
 
 def test_trainer_matches_manual_two_step_update():
@@ -747,8 +748,8 @@ def test_trainer_matches_manual_two_step_update():
     yh_c = sample_predictions(predict_probs(h, Xc), 2, yhat_rng).reshape(8, -1)
     step(supervised_loss(model, np.tile(Xc, (2, 1)), np.tile(Yc, (2, 1)), yh_c,
                          rng=clean_noise_rng))
-    for name, value in model.params_arrays().items():
-        assert_array_equal(value, trained.params_arrays()[name])
+    for name, value in snapshot(model.params).items():
+        assert_array_equal(value, snapshot(trained.params)[name])
 
 
 def test_trainer_is_seed_deterministic():
@@ -756,8 +757,8 @@ def test_trainer_is_seed_deterministic():
     cfg = LsnpcTrainConfig(epochs=2, batch_size=8, s_y=2, seed=9)
     a = train_semi_supervised(LsnpcModel(ModelConfig(**TINY), seed=9), h, X, None, cfg)
     b = train_semi_supervised(LsnpcModel(ModelConfig(**TINY), seed=9), h, X, None, cfg)
-    for name, value in a.params_arrays().items():
-        assert_array_equal(value, b.params_arrays()[name])
+    for name, value in snapshot(a.params).items():
+        assert_array_equal(value, snapshot(b.params)[name])
 
 
 def test_validation_restores_best_epoch():
@@ -795,8 +796,8 @@ def test_model_checkpoint_round_trip(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.cfg == model.cfg
-    for name, value in model.params_arrays().items():
-        assert_array_equal(value, loaded.params_arrays()[name])
+    for name, value in snapshot(model.params).items():
+        assert_array_equal(value, snapshot(loaded.params)[name])
     assert loaded.metadata == {"epochs": 2, "seed": 19}
 
 
@@ -858,9 +859,9 @@ def test_checkpoint_round_trips_every_config_field(fields, seed):
         save_model(model, path)
         loaded = load_model(path)
     assert loaded.cfg == model.cfg
-    assert loaded.params_arrays().keys() == model.params_arrays().keys()
-    for name, value in model.params_arrays().items():
-        assert_array_equal(value, loaded.params_arrays()[name])
+    assert snapshot(loaded.params).keys() == snapshot(model.params).keys()
+    for name, value in snapshot(model.params).items():
+        assert_array_equal(value, snapshot(loaded.params)[name])
 
 
 def test_checkpoint_rejects_foreign_kind(tmp_path):
