@@ -22,7 +22,7 @@ from . import checkpoint, rngs
 from .autodiff import ComputeGraph, NonFiniteLoss, Tensor
 from .distributions import EPS_P
 from .evaluation import micro_f1
-from .layers import Mlp, cosine_lr, make_optimizer
+from .layers import Mlp, check_optimizer, cosine_lr, make_optimizer
 
 __all__ = [
     "BaseTrainConfig",
@@ -58,6 +58,7 @@ class BaseTrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        check_optimizer(self.optimizer)
 
 
 @dataclass

@@ -99,25 +99,42 @@ def deserialize_params(blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, st
     return params, meta
 
 
+def _plain(value):
+    """``value`` with every numpy scalar in it, nested in tuples, lists and
+    dicts too, replaced by the Python scalar it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        items = [_plain(v) for v in value]
+        return items if isinstance(value, list) else tuple(items)
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return value
+
+
 def text(value) -> str:
-    """A metadata value as saved: its ``repr``, with a numpy scalar written
-    as the Python scalar it holds, so that :func:`literal` parses it back."""
-    return repr(value.item() if isinstance(value, np.generic) else value)
+    """A metadata value as saved: the ``repr`` of its :func:`_plain` form, so
+    that :func:`literal` parses it back."""
+    return repr(_plain(value))
+
+
+class _Nonfinite(ast.NodeTransformer):
+    """Reads the names nan and inf, as ``repr`` writes floats, as constants."""
+
+    def visit_Name(self, node):
+        return ast.Constant(float(node.id)) if node.id in ("nan", "inf") else node
 
 
 def literal(raw: str):
     """A metadata value saved by :func:`text`, parsed back.
 
-    Python literals and the float spellings nan, inf and -inf come back as
-    values; any other text comes back as the string itself.
+    Python literals, with the float spellings nan, inf and -inf anywhere in
+    them, come back as values; any other text comes back as the string itself.
     """
     try:
-        return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        pass
-    try:
-        return float(raw)
-    except ValueError:
+        tree = ast.parse(raw.lstrip(" \t"), mode="eval")
+        return ast.literal_eval(_Nonfinite().visit(tree))
+    except (ValueError, SyntaxError, TypeError):
         return raw
 
 

@@ -31,14 +31,7 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config, override
-from .experiment import (
-    STAGES,
-    StageError,
-    run_ablation,
-    run_experiment,
-    sweep_sensitivity,
-    verify_all,
-)
+from .experiment import STAGES, run_ablation, run_experiment, sweep_sensitivity, verify_all
 
 COMMANDS = STAGES + ("sweep", "ablate", "verify-theory", "run-all")
 
@@ -84,10 +77,7 @@ def main(argv=None) -> int:
         else:
             run_experiment(cfg, stage="eval", quiet=args.quiet)
             verify_all(cfg, quiet=args.quiet)
-    except StageError as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # bound-check or IO failures outside staged runs
+    except Exception as e:  # a failed stage, bound check or IO outside staged runs
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
     return 0

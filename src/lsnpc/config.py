@@ -1,7 +1,10 @@
 """INI experiment configuration: parsing, validation, defaults.
 
-Every recognized section and key is listed in ``SCHEMA`` below; an unknown
-section or key raises ConfigError rather than being silently ignored.  All
+[base], [lsnpc], [correction] and [theory] take the fields of their
+sub-config, less the ``seed`` and ``shuffle`` that the pipeline and tests set;
+``SCHEMA`` and ``SPLIT_KEYS`` name every other key.  Each value is converted
+by its field's type hint.  An unknown section or key, or a value that the
+config dataclasses reject, raises ConfigError when the text is parsed.  All
 keys are optional and fall back to the defaults in ``ExperimentConfig``.
 
 Schema (defaults in parentheses):
@@ -15,10 +18,10 @@ Schema (defaults in parentheses):
               proposal (student | normal), nu_mode (fixed | learned),
               embed_hidden (64), embed_dim (128), encoder_hidden (64),
               decoder_hidden (128), shift_hidden (64), sigma_bias_init (-2.0)
-[base]        lr (1e-3), epochs (50), batch_size (32), optimizer (adamw),
+[base]        lr (1e-3), epochs (50), batch_size (32), optimizer (adamw | sgd),
               weight_decay (0.01), hidden (64,64)
 [lsnpc]       lr (2e-3), epochs (20), clean_epochs (5), batch_size (32),
-              optimizer (adamw), weight_decay (0.01), s_y (4), s_z (1)
+              optimizer (adamw | sgd), weight_decay (0.01), s_y (4), s_z (1)
 [correction]  s_y (8), s_zhat (4), s_z (1), tau (0.5)
 [run]         paradigm (unsupervised | semi-supervised), seeds (1,2,3,4,5),
               out (runs), knn_k (5)
@@ -33,12 +36,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 from dataclasses import dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
 from .baseclf import BaseTrainConfig
 from .correction import CorrectionConfig
 from .datagen import GeneratorConfig
-from .model import NU_MODES, PROPOSALS, LsnpcTrainConfig, ModelConfig
-from .noise import KINDS
+from .model import LsnpcTrainConfig, ModelConfig
+from .noise import KINDS, SplitSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "TheoryConfig", "load_config", "parse_config"]
 
@@ -71,34 +75,45 @@ class TheoryConfig:
             raise ConfigError("theory nu must exceed 2")
 
 
+# The GeneratorConfig and ModelConfig fields that [data] and [model] set.
+DATA_FIELDS = ("n", "d", "k", "rank", "noise_scale", "b_loc", "b_scale")
+MODEL_FIELDS = ("m", "nu", "nu0", "beta", "eta", "proposal", "nu_mode", "embed_hidden",
+                "embed_dim", "encoder_hidden", "decoder_hidden", "shift_hidden",
+                "sigma_bias_init")
+
+
+def _above_2(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 2
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a pipeline run depends on besides the seed."""
 
     source: str = "synthetic"
-    n: int = 2000
-    d: int = 32
-    k: int = 10
-    rank: int = 8
-    noise_scale: float = 0.5
-    b_loc: float = -2.0
-    b_scale: float = 0.5
+    n: int = GeneratorConfig.n
+    d: int = GeneratorConfig.d
+    k: int = GeneratorConfig.k
+    rank: int = GeneratorConfig.rank
+    noise_scale: float = GeneratorConfig.noise_scale
+    b_loc: float = GeneratorConfig.b_loc
+    b_scale: float = GeneratorConfig.b_scale
     split_fractions: tuple[float, float, float, float] = (0.7, 0.1, 0.035, 0.165)
     noise_kinds: tuple[str, ...] = ("sym", "pair")
     noise_rates: tuple[float, ...] = (0.0, 0.3, 0.4, 0.5)
-    m: int = 16
-    nu: float = 2.01
-    nu0: float = 2.01
-    beta: float = 0.01
-    eta: float = 0.5
-    proposal: str = "student"
-    nu_mode: str = "fixed"
-    embed_hidden: int = 64
-    embed_dim: int = 128
-    encoder_hidden: tuple[int, ...] = (64,)
-    decoder_hidden: tuple[int, ...] = (128,)
-    shift_hidden: tuple[int, ...] = (64,)
-    sigma_bias_init: float = -2.0
+    m: int = ModelConfig.m
+    nu: float = ModelConfig.nu
+    nu0: float = ModelConfig.nu0
+    beta: float = ModelConfig.beta
+    eta: float = ModelConfig.eta
+    proposal: str = ModelConfig.proposal
+    nu_mode: str = ModelConfig.nu_mode
+    embed_hidden: int = ModelConfig.embed_hidden
+    embed_dim: int = ModelConfig.embed_dim
+    encoder_hidden: tuple[int, ...] = ModelConfig.encoder_hidden
+    decoder_hidden: tuple[int, ...] = ModelConfig.decoder_hidden
+    shift_hidden: tuple[int, ...] = ModelConfig.shift_hidden
+    sigma_bias_init: float = ModelConfig.sigma_bias_init
     base: BaseTrainConfig = field(default_factory=BaseTrainConfig)
     lsnpc: LsnpcTrainConfig = field(default_factory=LsnpcTrainConfig)
     clean_epochs: int = 5
@@ -107,7 +122,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     out_dir: str = "runs"
     knn_k: int = 5
-    sweep_nu0: tuple = (2.01, 3.0, 4.0)
+    sweep_nu0: tuple[float, ...] = (2.01, 3.0, 4.0)
     sweep_nu: tuple = (2.01, 4.0, "learned")
     theory: TheoryConfig = field(default_factory=TheoryConfig)
 
@@ -128,164 +143,84 @@ class ExperimentConfig:
             raise ConfigError("clean_epochs must be >= 1")
         if self.knn_k < 1:
             raise ConfigError("knn_k must be >= 1")
-        for v in self.sweep_nu0:
-            if not (isinstance(v, float) and v > 2):
-                raise ConfigError("sweep nu0 values must be numbers > 2")
-        for v in self.sweep_nu:
-            if v != "learned" and not (isinstance(v, float) and v > 2):
-                raise ConfigError("sweep nu values must be > 2 or 'learned'")
+        if not all(map(_above_2, self.sweep_nu0)):
+            raise ConfigError("sweep nu0 values must be numbers > 2")
+        if not all(v == "learned" or _above_2(v) for v in self.sweep_nu):
+            raise ConfigError("sweep nu values must be > 2 or 'learned'")
         try:
             self.model_config(self.d, self.k)
+            spec = self.split_spec(0)
+            if self.source == "synthetic":
+                self.generator_config(0)
+                spec.sizes(self.n)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
     def generator_config(self, seed: int) -> GeneratorConfig:
-        return GeneratorConfig(
-            n=self.n,
-            d=self.d,
-            k=self.k,
-            rank=self.rank,
-            noise_scale=self.noise_scale,
-            b_loc=self.b_loc,
-            b_scale=self.b_scale,
-            seed=seed,
-        )
+        return GeneratorConfig(seed=seed, **{name: getattr(self, name) for name in DATA_FIELDS})
 
-    def model_config(self, d: int, k: int, **overrides) -> ModelConfig:
-        kwargs = dict(
-            d=d,
-            k=k,
-            m=self.m,
-            nu=self.nu,
-            nu0=self.nu0,
-            beta=self.beta,
-            eta=self.eta,
-            proposal=self.proposal,
-            nu_mode=self.nu_mode,
-            embed_hidden=self.embed_hidden,
-            embed_dim=self.embed_dim,
-            encoder_hidden=self.encoder_hidden,
-            decoder_hidden=self.decoder_hidden,
-            shift_hidden=self.shift_hidden,
-            sigma_bias_init=self.sigma_bias_init,
-        )
-        kwargs.update(overrides)
-        return ModelConfig(**kwargs)
+    def model_config(self, d: int, k: int) -> ModelConfig:
+        return ModelConfig(d=d, k=k, **{name: getattr(self, name) for name in MODEL_FIELDS})
+
+    def split_spec(self, seed: int) -> SplitSpec:
+        train, validation, clean, test = self.split_fractions
+        return SplitSpec(train=train, validation=validation, test=test, clean=clean, seed=seed)
 
 
 # --------------------------------------------------------------------------
 # Parsing
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
 
-
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-def _strings(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+def _converter(hint):
+    """Parses an INI value into a field typed ``hint``: ``tuple[T, ...]``
+    splits on commas and converts each part with T; any other type converts
+    the whole text, so ``int`` rejects ``2.5``."""
+    if get_origin(hint) is not tuple:
+        return hint
+    item = get_args(hint)[0]
+    return lambda raw: tuple(item(part.strip()) for part in raw.split(",") if part.strip())
 
 
 def _nu_values(raw: str) -> tuple:
-    out = []
-    for part in _strings(raw):
-        out.append("learned" if part == "learned" else float(part))
-    return tuple(out)
+    return tuple(v if v == "learned" else float(v) for v in _converter(tuple[str, ...])(raw))
 
 
-# section -> key -> (target field path, converter)
-SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "data": {
-        "source": ("source", str),
-        "n": ("n", int),
-        "d": ("d", int),
-        "k": ("k", int),
-        "rank": ("rank", int),
-        "noise_scale": ("noise_scale", float),
-        "b_loc": ("b_loc", float),
-        "b_scale": ("b_scale", float),
-    },
-    "split": {
-        "train": ("split.0", float),
-        "validation": ("split.1", float),
-        "clean": ("split.2", float),
-        "test": ("split.3", float),
-    },
-    "noise": {
-        "kinds": ("noise_kinds", _strings),
-        "rates": ("noise_rates", _floats),
-    },
-    "model": {
-        "m": ("m", int),
-        "nu": ("nu", float),
-        "nu0": ("nu0", float),
-        "beta": ("beta", float),
-        "eta": ("eta", float),
-        "proposal": ("proposal", str),
-        "nu_mode": ("nu_mode", str),
-        "embed_hidden": ("embed_hidden", int),
-        "embed_dim": ("embed_dim", int),
-        "encoder_hidden": ("encoder_hidden", _ints),
-        "decoder_hidden": ("decoder_hidden", _ints),
-        "shift_hidden": ("shift_hidden", _ints),
-        "sigma_bias_init": ("sigma_bias_init", float),
-    },
-    "base": {
-        "lr": ("base.lr", float),
-        "epochs": ("base.epochs", int),
-        "batch_size": ("base.batch_size", int),
-        "optimizer": ("base.optimizer", str),
-        "weight_decay": ("base.weight_decay", float),
-        "hidden": ("base.hidden", _ints),
-    },
-    "lsnpc": {
-        "lr": ("lsnpc.lr", float),
-        "epochs": ("lsnpc.epochs", int),
-        "clean_epochs": ("clean_epochs", int),
-        "batch_size": ("lsnpc.batch_size", int),
-        "optimizer": ("lsnpc.optimizer", str),
-        "weight_decay": ("lsnpc.weight_decay", float),
-        "s_y": ("lsnpc.s_y", int),
-        "s_z": ("lsnpc.s_z", int),
-    },
-    "correction": {
-        "s_y": ("correction.s_y", int),
-        "s_zhat": ("correction.s_zhat", int),
-        "s_z": ("correction.s_z", int),
-        "tau": ("correction.tau", float),
-    },
-    "run": {
-        "paradigm": ("paradigm", str),
-        "seeds": ("seeds", _ints),
-        "out": ("out_dir", str),
-        "knn_k": ("knn_k", int),
-    },
-    "sweep": {
-        "nu0_values": ("sweep_nu0", _floats),
-        "nu_values": ("sweep_nu", _nu_values),
-    },
-    "theory": {
-        "instances": ("theory.instances", int),
-        "pairs": ("theory.pairs", int),
-        "n_mc": ("theory.n_mc", int),
-        "train_n": ("theory.train_n", int),
-        "train_epochs": ("theory.train_epochs", int),
-        "base_epochs": ("theory.base_epochs", int),
-        "m": ("theory.m", int),
-        "nu": ("theory.nu", float),
-        "noise_rate": ("theory.noise_rate", float),
-        "seed": ("theory.seed", int),
-    },
+# Keys that set an ExperimentConfig field: section -> key -> field.
+SCHEMA: dict[str, dict[str, str]] = {
+    "data": {name: name for name in ("source", *DATA_FIELDS)},
+    "noise": {"kinds": "noise_kinds", "rates": "noise_rates"},
+    "model": {name: name for name in MODEL_FIELDS},
+    "lsnpc": {"clean_epochs": "clean_epochs"},
+    "run": {"paradigm": "paradigm", "seeds": "seeds", "out": "out_dir", "knn_k": "knn_k"},
+    "sweep": {"nu0_values": "sweep_nu0", "nu_values": "sweep_nu"},
+}
+# [split] keys, in the order of ExperimentConfig.split_fractions.
+SPLIT_KEYS = ("train", "validation", "clean", "test")
+# Sections that also take the fields of a sub-config, less the ones that
+# the pipeline sets per cell (seed) or that only tests set (shuffle).
+SUB_SECTIONS = {
+    "base": (BaseTrainConfig, ("seed", "shuffle")),
+    "lsnpc": (LsnpcTrainConfig, ("seed", "shuffle")),
+    "correction": (CorrectionConfig, ("seed",)),
+    "theory": (TheoryConfig, ()),
 }
 
-_SUB_CONFIGS = {
-    "base": (BaseTrainConfig, "base"),
-    "lsnpc": (LsnpcTrainConfig, "lsnpc"),
-    "correction": (CorrectionConfig, "correction"),
-    "theory": (TheoryConfig, "theory"),
-}
+
+def _keys() -> dict[str, dict[str, tuple]]:
+    """section -> key -> (owner, field or split index, converter); the owner
+    is "" for an ExperimentConfig field, "split", or a SUB_SECTIONS name."""
+    top = get_type_hints(ExperimentConfig)
+    keys = {section: {key: ("", name, _nu_values if name == "sweep_nu" else _converter(top[name]))
+                      for key, name in table.items()} for section, table in SCHEMA.items()}
+    keys["split"] = {key: ("split", i, float) for i, key in enumerate(SPLIT_KEYS)}
+    for section, (cls, skipped) in SUB_SECTIONS.items():
+        hints = get_type_hints(cls)
+        keys.setdefault(section, {}).update({name: (section, name, _converter(hints[name]))
+                                             for name in hints if name not in skipped})
+    return keys
+
+
+KEYS = _keys()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -296,42 +231,28 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from None
 
-    top: dict[str, object] = {}
-    sub: dict[str, dict[str, object]] = {name: {} for name in _SUB_CONFIGS}
-    split = list(ExperimentConfig.__dataclass_fields__["split_fractions"].default)
-
+    values = {"": {}, "split": dict(enumerate(ExperimentConfig.split_fractions)),
+              **{section: {} for section in SUB_SECTIONS}}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        keys = SCHEMA[section]
         for key, raw in parser.items(section):
-            if key not in keys:
+            if key not in KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            target, convert = keys[key]
+            owner, name, convert = KEYS[section][key]
             try:
-                value = convert(raw)
+                values[owner][name] = convert(raw)
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"[{section}] {key}: {e}") from None
-            if target.startswith("split."):
-                split[int(target.split(".", 1)[1])] = value
-            elif "." in target:
-                prefix, fname = target.split(".", 1)
-                sub[prefix][fname] = value
-            else:
-                top[target] = value
 
-    kwargs = dict(top)
-    kwargs["split_fractions"] = tuple(split)
-    for prefix, (cls, fname) in _SUB_CONFIGS.items():
-        if sub[prefix]:
+    kwargs = {**values[""], "split_fractions": tuple(values["split"].values())}
+    for section, (cls, _) in SUB_SECTIONS.items():
+        if values[section]:
             try:
-                kwargs[fname] = cls(**sub[prefix])
+                kwargs[section] = cls(**values[section])
             except (ValueError, TypeError) as e:
-                raise ConfigError(f"[{prefix}]: {e}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from None
+                raise ConfigError(f"[{section}]: {e}") from None
+    return ExperimentConfig(**kwargs)  # its checks raise ConfigError
 
 
 def load_config(path) -> ExperimentConfig:

@@ -101,9 +101,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if min(self.n, self.d, self.k, self.rank) <= 0:
             raise ValueError("n, d, k, rank must be positive")
-        if self.rank > min(self.d, self.k) and not self.identity_embedding:
-            if self.rank > self.d:
-                raise ValueError("rank must not exceed the feature dimension")
+        if self.rank > self.d:
+            raise ValueError("rank must not exceed the feature dimension")
         if self.noise_scale < 0:
             raise ValueError("noise scale must be non-negative")
         if self.identity_embedding and self.rank != self.d:

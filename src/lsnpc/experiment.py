@@ -23,12 +23,12 @@ import numpy as np
 from . import rngs
 from .baseclf import BaseClassifier, train_base, predict_probs, save_base
 from .checkpoint import file_digest, restore, snapshot
-from .config import ExperimentConfig
+from .config import ExperimentConfig, override
 from .correction import binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
 from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report
 from .model import LsnpcModel, train_semi_supervised, save_model
-from .noise import SplitSpec, build_transition_matrix, save_transition, split_dataset
+from .noise import build_transition_matrix, save_transition, split_dataset
 from .theory import (
     QuadratureGrid,
     TheoryReport,
@@ -134,13 +134,11 @@ class _Pipeline:
         if key not in self._splits:
             ds = self.dataset(seed)
             T = build_transition_matrix(kind, ds.k, nr) if nr > 0 else None
-            tr, va, cl, te = self.cfg.split_fractions
-            spec = SplitSpec(train=tr, validation=va, test=te, clean=cl, seed=seed)
-            self._splits[key] = split_dataset(ds, spec, T)
-            if T is not None:
-                path = self.out / "noise" / f"T_{kind}_{_nr_tag(nr)}.csv"
-                if not path.exists():
-                    self._write(path, lambda p: save_transition(T, p))
+            self._splits[key] = split_dataset(ds, self.cfg.split_spec(seed), T)
+            # Every seed of a cell shares the matrix; this run writes it once.
+            path = self.out / "noise" / f"T_{kind}_{_nr_tag(nr)}.csv"
+            if T is not None and str(path.relative_to(self.out)) not in self.art.manifest:
+                self._write(path, lambda p: save_transition(T, p))
         return self._splits[key]
 
     # -- stage: train-base
@@ -285,18 +283,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
 def sweep_sensitivity(cfg: ExperimentConfig, nu0_values=None, nu_values=None,
                       out_dir=None, quiet: bool = False) -> ExperimentReport:
     """One full run per (nu0, nu) cell; nu may be the string 'learned'."""
-    nu0_values = tuple(nu0_values if nu0_values is not None else cfg.sweep_nu0)
-    nu_values = tuple(nu_values if nu_values is not None else cfg.sweep_nu)
-    for v in nu0_values:
-        if not (isinstance(v, (int, float)) and v > 2):
-            raise ValueError(f"nu0 value {v!r} must be a number > 2")
-    for v in nu_values:
-        if v != "learned" and not (isinstance(v, (int, float)) and v > 2):
-            raise ValueError(f"nu value {v!r} must be a number > 2 or 'learned'")
+    cfg = override(cfg, sweep_nu0=tuple(cfg.sweep_nu0 if nu0_values is None else nu0_values),
+                   sweep_nu=tuple(cfg.sweep_nu if nu_values is None else nu_values))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     rows: list[RunMetrics] = []
-    for nu0 in nu0_values:
-        for nu in nu_values:
+    for nu0 in cfg.sweep_nu0:
+        for nu in cfg.sweep_nu:
             tag = f"nu0={nu0:g} nu={'learned' if nu == 'learned' else format(nu, 'g')}"
             cell_cfg = dataclasses.replace(
                 cfg,

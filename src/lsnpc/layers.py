@@ -145,10 +145,17 @@ class Sgd:
                 p.data -= self.lr * lr_scale * p.grad
 
 
+OPTIMIZERS = ("adamw", "sgd")
+
+
+def check_optimizer(kind: str) -> str:
+    """``kind`` in lower case, after checking that it names one of OPTIMIZERS."""
+    if kind.lower() not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}; expected one of {OPTIMIZERS}")
+    return kind.lower()
+
+
 def make_optimizer(kind: str, params: dict[str, Tensor], lr: float, weight_decay: float):
-    kind = kind.lower()
-    if kind == "adamw":
+    if check_optimizer(kind) == "adamw":
         return AdamW(params=params, lr=lr, weight_decay=weight_decay)
-    if kind == "sgd":
-        return Sgd(params=params, lr=lr)
-    raise ValueError(f"unknown optimizer {kind!r}; expected 'adamw' or 'sgd'")
+    return Sgd(params=params, lr=lr)

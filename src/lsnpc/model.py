@@ -37,7 +37,7 @@ from .distributions import (
     rsample_diag_normal,
     rsample_diag_student,
 )
-from .layers import Mlp
+from .layers import Mlp, check_optimizer
 from . import checkpoint
 
 __all__ = [
@@ -421,8 +421,11 @@ class LsnpcTrainConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if min(self.s_y, self.s_z) < 1:
             raise ValueError("sample counts must be >= 1")
+        check_optimizer(self.optimizer)
 
 
 def train_semi_supervised(

@@ -98,15 +98,12 @@ class SplitSpec:
             n_train = floor(self.train)
             n_val = floor(self.validation)
             n_clean = floor(self.clean)
-        n_test = n - n_train - n_val - n_clean
-        if min(n_train, n_val, n_clean, n_test) < 0 or n_test == 0:
-            raise ValueError(f"degenerate split sizes for n={n}")
-        return {
-            "train": n_train,
-            "validation": n_val,
-            "clean": n_clean,
-            "test": n_test,
-        }
+        sizes = {"train": n_train, "validation": n_val, "clean": n_clean,
+                 "test": n - n_train - n_val - n_clean}
+        # split_dataset makes a FeatureDataset of each, which needs a row
+        if min(sizes.values()) < 1:
+            raise ValueError(f"degenerate split sizes for n={n}: {sizes}")
+        return sizes
 
 
 @dataclass

@@ -204,11 +204,19 @@ def test_base_checkpoint_round_trip(tmp_path):
 def test_base_checkpoint_saves_numpy_scalars_as_python_scalars(tmp_path):
     X, Y = separable_toy(n=40)
     h = train_base(X, Y, BaseTrainConfig(epochs=0, seed=7, hidden=(8,)))
-    h.metadata = {"score": np.float64(0.5), "n": np.int64(3)}
+    h.metadata = {"score": np.float64(0.5), "n": np.int64(3),
+                  "nested": (np.float64(0.5), 2), "nan_pair": (np.nan, 1),
+                  "infs": [np.inf], "counts": {"a": np.int64(3)}}
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_base(h, first)
     loaded = load_base(first)
-    assert loaded.metadata == {"score": 0.5, "n": 3}
+    meta = dict(loaded.metadata)
+    nan_pair = meta.pop("nan_pair")
+    assert np.isnan(nan_pair[0]) and nan_pair[1] == 1
+    assert meta == {"score": 0.5, "n": 3, "nested": (0.5, 2), "infs": [np.inf],
+                    "counts": {"a": 3}}
     assert type(loaded.metadata["score"]) is float and type(loaded.metadata["n"]) is int
+    assert type(loaded.metadata["nested"][0]) is float
+    assert type(loaded.metadata["counts"]["a"]) is int
     save_base(loaded, second)
     assert second.read_bytes() == first.read_bytes()

@@ -88,6 +88,14 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["eval", "--config", str(tmp_path / "missing.ini")]) == 1
     capsys.readouterr()
+    # settings the dataclasses reject fail at parse time, before any data
+    for body in ("[split]\ntrain = 0.9\n", "[data]\nrank = 40\n",
+                 "[base]\noptimizer = sgdd\n"):
+        bad.write_text(body)
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "data").exists()
 
 
 def test_runtime_failures_exit_2(tmp_path, capsys):

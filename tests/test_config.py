@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from lsnpc.baseclf import BaseTrainConfig
 from lsnpc.config import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +13,8 @@ from lsnpc.config import (
     override,
     parse_config,
 )
+from lsnpc.correction import CorrectionConfig
+from lsnpc.model import LsnpcTrainConfig
 
 
 def test_empty_text_gives_defaults():
@@ -19,67 +22,119 @@ def test_empty_text_gives_defaults():
 
 
 def test_full_round_trip_across_sections():
+    # every accepted key, each set away from its default
     text = """
 [data]
+source = elsewhere/ds.bin
 n = 500
 d = 16
+k = 6
+rank = 4
 noise_scale = 0.25
+b_loc = -1.5
+b_scale = 0.75
 
 [split]
+train = 0.6
+validation = 0.15
 clean = 0.05
-test = 0.15
+test = 0.2
 
 [noise]
-kinds = sym
+kinds = pair
 rates = 0.0, 0.3
 
 [model]
 m = 8
 nu = 3.5
+nu0 = 3.0
+beta = 0.02
+eta = 0.25
 proposal = normal
+nu_mode = learned
+embed_hidden = 32
+embed_dim = 48
 encoder_hidden = 32, 32
+decoder_hidden = 96
+shift_hidden = 16
 sigma_bias_init = -1.0
 
 [base]
 lr = 0.01
+epochs = 7
+batch_size = 16
+optimizer = sgd
+weight_decay = 0.0
 hidden = 16,16
 
 [lsnpc]
-epochs = 7
+lr = 0.005
+epochs = 9
 clean_epochs = 2
+batch_size = 64
+optimizer = SGD
+weight_decay = 0.001
 s_y = 2
+s_z = 3
 
 [correction]
-tau = 0.4
+s_y = 4
 s_zhat = 6
+s_z = 2
+tau = 0.4
 
 [run]
 paradigm = semi-supervised
 seeds = 3, 7
+out = elsewhere/runs
 knn_k = 3
 
 [sweep]
+nu0_values = 2.5, 3
 nu_values = 2.5, learned
 
 [theory]
+instances = 5
 pairs = 20
+n_mc = 1000
+train_n = 100
+train_epochs = 2
+base_epochs = 3
+m = 2
 nu = 6.0
+noise_rate = 0.2
+seed = 4
 """
     cfg = parse_config(text)
-    assert cfg.n == 500 and cfg.d == 16 and cfg.noise_scale == 0.25
-    assert cfg.split_fractions == (0.7, 0.1, 0.05, 0.15)
-    assert cfg.noise_kinds == ("sym",) and cfg.noise_rates == (0.0, 0.3)
-    assert cfg.m == 8 and cfg.nu == 3.5 and cfg.proposal == "normal"
-    assert cfg.encoder_hidden == (32, 32) and cfg.sigma_bias_init == -1.0
-    assert cfg.base.lr == 0.01 and cfg.base.hidden == (16, 16)
-    assert cfg.lsnpc.epochs == 7 and cfg.lsnpc.s_y == 2 and cfg.clean_epochs == 2
-    assert cfg.correction.tau == 0.4 and cfg.correction.s_zhat == 6
-    assert cfg.paradigm == "semi-supervised" and cfg.seeds == (3, 7) and cfg.knn_k == 3
-    assert cfg.sweep_nu == (2.5, "learned")
-    assert cfg.theory.pairs == 20 and cfg.theory.nu == 6.0
-    # everything not mentioned stays at its default
-    assert cfg.k == ExperimentConfig().k
-    assert cfg.lsnpc.lr == ExperimentConfig().lsnpc.lr
+    assert cfg == ExperimentConfig(
+        source="elsewhere/ds.bin", n=500, d=16, k=6, rank=4, noise_scale=0.25,
+        b_loc=-1.5, b_scale=0.75, split_fractions=(0.6, 0.15, 0.05, 0.2),
+        noise_kinds=("pair",), noise_rates=(0.0, 0.3), m=8, nu=3.5, nu0=3.0,
+        beta=0.02, eta=0.25, proposal="normal", nu_mode="learned", embed_hidden=32,
+        embed_dim=48, encoder_hidden=(32, 32), decoder_hidden=(96,), shift_hidden=(16,),
+        sigma_bias_init=-1.0,
+        base=BaseTrainConfig(lr=0.01, epochs=7, batch_size=16, optimizer="sgd",
+                             weight_decay=0.0, hidden=(16, 16)),
+        lsnpc=LsnpcTrainConfig(lr=0.005, epochs=9, batch_size=64, optimizer="SGD",
+                               weight_decay=0.001, s_y=2, s_z=3),
+        clean_epochs=2,
+        correction=CorrectionConfig(s_y=4, s_zhat=6, s_z=2, tau=0.4),
+        paradigm="semi-supervised", seeds=(3, 7), out_dir="elsewhere/runs", knn_k=3,
+        sweep_nu0=(2.5, 3.0), sweep_nu=(2.5, "learned"),
+        theory=TheoryConfig(instances=5, pairs=20, n_mc=1000, train_n=100, train_epochs=2,
+                            base_epochs=3, m=2, nu=6.0, noise_rate=0.2, seed=4),
+    )
+    # so every field is reachable from the INI text, except the per-cell
+    # seed and the test-only shuffle, which stay at their defaults
+    default = ExperimentConfig()
+    for f in dataclasses.fields(cfg):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    for section in ("base", "lsnpc", "correction", "theory"):
+        sub, sub_default = getattr(cfg, section), getattr(default, section)
+        for f in dataclasses.fields(sub):
+            per_cell = section != "theory" and f.name in ("seed", "shuffle")
+            assert (getattr(sub, f.name) == getattr(sub_default, f.name)) == per_cell, \
+                f"[{section}] {f.name}"
 
 
 def test_unknown_section_rejected():
@@ -90,6 +145,10 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"unknown key 'momentum' in \[base\]"):
         parse_config("[base]\nmomentum = 0.9\n")
+    # the pipeline sets each cell's seed; shuffle is for tests only
+    for section, key in (("base", "seed"), ("lsnpc", "shuffle"), ("correction", "seed")):
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
+            parse_config(f"[{section}]\n{key} = 1\n")
 
 
 def test_converter_error_names_section_and_key():
@@ -107,6 +166,11 @@ def test_sub_config_validation_carries_section_name():
         parse_config("[lsnpc]\ns_y = 0\n")
     with pytest.raises(ConfigError, match=r"\[correction\]"):
         parse_config("[correction]\ntau = 1.5\n")
+    with pytest.raises(ConfigError, match=r"\[lsnpc\]: epochs must be >= 0"):
+        parse_config("[lsnpc]\nepochs = -1\n")
+    for section in ("base", "lsnpc"):
+        with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown optimizer 'sgdd'"):
+            parse_config(f"[{section}]\noptimizer = sgdd\n")
 
 
 def test_top_level_validation_applies_to_parsed_text():
@@ -119,6 +183,16 @@ def test_top_level_validation_applies_to_parsed_text():
     # model shape validation is re-checked at the experiment level
     with pytest.raises(ConfigError):
         parse_config("[model]\nm = 0\n")
+    # and so are the generator and the split, before any data is made
+    with pytest.raises(ConfigError, match="rank must not exceed"):
+        parse_config("[data]\nrank = 40\n")
+    with pytest.raises(ConfigError, match="split fractions must sum to 1"):
+        parse_config("[split]\ntrain = 0.9\n")
+    # n = 12 leaves the clean split without a row
+    with pytest.raises(ConfigError, match="degenerate split sizes for n=12"):
+        parse_config("[data]\nn = 12\nd = 4\nk = 3\nrank = 2\n")
+    # a dataset file does not use the generator settings
+    assert parse_config("[data]\nsource = ds.bin\nrank = 40\n").rank == 40
 
 
 def test_sweep_values_parse_and_validate():
@@ -129,6 +203,8 @@ def test_sweep_values_parse_and_validate():
         parse_config("[sweep]\nnu_values = 1.5\n")
     with pytest.raises(ConfigError, match="sweep nu0 values"):
         parse_config("[sweep]\nnu0_values = 2.0\n")
+    # ints are numbers too, as sweep_sensitivity's arguments
+    assert ExperimentConfig(sweep_nu0=(3,), sweep_nu=(4, "learned")).sweep_nu0 == (3,)
 
 
 def test_theory_config_validation():
@@ -150,10 +226,10 @@ def test_experiment_config_direct_validation():
 
 
 def test_generator_and_model_config_builders():
-    cfg = ExperimentConfig(n=100, d=8, k=3, rank=2, noise_scale=0.1)
+    cfg = ExperimentConfig(n=100, d=8, k=3, rank=2, noise_scale=0.1, m=4)
     gc = cfg.generator_config(seed=9)
     assert (gc.n, gc.d, gc.k, gc.rank, gc.noise_scale, gc.seed) == (100, 8, 3, 2, 0.1, 9)
-    mc = cfg.model_config(8, 3, m=4)
+    mc = cfg.model_config(8, 3)
     assert (mc.d, mc.k, mc.m) == (8, 3, 4)
     assert mc.sigma_bias_init == cfg.sigma_bias_init
 

@@ -125,6 +125,8 @@ def test_numpy_and_nonfinite_metadata_round_trip_as_values(tmp_path):
     ds = FeatureDataset(X=np.ones((3, 2)), Y=np.eye(3, 2), metadata={
         "f": np.float64(0.5), "i": np.int64(7), "nan": float("nan"),
         "inf": float("inf"), "ninf": -np.inf, "pair": (1, "b"), "word": "inf",
+        "nested": (np.float64(0.5), 2), "nan_pair": (float("nan"), 1), "infs": [np.inf],
+        "counts": {"a": np.int64(3)},
     })
     path, again = tmp_path / "ds.bin", tmp_path / "again.bin"
     save_dataset(ds, path)
@@ -135,6 +137,10 @@ def test_numpy_and_nonfinite_metadata_round_trip_as_values(tmp_path):
     assert math.isnan(meta["nan"])
     assert meta["inf"] == math.inf and meta["ninf"] == -math.inf
     assert meta["pair"] == (1, "b") and meta["word"] == "inf"
+    assert meta["nested"] == (0.5, 2) and type(meta["nested"][0]) is float
+    assert math.isnan(meta["nan_pair"][0]) and meta["nan_pair"][1] == 1
+    assert meta["infs"] == [math.inf]
+    assert meta["counts"] == {"a": 3} and type(meta["counts"]["a"]) is int
     save_dataset(loaded, again)
     assert again.read_bytes() == path.read_bytes()
 

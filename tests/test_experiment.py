@@ -107,6 +107,16 @@ def test_early_stage_skips_training(tmp_path):
     assert any(name.startswith("data/") for name in art.manifest)
 
 
+def test_rerun_into_same_directory_keeps_the_full_manifest(tmp_path):
+    cfg = tiny_config(seeds=(1, 2))
+    first = run_experiment(cfg, out_dir=tmp_path, stage="corrupt", quiet=True)
+    manifest = (tmp_path / "manifest.txt").read_bytes()
+    second = run_experiment(cfg, out_dir=tmp_path, stage="corrupt", quiet=True)
+    assert "noise/T_sym_40.csv" in first.manifest
+    assert second.manifest == first.manifest
+    assert (tmp_path / "manifest.txt").read_bytes() == manifest
+
+
 def test_unknown_stage_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown stage"):
         run_experiment(tiny_config(), out_dir=tmp_path, stage="deploy")

@@ -806,7 +806,8 @@ def test_checkpoint_load_then_save_is_byte_identical(tmp_path):
     cfg = LsnpcTrainConfig(epochs=1, batch_size=8, s_y=2, seed=3)
     model = train_semi_supervised(LsnpcModel(ModelConfig(**TINY), seed=3), h, X, None, cfg)
     assert np.isnan(model.metadata["best_val_micro_f1"])  # no validation set
-    model.metadata.update(note="a=b", shape=(2, 3), inf=float("-inf"))
+    model.metadata.update(note="a=b", shape=(2, 3), inf=float("-inf"),
+                          nan_pair=(float("nan"), 1), infs=[np.inf])
     first, second = tmp_path / "a.lsck", tmp_path / "b.lsck"
     save_model(model, first)
     save_model(load_model(first), second)
@@ -815,12 +816,17 @@ def test_checkpoint_load_then_save_is_byte_identical(tmp_path):
 
 def test_checkpoint_saves_numpy_scalars_as_python_scalars(tmp_path):
     model = tiny_model(seed=19, perturb=0.0)
-    model.metadata = {"score": np.float64(0.5), "n": np.int64(3)}
+    model.metadata = {"score": np.float64(0.5), "n": np.int64(3),
+                      "nested": (np.float64(0.5), 2), "infs": [np.inf],
+                      "counts": {"a": np.int64(3)}}
     first, second = tmp_path / "a.lsck", tmp_path / "b.lsck"
     save_model(model, first)
     loaded = load_model(first)
-    assert loaded.metadata == {"score": 0.5, "n": 3}
+    assert loaded.metadata == {"score": 0.5, "n": 3, "nested": (0.5, 2),
+                               "infs": [np.inf], "counts": {"a": 3}}
     assert type(loaded.metadata["score"]) is float and type(loaded.metadata["n"]) is int
+    assert type(loaded.metadata["nested"][0]) is float
+    assert type(loaded.metadata["counts"]["a"]) is int
     save_model(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 
