@@ -73,6 +73,10 @@ class TheoryConfig:
             raise ConfigError("theory sizes must be positive")
         if not self.nu > 2:
             raise ConfigError("theory nu must exceed 2")
+        if self.m < 1:
+            raise ConfigError("theory m must be >= 1")
+        if not 0.0 <= self.noise_rate < 1.0:
+            raise ConfigError(f"theory noise rate {self.noise_rate} outside [0, 1)")
 
 
 # The GeneratorConfig and ModelConfig fields that [data] and [model] set.
@@ -153,6 +157,7 @@ class ExperimentConfig:
             if self.source == "synthetic":
                 self.generator_config(0)
                 spec.sizes(self.n)
+                spec.sizes(self.theory.train_n)  # verify_all's training split
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

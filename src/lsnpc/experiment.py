@@ -1,9 +1,10 @@
 """Config-driven pipeline: data, corruption, training, correction, reports.
 
-One run cell is (noise kind, noise rate, seed).  Artifacts shared between
-cells (datasets per seed, base classifiers per cell) are computed once and
-reused; the Normal-proposal ablation arm reuses the Student arm's datasets
-and base checkpoints byte-identically.
+One run cell is (noise kind, noise rate, seed).  The dataset of a seed is
+made once per run and shared by that seed's cells; everything else (split,
+base classifier, both LSNPC arms) is built inside its cell and handed from
+stage to stage.  The Normal-proposal ablation arm recomputes the Student
+arm's datasets and base checkpoints, with identical bytes.
 
 Every artifact is a pure function of (config, seed): the manifest written at
 the end maps each artifact file to its content digest, so two runs agree
@@ -28,7 +29,7 @@ from .correction import binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
 from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report
 from .model import LsnpcModel, train_semi_supervised, save_model
-from .noise import build_transition_matrix, save_transition, split_dataset
+from .noise import SplitResult, build_transition_matrix, save_transition, split_dataset
 from .theory import (
     QuadratureGrid,
     TheoryReport,
@@ -94,139 +95,68 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     return out
 
 
-class _Pipeline:
-    """Per-call caches plus artifact writing for one experiment invocation."""
+def _write_report(report, out: Path, stem: str, quiet: bool = True) -> tuple[Path, Path]:
+    """Writes ``<stem>.csv`` and ``<stem>.txt`` under ``out``; prints the text unless ``quiet``."""
+    out.mkdir(parents=True, exist_ok=True)
+    csv, txt = out / f"{stem}.csv", out / f"{stem}.txt"
+    csv.write_text(report.to_csv(), encoding="utf-8")
+    txt.write_text(report.to_text(), encoding="utf-8")
+    if not quiet:
+        print(report.to_text(), end="", file=sys.stderr)
+    return csv, txt
 
-    def __init__(self, cfg: ExperimentConfig, out_dir: Path, quiet: bool):
-        self.cfg = cfg
-        self.out = out_dir
-        self.quiet = quiet
-        self.art = RunArtifacts(out_dir=out_dir)
-        self._data: dict[int, FeatureDataset] = {}
-        self._splits: dict = {}
-        self._base: dict = {}
-        self._lsnpc: dict = {}
 
-    def say(self, msg: str) -> None:
-        if not self.quiet:
-            print(msg, file=sys.stderr)
+# -- stage: gen-data
+def _dataset(cfg: ExperimentConfig, seed: int) -> FeatureDataset:
+    if cfg.source == "synthetic":
+        return generate_synthetic(cfg.generator_config(seed))[0]
+    return load_dataset(cfg.source)
 
-    def _write(self, path: Path, saver) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        saver(path)
-        self.art.record(path)
 
-    # -- stage: gen-data
-    def dataset(self, seed: int) -> FeatureDataset:
-        if seed not in self._data:
-            if self.cfg.source == "synthetic":
-                ds, _ = generate_synthetic(self.cfg.generator_config(seed))
-            else:
-                ds = load_dataset(self.cfg.source)
-            self._data[seed] = ds
-            self._write(self.out / "data" / f"ds_s{seed}.bin",
-                        lambda p: save_dataset(ds, p))
-        return self._data[seed]
+# -- stage: train-base
+def _train_base(cfg: ExperimentConfig, split: SplitResult, seed: int) -> BaseClassifier:
+    train, val = split.splits["train"], split.splits["validation"]
+    return train_base(train.X, train.Y, dataclasses.replace(cfg.base, seed=seed),
+                      validation=(val.X, val.Y))
 
-    # -- stage: corrupt
-    def split(self, seed: int, kind: str, nr: float):
-        key = (seed, kind, nr)
-        if key not in self._splits:
-            ds = self.dataset(seed)
-            T = build_transition_matrix(kind, ds.k, nr) if nr > 0 else None
-            self._splits[key] = split_dataset(ds, self.cfg.split_spec(seed), T)
-            # Every seed of a cell shares the matrix; this run writes it once.
-            path = self.out / "noise" / f"T_{kind}_{_nr_tag(nr)}.csv"
-            if T is not None and str(path.relative_to(self.out)) not in self.art.manifest:
-                self._write(path, lambda p: save_transition(T, p))
-        return self._splits[key]
 
-    # -- stage: train-base
-    def base(self, seed: int, kind: str, nr: float) -> BaseClassifier:
-        key = (seed, kind, nr)
-        if key not in self._base:
-            sp = self.split(seed, kind, nr)
-            train = sp.splits["train"]
-            val = sp.splits["validation"]
-            cfg = dataclasses.replace(self.cfg.base, seed=seed)
-            t0 = time.time()
-            h = train_base(train.X, train.Y, cfg, validation=(val.X, val.Y))
-            self.say(f"  base [{kind} nr={_nr_tag(nr)} s={seed}] "
-                     f"val={h.metadata.get('val_micro_f1', float('nan')):.4f} "
-                     f"({time.time() - t0:.1f}s)")
-            self._base[key] = h
-            self._write(self.out / "base" / f"{kind}_{_nr_tag(nr)}_s{seed}.ckpt",
-                        lambda p: save_base(h, p))
-        return self._base[key]
+# -- stage: train-lsnpc
+def _train_lsnpc(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier, seed: int,
+                 warm: LsnpcModel | None = None) -> LsnpcModel:
+    """The unsupervised arm; with ``warm`` (that arm), clean sweeps refine its endpoint."""
+    train, val = split.splits["train"], split.splits["validation"]
+    model = LsnpcModel(cfg.model_config(train.d, train.k), seed=seed)
+    if warm is None:
+        clean, run = None, dataclasses.replace(cfg.lsnpc, seed=seed)
+    else:
+        restore(model.params, snapshot(warm.params))
+        clean = (split.splits["clean"].X, split.splits["clean"].Y)
+        run = dataclasses.replace(cfg.lsnpc, epochs=cfg.clean_epochs,
+                                  seed=rngs.spawn_seed(seed, "semi"))
+    train_semi_supervised(model, h, train.X, clean, run, validation=(val.X, val.Y),
+                          correction_cfg=dataclasses.replace(cfg.correction, seed=seed))
+    return model
 
-    # -- stage: train-lsnpc
-    def lsnpc(self, seed: int, kind: str, nr: float, semi: bool) -> LsnpcModel:
-        key = (seed, kind, nr, semi)
-        if key not in self._lsnpc:
-            sp = self.split(seed, kind, nr)
-            train = sp.splits["train"]
-            val = sp.splits["validation"]
-            h = self.base(seed, kind, nr)
-            corr = dataclasses.replace(self.cfg.correction, seed=seed)
-            t0 = time.time()
-            if not semi:
-                model = LsnpcModel(self.cfg.model_config(train.d, train.k), seed=seed)
-                cfg = dataclasses.replace(self.cfg.lsnpc, seed=seed)
-                train_semi_supervised(model, h, train.X, None, cfg,
-                                      validation=(val.X, val.Y), correction_cfg=corr)
-            else:
-                # Warm start: clean sweeps refine the unsupervised endpoint.
-                warm = self.lsnpc(seed, kind, nr, semi=False)
-                model = LsnpcModel(self.cfg.model_config(train.d, train.k), seed=seed)
-                restore(model.params, snapshot(warm.params))
-                clean = sp.splits["clean"]
-                cfg = dataclasses.replace(
-                    self.cfg.lsnpc,
-                    epochs=self.cfg.clean_epochs,
-                    seed=rngs.spawn_seed(seed, "semi"),
-                )
-                train_semi_supervised(model, h, train.X, (clean.X, clean.Y), cfg,
-                                      validation=(val.X, val.Y), correction_cfg=corr)
-            tag = "semi" if semi else "unsup"
-            self.say(f"  lsnpc-{tag} [{kind} nr={_nr_tag(nr)} s={seed}] "
-                     f"val={model.metadata['best_val_micro_f1']:.4f} "
-                     f"({time.time() - t0:.1f}s)")
-            self._lsnpc[key] = model
-            self._write(
-                self.out / "lsnpc" / f"{kind}_{_nr_tag(nr)}_s{seed}_{tag}.ckpt",
-                lambda p: save_model(model, p),
-            )
-        return self._lsnpc[key]
 
-    # -- stages: correct + eval
-    def evaluate_cell(self, seed: int, kind: str, nr: float) -> list[RunMetrics]:
-        sp = self.split(seed, kind, nr)
-        test = sp.splits["test"]
-        truth = sp.true_labels["test"]
-        train = sp.splits["train"]
-        h = self.base(seed, kind, nr)
-        corr_cfg = dataclasses.replace(self.cfg.correction, seed=seed)
-        rows: list[RunMetrics] = []
-
-        def add(method: str, labels: np.ndarray) -> None:
-            rep = f1_report(truth, labels)
-            rows.append(RunMetrics(setting=kind, nr=nr, method=method, seed=seed,
-                                   micro_f1=rep.micro_f1, macro_f1=rep.macro_f1))
-
-        probs = predict_probs(h, test.X)
-        add("baseline", binarize(probs, 0.5))
-        add("knn", knn_correct(train.X, train.Y, test.X, self.cfg.knn_k))
-
-        variants = [False] + ([True] if self.cfg.paradigm == "semi-supervised" else [])
-        for semi in variants:
-            res = correct(self.lsnpc(seed, kind, nr, semi), h, test.X, corr_cfg)
-            tag = "lsnpc-semi" if semi else "lsnpc"
-            self._write(
-                self.out / "correction" / f"{kind}_{_nr_tag(nr)}_s{seed}_{tag}.csv",
-                lambda p: save_correction(res, p),
-            )
-            add(tag, res.labels)
-        return rows
+# -- stages: correct + eval
+def _evaluate(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier,
+              arms: dict[str, LsnpcModel], write, name: str, kind: str, nr: float,
+              seed: int) -> list[RunMetrics]:
+    """Scores the baseline, knn and each arm on the test split; writes each
+    arm's correction file."""
+    train, test = split.splits["train"], split.splits["test"]
+    labels = {"baseline": binarize(predict_probs(h, test.X), 0.5),
+              "knn": knn_correct(train.X, train.Y, test.X, cfg.knn_k)}
+    corr = dataclasses.replace(cfg.correction, seed=seed)
+    for arm, model in arms.items():
+        res = correct(model, h, test.X, corr)
+        method = "lsnpc-semi" if arm == "semi" else "lsnpc"
+        write(f"correction/{name}_{method}.csv", lambda p: save_correction(res, p))
+        labels[method] = res.labels
+    reports = {method: f1_report(split.true_labels["test"], y) for method, y in labels.items()}
+    return [RunMetrics(setting=kind, nr=nr, method=method, seed=seed,
+                       micro_f1=rep.micro_f1, macro_f1=rep.macro_f1)
+            for method, rep in reports.items()]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
@@ -236,46 +166,66 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pipe = _Pipeline(cfg, out, quiet)
+    art = RunArtifacts(out_dir=out)
     rank = STAGES.index(stage)
+
+    def say(msg: str) -> None:
+        if not quiet:
+            print(msg, file=sys.stderr)
+
+    def write(rel: str, saver) -> None:
+        path = out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        saver(path)
+        art.record(path)
+
     current = STAGES[0]
     try:
+        data = {}
         for seed in cfg.seeds:
-            current = "gen-data"
-            pipe.dataset(seed)
+            data[seed] = ds = _dataset(cfg, seed)
+            write(f"data/ds_s{seed}.bin", lambda p: save_dataset(ds, p))
         for kind, nr in _cells(cfg):
+            current = "corrupt"
+            # One matrix per cell: the datasets of all seeds have the same k.
+            T = build_transition_matrix(kind, ds.k, nr) if nr > 0 else None
+            if T is not None:
+                write(f"noise/T_{kind}_{_nr_tag(nr)}.csv", lambda p: save_transition(T, p))
             for seed in cfg.seeds:
                 current = "corrupt"
-                pipe.split(seed, kind, nr)
+                sp = split_dataset(data[seed], cfg.split_spec(seed), T)
                 if rank < STAGES.index("train-base"):
                     continue
                 current = "train-base"
-                pipe.base(seed, kind, nr)
+                cell = f"[{kind} nr={_nr_tag(nr)} s={seed}]"
+                name = f"{kind}_{_nr_tag(nr)}_s{seed}"
+                t0 = time.time()
+                h = _train_base(cfg, sp, seed)
+                say(f"  base {cell} val={h.metadata.get('val_micro_f1', float('nan')):.4f} "
+                    f"({time.time() - t0:.1f}s)")
+                write(f"base/{name}.ckpt", lambda p: save_base(h, p))
                 if rank < STAGES.index("train-lsnpc"):
                     continue
                 current = "train-lsnpc"
-                pipe.lsnpc(seed, kind, nr, semi=False)
-                if cfg.paradigm == "semi-supervised":
-                    pipe.lsnpc(seed, kind, nr, semi=True)
+                arms: dict[str, LsnpcModel] = {}
+                for arm in ("unsup", "semi") if cfg.paradigm == "semi-supervised" else ("unsup",):
+                    t0 = time.time()
+                    arms[arm] = model = _train_lsnpc(cfg, sp, h, seed, warm=arms.get("unsup"))
+                    say(f"  lsnpc-{arm} {cell} val={model.metadata['best_val_micro_f1']:.4f} "
+                        f"({time.time() - t0:.1f}s)")
+                    write(f"lsnpc/{name}_{arm}.ckpt", lambda p: save_model(model, p))
                 if rank < STAGES.index("correct"):
                     continue
                 current = "correct"
-                pipe.art.rows.extend(pipe.evaluate_cell(seed, kind, nr))
+                art.rows.extend(_evaluate(cfg, sp, h, arms, write, name, kind, nr, seed))
     except Exception as e:
-        pipe.art.write_manifest()
+        art.write_manifest()
         raise StageError(current, e) from e
 
-    art = pipe.art
     if rank >= STAGES.index("eval") and art.rows:
         art.report = build_report(art.rows)
-        report_csv = out / "report.csv"
-        report_csv.write_text(art.report.to_csv(), encoding="utf-8")
-        art.record(report_csv)
-        report_txt = out / "report.txt"
-        report_txt.write_text(art.report.to_text(), encoding="utf-8")
-        art.record(report_txt)
-        if not quiet:
-            print(art.report.to_text(), end="", file=sys.stderr)
+        for path in _write_report(art.report, out, "report", quiet):
+            art.record(path)
     art.write_manifest()
     return art
 
@@ -301,9 +251,7 @@ def sweep_sensitivity(cfg: ExperimentConfig, nu0_values=None, nu_values=None,
             for row in art.rows:
                 rows.append(dataclasses.replace(row, setting=f"{tag}|{row.setting}"))
     report = build_report(rows)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out / "sweep.txt").write_text(report.to_text(), encoding="utf-8")
+    _write_report(report, out, "sweep")
     return report
 
 
@@ -324,9 +272,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None,
                 # baseline and knn are arm-independent; keep one copy
                 rows.append(row)
     report = build_report(rows)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out / "ablation.txt").write_text(report.to_text(), encoding="utf-8")
+    _write_report(report, out, "ablation")
     return report
 
 
@@ -345,17 +291,13 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
         nu=tc.nu,
         nu0=tc.nu,
         proposal=proposal,
-        noise_kinds=("sym",),
-        noise_rates=(tc.noise_rate,),
-        seeds=(tc.seed,),
-        paradigm="unsupervised",
         base=dataclasses.replace(cfg.base, epochs=tc.base_epochs),
         lsnpc=dataclasses.replace(cfg.lsnpc, epochs=tc.train_epochs),
     )
-    pipe = _Pipeline(run_cfg, Path("."), quiet=True)
-    pipe._write = lambda *a, **k: None  # in-memory only
-    sp = pipe.split(tc.seed, "sym", tc.noise_rate)
-    model = pipe.lsnpc(tc.seed, "sym", tc.noise_rate, semi=False)
+    ds = _dataset(run_cfg, tc.seed)
+    T = build_transition_matrix("sym", ds.k, tc.noise_rate) if tc.noise_rate > 0 else None
+    sp = split_dataset(ds, run_cfg.split_spec(tc.seed), T)
+    model = _train_lsnpc(run_cfg, sp, _train_base(run_cfg, sp, tc.seed), tc.seed)
     if not quiet:
         print(f"  theory model ({proposal}) trained", file=sys.stderr)
     return model, sp.splits["train"].X.astype(np.float64)
@@ -433,10 +375,6 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None 
         f"bernoulli-amortization: total divergence {totals[0]!r} at k={ks}"
     )
 
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "theory_report.txt").write_text(report.to_text(), encoding="utf-8")
-    (out / "theory_report.csv").write_text(report.to_csv(), encoding="utf-8")
-    if not quiet:
-        print(report.to_text(), end="", file=sys.stderr)
+    _write_report(report, Path(out_dir if out_dir is not None else cfg.out_dir),
+                  "theory_report", quiet)
     return report

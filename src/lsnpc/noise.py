@@ -57,30 +57,20 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Fractions of the dataset given to each role.
+    """Fractions of the dataset given to each role; they must sum to 1.
 
-    ``clean`` may be None, in which case half of the validation block is
-    carved out as the clean subset.  All fractions (with clean resolved) must
-    sum to 1.  Sizes use floor rounding for every split except test, which
-    absorbs the remainder.
+    Sizes use floor rounding for every split except test, which absorbs the
+    remainder.
     """
 
     train: float
     validation: float
     test: float
-    clean: float | None = None
+    clean: float
     seed: int = 0
 
-    def resolved_clean(self) -> float:
-        return self.validation / 2.0 if self.clean is None else self.clean
-
     def __post_init__(self):
-        clean = self.resolved_clean()
-        total = self.train + self.validation + self.test + clean
-        # When clean defaults to half the validation block, the stated
-        # validation fraction covers both halves.
-        if self.clean is None:
-            total = self.train + self.validation + self.test
+        total = self.train + self.validation + self.test + self.clean
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {total}")
         for name in ("train", "validation", "test"):
@@ -88,18 +78,9 @@ class SplitSpec:
                 raise ValueError(f"{name} fraction must be positive")
 
     def sizes(self, n: int) -> dict[str, int]:
-        floor = lambda f: int(n * f + 1e-9)
-        if self.clean is None:
-            v_block = floor(self.validation)
-            n_clean = v_block // 2
-            n_val = v_block - n_clean
-            n_train = floor(self.train)
-        else:
-            n_train = floor(self.train)
-            n_val = floor(self.validation)
-            n_clean = floor(self.clean)
-        sizes = {"train": n_train, "validation": n_val, "clean": n_clean,
-                 "test": n - n_train - n_val - n_clean}
+        sizes = {name: int(n * getattr(self, name) + 1e-9)
+                 for name in ("train", "validation", "clean")}
+        sizes["test"] = n - sum(sizes.values())
         # split_dataset makes a FeatureDataset of each, which needs a row
         if min(sizes.values()) < 1:
             raise ValueError(f"degenerate split sizes for n={n}: {sizes}")

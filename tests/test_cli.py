@@ -96,6 +96,14 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert main(["eval", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (out / "data").exists()
+    for body in ("[theory]\ntrain_n = 12\n", "[theory]\nm = 0\n",
+                 "[theory]\nnoise_rate = 1.5\n"):
+        bad.write_text(body)
+        out = tmp_path / "theory_out"
+        assert main(["verify-theory", "--config", str(bad), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("theory_report.*"))
 
 
 def test_runtime_failures_exit_2(tmp_path, capsys):

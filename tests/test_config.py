@@ -191,6 +191,13 @@ def test_top_level_validation_applies_to_parsed_text():
     # n = 12 leaves the clean split without a row
     with pytest.raises(ConfigError, match="degenerate split sizes for n=12"):
         parse_config("[data]\nn = 12\nd = 4\nk = 3\nrank = 2\n")
+    # verify_all's training sizes are checked before any check runs
+    with pytest.raises(ConfigError, match="degenerate split sizes for n=12"):
+        parse_config("[theory]\ntrain_n = 12\n")
+    with pytest.raises(ConfigError, match="theory m"):
+        parse_config("[theory]\nm = 0\n")
+    with pytest.raises(ConfigError, match="theory noise rate"):
+        parse_config("[theory]\nnoise_rate = 1.5\n")
     # a dataset file does not use the generator settings
     assert parse_config("[data]\nsource = ds.bin\nrank = 40\n").rank == 40
 

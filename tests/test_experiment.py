@@ -137,6 +137,22 @@ def test_stage_error_names_failing_stage(tmp_path):
     assert (tmp_path / "manifest.txt").exists()
 
 
+def test_late_failure_keeps_the_earlier_artifacts(tmp_path, monkeypatch):
+    import lsnpc.experiment as exp
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("lsnpc training broke")
+
+    monkeypatch.setattr(exp, "train_semi_supervised", broken)
+    cfg = tiny_config(noise_rates=(0.4,), paradigm="unsupervised")
+    with pytest.raises(StageError, match="train-lsnpc") as info:
+        run_experiment(cfg, out_dir=tmp_path, quiet=True)
+    assert info.value.stage == "train-lsnpc"
+    listed = {line.split()[0] for line in
+              (tmp_path / "manifest.txt").read_text().splitlines()}
+    assert listed == {"data/ds_s1.bin", "noise/T_sym_40.csv", "base/sym_40_s1.ckpt"}
+
+
 def test_dataset_file_source_is_written_back_byte_identical(tmp_path):
     ds, _ = generate_synthetic(GeneratorConfig(n=240, d=6, k=3, rank=3, seed=1))
     ds.metadata.update(scale=np.float64(0.25), missing=float("nan"))
@@ -176,7 +192,7 @@ def test_ablation_pairs_arms_on_identical_inputs(tmp_path):
     report = run_ablation(cfg, out_dir=tmp_path, quiet=True)
     methods = {row[2] for row in report.rows}
     assert {"LSNPC", "GAUSS", "baseline", "knn"} == methods
-    # the Normal arm must reuse the Student arm's data and base model bytes
+    # the Normal arm recomputes the Student arm's data and base model bytes
     for rel in ("data/ds_s1.bin", "base/sym_40_s1.ckpt"):
         assert file_digest(tmp_path / "LSNPC" / rel) == \
             file_digest(tmp_path / "GAUSS" / rel)
@@ -210,13 +226,18 @@ THEORY_TINY = TheoryConfig(instances=3, pairs=6, n_mc=2000, train_n=120,
 
 @pytest.fixture(scope="module")
 def theory_run(tmp_path_factory):
+    """verify_all run from an empty working directory, which it must not touch."""
     out = tmp_path_factory.mktemp("theory_run")
+    cwd = tmp_path_factory.mktemp("theory_cwd")
     cfg = tiny_config(theory=THEORY_TINY)
-    return cfg, verify_all(cfg, out_dir=out, quiet=True), out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(cwd)
+        report = verify_all(cfg, out_dir=out, quiet=True)
+    return cfg, report, out, cwd
 
 
 def test_verify_all_reports_five_sections(theory_run):
-    _, report, out = theory_run
+    _, report, out, cwd = theory_run
     names = [row[0] for row in report.rows]
     assert names == [
         "expected-vs-joint-kl",
@@ -230,11 +251,12 @@ def test_verify_all_reports_five_sections(theory_run):
     # the amortization identity is exact regardless of scale
     amort = report.rows[-1]
     assert amort[2] == amort[1]
-    assert (out / "theory_report.txt").exists()
-    assert (out / "theory_report.csv").exists()
+    # the trained models stay in memory: only the report is written
+    assert list(cwd.iterdir()) == []
+    assert sorted(p.name for p in out.iterdir()) == ["theory_report.csv", "theory_report.txt"]
 
 
 def test_verify_all_is_deterministic(theory_run, tmp_path):
-    cfg, report, _ = theory_run
+    cfg, report, *_ = theory_run
     again = verify_all(cfg, out_dir=tmp_path, quiet=True)
     assert again.to_csv() == report.to_csv()

@@ -179,14 +179,6 @@ def test_transition_text_header(tmp_path):
 # splitting
 
 
-def test_split_sizes_with_default_clean():
-    ds = toy_dataset(n=100)
-    spec = SplitSpec(train=0.6, validation=0.2, test=0.2, clean=None, seed=0)
-    sp = split_dataset(ds, spec)
-    sizes = {name: part.n for name, part in sp.splits.items()}
-    assert sizes == {"train": 60, "validation": 10, "clean": 10, "test": 20}
-
-
 def test_split_partition_properties():
     ds = toy_dataset(n=97)
     spec = SplitSpec(train=0.7, validation=0.1, test=0.165, clean=0.035, seed=4)
@@ -198,7 +190,7 @@ def test_split_partition_properties():
 
 def test_split_deterministic():
     ds = toy_dataset()
-    spec = SplitSpec(train=0.6, validation=0.2, test=0.2, seed=9)
+    spec = SplitSpec(train=0.6, validation=0.1, test=0.2, clean=0.1, seed=9)
     a = split_dataset(ds, spec)
     b = split_dataset(ds, spec)
     for name in a.indices:
@@ -224,7 +216,7 @@ def test_split_fractions_must_sum_to_one():
 def test_split_features_untouched():
     ds = toy_dataset(n=120)
     T = build_transition_matrix("pair", 4, 0.4)
-    spec = SplitSpec(train=0.6, validation=0.2, test=0.2, seed=1)
+    spec = SplitSpec(train=0.6, validation=0.1, test=0.2, clean=0.1, seed=1)
     sp = split_dataset(ds, spec, T)
     for name, idx in sp.indices.items():
         np.testing.assert_array_equal(sp.splits[name].X, ds.X[idx])
