@@ -82,7 +82,7 @@ def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> C
         for t in range(cfg.s_zhat):
             _, mu_k, sig_k = _chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
             for u in range(cfg.s_z):
-                z = rsample_diag_normal((mu_k, sig_k), eps_z[t, u])
+                z = rsample_diag_normal(mu_k, sig_k, eps_z[t, u])
                 chains.append(model.decode_labels(X, z).data)
     stacked = np.stack(chains)
     probs = stacked.mean(axis=0)

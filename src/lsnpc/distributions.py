@@ -5,15 +5,24 @@ components per dimension, matching the diagonal determinant and trace algebra
 of the bounds), and multivariate Bernoulli: reparameterized samplers,
 log-densities, and closed-form and bounded KL divergences.
 
-The log-density and sampler cores are polymorphic: they accept either plain
-numpy arrays or autodiff :class:`~lsnpc.autodiff.Tensor` operands, so the
-training losses and the quadrature/Monte-Carlo oracles share one formula.
-Inputs with a batch dimension produce per-row values; the label/latent axis
-is always the last one.
+The samplers and log densities take their parameters as separate operands:
+``logpdf_diag_normal(x, mean, scale)``, ``logpdf_diag_student(x, mean, scale,
+nu)``, ``logpmf_bernoulli(y, probs)``, ``rsample_diag_normal(mean, scale,
+noise)`` and ``rsample_diag_student(mean, scale, nu, noise, chi2)``.  Each
+operand is a numpy array (or scalar) or an autodiff
+:class:`~lsnpc.autodiff.Tensor`.  Each log density has one body, so the
+training losses and the quadrature/Monte-Carlo oracles share one formula:
+with a Tensor operand its value becomes one tape node, and with plain arrays
+it is returned as an array under numpy's own error state.  Inputs with a
+batch dimension produce per-row values; the label/latent axis is always the
+last one.  The KL and entropy functions take the validated containers
+:class:`DiagNormalParams` and :class:`DiagStudentParams`, or probability
+arrays for the Bernoulli KL.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -25,7 +34,6 @@ from .autodiff import Tensor, _unbroadcast, fused
 __all__ = [
     "DiagNormalParams",
     "DiagStudentParams",
-    "BernoulliVec",
     "EPS_P",
     "rsample_diag_normal",
     "rsample_diag_student",
@@ -82,7 +90,7 @@ class DiagNormalParams:
 
 
 @dataclass(frozen=True)
-class DiagStudentParams:
+class DiagStudentParams(DiagNormalParams):
     """Mean, per-dimension scale, and degrees of freedom of a diagonal Student.
 
     nu must exceed 1 so the density is integrable in every dimension; bounds
@@ -90,166 +98,80 @@ class DiagStudentParams:
     point of use.
     """
 
-    mean: np.ndarray
-    scale: np.ndarray
     nu: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        scale = np.asarray(self.scale, dtype=np.float64)
-        if mean.shape != scale.shape:
-            raise ValueError(
-                f"mean shape {mean.shape} differs from scale shape {scale.shape}"
-            )
-        if np.any(scale <= 0.0):
-            raise ValueError("scales must be strictly positive")
+        super().__post_init__()
         if not self.nu > 1.0:
             raise ValueError(f"degrees of freedom must exceed 1, got {self.nu}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "nu", float(self.nu))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-
-@dataclass(frozen=True)
-class BernoulliVec:
-    """Vector of independent Bernoulli success probabilities, clamped open."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-            raise ValueError("probabilities must lie strictly inside (0, 1)")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[-1]
 
 
 # --------------------------------------------------------------------------
 # Reparameterized samplers
 
 
-def rsample_diag_normal(params, noise):
+def rsample_diag_normal(mean, scale, noise):
     """mean + scale * noise with externally supplied standard-normal noise.
 
-    Accepts a DiagNormalParams or a (mean, scale) pair of arrays/Tensors;
-    differentiable in mean and scale when they are Tensors.
+    Differentiable in mean and scale when they are Tensors.
     """
-    mean, scale = _normal_fields(params)
     noise = np.asarray(noise, dtype=np.float64)
     _check_last_dim(mean, noise, "rsample_diag_normal")
     return mean + scale * noise
 
 
-def rsample_diag_student(params, normal_noise, chi2_draw):
+def rsample_diag_student(mean, scale, nu, noise, chi2):
     """Student draw mean + scale * noise * sqrt(nu / chi2).
 
-    ``chi2_draw`` must be chi-square(nu) distributed, supplied by the caller's
+    ``chi2`` must be chi-square(nu) distributed, supplied by the caller's
     RNG stream; a scalar or (batch, 1) array shares one draw across the
     dimensions of each sample vector (the jointly heavy-tailed multivariate
     construction), while a full (batch, m) array makes dimensions independent.
     """
-    mean, scale, nu = _student_fields(params)
-    normal_noise = np.asarray(normal_noise, dtype=np.float64)
-    chi2 = np.asarray(chi2_draw, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    chi2 = np.asarray(chi2, dtype=np.float64)
     if np.any(chi2 <= 0.0):
         raise ValueError("chi-square draws must be strictly positive")
-    _check_last_dim(mean, normal_noise, "rsample_diag_student")
+    _check_last_dim(mean, noise, "rsample_diag_student")
     nu_values = nu.data if isinstance(nu, Tensor) else np.asarray(nu, dtype=np.float64)
-    factor = normal_noise * np.sqrt(nu_values / chi2)
+    factor = noise * np.sqrt(nu_values / chi2)
     return mean + scale * factor
 
 
 # --------------------------------------------------------------------------
 # Log densities
-
-
-def logpdf_diag_normal(x, params, scale=None):
-    """Exact diagonal-Gaussian log density, summed over the last axis."""
-    if scale is None:
-        mean, scale = _normal_fields(params)
-    else:
-        mean = params
-    if _is_tensor(x, mean, scale):
-        return _normal_node(x, mean, scale)
-    z = (x - mean) / scale
-    per_dim = -0.5 * np.square(z)
-    per_dim = per_dim - np.log(scale) - 0.5 * _LN_2PI
-    return np.sum(per_dim, axis=-1)
-
-
-def logpdf_diag_student(x, params, scale=None, nu=None):
-    """Product-of-univariate-Student log density, summed over the last axis.
-
-    nu may be a python float (fixed mode) or a Tensor broadcastable against
-    the last axis (learned mode).  Requires nu > 1.
-    """
-    if scale is None and nu is None:
-        mean, scale, nu = _student_fields(params)
-    else:
-        mean = params
-    if not isinstance(nu, Tensor):
-        nu = np.asarray(nu, dtype=np.float64)
-        if np.any(nu <= 1.0):
-            raise ValueError("degrees of freedom must exceed 1")
-    if _is_tensor(x, mean, scale, nu):
-        return _student_node(x, mean, scale, nu)
-    t = (x - mean) / scale
-    t2 = np.square(t)
-    half = (nu + 1.0) / 2.0
-    per_dim = (
-        _sp.gammaln(half)
-        - _sp.gammaln(nu / 2.0)
-        - 0.5 * np.log(nu)
-        - 0.5 * _LN_PI
-        - np.log(scale)
-        - half * np.log(1.0 + t2 / nu)
-    )
-    return np.sum(per_dim, axis=-1)
-
-
-def logpmf_bernoulli(y, probs):
-    """Sum of per-label Bernoulli log masses; y must be binary."""
-    y_arr = np.asarray(y, dtype=np.float64)
-    if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
-        raise ValueError("labels must be binary")
-    p = probs.probs if isinstance(probs, BernoulliVec) else probs
-    if isinstance(p, Tensor):
-        return _bernoulli_node(y_arr, p)
-    per_dim = y_arr * np.log(p) + (1.0 - y_arr) * np.log(1.0 - p)
-    return np.sum(per_dim, axis=-1)
-
-
-# --------------------------------------------------------------------------
-# Log densities as tape nodes
 #
-# Each node's forward pass repeats the numpy expression above in named
-# steps, and its backward pass repeats the backward rules of the primitive
-# chain those steps spell out, operation by operation and reduction by
-# reduction.  A value used once inside the chain gets the same gradient
-# either way; a value used twice sums two terms, and a sum of two floats
-# does not depend on their order.  Inputs shared with the rest of the tape
-# receive their gradient terms in the chain's order (``autodiff.fused``),
-# so losses and gradients are bit-identical to the chain.  The numpy path
-# stays one expression: it frees each temporary as it goes, which keeps the
-# large Monte-Carlo batches of the theory checks fast.
+# Each body computes its value in named steps.  With plain arrays that value
+# is returned as it is.  With a Tensor operand it becomes one tape node, whose
+# backward pass repeats the backward rules of the primitive chain those steps
+# spell out, operation by operation and reduction by reduction.  A value used
+# once inside the chain gets the same gradient either way; a value used twice
+# sums two terms, and a sum of two floats does not depend on their order.
+# Inputs shared with the rest of the tape receive their gradient terms in the
+# chain's order (``autodiff.fused``), so losses and gradients are
+# bit-identical to the chain.
 
 
-def _normal_node(x, mean, scale) -> Tensor:
+def _errstate(tape: bool):
+    """The tape marks non-finite values itself; plain arrays keep numpy's state."""
+    return np.errstate(all="ignore") if tape else contextlib.nullcontext()
+
+
+def logpdf_diag_normal(x, mean, scale):
+    """Exact diagonal-Gaussian log density, summed over the last axis."""
     # log(scale) stays a node of its own: q(z | zhat) adds that term to the
     # scale's gradient after the term of the draw z = mean + scale * eps.
-    log_scale = _log(scale)
-    xd, md, sd, ld = _values(x, mean, scale, log_scale)
-    with np.errstate(all="ignore"):
+    tape = _is_tensor(x, mean, scale)
+    with _errstate(tape):
+        log_scale = _log(scale)
+        xd, md, sd, ld = _values(x, mean, scale, log_scale)
         d = xd - md
         z = d / sd
         per_dim = -0.5 * np.square(z) - ld - 0.5 * _LN_2PI
+        out = np.sum(per_dim, axis=-1)
+        if not tape:
+            return out
 
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
@@ -262,13 +184,20 @@ def _normal_node(x, mean, scale) -> Tensor:
                 lambda: _unbroadcast(-G, ld.shape),
             )
 
-        return fused("logpdf_normal", np.sum(per_dim, axis=-1),
-                     (x, mean, scale, log_scale), grads)
+        return fused("logpdf_normal", out, (x, mean, scale, log_scale), grads)
 
 
-def _student_node(x, mean, scale, nu) -> Tensor:
+def logpdf_diag_student(x, mean, scale, nu):
+    """Product-of-univariate-Student log density, summed over the last axis.
+
+    nu may be a python float (fixed mode) or a Tensor broadcastable against
+    the last axis (learned mode).  Requires nu > 1.
+    """
+    if not isinstance(nu, Tensor) and np.any(np.asarray(nu) <= 1.0):
+        raise ValueError("degrees of freedom must exceed 1")
+    tape = _is_tensor(x, mean, scale, nu)
     xd, md, sd, nd = _values(x, mean, scale, nu)
-    with np.errstate(all="ignore"):
+    with _errstate(tape):
         d = xd - md
         t = d / sd
         t2 = np.square(t)
@@ -276,17 +205,20 @@ def _student_node(x, mean, scale, nu) -> Tensor:
         nu2 = nd / 2.0
         head = _sp.gammaln(half) - _sp.gammaln(nu2) - 0.5 * np.log(nd) - 0.5 * _LN_PI
         head = head - np.log(sd)
-        q = t2 / nd
-        r = 1.0 + q
+        r = 1.0 + t2 / nd
         log_r = np.log(r)
-        tail = half * log_r
-        per_dim = head - tail
+        per_dim = head - half * log_r
+        out = np.sum(per_dim, axis=-1)
+        if not tape:
+            return out
 
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
             g_head = _unbroadcast(G, head.shape)
-            g_tail = _unbroadcast(-G, tail.shape)
-            g_q = _unbroadcast(_unbroadcast(g_tail * half, log_r.shape) / r, q.shape)
+            # half * log(r) has the broadcast shape of every operand, as
+            # per_dim has, and t^2 / nu the shape of r.
+            g_tail = -G
+            g_q = _unbroadcast(g_tail * half, log_r.shape) / r
             g_t = 2.0 * t * _unbroadcast(g_q / nd, t2.shape)
             g_d = _unbroadcast(g_t / sd, d.shape)
             uses = [
@@ -308,16 +240,23 @@ def _student_node(x, mean, scale, nu) -> Tensor:
 
         # The chain adds the scale's log term before its t term, and a
         # learned nu's terms in the order nu / 2, log(nu), nu + 1, t^2 / nu.
-        return fused("logpdf_student", np.sum(per_dim, axis=-1),
-                     (x, mean, scale, scale, nu, nu, nu, nu), grads)
+        return fused("logpdf_student", out, (x, mean, scale, scale, nu, nu, nu, nu), grads)
 
 
-def _bernoulli_node(y, p: Tensor) -> Tensor:
-    pd = p.data
-    with np.errstate(all="ignore"):
+def logpmf_bernoulli(y, probs):
+    """Sum of per-label Bernoulli log masses; y must be binary."""
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("labels must be binary")
+    tape = isinstance(probs, Tensor)
+    (pd,) = _values(probs)
+    with _errstate(tape):
         not_y = 1.0 - y
         not_p = 1.0 - pd
         per_dim = y * np.log(pd) + not_y * np.log(not_p)
+        out = np.sum(per_dim, axis=-1)
+        if not tape:
+            return out
 
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
@@ -326,7 +265,7 @@ def _bernoulli_node(y, p: Tensor) -> Tensor:
                 lambda: -(_unbroadcast(G * not_y, pd.shape) / not_p),
             )
 
-        return fused("logpmf_bernoulli", np.sum(per_dim, axis=-1), (p, p), grads)
+        return fused("logpmf_bernoulli", out, (probs, probs), grads)
 
 
 def _values(*operands) -> list[np.ndarray]:
@@ -345,13 +284,11 @@ def _sum_last_grad(g, shape) -> np.ndarray:
 
 def kl_diag_normal(p: DiagNormalParams, q: DiagNormalParams) -> float:
     """Closed-form KL between diagonal Normals, KL[p || q]."""
-    mp, sp_ = _normal_fields(p)
-    mq, sq = _normal_fields(q)
-    _check_last_dim(mp, mq, "kl_diag_normal")
-    var_ratio = np.square(sp_ / sq)
+    _check_last_dim(p.mean, q.mean, "kl_diag_normal")
+    var_ratio = np.square(p.scale / q.scale)
     terms = (
-        np.log(sq / sp_)
-        + 0.5 * (var_ratio + np.square((mp - mq) / sq))
+        np.log(q.scale / p.scale)
+        + 0.5 * (var_ratio + np.square((p.mean - q.mean) / q.scale))
         - 0.5
     )
     return float(np.sum(terms, axis=-1))
@@ -360,18 +297,21 @@ def kl_diag_normal(p: DiagNormalParams, q: DiagNormalParams) -> float:
 def kl_mv_bernoulli(p, q) -> float:
     """KL between multivariate Bernoullis with independent components.
 
+    ``p`` and ``q`` are success probabilities strictly inside (0, 1).
     Matched components contribute exactly zero, which is the amortization
     effect: many agreeing near-zero labels leave the total unchanged.
     """
-    pp = p.probs if isinstance(p, BernoulliVec) else np.asarray(p, dtype=np.float64)
-    qq = q.probs if isinstance(q, BernoulliVec) else np.asarray(q, dtype=np.float64)
-    if pp.shape != qq.shape:
-        raise ValueError(f"shape mismatch: {pp.shape} vs {qq.shape}")
-    matched = pp == qq
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    for probs in (p, q):
+        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+            raise ValueError("probabilities must lie strictly inside (0, 1)")
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     terms = np.where(
-        matched,
+        p == q,
         0.0,
-        pp * np.log(pp / qq) + (1.0 - pp) * np.log((1.0 - pp) / (1.0 - qq)),
+        p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q)),
     )
     return float(np.sum(terms, axis=-1))
 
@@ -418,7 +358,8 @@ def mc_kl_diag_student(
     """
     m = p.dim
     draws = p.mean + p.scale * rng.standard_t(df=p.nu, size=(int(n_samples), m))
-    log_ratio = logpdf_diag_student(draws, p) - logpdf_diag_student(draws, q)
+    log_ratio = (logpdf_diag_student(draws, p.mean, p.scale, p.nu)
+                 - logpdf_diag_student(draws, q.mean, q.scale, q.nu))
     est = float(np.mean(log_ratio))
     se = float(np.std(log_ratio, ddof=1) / math.sqrt(len(log_ratio)))
     return est, se
@@ -440,20 +381,6 @@ def student_entropy(params: DiagStudentParams) -> float:
 
 # --------------------------------------------------------------------------
 # helpers
-
-
-def _normal_fields(params):
-    if isinstance(params, DiagNormalParams):
-        return params.mean, params.scale
-    mean, scale = params
-    return mean, scale
-
-
-def _student_fields(params):
-    if isinstance(params, DiagStudentParams):
-        return params.mean, params.scale, params.nu
-    mean, scale, nu = params
-    return mean, scale, nu
 
 
 def _check_last_dim(a, b, op: str) -> None:

@@ -333,9 +333,10 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None 
     idx = rng.integers(0, X_train.shape[0], size=tc.pairs)
     X = X_train[idx]
     deltas = (np.arange(tc.pairs) % 3) + 1
-    Y0 = np.empty((tc.pairs, cfg.k)); Y1 = np.empty((tc.pairs, cfg.k))
+    k = model.cfg.k  # the dataset's label count, which a dataset file sets
+    Y0 = np.empty((tc.pairs, k)); Y1 = np.empty((tc.pairs, k))
     for i in range(tc.pairs):
-        a, b = random_label_pairs(cfg.k, 1, rng, delta=int(deltas[i]))
+        a, b = random_label_pairs(k, 1, rng, delta=int(deltas[i]))
         Y0[i], Y1[i] = a[0], b[0]
     const = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
     report.add("encoder-constants", tc.pairs, const.n_regular, const.lam)

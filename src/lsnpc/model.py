@@ -271,9 +271,9 @@ def _chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
     """
     if model.cfg.proposal == "student":
         chi2 = _chi2_from_uniform(nu, chi2_u)
-        zhat = rsample_diag_student((mu_t, sig_t, nu), eps_zhat, chi2)
+        zhat = rsample_diag_student(mu_t, sig_t, nu, eps_zhat, chi2)
     else:
-        zhat = rsample_diag_normal((mu_t, sig_t), eps_zhat)
+        zhat = rsample_diag_normal(mu_t, sig_t, eps_zhat)
     mu_k, sig_k = model.encode_zhat_to_z(zhat)
     return zhat, mu_k, sig_k
 
@@ -319,15 +319,15 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
             lq_zhat = logpdf_diag_normal(zhat, mu_t, sig_t)
         rec_hat = logpmf_bernoulli(yhat, model.decode_labels(x, zhat))
         if y is None:
-            z = rsample_diag_normal((mu_k, sig_k), eps_z[s])
+            z = rsample_diag_normal(mu_k, sig_k, eps_z[s])
             lq_z = logpdf_diag_normal(z, mu_k, sig_k)
             rec, recs = rec_hat, {"rec": rec_hat}
         else:
             b = (branch_u[s] < cfg.eta).astype(np.float64)
             detail["n_branch_encoded"] += int(b.sum())
             detail["branch"].append(b)
-            z_a = rsample_diag_normal((mu_s, sig_s), eps_za[s])
-            z_b = rsample_diag_normal((mu_k, sig_k), eps_z[s])
+            z_a = rsample_diag_normal(mu_s, sig_s, eps_za[s])
+            z_b = rsample_diag_normal(mu_k, sig_k, eps_z[s])
             z = z_a * b + z_b * (1.0 - b)
             b_row = b[:, 0]
             lq_z = logpdf_diag_normal(z, mu_s, sig_s) * b_row + logpdf_diag_normal(

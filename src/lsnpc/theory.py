@@ -303,29 +303,42 @@ class BoundConstants:
 
     @property
     def C1(self) -> float:
-        return _c1(self.m, self.nu, self.M, self.alpha)
+        m, nu = self.m, self.nu
+        half_nm = (nu + m) / 2.0
+        return float(half_nm * (
+            self.M * math.sqrt(m) * self.alpha / (2.0 * (nu - 2.0))
+            - psi(half_nm)
+            + psi(nu / 2.0)
+        ))
 
     @property
     def C2(self) -> float:
-        return _c2(self.m, self.nu, self.M, self.alpha)
-
-
-def _c1(m: int, nu: float, M: float, alpha: float) -> float:
-    half_nm = (nu + m) / 2.0
-    return float(half_nm * (
-        M * math.sqrt(m) * alpha / (2.0 * (nu - 2.0))
-        - psi(half_nm)
-        + psi(nu / 2.0)
-    ))
-
-
-def _c2(m: int, nu: float, M: float, alpha: float) -> float:
-    return m * M / (2.0 * math.e) + (nu + m) * math.sqrt(m) / (2.0 * alpha)
+        m, nu = self.m, self.nu
+        return m * self.M / (2.0 * math.e) + (nu + m) * math.sqrt(m) / (2.0 * self.alpha)
 
 
 def hamming(y0, y1) -> np.ndarray:
     return np.sum(np.abs(np.asarray(y0, dtype=np.float64)
                          - np.asarray(y1, dtype=np.float64)), axis=-1)
+
+
+def _encoded_pairs(model: LsnpcModel, X_sample, pairs):
+    """Hamming distances and encodings (mu0, sig0, mu1, sig1) of row-aligned
+    (x, y0, y1) triples; ``pairs`` is (Y0, Y1) with one label pair per row
+    of X_sample, and every pair must differ somewhere."""
+    X = np.asarray(X_sample, dtype=np.float64)
+    Y0 = np.asarray(pairs[0], dtype=np.float64)
+    Y1 = np.asarray(pairs[1], dtype=np.float64)
+    if X.shape[0] == 0:
+        raise ValueError("empty sample")
+    if not X.shape[0] == Y0.shape[0] == Y1.shape[0]:
+        raise ValueError("X_sample and label pairs must be row-aligned")
+    delta = hamming(Y0, Y1)
+    if np.any(delta < 1):
+        raise ValueError("every label pair must differ in at least one position")
+    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
+    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
+    return delta, mu0, sig0, mu1, sig1
 
 
 def estimate_constants(
@@ -337,19 +350,7 @@ def estimate_constants(
     must differ somewhere.  Maxima over a finite sample under-estimate the
     true suprema; see ``BoundConstants.inflated``.
     """
-    X = np.asarray(X_sample, dtype=np.float64)
-    Y0 = np.asarray(pairs[0], dtype=np.float64)
-    Y1 = np.asarray(pairs[1], dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("empty sample")
-    if not X.shape[0] == Y0.shape[0] == Y1.shape[0]:
-        raise ValueError("X_sample and label pairs must be row-aligned")
-    delta = hamming(Y0, Y1)
-    if np.any(delta < 1):
-        raise ValueError("every label pair must differ in at least one position")
-
-    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
-    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
+    delta, mu0, sig0, mu1, sig1 = _encoded_pairs(model, X_sample, pairs)
     var0, var1 = np.square(sig0), np.square(sig1)
     ratio = np.maximum(var1 / var0, var0 / var1)
     M = float(np.max(ratio / delta[:, None]))
@@ -387,20 +388,19 @@ def estimate_constants(
         nu=float(model.cfg.nu),
         m=model.cfg.m,
         norm=norm,
-        n_pairs=int(X.shape[0]),
+        n_pairs=len(delta),
         l_degenerate=l_degenerate,
         n_regular=int(np.count_nonzero(regular)),
     )
 
 
-def theorem2_bound(m: int, nu: float, constants: BoundConstants, delta: float) -> float:
+def theorem2_bound(constants: BoundConstants, delta: float) -> float:
     """C1 + C2 * delta for proposals sharing nu > 2 at Hamming distance delta >= 1."""
-    if not nu > 2.0:
-        raise ValueError(f"the bound requires nu > 2, got {nu}")
+    if not constants.nu > 2.0:
+        raise ValueError(f"the bound requires nu > 2, got {constants.nu}")
     if delta < 1:
         raise ValueError("defined only for label pairs at distance >= 1")
-    alpha = math.sqrt(nu * constants.lam) / constants.L
-    return _c1(m, nu, constants.M, alpha) + _c2(m, nu, constants.M, alpha) * delta
+    return constants.C1 + constants.C2 * delta
 
 
 @dataclass(frozen=True)
@@ -430,20 +430,15 @@ def theorem2_check(
     """MC KL[q(.|x,y1) || q(.|x,y0)] per pair against the affine bound."""
     if model.cfg.proposal != "student":
         raise ValueError("the affine bound addresses the Student proposal")
-    X = np.asarray(X_sample, dtype=np.float64)
-    Y0 = np.asarray(pairs[0], dtype=np.float64)
-    Y1 = np.asarray(pairs[1], dtype=np.float64)
-    delta = hamming(Y0, Y1)
+    delta, mu0, sig0, mu1, sig1 = _encoded_pairs(model, X_sample, pairs)
     nu = float(model.cfg.nu)
-    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
-    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
     rng = rngs.stream(seed, "theory", "mc_kl")
     rows = []
-    for i in range(X.shape[0]):
+    for i in range(len(delta)):
         p = DiagStudentParams(mu1[i], sig1[i], nu)
         q = DiagStudentParams(mu0[i], sig0[i], nu)
         kl, se = mc_kl_diag_student(p, q, n_mc, rng)
-        bound = theorem2_bound(model.cfg.m, nu, constants, float(delta[i]))
+        bound = theorem2_bound(constants, float(delta[i]))
         rows.append(BoundCheckRow(delta=float(delta[i]), kl=kl, se=se, bound=bound))
     return rows
 
@@ -452,8 +447,9 @@ def theorem2_check(
 # Normal-proposal (ablation) bound
 
 
-def gaussian_bound_value(m: int, constants: BoundConstants, delta: float) -> float:
+def gaussian_bound_value(constants: BoundConstants, delta: float) -> float:
     """(3Mm/2) delta - m/2 + (m L^2 / lam) delta^2."""
+    m = constants.m
     return (
         1.5 * constants.M * m * delta
         - 0.5 * m
@@ -467,18 +463,13 @@ def gaussian_bound_check(
     """Closed-form Normal KLs per pair against the quadratic bound."""
     if model.cfg.proposal != "normal":
         raise ValueError("expects the Normal-proposal ablation model")
-    X = np.asarray(X_sample, dtype=np.float64)
-    Y0 = np.asarray(pairs[0], dtype=np.float64)
-    Y1 = np.asarray(pairs[1], dtype=np.float64)
-    delta = hamming(Y0, Y1)
-    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
-    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
+    delta, mu0, sig0, mu1, sig1 = _encoded_pairs(model, X_sample, pairs)
     rows = []
-    for i in range(X.shape[0]):
+    for i in range(len(delta)):
         kl = kl_diag_normal(
             DiagNormalParams(mu1[i], sig1[i]), DiagNormalParams(mu0[i], sig0[i])
         )
-        bound = gaussian_bound_value(model.cfg.m, constants, float(delta[i]))
+        bound = gaussian_bound_value(constants, float(delta[i]))
         rows.append(BoundCheckRow(delta=float(delta[i]), kl=kl, se=0.0, bound=bound))
     return rows
 

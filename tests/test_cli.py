@@ -90,7 +90,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
     # settings the dataclasses reject fail at parse time, before any data
     for body in ("[split]\ntrain = 0.9\n", "[data]\nrank = 40\n",
-                 "[base]\noptimizer = sgdd\n"):
+                 "[base]\noptimizer = sgdd\n", "[run]\nseeds = 1,1\n"):
         bad.write_text(body)
         out = tmp_path / "out"
         assert main(["eval", "--config", str(bad), "--out", str(out), "--quiet"]) == 1

@@ -200,6 +200,11 @@ def test_top_level_validation_applies_to_parsed_text():
         parse_config("[theory]\nnoise_rate = 1.5\n")
     # a dataset file does not use the generator settings
     assert parse_config("[data]\nsource = ds.bin\nrank = 40\n").rank == 40
+    # a repeated value would train and score its cell twice
+    for section, key, body in (("run", "seeds", "1, 1"), ("noise", "rates", "0.3, 0.3"),
+                               ("noise", "kinds", "sym, sym")):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} repeats"):
+            parse_config(f"[{section}]\n{key} = {body}\n")
 
 
 def test_sweep_values_parse_and_validate():
@@ -212,6 +217,13 @@ def test_sweep_values_parse_and_validate():
         parse_config("[sweep]\nnu0_values = 2.0\n")
     # ints are numbers too, as sweep_sensitivity's arguments
     assert ExperimentConfig(sweep_nu0=(3,), sweep_nu=(4, "learned")).sweep_nu0 == (3,)
+    # a repeat, compared as a number, would re-run one sweep cell
+    for key, body in (("nu0_values", "3, 3.0"), ("nu_values", "4.0, learned, 4"),
+                      ("nu_values", "learned, learned")):
+        with pytest.raises(ConfigError, match=rf"\[sweep\] {key} repeats"):
+            parse_config(f"[sweep]\n{key} = {body}\n")
+    with pytest.raises(ConfigError, match="nu0_values repeats"):
+        ExperimentConfig(sweep_nu0=(3, 3.0))
 
 
 def test_theory_config_validation():

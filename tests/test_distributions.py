@@ -6,6 +6,7 @@ trapezoid quadrature; Monte-Carlo checks freeze their seeds.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,7 +18,6 @@ from scipy.special import gammaln
 
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.distributions import (
-    BernoulliVec,
     DiagNormalParams,
     DiagStudentParams,
     kl_diag_normal,
@@ -40,41 +40,43 @@ HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def test_normal_rsample_zero_noise_is_mean():
-    p = DiagNormalParams(np.zeros(3), np.ones(3))
-    np.testing.assert_array_equal(rsample_diag_normal(p, np.zeros(3)), np.zeros(3))
+    np.testing.assert_array_equal(
+        rsample_diag_normal(np.zeros(3), np.ones(3), np.zeros(3)), np.zeros(3)
+    )
 
 
 def test_normal_rsample_affine():
-    p = DiagNormalParams(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     np.testing.assert_allclose(
-        rsample_diag_normal(p, np.array([0.5, -0.5])), [1.5, 1.5]
+        rsample_diag_normal(np.array([1.0, 2.0]), np.ones(2), np.array([0.5, -0.5])),
+        [1.5, 1.5],
     )
 
 
 def test_normal_rsample_mc_mean(rng):
-    p = DiagNormalParams(np.array([0.7, -1.2]), np.array([2.0, 0.5]))
-    draws = rsample_diag_normal(p, rng.standard_normal((100_000, 2)))
-    se = p.scale / math.sqrt(draws.shape[0])
-    assert np.all(np.abs(draws.mean(axis=0) - p.mean) < 4 * se)
+    mean, scale = np.array([0.7, -1.2]), np.array([2.0, 0.5])
+    draws = rsample_diag_normal(mean, scale, rng.standard_normal((100_000, 2)))
+    se = scale / math.sqrt(draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
 
 
 def test_normal_rsample_length_mismatch():
-    p = DiagNormalParams(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
-        rsample_diag_normal(p, np.zeros(4))
+        rsample_diag_normal(np.zeros(3), np.ones(3), np.zeros(4))
 
 
 def test_student_rsample_zero_noise_is_mean():
-    p = DiagStudentParams(np.array([3.0, -1.0]), np.ones(2), nu=4.0)
-    np.testing.assert_array_equal(rsample_diag_student(p, np.zeros(2), 2.0), p.mean)
+    mean = np.array([3.0, -1.0])
+    np.testing.assert_array_equal(
+        rsample_diag_student(mean, np.ones(2), 4.0, np.zeros(2), 2.0), mean
+    )
 
 
 def test_student_rsample_variance_nu4(rng):
     # Var = nu/(nu-2) = 2 at nu=4; SE taken from the sample itself.
     nu, n = 4.0, 1_000_000
-    p = DiagStudentParams(np.zeros(1), np.ones(1), nu=nu)
     chi2 = rng.chisquare(nu, size=(n, 1))
-    draws = rsample_diag_student(p, rng.standard_normal((n, 1)), chi2)[:, 0]
+    draws = rsample_diag_student(np.zeros(1), np.ones(1), nu,
+                                 rng.standard_normal((n, 1)), chi2)[:, 0]
     sq = draws**2
     se = sq.std(ddof=1) / math.sqrt(n)
     assert abs(sq.mean() - 2.0) < 3 * se
@@ -82,17 +84,16 @@ def test_student_rsample_variance_nu4(rng):
 
 def test_student_rsample_normal_limit(rng):
     nu, n = 1e6, 10_000
-    p = DiagStudentParams(np.zeros(1), np.ones(1), nu=nu)
     chi2 = rng.chisquare(nu, size=(n, 1))
-    draws = rsample_diag_student(p, rng.standard_normal((n, 1)), chi2)[:, 0]
+    draws = rsample_diag_student(np.zeros(1), np.ones(1), nu,
+                                 rng.standard_normal((n, 1)), chi2)[:, 0]
     ks = stats.kstest(draws, stats.norm.cdf).statistic
     assert ks < 0.01
 
 
 def test_student_rsample_rejects_nonpositive_chi2():
-    p = DiagStudentParams(np.zeros(2), np.ones(2), nu=4.0)
     with pytest.raises(ValueError):
-        rsample_diag_student(p, np.ones(2), 0.0)
+        rsample_diag_student(np.zeros(2), np.ones(2), 4.0, np.ones(2), 0.0)
 
 
 def test_rsample_gradient_wrt_mean_is_exact(rng):
@@ -107,9 +108,9 @@ def test_rsample_gradient_wrt_mean_is_exact(rng):
 
         def fn(t):
             if student:
-                z = rsample_diag_student((t["mu"], t["sig"], 4.0), noise, chi2)
+                z = rsample_diag_student(t["mu"], t["sig"], 4.0, noise, chi2)
             else:
-                z = rsample_diag_normal((t["mu"], t["sig"]), noise)
+                z = rsample_diag_normal(t["mu"], t["sig"], noise)
             return (z * c).sum(axis=-1).mean()
 
         g = ComputeGraph(fn, {"mu": mu, "sig": sig})
@@ -122,48 +123,44 @@ def test_rsample_gradient_wrt_mean_is_exact(rng):
 
 
 def test_normal_logpdf_at_mean_unit_scale():
-    p = DiagNormalParams(np.array([2.0]), np.array([1.0]))
-    assert logpdf_diag_normal(np.array([2.0]), p) == pytest.approx(
+    assert logpdf_diag_normal(np.array([2.0]), np.array([2.0]), np.ones(1)) == pytest.approx(
         -HALF_LN_2PI, abs=1e-12
     )
 
 
 def test_normal_logpdf_integrates_to_one():
-    p = DiagNormalParams(np.array([0.4]), np.array([1.7]))
     grid = np.linspace(-40.0, 40.0, 160_001)[:, None]
-    mass = np.trapezoid(np.exp(logpdf_diag_normal(grid, p)), dx=grid[1, 0] - grid[0, 0])
+    lp = logpdf_diag_normal(grid, np.array([0.4]), np.array([1.7]))
+    mass = np.trapezoid(np.exp(lp), dx=grid[1, 0] - grid[0, 0])
     assert abs(mass - 1.0) < 1e-6
 
 
 @given(shift=st.floats(-5, 5), x=st.floats(-3, 3), mu=st.floats(-3, 3))
 def test_normal_logpdf_translation_invariant(shift, x, mu):
     s = np.array([1.3])
-    a = logpdf_diag_normal(np.array([x]), DiagNormalParams(np.array([mu]), s))
-    b = logpdf_diag_normal(
-        np.array([x + shift]), DiagNormalParams(np.array([mu + shift]), s)
-    )
+    a = logpdf_diag_normal(np.array([x]), np.array([mu]), s)
+    b = logpdf_diag_normal(np.array([x + shift]), np.array([mu + shift]), s)
     assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_student_logpdf_normal_limit_at_mean():
-    p = DiagStudentParams(np.array([0.0]), np.array([1.0]), nu=1e6)
-    assert logpdf_diag_student(np.array([0.0]), p) == pytest.approx(
+    assert logpdf_diag_student(np.zeros(1), np.zeros(1), np.ones(1), 1e6) == pytest.approx(
         -HALF_LN_2PI, abs=1e-4
     )
 
 
 def test_student_logpdf_matches_scipy():
-    p = DiagStudentParams(np.array([0.3, -1.1]), np.array([2.3, 0.7]), nu=3.7)
+    mean, scale = np.array([0.3, -1.1]), np.array([2.3, 0.7])
     x = np.array([1.9, -2.4])
-    expected = stats.t.logpdf(x, df=3.7, loc=p.mean, scale=p.scale).sum()
-    assert logpdf_diag_student(x, p) == pytest.approx(expected, abs=1e-12)
+    expected = stats.t.logpdf(x, df=3.7, loc=mean, scale=scale).sum()
+    assert logpdf_diag_student(x, mean, scale, 3.7) == pytest.approx(expected, abs=1e-12)
 
 
 def test_student_logpdf_integrates_to_one():
-    p = DiagStudentParams(np.array([0.0]), np.array([1.0]), nu=2.5)
     grid = np.linspace(-40.0, 40.0, 400_001)[:, None]
     mass = np.trapezoid(
-        np.exp(logpdf_diag_student(grid, p)), dx=grid[1, 0] - grid[0, 0]
+        np.exp(logpdf_diag_student(grid, np.zeros(1), np.ones(1), 2.5)),
+        dx=grid[1, 0] - grid[0, 0],
     )
     # Student tails put ~1e-4 mass beyond 40 scales at nu=2.5; compare against
     # the analytic mass actually inside the window instead of 1.
@@ -173,19 +170,19 @@ def test_student_logpdf_integrates_to_one():
 
 @given(a=st.floats(0.05, 6.0))
 def test_student_logpdf_symmetric(a):
-    p = DiagStudentParams(np.array([0.7]), np.array([1.2]), nu=3.0)
-    lhs = logpdf_diag_student(np.array([0.7 + a]), p)
-    rhs = logpdf_diag_student(np.array([0.7 - a]), p)
+    mean, scale = np.array([0.7]), np.array([1.2])
+    lhs = logpdf_diag_student(np.array([0.7 + a]), mean, scale, 3.0)
+    rhs = logpdf_diag_student(np.array([0.7 - a]), mean, scale, 3.0)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_student_logpdf_rejects_nu_at_most_one():
     with pytest.raises(ValueError):
-        logpdf_diag_student(np.zeros(1), np.zeros(1), scale=np.ones(1), nu=1.0)
+        logpdf_diag_student(np.zeros(1), np.zeros(1), np.ones(1), 1.0)
 
 
 def test_bernoulli_logpmf_uniform():
-    v = BernoulliVec(np.array([0.5, 0.5]))
+    v = np.array([0.5, 0.5])
     for y in ([0, 0], [0, 1], [1, 0], [1, 1]):
         assert logpmf_bernoulli(np.array(y), v) == pytest.approx(
             2.0 * math.log(0.5), abs=1e-12
@@ -193,7 +190,7 @@ def test_bernoulli_logpmf_uniform():
 
 
 def test_bernoulli_logpmf_example():
-    v = BernoulliVec(np.array([0.9, 0.1]))
+    v = np.array([0.9, 0.1])
     expected = math.log(0.9) + math.log(0.9)
     assert logpmf_bernoulli(np.array([1, 0]), v) == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(-0.210721, abs=1e-6)
@@ -201,7 +198,7 @@ def test_bernoulli_logpmf_example():
 
 @pytest.mark.parametrize("k", [3, 6, 10])
 def test_bernoulli_logpmf_normalizes(k, rng):
-    v = BernoulliVec(rng.uniform(0.05, 0.95, size=k))
+    v = rng.uniform(0.05, 0.95, size=k)
     grids = np.stack(np.meshgrid(*([np.array([0.0, 1.0])] * k), indexing="ij"))
     outcomes = grids.reshape(k, -1).T
     total = np.exp(logpmf_bernoulli(outcomes, v)).sum()
@@ -210,7 +207,7 @@ def test_bernoulli_logpmf_normalizes(k, rng):
 
 def test_bernoulli_logpmf_rejects_nonbinary():
     with pytest.raises(ValueError):
-        logpmf_bernoulli(np.array([0.5, 1.0]), BernoulliVec(np.array([0.4, 0.4])))
+        logpmf_bernoulli(np.array([0.5, 1.0]), np.array([0.4, 0.4]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +224,18 @@ def _lgamma(a):
     return a.lgamma() if isinstance(a, Tensor) else gammaln(a)
 
 
+def _square(a):
+    return a.square() if isinstance(a, Tensor) else np.square(a)
+
+
 def chain_normal(x, mean, scale):
     z = (x - mean) / scale
-    per_dim = -0.5 * z.square() - _log(scale) - HALF_LN_2PI
+    per_dim = -0.5 * _square(z) - _log(scale) - HALF_LN_2PI
     return per_dim.sum(axis=-1)
 
 
 def chain_student(x, mean, scale, nu):
-    t2 = ((x - mean) / scale).square()
+    t2 = _square((x - mean) / scale)
     half = (nu + 1.0) / 2.0
     per_dim = (
         _lgamma(half)
@@ -346,6 +347,43 @@ def test_bernoulli_logpmf_node_is_bit_identical_to_chain():
     _assert_fused_matches_chain(logpmf_bernoulli, chain_bernoulli, arrays, build)
 
 
+@pytest.mark.parametrize("learned_nu", [False, True], ids=["nu_float", "nu_array"])
+def test_log_densities_on_arrays_equal_the_chain(learned_nu):
+    # With no Tensor operand each density returns its value as an array,
+    # bit for bit the primitive chain evaluated by numpy.
+    rng, arrays = _density_arrays(53)
+    mean, scale = arrays["mean"], np.exp(arrays["raw_scale"])
+    x = mean + scale * rng.standard_normal(mean.shape)
+    nu = np.logaddexp(0.0, arrays["raw_nu"]) + 2.0 if learned_nu else 3.5
+    y = (rng.random(mean.shape) < 0.5).astype(float)
+    p = 1.0 / (1.0 + np.exp(-mean))
+    pairs = [
+        (logpdf_diag_normal(x, mean, scale), chain_normal(x, mean, scale)),
+        (logpdf_diag_normal(x, 0.0, 1.0), chain_normal(x, 0.0, 1.0)),
+        (logpdf_diag_student(x, mean, scale, nu), chain_student(x, mean, scale, nu)),
+        (logpmf_bernoulli(y, p), chain_bernoulli(y, p)),
+    ]
+    for got, want in pairs:
+        assert type(got) is np.ndarray and got.shape == (5,)
+        assert np.array_equal(got, want)
+
+
+def test_log_densities_on_arrays_keep_numpy_warnings():
+    # Only the tape silences numpy and marks the non-finite node instead.
+    x, zeros = np.ones((2, 3)), np.zeros((2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning):
+            logpdf_diag_normal(x, zeros, zeros)
+        with pytest.raises(RuntimeWarning):
+            logpdf_diag_student(x, zeros, zeros, 3.0)
+        with pytest.raises(RuntimeWarning):
+            logpmf_bernoulli(x, zeros)
+        assert logpdf_diag_normal(Tensor(x), zeros, zeros).nonfinite_op == "logpdf_normal"
+        assert logpdf_diag_student(Tensor(x), zeros, zeros, 3.0).nonfinite_op == "logpdf_student"
+        assert logpmf_bernoulli(x, Tensor(zeros)).nonfinite_op == "logpmf_bernoulli"
+
+
 def test_log_densities_are_one_tape_node_each():
     mean = Tensor(np.zeros((2, 3)), requires_grad=True)
     scale = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -357,6 +395,18 @@ def test_log_densities_are_one_tape_node_each():
 
 # ---------------------------------------------------------------------------
 # KL divergences
+
+
+def test_param_containers_validate_shapes_scales_and_nu():
+    for cls, extra in ((DiagNormalParams, ()), (DiagStudentParams, (4.0,))):
+        with pytest.raises(ValueError, match="differs from scale shape"):
+            cls(np.zeros(2), np.ones(3), *extra)
+        with pytest.raises(ValueError, match="strictly positive"):
+            cls(np.zeros(2), np.array([1.0, 0.0]), *extra)
+    with pytest.raises(ValueError, match="exceed 1"):
+        DiagStudentParams(np.zeros(2), np.ones(2), 1.0)
+    p = DiagStudentParams([0.0, 1.0], [1.0, 2.0], 4)
+    assert p.mean.dtype == np.float64 and p.dim == 2 and type(p.nu) is float
 
 
 def test_kl_normal_identity():
@@ -374,8 +424,8 @@ def test_kl_normal_matches_quadrature():
     p = DiagNormalParams(np.array([0.2]), np.array([0.8]))
     q = DiagNormalParams(np.array([-0.9]), np.array([1.4]))
     grid = np.linspace(-30.0, 30.0, 120_001)[:, None]
-    lp = logpdf_diag_normal(grid, p)
-    lq = logpdf_diag_normal(grid, q)
+    lp = logpdf_diag_normal(grid, p.mean, p.scale)
+    lq = logpdf_diag_normal(grid, q.mean, q.scale)
     quad = np.trapezoid(np.exp(lp) * (lp - lq), dx=grid[1, 0] - grid[0, 0])
     assert kl_diag_normal(p, q) == pytest.approx(quad, abs=1e-8)
 
@@ -388,8 +438,18 @@ def test_kl_normal_nonnegative_on_random_pairs(rng):
         assert kl_diag_normal(p, q) >= -1e-9
 
 
+def test_kl_bernoulli_rejects_probabilities_outside_the_open_interval():
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match="strictly inside"):
+            kl_mv_bernoulli(np.array([0.5, bad]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            kl_mv_bernoulli(np.array([0.5, 0.5]), np.array([bad, 0.5]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kl_mv_bernoulli(np.array([0.5, 0.5]), np.array([0.5]))
+
+
 def test_kl_bernoulli_identity():
-    v = BernoulliVec(np.array([0.2, 0.7]))
+    v = np.array([0.2, 0.7])
     assert kl_mv_bernoulli(v, v) == 0.0
 
 
@@ -397,9 +457,7 @@ def test_kl_bernoulli_two_component_value():
     # Independent evaluation of the defining sum for p=[.9,.1], q=[.5,.5]:
     # .9 ln(.9/.5) + .1 ln(.1/.5), twice (the second component mirrors it).
     expected = 2.0 * (0.9 * math.log(1.8) + 0.1 * math.log(0.2))
-    got = kl_mv_bernoulli(
-        BernoulliVec(np.array([0.9, 0.1])), BernoulliVec(np.array([0.5, 0.5]))
-    )
+    got = kl_mv_bernoulli(np.array([0.9, 0.1]), np.array([0.5, 0.5]))
     assert got == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.7361284143369943, abs=1e-15)
 
@@ -410,9 +468,7 @@ def test_kl_bernoulli_two_component_value():
     strict=True,
 )
 def test_kl_bernoulli_quoted_constant():
-    got = kl_mv_bernoulli(
-        BernoulliVec(np.array([0.9, 0.1])), BernoulliVec(np.array([0.5, 0.5]))
-    )
+    got = kl_mv_bernoulli(np.array([0.9, 0.1]), np.array([0.5, 0.5]))
     assert got == pytest.approx(0.736966, abs=1e-6)
 
 
@@ -421,11 +477,8 @@ def test_kl_bernoulli_matched_components_free(extra, prob):
     base_p = np.array([0.9, 0.1])
     base_q = np.array([0.5, 0.5])
     pad = np.full(extra, prob)
-    small = kl_mv_bernoulli(BernoulliVec(base_p), BernoulliVec(base_q))
-    big = kl_mv_bernoulli(
-        BernoulliVec(np.concatenate([base_p, pad])),
-        BernoulliVec(np.concatenate([base_q, pad])),
-    )
+    small = kl_mv_bernoulli(base_p, base_q)
+    big = kl_mv_bernoulli(np.concatenate([base_p, pad]), np.concatenate([base_q, pad]))
     assert big == pytest.approx(small, abs=1e-12)
 
 
@@ -492,10 +545,8 @@ def test_student_bound_not_universal_for_product_densities():
     q = DiagStudentParams(np.full(m, 3.0), np.ones(m), nu=nu)
     bound = kl_student_same_nu_upper_bound(p, q)
     x = np.linspace(-300.0, 300.0, 1_200_001)[:, None]
-    p1 = DiagStudentParams(np.zeros(1), np.ones(1), nu=nu)
-    q1 = DiagStudentParams(np.full(1, 3.0), np.ones(1), nu=nu)
-    lp = logpdf_diag_student(x, p1)
-    lq = logpdf_diag_student(x, q1)
+    lp = logpdf_diag_student(x, np.zeros(1), np.ones(1), nu)
+    lq = logpdf_diag_student(x, np.full(1, 3.0), np.ones(1), nu)
     product_kl = m * float(np.trapezoid(np.exp(lp) * (lp - lq), dx=x[1, 0] - x[0, 0]))
     assert product_kl > bound + 1.0
 

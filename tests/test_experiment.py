@@ -260,3 +260,15 @@ def test_verify_all_is_deterministic(theory_run, tmp_path):
     cfg, report, *_ = theory_run
     again = verify_all(cfg, out_dir=tmp_path, quiet=True)
     assert again.to_csv() == report.to_csv()
+
+
+def test_verify_all_draws_label_pairs_for_the_dataset_file_k(tmp_path):
+    # The file has 4 labels while [data] k says 3: the pairs follow the file.
+    ds, _ = generate_synthetic(GeneratorConfig(n=120, d=6, k=4, rank=3, seed=1))
+    source = tmp_path / "k4.bin"
+    save_dataset(ds, source)
+    cfg = tiny_config(source=str(source), theory=THEORY_TINY)
+    report = verify_all(cfg, out_dir=tmp_path / "out", quiet=True)
+    rows = {row[0]: row for row in report.rows}
+    for name in ("encoder-constants", "student-affine-bound", "normal-quadratic-bound"):
+        assert rows[name][1] == THEORY_TINY.pairs

@@ -1,6 +1,7 @@
 """Quadrature verification of the posterior-KL inequality, encoder-constant
 estimation, both distance bounds, and the label-KL amortization demo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -287,12 +288,28 @@ def test_estimate_constants_validation():
         estimate_constants(model, X, pairs, norm="l3")
 
 
+@pytest.mark.parametrize("proposal", ["student", "normal"])
+def test_bound_checks_validate_pairs_like_estimate_constants(proposal):
+    model = tiny_model(0, k=4, proposal=proposal)
+    check = theorem2_check if proposal == "student" else gaussian_bound_check
+    constants = BoundConstants(M=1.0, L=1.0, lam=1.0, nu=4.0, m=1)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((5, model.cfg.d))
+    Y = (rng.random((5, 4)) < 0.5).astype(float)
+    with pytest.raises(ValueError, match="empty"):
+        check(model, X[:0], (Y[:0], Y[:0]), constants)
+    with pytest.raises(ValueError, match="row-aligned"):
+        check(model, X, (Y, Y[:3]), constants)
+    with pytest.raises(ValueError, match="differ"):
+        check(model, X, (Y, Y), constants)
+
+
 def test_inflation_moves_every_constant_the_safe_way():
     constants = BoundConstants(M=2.0, L=0.5, lam=0.04, nu=4.0, m=1)
     up = constants.inflated(1.5)
     assert up.M == 3.0 and up.L == 0.75 and up.lam == pytest.approx(0.04 / 1.5)
     # inflating constants can only raise the bound
-    assert theorem2_bound(1, 4.0, up, 2.0) >= theorem2_bound(1, 4.0, constants, 2.0)
+    assert theorem2_bound(up, 2.0) >= theorem2_bound(constants, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +318,9 @@ def test_inflation_moves_every_constant_the_safe_way():
 
 def test_bound_is_affine_with_slope_c2():
     constants = BoundConstants(M=1.5, L=0.4, lam=0.09, nu=4.0, m=3)
-    b1 = theorem2_bound(3, 4.0, constants, 1.0)
-    b2 = theorem2_bound(3, 4.0, constants, 2.0)
-    b5 = theorem2_bound(3, 4.0, constants, 5.0)
+    b1 = theorem2_bound(constants, 1.0)
+    b2 = theorem2_bound(constants, 2.0)
+    b5 = theorem2_bound(constants, 5.0)
     assert b2 - b1 == pytest.approx(constants.C2, rel=1e-12)
     assert (b5 - b1) / 4.0 == pytest.approx(constants.C2, rel=1e-12)
     assert b1 - constants.C2 == pytest.approx(constants.C1, rel=1e-12)
@@ -313,9 +330,9 @@ def test_bound_is_affine_with_slope_c2():
 def test_bound_validation():
     constants = BoundConstants(M=1.0, L=1.0, lam=1.0, nu=4.0, m=1)
     with pytest.raises(ValueError, match="nu > 2"):
-        theorem2_bound(1, 2.0, constants, 1.0)
+        theorem2_bound(dataclasses.replace(constants, nu=2.0), 1.0)
     with pytest.raises(ValueError, match="distance"):
-        theorem2_bound(1, 4.0, constants, 0.5)
+        theorem2_bound(constants, 0.5)
 
 
 def test_affine_bound_dominates_mc_kl_on_tiny_instances():
@@ -373,7 +390,7 @@ def test_quadratic_check_rejects_student_models():
 def test_gaussian_bound_value_worked_example():
     constants = BoundConstants(M=2.0, L=0.5, lam=0.25, nu=4.0, m=2)
     # (3*2*2/2)*3 - 2/2 + 2*0.25/0.25*9 = 18 - 1 + 18
-    assert gaussian_bound_value(2, constants, 3.0) == pytest.approx(35.0)
+    assert gaussian_bound_value(constants, 3.0) == pytest.approx(35.0)
 
 
 def test_kl_growth_exponent_is_at_most_quadratic():
