@@ -14,10 +14,12 @@ single node with a hand-written backward pass, bit-identical to the chain:
 No GPU, no higher-order derivatives.
 
 The programming model is a dynamic tape: every operation produces a
-:class:`Tensor` that records its parents and a backward rule.  A
-:class:`ComputeGraph` wraps a python callable of named tensors; evaluating it
-retains the tape so gradients can be replayed in reverse topological order
-with deterministic accumulation.  Both passes run under
+:class:`Tensor` that records its parents and a backward rule.
+:func:`backward` replays the tape of a built output in reverse topological
+order with deterministic accumulation; the trainers call it once per step.
+A :class:`ComputeGraph` wraps a python callable of named tensors so that it
+can be evaluated again (:func:`grad_check`) and runs the same reverse pass
+over the node order it caches.  Both passes run under
 ``np.errstate(all="ignore")``: a non-finite value does not warn but marks
 its node (``nonfinite_op`` names the first op that made one).
 """
@@ -33,6 +35,7 @@ from scipy import special as _sp
 __all__ = [
     "Tensor",
     "ComputeGraph",
+    "backward",
     "grad_check",
     "concat",
     "NonFiniteLoss",
@@ -47,7 +50,7 @@ class NonFiniteLoss(RuntimeError):
     """A loss left the finite range; the message names the first bad op."""
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
     if grad.shape == shape:
         return grad
@@ -154,8 +157,8 @@ class Tensor:
 
         def bwd(g, a, b):
             return (
-                _unbroadcast(grad_a(g, a, b), a.shape) if self.requires_grad else None,
-                _unbroadcast(grad_b(g, a, b), b.shape) if other.requires_grad else None,
+                unbroadcast(grad_a(g, a, b), a.shape) if self.requires_grad else None,
+                unbroadcast(grad_b(g, a, b), b.shape) if other.requires_grad else None,
             )
 
         with np.errstate(all="ignore"):
@@ -484,42 +487,38 @@ class ComputeGraph:
     def backward(self, seed_grad=None) -> dict[str, np.ndarray]:
         if self.output is None:
             raise RuntimeError("backward called before forward evaluation")
-        out = self.output
-        if seed_grad is None:
-            seed = np.ones_like(out.data)
-        else:
-            seed = np.asarray(
-                seed_grad.data if isinstance(seed_grad, Tensor) else seed_grad,
-                dtype=np.float64,
-            )
-            if seed.shape != out.data.shape:
-                raise ValueError(
-                    f"seed gradient shape {seed.shape} does not match output "
-                    f"shape {out.data.shape}"
-                )
-        grads: dict[int, np.ndarray] = {id(out): seed}
-        with np.errstate(all="ignore"):
-            for node in reversed(self.nodes()):
-                g = grads.get(id(node))
-                if g is None or node._bwd is None:
-                    continue
-                parent_grads = node._bwd(g, *(p.data for p in node._parents))
-                for parent, pg in zip(node._parents, parent_grads):
-                    if pg is None or not parent.requires_grad:
-                        continue
+        return backward(self.output, self.params, seed_grad, self.nodes())
+
+
+def backward(output: Tensor, params: Mapping[str, Tensor], seed_grad=None,
+             order: list[Tensor] | None = None) -> dict[str, np.ndarray]:
+    """Reverse pass from ``output``: adds each parameter's gradient to its
+    ``grad`` (zeros where none flows) and returns the gradients by name.
+
+    ``seed_grad`` (an array) defaults to ones; ``order`` is the topological
+    order of ``output``'s tape, computed here when not given.
+    """
+    seed = np.ones_like(output.data) if seed_grad is None else np.asarray(seed_grad, np.float64)
+    if seed.shape != output.data.shape:
+        raise ValueError(f"seed gradient shape {seed.shape} does not match output "
+                         f"shape {output.data.shape}")
+    grads: dict[int, np.ndarray] = {id(output): seed}
+    with np.errstate(all="ignore"):
+        for node in reversed(_toposort(output) if order is None else order):
+            g = grads.get(id(node))
+            if g is None or node._bwd is None:
+                continue
+            parent_grads = node._bwd(g, *(p.data for p in node._parents))
+            for parent, pg in zip(node._parents, parent_grads):
+                if pg is not None and parent.requires_grad:
                     key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
-        result: dict[str, np.ndarray] = {}
-        for name, p in self.params.items():
-            g = grads.get(id(p))
-            if g is None:
-                g = np.zeros_like(p.data)
-            p.grad = g if p.grad is None else p.grad + g
-            result[name] = g
-        return result
+                    grads[key] = grads[key] + pg if key in grads else pg
+    result: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        g = grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+        p.grad = g if p.grad is None else p.grad + g
+        result[name] = g
+    return result
 
 
 def grad_check(

@@ -165,7 +165,7 @@ class ExperimentConfig:
             if self.source == "synthetic":
                 self.generator_config(0)
                 spec.sizes(self.n)
-                spec.sizes(self.theory.train_n)  # verify_all's training split
+            spec.sizes(self.theory.train_n)  # verify_all's training split
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

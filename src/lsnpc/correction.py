@@ -15,7 +15,7 @@ import numpy as np
 from . import rngs
 from .baseclf import BaseClassifier, predict_probs, sample_predictions
 from .distributions import rsample_diag_normal
-from .model import LsnpcModel, _chain
+from .model import LsnpcModel, chain
 
 __all__ = [
     "CorrectionConfig",
@@ -80,7 +80,7 @@ def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> C
         if model.cfg.proposal == "student":
             chi2_u = noise_rng.random((cfg.s_zhat, n, 1))
         for t in range(cfg.s_zhat):
-            _, mu_k, sig_k = _chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
+            _, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
             for u in range(cfg.s_z):
                 z = rsample_diag_normal(mu_k, sig_k, eps_z[t, u])
                 chains.append(model.decode_labels(X, z).data)

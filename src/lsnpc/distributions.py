@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .autodiff import Tensor, _unbroadcast, fused
+from .autodiff import Tensor, fused, unbroadcast
 
 __all__ = [
     "DiagNormalParams",
@@ -175,13 +175,13 @@ def logpdf_diag_normal(x, mean, scale):
 
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
-            g_z = 2.0 * z * _unbroadcast(G * -0.5, z.shape)
-            g_d = _unbroadcast(g_z / sd, d.shape)
+            g_z = 2.0 * z * unbroadcast(G * -0.5, z.shape)
+            g_d = unbroadcast(g_z / sd, d.shape)
             return (
-                lambda: _unbroadcast(g_d, xd.shape),
-                lambda: _unbroadcast(-g_d, md.shape),
-                lambda: _unbroadcast(-g_z * d / (sd * sd), sd.shape),
-                lambda: _unbroadcast(-G, ld.shape),
+                lambda: unbroadcast(g_d, xd.shape),
+                lambda: unbroadcast(-g_d, md.shape),
+                lambda: unbroadcast(-g_z * d / (sd * sd), sd.shape),
+                lambda: unbroadcast(-G, ld.shape),
             )
 
         return fused("logpdf_normal", out, (x, mean, scale, log_scale), grads)
@@ -214,27 +214,27 @@ def logpdf_diag_student(x, mean, scale, nu):
 
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
-            g_head = _unbroadcast(G, head.shape)
+            g_head = unbroadcast(G, head.shape)
             # half * log(r) has the broadcast shape of every operand, as
             # per_dim has, and t^2 / nu the shape of r.
             g_tail = -G
-            g_q = _unbroadcast(g_tail * half, log_r.shape) / r
-            g_t = 2.0 * t * _unbroadcast(g_q / nd, t2.shape)
-            g_d = _unbroadcast(g_t / sd, d.shape)
+            g_q = unbroadcast(g_tail * half, log_r.shape) / r
+            g_t = 2.0 * t * unbroadcast(g_q / nd, t2.shape)
+            g_d = unbroadcast(g_t / sd, d.shape)
             uses = [
-                lambda: _unbroadcast(g_d, xd.shape),
-                lambda: _unbroadcast(-g_d, md.shape),
-                lambda: _unbroadcast(-g_head, sd.shape) / sd,
-                lambda: _unbroadcast(-g_t * d / (sd * sd), sd.shape),
+                lambda: unbroadcast(g_d, xd.shape),
+                lambda: unbroadcast(-g_d, md.shape),
+                lambda: unbroadcast(-g_head, sd.shape) / sd,
+                lambda: unbroadcast(-g_t * d / (sd * sd), sd.shape),
             ]
             if isinstance(nu, Tensor):
-                g_s = _unbroadcast(g_head, nd.shape)
-                g_half = _sp.psi(half) * g_s + _unbroadcast(g_tail * log_r, half.shape)
+                g_s = unbroadcast(g_head, nd.shape)
+                g_half = _sp.psi(half) * g_s + unbroadcast(g_tail * log_r, half.shape)
                 uses += [
                     lambda: _sp.psi(nu2) * -g_s / 2.0,
                     lambda: -g_s * 0.5 / nd,
                     lambda: g_half / 2.0,
-                    lambda: _unbroadcast(-g_q * t2 / (nd * nd), nd.shape),
+                    lambda: unbroadcast(-g_q * t2 / (nd * nd), nd.shape),
                 ]
             return uses
 
@@ -261,8 +261,8 @@ def logpmf_bernoulli(y, probs):
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
             return (
-                lambda: _unbroadcast(G * y, pd.shape) / pd,
-                lambda: -(_unbroadcast(G * not_y, pd.shape) / not_p),
+                lambda: unbroadcast(G * y, pd.shape) / pd,
+                lambda: -(unbroadcast(G * not_y, pd.shape) / not_p),
             )
 
         return fused("logpmf_bernoulli", out, (probs, probs), grads)

@@ -27,7 +27,7 @@ from .checkpoint import file_digest, restore, snapshot
 from .config import ExperimentConfig, override
 from .correction import binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
-from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report
+from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report, micro_f1
 from .model import LsnpcModel, train_semi_supervised, save_model
 from .noise import SplitResult, build_transition_matrix, save_transition, split_dataset
 from .theory import (
@@ -113,11 +113,21 @@ def _dataset(cfg: ExperimentConfig, seed: int) -> FeatureDataset:
     return load_dataset(cfg.source)
 
 
+# The labeling rules that the report scores on the test split; checkpoint
+# selection scores the same labels on the corrupted validation split.
+def _baseline_labels(h: BaseClassifier, X) -> np.ndarray:
+    return binarize(predict_probs(h, X), 0.5)
+
+
+def _correct(cfg: ExperimentConfig, model: LsnpcModel, h: BaseClassifier, X, seed: int):
+    return correct(model, h, X, dataclasses.replace(cfg.correction, seed=seed))
+
+
 # -- stage: train-base
 def _train_base(cfg: ExperimentConfig, split: SplitResult, seed: int) -> BaseClassifier:
     train, val = split.splits["train"], split.splits["validation"]
     return train_base(train.X, train.Y, dataclasses.replace(cfg.base, seed=seed),
-                      validation=(val.X, val.Y))
+                      score=lambda h: micro_f1(val.Y, _baseline_labels(h, val.X)))
 
 
 # -- stage: train-lsnpc
@@ -133,8 +143,8 @@ def _train_lsnpc(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier, s
         clean = (split.splits["clean"].X, split.splits["clean"].Y)
         run = dataclasses.replace(cfg.lsnpc, epochs=cfg.clean_epochs,
                                   seed=rngs.spawn_seed(seed, "semi"))
-    train_semi_supervised(model, h, train.X, clean, run, validation=(val.X, val.Y),
-                          correction_cfg=dataclasses.replace(cfg.correction, seed=seed))
+    train_semi_supervised(model, h, train.X, clean, run,
+                          score=lambda m: micro_f1(val.Y, _correct(cfg, m, h, val.X, seed).labels))
     return model
 
 
@@ -145,11 +155,10 @@ def _evaluate(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier,
     """Scores the baseline, knn and each arm on the test split; writes each
     arm's correction file."""
     train, test = split.splits["train"], split.splits["test"]
-    labels = {"baseline": binarize(predict_probs(h, test.X), 0.5),
+    labels = {"baseline": _baseline_labels(h, test.X),
               "knn": knn_correct(train.X, train.Y, test.X, cfg.knn_k)}
-    corr = dataclasses.replace(cfg.correction, seed=seed)
     for arm, model in arms.items():
-        res = correct(model, h, test.X, corr)
+        res = _correct(cfg, model, h, test.X, seed)
         method = "lsnpc-semi" if arm == "semi" else "lsnpc"
         write(f"correction/{name}_{method}.csv", lambda p: save_correction(res, p))
         labels[method] = res.labels
@@ -295,6 +304,11 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
         lsnpc=dataclasses.replace(cfg.lsnpc, epochs=tc.train_epochs),
     )
     ds = _dataset(run_cfg, tc.seed)
+    if ds.n < tc.train_n:
+        raise ValueError(f"{cfg.source} has {ds.n} rows, fewer than [theory] "
+                         f"train_n = {tc.train_n}")
+    # A dataset file's leading rows, which the split shuffles.
+    ds = dataclasses.replace(ds, X=ds.X[:tc.train_n], Y=ds.Y[:tc.train_n])
     T = build_transition_matrix("sym", ds.k, tc.noise_rate) if tc.noise_rate > 0 else None
     sp = split_dataset(ds, run_cfg.split_spec(tc.seed), T)
     model = _train_lsnpc(run_cfg, sp, _train_base(run_cfg, sp, tc.seed), tc.seed)

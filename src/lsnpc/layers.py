@@ -1,4 +1,4 @@
-"""MLP building blocks and the optimizer shared by all trained components.
+"""MLP building blocks, the optimizers, and the epoch loop that drives them.
 
 Every multilayer perceptron here follows one recipe: hidden layers are
 affine, then layer normalization (a deliberate stand-in for batch
@@ -9,6 +9,10 @@ means 0).  Each layer is a single tape node (:func:`autodiff.dense`).
 
 Hidden weights draw from a caller-supplied stream: models built from the same
 seed are bit-identical.
+
+:func:`fit` is the one training loop: the base classifier and the
+latent-shift model hand it their parameters, a :class:`TrainConfig` and
+their loss sweeps, plus an optional score that picks the epoch to keep.
 """
 
 from __future__ import annotations
@@ -18,9 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, dense
+from . import checkpoint
+from .autodiff import NonFiniteLoss, Tensor, backward, dense
 
-__all__ = ["Mlp", "AdamW", "Sgd", "make_optimizer", "cosine_lr"]
+# ``fit`` stays out of ``__all__``: call tracers wrap the names listed there,
+# and a span around the loop would stand between each trainer and its steps.
+__all__ = ["Mlp", "AdamW", "Sgd", "make_optimizer", "cosine_lr", "TrainConfig",
+           "TrainingDiverged"]
 
 
 class Mlp:
@@ -79,7 +87,17 @@ def cosine_lr(base_lr: float, epoch: int, cycle: int = 10) -> float:
 
 
 @dataclass
-class AdamW:
+class _Optimizer:
+    params: dict[str, Tensor]
+    lr: float = 1e-3
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.grad = None
+
+
+@dataclass
+class AdamW(_Optimizer):
     """Adaptive moments with decoupled weight decay.
 
     Weight decay applies only to weight matrices (names containing '.W'), not
@@ -87,8 +105,6 @@ class AdamW:
     the step without touching the moment state.
     """
 
-    params: dict[str, Tensor]
-    lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -96,10 +112,6 @@ class AdamW:
     _m: dict[str, np.ndarray] = field(default_factory=dict)
     _v: dict[str, np.ndarray] = field(default_factory=dict)
     _t: int = 0
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def step(self, lr_scale: float = 1.0) -> None:
         self._t += 1
@@ -128,15 +140,8 @@ class AdamW:
 
 
 @dataclass
-class Sgd:
+class Sgd(_Optimizer):
     """Plain gradient descent, used to mirror the update rule literally."""
-
-    params: dict[str, Tensor]
-    lr: float = 1e-3
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def step(self, lr_scale: float = 1.0) -> None:
         for name in sorted(self.params):
@@ -159,3 +164,72 @@ def make_optimizer(kind: str, params: dict[str, Tensor], lr: float, weight_decay
     if check_optimizer(kind) == "adamw":
         return AdamW(params=params, lr=lr, weight_decay=weight_decay)
     return Sgd(params=params, lr=lr)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The schedule that :func:`fit` runs; each trainer extends it."""
+
+    lr: float = 1e-3
+    epochs: int = 50
+    batch_size: int = 32
+    optimizer: str = "adamw"
+    weight_decay: float = 0.01
+    shuffle: bool = True
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        check_optimizer(self.optimizer)
+
+
+class TrainingDiverged(RuntimeError):
+    """Loss became non-finite; message carries the epoch index."""
+
+
+def fit(params: dict[str, Tensor], cfg: TrainConfig, sweeps, score=None):
+    """Train ``params`` for ``cfg.epochs`` epochs; keep the best-scored one.
+
+    Each epoch runs every sweep ``(name, rows, shuffle_rng, batch_loss)`` in
+    order: ``batch_loss`` maps a batch of row indices to a loss Tensor, and
+    every batch takes one cosine-scaled optimizer step.  ``score()`` then
+    rates the epoch's parameters, and the best-rated epoch is restored at the
+    end (ties keep the earlier one).  Returns the mean loss per epoch of each
+    sweep by name, the scores, the best epoch (-1 without ``score``) and its
+    score (NaN without ``score``).
+    """
+    opt = make_optimizer(cfg.optimizer, params, cfg.lr, cfg.weight_decay)
+    losses: dict[str, list[float]] = {name: [] for name, *_ in sweeps}
+    scores: list[float] = []
+    best_epoch, best, best_arrays = -1, float("nan"), None
+    for epoch in range(cfg.epochs):
+        lr_scale = cosine_lr(1.0, epoch)
+        for name, n, shuffle_rng, batch_loss in sweeps:
+            order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+            total, n_batches = 0.0, 0
+            for start in range(0, n, cfg.batch_size):
+                try:
+                    loss = batch_loss(order[start : start + cfg.batch_size])
+                    if not np.isfinite(loss.data):
+                        raise NonFiniteLoss(f"non-finite loss (first bad op: {loss.nonfinite_op})")
+                except NonFiniteLoss as err:
+                    raise TrainingDiverged(f"epoch {epoch} ({name} sweep): {err}") from err
+                opt.zero_grad()
+                backward(loss, params)
+                opt.step(lr_scale=lr_scale)
+                total += loss.item()
+                n_batches += 1
+            losses[name].append(total / max(n_batches, 1))
+        if score is not None:
+            scores.append(score())
+            if best_epoch < 0 or scores[-1] > best:
+                best_epoch, best = epoch, scores[-1]
+                best_arrays = checkpoint.snapshot(params)
+    if best_arrays is not None:
+        checkpoint.restore(params, best_arrays)
+    return losses, scores, best_epoch, best

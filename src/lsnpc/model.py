@@ -14,8 +14,9 @@ from a two-branch mixture: with probability eta from a Normal encoded from
 
 The trainer alternates, within every epoch, a full sweep of noisy-set batches
 minimizing the unsupervised loss with a full sweep of clean-set batches
-minimizing the supervised loss, and keeps the epoch checkpoint whose
-corrected validation predictions score the best micro-F1.
+minimizing the supervised loss, and keeps the epoch checkpoint that the
+caller's score rates best (the pipeline scores corrected validation
+predictions by micro-F1).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.special import gammaincinv
 
 from . import rngs
 from .autodiff import NonFiniteLoss, Tensor, concat
-from .baseclf import BaseClassifier, _fit, predict_probs, sample_predictions
+from .baseclf import BaseClassifier, predict_probs, sample_predictions
 from .distributions import (
     EPS_P,
     logpdf_diag_normal,
@@ -37,7 +38,7 @@ from .distributions import (
     rsample_diag_normal,
     rsample_diag_student,
 )
-from .layers import Mlp, check_optimizer
+from .layers import Mlp, TrainConfig, fit
 from . import checkpoint
 
 __all__ = [
@@ -263,7 +264,7 @@ def _check_terms(loss: Tensor, terms: dict) -> None:
     )
 
 
-def _chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
+def chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
     """One draw of zhat from q(zhat | x, yhat) and the q(z | zhat) it encodes.
 
     Student proposals turn ``chi2_u`` into the chi-square mixing draw; the
@@ -279,7 +280,10 @@ def _chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
 
 
 def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
-    """Negative ELBO of the noisy path (``y`` None) or the clean path."""
+    """Negative ELBO of the noisy path (``y`` None) or the clean path.
+
+    With ``collect`` it also returns the per-draw ``terms``, ``nu`` and, on
+    the clean path, ``n_branch_encoded`` of ``n_rows``."""
     cfg = model.cfg
     x = np.asarray(x, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -304,15 +308,15 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
 
     mu_t, sig_t = model.encode_xy(x, yhat)
     nu = model.proposal_nu(x, yhat)
-    detail: dict = {"terms": {}, "zhat": [], "z": [], "nu": nu}
+    detail: dict = {"terms": {}, "nu": nu}
     if y is not None:
         mu_s, sig_s = model.encode_xy(x, y)
-        detail.update(branch=[], n_branch_encoded=0, n_rows=s_z * B)
+        detail.update(n_branch_encoded=0, n_rows=s_z * B)
     ones = np.ones(m)
     zeros = np.zeros(m)
     total = None
     for s in range(s_z):
-        zhat, mu_k, sig_k = _chain(model, mu_t, sig_t, nu, eps_zhat[s], chi2_u[s])
+        zhat, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[s], chi2_u[s])
         if cfg.proposal == "student":
             lq_zhat = logpdf_diag_student(zhat, mu_t, sig_t, nu)
         else:
@@ -325,7 +329,6 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
         else:
             b = (branch_u[s] < cfg.eta).astype(np.float64)
             detail["n_branch_encoded"] += int(b.sum())
-            detail["branch"].append(b)
             z_a = rsample_diag_normal(mu_s, sig_s, eps_za[s])
             z_b = rsample_diag_normal(mu_k, sig_k, eps_z[s])
             z = z_a * b + z_b * (1.0 - b)
@@ -345,16 +348,11 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
         # per-draw arrays are kept as they are.
         for name, t in terms.items():
             detail["terms"].setdefault(name, []).append(t.data)
-        detail["zhat"].append(zhat.data)
-        detail["z"].append(z.data)
     loss = total * (1.0 / s_z)
     _check_terms(loss, detail["terms"])
     if not collect:
         return loss
     detail["terms"] = {k: np.stack(v) for k, v in detail["terms"].items()}
-    for key in ("zhat", "z", "branch"):
-        if key in detail:
-            detail[key] = np.stack(detail[key])
     return loss, detail
 
 
@@ -405,27 +403,16 @@ def supervised_loss(
 
 
 @dataclass(frozen=True)
-class LsnpcTrainConfig:
+class LsnpcTrainConfig(TrainConfig):
     lr: float = 2e-3
     epochs: int = 20
-    batch_size: int = 32
-    optimizer: str = "adamw"
-    weight_decay: float = 0.01
     s_y: int = 4
     s_z: int = 1
-    shuffle: bool = True
-    seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        super().__post_init__()
         if min(self.s_y, self.s_z) < 1:
             raise ValueError("sample counts must be >= 1")
-        check_optimizer(self.optimizer)
 
 
 def train_semi_supervised(
@@ -434,21 +421,18 @@ def train_semi_supervised(
     X_noisy,
     clean,
     cfg: LsnpcTrainConfig,
-    validation=None,
-    correction_cfg=None,
+    score=None,
 ) -> LsnpcModel:
     """Alternating-sweep training; returns the model at its best epoch.
 
     Per epoch: every noisy batch takes one unsupervised step, then every
     clean batch takes one supervised step.  ``clean`` is an (X, Y) pair or
     None; an empty clean set consumes no clean-side randomness, so the run
-    is the unsupervised trainer exactly.  ``validation`` is (X, Y) with
-    corrupted labels; when present, each epoch's corrected predictions are
-    scored and the best-scoring parameters are restored at the end.
+    is the unsupervised trainer exactly.  ``score(model) -> float`` rates
+    each epoch's parameters (the pipeline scores corrected predictions on
+    the corrupted validation split), and the best-rated epoch is restored
+    at the end; without it the final epoch is kept.
     """
-    from .correction import CorrectionConfig, binarize, correct
-    from .evaluation import micro_f1
-
     X_noisy = np.asarray(X_noisy, dtype=np.float64)
     P_noisy = predict_probs(h, X_noisy)
     yhat_rng = rngs.stream(cfg.seed, "lsnpc", "yhat")
@@ -481,12 +465,8 @@ def train_semi_supervised(
         if len(X_clean):
             sweeps.append(("clean", len(X_clean),
                            rngs.stream(cfg.seed, "lsnpc", "clean_shuffle"), clean_loss))
-    score = None
-    if validation is not None:
-        X_val, Y_val = validation
-        corr = correction_cfg if correction_cfg is not None else CorrectionConfig(seed=cfg.seed)
-        score = lambda: micro_f1(Y_val, binarize(correct(model, h, X_val, corr).probs, corr.tau))
-    losses, scores, best_epoch, best = _fit(model.params, cfg, sweeps, score)
+    losses, scores, best_epoch, best = fit(model.params, cfg, sweeps,
+                                           None if score is None else lambda: score(model))
     model.history = {
         "unsup_losses": losses["noisy"],
         "sup_losses": losses.get("clean", []),

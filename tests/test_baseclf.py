@@ -89,10 +89,15 @@ def test_training_loss_trend():
         assert losses[i + 5] <= losses[i] + 1e-6
 
 
+def val_f1(Xv, Yv):
+    """The pipeline's selection score: micro-F1 of the 0.5-thresholded labels."""
+    return lambda h: micro_f1(Yv, (predict_probs(h, Xv) > 0.5).astype(np.uint8))
+
+
 def test_checkpoint_selected_by_validation_f1():
     X, Y = separable_toy(n=150, seed=4)
     Xv, Yv = separable_toy(n=60, seed=5)
-    h = train_base(X, Y, BaseTrainConfig(epochs=12, seed=4), validation=(Xv, Yv))
+    h = train_base(X, Y, BaseTrainConfig(epochs=12, seed=4), score=val_f1(Xv, Yv))
     assert h.metadata["val_micro_f1"] == max(h.history["val_micro_f1"])
 
 
@@ -106,7 +111,7 @@ def _train_digest():
     X, Y = separable_toy(n=70, seed=5)
     Xv, Yv = separable_toy(n=30, seed=6)
     h = train_base(X, Y, BaseTrainConfig(epochs=2, batch_size=16, hidden=(8,), seed=5),
-                   validation=(Xv, Yv))
+                   score=val_f1(Xv, Yv))
     arrays = {**snapshot(h.net.params), "loss": h.history["train_loss"],
               "val": h.history["val_micro_f1"]}
     digest = hashlib.sha256()

@@ -3,6 +3,7 @@
 import pytest
 
 from lsnpc.cli import COMMANDS, build_parser, main
+from lsnpc.datagen import GeneratorConfig, generate_synthetic, save_dataset
 from lsnpc.experiment import STAGES
 
 TINY_INI = """
@@ -96,8 +97,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert main(["eval", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (out / "data").exists()
+    source = tmp_path / "ds.bin"
+    save_dataset(generate_synthetic(GeneratorConfig(n=240, d=6, k=3, rank=3, seed=1))[0],
+                 source)
     for body in ("[theory]\ntrain_n = 12\n", "[theory]\nm = 0\n",
-                 "[theory]\nnoise_rate = 1.5\n"):
+                 "[theory]\nnoise_rate = 1.5\n",
+                 f"[data]\nsource = {source}\n[theory]\ntrain_n = 12\n"):
         bad.write_text(body)
         out = tmp_path / "theory_out"
         assert main(["verify-theory", "--config", str(bad), "--out", str(out),

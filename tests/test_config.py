@@ -194,6 +194,9 @@ def test_top_level_validation_applies_to_parsed_text():
     # verify_all's training sizes are checked before any check runs
     with pytest.raises(ConfigError, match="degenerate split sizes for n=12"):
         parse_config("[theory]\ntrain_n = 12\n")
+    # for a dataset file too, whose leading train_n rows verify_all trains on
+    with pytest.raises(ConfigError, match="degenerate split sizes for n=12"):
+        parse_config("[data]\nsource = ds.bin\n[theory]\ntrain_n = 12\n")
     with pytest.raises(ConfigError, match="theory m"):
         parse_config("[theory]\nm = 0\n")
     with pytest.raises(ConfigError, match="theory noise rate"):

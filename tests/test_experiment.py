@@ -10,14 +10,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lsnpc.baseclf import load_base, predict_probs
 from lsnpc.checkpoint import file_digest
 from lsnpc.config import ExperimentConfig, TheoryConfig, override
-from lsnpc.datagen import GeneratorConfig, generate_synthetic, save_dataset
+from lsnpc.correction import binarize, correct
+from lsnpc.datagen import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
+from lsnpc.evaluation import micro_f1
+from lsnpc.model import load_model
+from lsnpc.noise import build_transition_matrix, split_dataset
 from lsnpc.experiment import (
     STAGES,
     StageError,
     run_ablation,
     run_experiment,
+    _trained_theory_model,
     sweep_sensitivity,
     verify_all,
 )
@@ -96,6 +102,33 @@ def test_rerun_is_byte_identical(tiny_run, tmp_path):
     assert again.manifest == art.manifest
     assert (tmp_path / "report.csv").read_bytes() == \
         (art.out_dir / "report.csv").read_bytes()
+
+
+def test_saved_checkpoints_reproduce_their_validation_scores(tmp_path):
+    """Selection scores validation with the labeling rule the report scores
+    the test split with: thresholded base probabilities, corrected labels."""
+    # Large enough that the base scores above 0 and that the corrected
+    # labels depend on the correction seed.
+    cfg = tiny_config(n=1000, noise_rates=(0.0, 0.2), clean_epochs=3)
+    cfg = override(cfg, base=dataclasses.replace(cfg.base, epochs=20),
+                   lsnpc=dataclasses.replace(cfg.lsnpc, epochs=4))
+    art = run_experiment(cfg, out_dir=tmp_path, quiet=True)
+    ds = load_dataset(art.out_dir / "data" / "ds_s1.bin")
+    checked = 0
+    for nr in cfg.noise_rates:
+        T = build_transition_matrix("sym", ds.k, nr) if nr > 0 else None
+        val = split_dataset(ds, cfg.split_spec(1), T).splits["validation"]
+        name = f"sym_{int(round(100 * nr))}_s1"
+        h = load_base(art.out_dir / "base" / f"{name}.ckpt")
+        assert micro_f1(val.Y, binarize(predict_probs(h, val.X), 0.5)) == \
+            h.metadata["val_micro_f1"]
+        corr = dataclasses.replace(cfg.correction, seed=1)
+        for arm in ("unsup", "semi"):
+            model = load_model(art.out_dir / "lsnpc" / f"{name}_{arm}.ckpt")
+            assert micro_f1(val.Y, correct(model, h, val.X, corr).labels) == \
+                model.metadata["best_val_micro_f1"]
+            checked += 1
+    assert checked == 4
 
 
 def test_early_stage_skips_training(tmp_path):
@@ -272,3 +305,22 @@ def test_verify_all_draws_label_pairs_for_the_dataset_file_k(tmp_path):
     rows = {row[0]: row for row in report.rows}
     for name in ("encoder-constants", "student-affine-bound", "normal-quadratic-bound"):
         assert rows[name][1] == THEORY_TINY.pairs
+
+
+def test_theory_model_trains_on_train_n_rows_of_a_dataset_file(tmp_path):
+    ds, _ = generate_synthetic(GeneratorConfig(n=600, d=6, k=3, rank=3, seed=1))
+    source = tmp_path / "600.bin"
+    save_dataset(ds, source)
+    for cfg in (tiny_config(theory=THEORY_TINY),
+                tiny_config(source=str(source), theory=THEORY_TINY)):
+        _, X_train = _trained_theory_model(cfg, "student", quiet=True)
+        assert X_train.shape[0] == 84  # 0.7 of train_n = 120
+
+
+def test_theory_model_rejects_a_dataset_file_shorter_than_train_n(tmp_path):
+    ds, _ = generate_synthetic(GeneratorConfig(n=100, d=6, k=3, rank=3, seed=1))
+    source = tmp_path / "100.bin"
+    save_dataset(ds, source)
+    cfg = tiny_config(source=str(source), theory=THEORY_TINY)
+    with pytest.raises(ValueError, match="100 rows, fewer than .* train_n = 120"):
+        _trained_theory_model(cfg, "student", quiet=True)

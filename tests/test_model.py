@@ -18,6 +18,8 @@ from lsnpc import rngs
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, train_base
 from lsnpc.checkpoint import restore, snapshot
+from lsnpc.correction import CorrectionConfig, correct
+from lsnpc.evaluation import micro_f1
 from lsnpc.layers import cosine_lr
 from lsnpc.model import (
     LsnpcModel,
@@ -687,6 +689,11 @@ def _toy_training_setup(n=16, seed=7):
     return X, Y, h
 
 
+def corrected_f1(h, Xv, Yv, seed):
+    """The pipeline's selection score: micro-F1 of the corrected labels."""
+    return lambda model: micro_f1(Yv, correct(model, h, Xv, CorrectionConfig(seed=seed)).labels)
+
+
 TRAINER_PIN = "04b9612f58b34d2cab235c88"
 
 
@@ -695,7 +702,7 @@ def _trainer_digest():
     cfg = LsnpcTrainConfig(epochs=2, batch_size=8, s_y=2, seed=8)
     model = train_semi_supervised(
         LsnpcModel(ModelConfig(**TINY), seed=8), h, X, (X[:6], Y[:6].astype(float)), cfg,
-        validation=(X[:10], Y[:10]),
+        score=corrected_f1(h, X[:10], Y[:10], seed=8),
     )
     hist = model.history
     return _digest({**snapshot(model.params), "unsup": hist["unsup_losses"],
@@ -766,7 +773,7 @@ def test_validation_restores_best_epoch():
     cfg = LsnpcTrainConfig(epochs=3, batch_size=8, s_y=2, seed=13)
     model = train_semi_supervised(
         LsnpcModel(ModelConfig(**TINY), seed=13), h, X, None, cfg,
-        validation=(X[:8], Y[:8]),
+        score=corrected_f1(h, X[:8], Y[:8], seed=13),
     )
     scores = model.history["val_scores"]
     assert len(scores) == 3
