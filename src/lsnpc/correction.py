@@ -100,12 +100,23 @@ def binarize(probs, tau: float) -> np.ndarray:
     return (np.asarray(probs) > tau).astype(np.uint8)
 
 
+def _sq_distances(q, T, t2, out):
+    """``np.sum(np.square(q), axis=1, keepdims=True) - 2.0 * q @ T.T + t2``,
+    bit for bit, written into ``out``: scaling by a power of two is exact, so
+    the product may be scaled after it is formed."""
+    np.matmul(q, T.T, out=out)
+    out *= -2.0
+    out += np.sum(np.square(q), axis=1, keepdims=True)
+    out += t2
+    return out
+
+
 def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray:
     """Per-label majority vote over the K Euclidean-nearest training rows.
 
     Exact K/2 ties resolve to 1.  Distances are computed for
-    ``_KNN_BLOCK`` query rows at a time, so memory stays bounded by the
-    block, not by the number of queries.
+    ``_KNN_BLOCK`` query rows at a time into one reused buffer, so memory
+    stays bounded by the block, not by the number of queries.
     """
     T = np.asarray(train_features, dtype=np.float64)
     L = np.asarray(noisy_train_labels, dtype=np.float64)
@@ -118,9 +129,10 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
         raise ValueError("feature dimensions differ")
     t2 = np.sum(np.square(T), axis=1)
     out = np.empty((Q.shape[0], L.shape[1]), dtype=np.uint8)
+    block = np.empty((min(_KNN_BLOCK, Q.shape[0]), T.shape[0]))
     for start in range(0, Q.shape[0], _KNN_BLOCK):
         q = Q[start : start + _KNN_BLOCK]
-        d2 = np.sum(np.square(q), axis=1, keepdims=True) - 2.0 * q @ T.T + t2
+        d2 = _sq_distances(q, T, t2, block[: len(q)])
         nearest = np.argpartition(d2, K - 1, axis=1)[:, :K]
         votes = L[nearest].sum(axis=1)
         out[start : start + _KNN_BLOCK] = 2 * votes >= K

@@ -8,7 +8,9 @@ arm's datasets and base checkpoints, with identical bytes.
 
 Every artifact is a pure function of (config, seed): the manifest written at
 the end maps each artifact file to its content digest, so two runs agree
-byte-for-byte exactly when their manifests agree.
+byte-for-byte exactly when their manifests agree.  So the cells, and the
+theory check's quadrature instances, run in worker processes
+(``rngs.fan_out``), and this process writes what they return.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,13 +28,14 @@ from . import rngs
 from .baseclf import BaseClassifier, train_base, predict_probs, save_base
 from .checkpoint import file_digest, restore, snapshot
 from .config import ExperimentConfig, override
-from .correction import binarize, correct, knn_correct, save_correction
+from .correction import CorrectionResult, binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
 from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report, micro_f1
 from .model import LsnpcModel, train_semi_supervised, save_model
 from .noise import SplitResult, build_transition_matrix, save_transition, split_dataset
 from .theory import (
     QuadratureGrid,
+    Theorem1Result,
     TheoryReport,
     amortization_demo,
     estimate_constants,
@@ -150,17 +154,16 @@ def _train_lsnpc(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier, s
 
 # -- stages: correct + eval
 def _evaluate(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier,
-              arms: dict[str, LsnpcModel], write, name: str, kind: str, nr: float,
-              seed: int) -> list[RunMetrics]:
-    """Scores the baseline, knn and each arm on the test split; writes each
-    arm's correction file."""
+              arms: dict[str, LsnpcModel], corrections: dict[str, CorrectionResult],
+              kind: str, nr: float, seed: int) -> list[RunMetrics]:
+    """Scores the baseline, knn and each arm on the test split; records each
+    arm's correction in ``corrections`` as it is made."""
     train, test = split.splits["train"], split.splits["test"]
     labels = {"baseline": _baseline_labels(h, test.X),
               "knn": knn_correct(train.X, train.Y, test.X, cfg.knn_k)}
     for arm, model in arms.items():
-        res = _correct(cfg, model, h, test.X, seed)
         method = "lsnpc-semi" if arm == "semi" else "lsnpc"
-        write(f"correction/{name}_{method}.csv", lambda p: save_correction(res, p))
+        corrections[method] = res = _correct(cfg, model, h, test.X, seed)
         labels[method] = res.labels
     reports = {method: f1_report(split.true_labels["test"], y) for method, y in labels.items()}
     return [RunMetrics(setting=kind, nr=nr, method=method, seed=seed,
@@ -168,9 +171,70 @@ def _evaluate(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier,
             for method, rep in reports.items()]
 
 
+class _CellTraceback(Exception):
+    """The formatted traceback of a cell's error, which pickling drops."""
+
+
+@dataclass
+class _CellOutput:
+    """What one cell computed, for ``run_experiment`` to write: ``stage`` is
+    the last stage the cell entered, and ``error`` what stopped it there."""
+
+    stage: str = "corrupt"
+    error: Exception | None = None
+    trace: str = ""
+    T: np.ndarray | None = None
+    base: BaseClassifier | None = None
+    arms: dict[str, LsnpcModel] = field(default_factory=dict)
+    corrections: dict[str, CorrectionResult] = field(default_factory=dict)
+    rows: list[RunMetrics] = field(default_factory=list)
+    seconds: dict[str, float] = field(default_factory=dict)
+
+
+def _run_cell(unit) -> _CellOutput:
+    """One (kind, rate, seed) cell on its seed's dataset, through STAGES[rank].
+
+    A pure function of its unit that writes nothing, so it can run in a
+    worker process.  A failure is returned with what the cell built before it.
+    """
+    cfg, kind, nr, seed, ds, rank = unit
+    out = _CellOutput()
+    try:
+        out.T = T = build_transition_matrix(kind, ds.k, nr) if nr > 0 else None
+        sp = split_dataset(ds, cfg.split_spec(seed), T)
+        if rank < STAGES.index("train-base"):
+            return out
+        out.stage = "train-base"
+        t0 = time.time()
+        out.base = h = _train_base(cfg, sp, seed)
+        out.seconds["base"] = time.time() - t0
+        if rank < STAGES.index("train-lsnpc"):
+            return out
+        out.stage = "train-lsnpc"
+        for arm in ("unsup", "semi") if cfg.paradigm == "semi-supervised" else ("unsup",):
+            t0 = time.time()
+            out.arms[arm] = _train_lsnpc(cfg, sp, h, seed, warm=out.arms.get("unsup"))
+            out.seconds[arm] = time.time() - t0
+        if rank < STAGES.index("correct"):
+            return out
+        out.stage = "correct"
+        out.rows = _evaluate(cfg, sp, h, out.arms, out.corrections, kind, nr, seed)
+    except Exception as e:
+        out.error, out.trace = e, traceback.format_exc()
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
                    quiet: bool = False) -> RunArtifacts:
-    """Run the pipeline through ``stage`` for every (kind, rate, seed) cell."""
+    """Run the pipeline through ``stage`` for every (kind, rate, seed) cell.
+
+    The cells run through ``rngs.fan_out``: in worker processes, one per core
+    this process may use and at most one per cell, or in this process when
+    that count is 1.  This process makes the datasets and writes every
+    artifact, progress line, the report and the manifest in the order of a
+    serial run.  A cell that fails has what it built before the failure
+    written, and raises ``StageError`` naming its stage.
+    """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -194,39 +258,35 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
         for seed in cfg.seeds:
             data[seed] = ds = _dataset(cfg, seed)
             write(f"data/ds_s{seed}.bin", lambda p: save_dataset(ds, p))
-        for kind, nr in _cells(cfg):
-            current = "corrupt"
-            # One matrix per cell: the datasets of all seeds have the same k.
-            T = build_transition_matrix(kind, ds.k, nr) if nr > 0 else None
-            if T is not None:
-                write(f"noise/T_{kind}_{_nr_tag(nr)}.csv", lambda p: save_transition(T, p))
-            for seed in cfg.seeds:
+        units = [(cfg, kind, nr, seed, data[seed], rank)
+                 for kind, nr in _cells(cfg) for seed in cfg.seeds]
+        with rngs.fan_out(_run_cell, units) as results:
+            for (_, kind, nr, seed, _, _), res in zip(units, results):
                 current = "corrupt"
-                sp = split_dataset(data[seed], cfg.split_spec(seed), T)
-                if rank < STAGES.index("train-base"):
-                    continue
-                current = "train-base"
+                # One matrix per (kind, rate): the datasets of all seeds have the same k.
+                if res.T is not None and seed == cfg.seeds[0]:
+                    write(f"noise/T_{kind}_{_nr_tag(nr)}.csv",
+                          lambda p: save_transition(res.T, p))
                 cell = f"[{kind} nr={_nr_tag(nr)} s={seed}]"
                 name = f"{kind}_{_nr_tag(nr)}_s{seed}"
-                t0 = time.time()
-                h = _train_base(cfg, sp, seed)
-                say(f"  base {cell} val={h.metadata.get('val_micro_f1', float('nan')):.4f} "
-                    f"({time.time() - t0:.1f}s)")
-                write(f"base/{name}.ckpt", lambda p: save_base(h, p))
-                if rank < STAGES.index("train-lsnpc"):
-                    continue
-                current = "train-lsnpc"
-                arms: dict[str, LsnpcModel] = {}
-                for arm in ("unsup", "semi") if cfg.paradigm == "semi-supervised" else ("unsup",):
-                    t0 = time.time()
-                    arms[arm] = model = _train_lsnpc(cfg, sp, h, seed, warm=arms.get("unsup"))
+                if res.base is not None:
+                    current = "train-base"
+                    val = res.base.metadata.get("val_micro_f1", float("nan"))
+                    say(f"  base {cell} val={val:.4f} ({res.seconds['base']:.1f}s)")
+                    write(f"base/{name}.ckpt", lambda p: save_base(res.base, p))
+                for arm, model in res.arms.items():
+                    current = "train-lsnpc"
                     say(f"  lsnpc-{arm} {cell} val={model.metadata['best_val_micro_f1']:.4f} "
-                        f"({time.time() - t0:.1f}s)")
+                        f"({res.seconds[arm]:.1f}s)")
                     write(f"lsnpc/{name}_{arm}.ckpt", lambda p: save_model(model, p))
-                if rank < STAGES.index("correct"):
-                    continue
-                current = "correct"
-                art.rows.extend(_evaluate(cfg, sp, h, arms, write, name, kind, nr, seed))
+                for method, corrected in res.corrections.items():
+                    current = "correct"
+                    write(f"correction/{name}_{method}.csv",
+                          lambda p: save_correction(corrected, p))
+                if res.error is not None:
+                    current = res.stage
+                    raise res.error from _CellTraceback(res.trace)
+                art.rows.extend(res.rows)
     except Exception as e:
         art.write_manifest()
         raise StageError(current, e) from e
@@ -317,24 +377,34 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
     return model, sp.splits["train"].X.astype(np.float64)
 
 
+def _theorem1_instance(unit) -> Theorem1Result:
+    """Quadrature instance s: ``tiny_model(seed=s)`` on inputs from stream s."""
+    s, grid = unit
+    model = tiny_model(seed=s)
+    rng = rngs.stream(s, "theory", "inputs")
+    x = rng.standard_normal(model.cfg.d)
+    yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
+    return verify_theorem1(model, x, yhat, grid)
+
+
 def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None = None,
                quiet: bool = False) -> TheoryReport:
-    """All numerical checks; writes theory_report.{txt,csv} under the out dir."""
+    """All numerical checks; writes theory_report.{txt,csv} under the out dir.
+
+    The quadrature instances and the Monte-Carlo pairs of the affine bound
+    run through ``rngs.fan_out``, on every core this process may use; each
+    instance and each pair draws from its own stream, so the report does not
+    depend on the worker count.  The two theory models train in this process.
+    """
     tc = cfg.theory
     report = TheoryReport()
 
     # 1. Expected conditional KL vs joint KL on random 1-D instances.
-    held = flagged = 0
-    worst = float("inf")
-    for s in range(tc.instances):
-        model = tiny_model(seed=s)
-        rng = rngs.stream(s, "theory", "inputs")
-        x = rng.standard_normal(model.cfg.d)
-        yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
-        res = verify_theorem1(model, x, yhat, grid)
-        held += res.holds
-        flagged += not res.entropy_nonneg
-        worst = min(worst, res.margin)
+    with rngs.fan_out(_theorem1_instance, [(s, grid) for s in range(tc.instances)]) as results:
+        results = list(results)
+    held = sum(res.holds for res in results)
+    flagged = sum(not res.entropy_nonneg for res in results)
+    worst = min((res.margin for res in results), default=float("inf"))
     report.add("expected-vs-joint-kl", tc.instances, held, worst)
     report.notes.append(
         f"expected-vs-joint-kl: {flagged} instances had negative proposal "

@@ -279,11 +279,12 @@ def chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
     return zhat, mu_k, sig_k
 
 
-def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
+def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise):
     """Negative ELBO of the noisy path (``y`` None) or the clean path.
 
-    With ``collect`` it also returns the per-draw ``terms``, ``nu`` and, on
-    the clean path, ``n_branch_encoded`` of ``n_rows``."""
+    Returns the loss and a detail dict: the per-draw ``terms`` (a list of
+    arrays per name), ``nu`` and, on the clean path, ``n_branch_encoded`` of
+    ``n_rows``."""
     cfg = model.cfg
     x = np.asarray(x, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -350,6 +351,11 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise, collect):
             detail["terms"].setdefault(name, []).append(t.data)
     loss = total * (1.0 / s_z)
     _check_terms(loss, detail["terms"])
+    return loss, detail
+
+
+def _collected(loss, detail, collect: bool):
+    """The loss, with ``collect`` also the detail with its terms stacked per draw."""
     if not collect:
         return loss
     detail["terms"] = {k: np.stack(v) for k, v in detail["terms"].items()}
@@ -373,7 +379,7 @@ def unsupervised_loss(
     run consumes a prefix of the Student run's stream; ``noise`` may inject
     any of the arrays by name for replay.
     """
-    return _elbo(model, x, None, yhat, rng, s_z, noise, collect)
+    return _collected(*_elbo(model, x, None, yhat, rng, s_z, noise), collect)
 
 
 def supervised_loss(
@@ -395,7 +401,7 @@ def supervised_loss(
     """
     if y is None:
         raise ValueError("the supervised loss needs clean labels y")
-    return _elbo(model, x, y, yhat, rng, s_z, noise, collect)
+    return _collected(*_elbo(model, x, y, yhat, rng, s_z, noise), collect)
 
 
 # --------------------------------------------------------------------------
@@ -454,8 +460,8 @@ def train_semi_supervised(
         xb = X_clean[idx]
         x_rep, yhat_rep = tiled(xb, predict_probs(h, xb))
         y_rep = np.tile(Y_clean[idx], (cfg.s_y, 1))
-        loss, det = supervised_loss(model, x_rep, y_rep, yhat_rep, rng=clean_noise_rng,
-                                    s_z=cfg.s_z, collect=True)
+        # supervised_loss without stacking the terms: only the branch count is read
+        loss, det = _elbo(model, x_rep, y_rep, yhat_rep, clean_noise_rng, cfg.s_z, None)
         branch_encoded += det["n_branch_encoded"]
         return loss
 

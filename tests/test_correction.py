@@ -11,8 +11,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, train_base
+from lsnpc import correction
 from lsnpc.correction import (
     _KNN_BLOCK,
+    _sq_distances,
     CorrectionConfig,
     CorrectionResult,
     binarize,
@@ -234,6 +236,41 @@ def test_knn_matches_exhaustive_scan():
                 votes = L[order].sum(axis=0)
                 want[i] = (2 * votes >= K).astype(np.uint8)
             assert_array_equal(got, want), f"K={K}"
+
+
+def _knn_by_expression(T, L, Q, K, block):
+    """knn_correct with each block's distances built as one expression."""
+    t2 = np.sum(np.square(T), axis=1)
+    out = np.empty((len(Q), L.shape[1]), dtype=np.uint8)
+    for start in range(0, len(Q), block):
+        q = Q[start : start + block]
+        d2 = np.sum(np.square(q), axis=1, keepdims=True) - 2.0 * q @ T.T + t2
+        votes = L[np.argpartition(d2, K - 1, axis=1)[:, :K]].sum(axis=1)
+        out[start : start + block] = 2 * votes >= K
+    return out
+
+
+def test_block_distances_equal_the_expression_bit_for_bit():
+    rng = np.random.default_rng(12)
+    T = 3.7 * rng.standard_normal((900, 32)) + 0.3
+    t2 = np.sum(np.square(T), axis=1)
+    for rows in (1, 16, 100, 256):
+        q = 2.1 * rng.standard_normal((rows, 32)) - 0.5
+        want = np.sum(np.square(q), axis=1, keepdims=True) - 2.0 * q @ T.T + t2
+        buf = np.full((256, 900), np.nan)
+        got = _sq_distances(q, T, t2, buf[:rows])
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [16, 64, 256])
+def test_knn_labels_do_not_depend_on_the_block_buffer(monkeypatch, block):
+    rng = np.random.default_rng(13)
+    T = rng.standard_normal((700, 6))
+    L = (rng.random((700, 5)) < 0.3).astype(np.uint8)
+    Q = rng.standard_normal((block * 3 + 5, 6))
+    monkeypatch.setattr(correction, "_KNN_BLOCK", block)
+    assert_array_equal(knn_correct(T, L, Q, K=5), _knn_by_expression(T, L, Q, 5, block))
 
 
 def test_knn_even_split_votes_positive():

@@ -5,14 +5,19 @@ across most tests; determinism tests repeat it into a fresh directory and
 compare manifests, which hash every artifact byte.
 """
 
+import ctypes
 import dataclasses
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lsnpc import rngs
 from lsnpc.baseclf import load_base, predict_probs
 from lsnpc.checkpoint import file_digest
-from lsnpc.config import ExperimentConfig, TheoryConfig, override
+from lsnpc.config import ExperimentConfig, TheoryConfig, load_config, override
 from lsnpc.correction import binarize, correct
 from lsnpc.datagen import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
 from lsnpc.evaluation import micro_f1
@@ -324,3 +329,119 @@ def test_theory_model_rejects_a_dataset_file_shorter_than_train_n(tmp_path):
     cfg = tiny_config(source=str(source), theory=THEORY_TINY)
     with pytest.raises(ValueError, match="100 rows, fewer than .* train_n = 120"):
         _trained_theory_model(cfg, "student", quiet=True)
+
+
+# ---------------------------------------------------------------------------
+# Worker pool: rngs.fan_out, patched to 1 or 2 workers through rngs.cores
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _pid(unit):
+    return os.getpid()
+
+
+def _unit_fails(unit):
+    raise ValueError(f"unit {unit} failed")
+
+
+def _blas_threads(unit):
+    """Thread counts of the OpenBLAS libraries this process has mapped."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                counts.append(getter())
+    return counts
+
+
+def test_fan_out_workers_run_blas_on_one_thread(monkeypatch):
+    before = _blas_threads(None)
+    if not before:
+        pytest.skip("no OpenBLAS mapped in this process")
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    with rngs.fan_out(_blas_threads, range(2)) as counts:
+        assert list(counts) == [[1] * len(before)] * 2
+    # the parent keeps its own count
+    assert _blas_threads(None) == before
+
+
+def test_fan_out_runs_in_process_with_one_worker(monkeypatch):
+    monkeypatch.setattr(rngs, "cores", lambda: 1)
+    with rngs.fan_out(_pid, range(4)) as pids:
+        assert list(pids) == [os.getpid()] * 4
+        assert multiprocessing.active_children() == []
+
+
+def test_fan_out_caps_the_pool_at_the_unit_count(monkeypatch):
+    monkeypatch.setattr(rngs, "cores", lambda: 64)
+    with rngs.fan_out(_pid, range(3)) as pids:
+        pids = list(pids)
+        assert len(multiprocessing.active_children()) == 3
+    assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_leaves_no_process_behind_on_failure(monkeypatch):
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    with pytest.raises(ValueError, match="unit 0 failed"):
+        with rngs.fan_out(_unit_fails, range(4)) as results:
+            list(results)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(KeyError):
+        with rngs.fan_out(_pid, range(6)) as pids:
+            next(pids)
+            raise KeyError("the caller failed")
+    assert multiprocessing.active_children() == []
+
+
+def test_smoke_manifest_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg = load_config(CONFIGS / "smoke.ini")
+    manifests = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rngs, "cores", lambda: workers)
+        art = run_experiment(cfg, out_dir=tmp_path / str(workers), quiet=True)
+        assert len({(r.setting, r.nr) for r in art.rows}) == 2
+        manifests.append((art.out_dir / "manifest.txt").read_bytes())
+        assert multiprocessing.active_children() == []
+    assert manifests[0] == manifests[1]
+
+
+def test_verify_all_report_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg = tiny_config(theory=THEORY_TINY)
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rngs, "cores", lambda: workers)
+        verify_all(cfg, out_dir=tmp_path / str(workers), quiet=True)
+        reports.append((tmp_path / str(workers) / "theory_report.csv").read_bytes())
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+
+
+def test_worker_failure_names_the_cell_stage(tmp_path, monkeypatch):
+    import lsnpc.experiment as exp
+
+    parent = os.getpid()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"base training broke in process {os.getpid()}")
+
+    monkeypatch.setattr(exp, "train_base", broken)
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    cfg = tiny_config(noise_rates=(0.4,), seeds=(1, 2))
+    with pytest.raises(StageError, match="train-base") as info:
+        run_experiment(cfg, out_dir=tmp_path, quiet=True)
+    assert info.value.stage == "train-base"
+    assert str(parent) not in str(info.value.cause)
+    # the worker's traceback survives the trip to the parent
+    assert "in broken" in str(info.value.cause.__cause__)
+    listed = {line.split()[0] for line in
+              (tmp_path / "manifest.txt").read_text().splitlines()}
+    assert listed == {"data/ds_s1.bin", "data/ds_s2.bin", "noise/T_sym_40.csv"}
+    assert multiprocessing.active_children() == []

@@ -789,7 +789,10 @@ def test_training_log_tracks_sweeps():
     )
     assert len(model.history["unsup_losses"]) == 2
     assert len(model.history["sup_losses"]) == 2
-    assert model.history["branch_encoded"] > 0
+    # 9 of the 2 epochs x 4 clean rows x s_y = 2 draws took the encoded
+    # branch; recorded when the clean sweep read the count from
+    # supervised_loss(collect=True)
+    assert model.history["branch_encoded"] == 9
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
 from lsnpc import rngs
-from lsnpc.distributions import DiagNormalParams, kl_diag_normal, logpdf_diag_student
+from lsnpc.distributions import (
+    DiagNormalParams,
+    DiagStudentParams,
+    kl_diag_normal,
+    logpdf_diag_student,
+    mc_kl_diag_student,
+)
 from lsnpc.model import LsnpcModel, ModelConfig
 from lsnpc.theory import (
     Theorem1Result,
@@ -344,6 +350,24 @@ def test_affine_bound_dominates_mc_kl_on_tiny_instances():
         assert row.se > 0.0
         assert row.dominated, f"KL {row.kl:.4f} exceeds bound {row.bound:.4f}"
         assert row.margin == pytest.approx(row.bound - row.kl)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_pair_draws_from_its_own_stream(monkeypatch, workers):
+    """Pair i's estimate is what pair i alone draws from stream
+    (seed, "theory", "mc_kl", i): it needs none of the other pairs' draws,
+    so the pairs can run apart."""
+    monkeypatch.setattr(rngs, "cores", lambda: workers)
+    model, X, (Y0, Y1) = _perturbed_pairs(4, n=5)
+    constants = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
+    rows = theorem2_check(model, X, (Y0, Y1), constants, n_mc=3000, seed=7)
+    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
+    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
+    for i, row in enumerate(rows):
+        p = DiagStudentParams(mu1[i], sig1[i], 4.0)
+        q = DiagStudentParams(mu0[i], sig0[i], 4.0)
+        stream = rngs.stream(7, "theory", "mc_kl", i)
+        assert (row.kl, row.se) == mc_kl_diag_student(p, q, 3000, stream)
 
 
 def test_affine_check_rejects_normal_models():
