@@ -14,7 +14,12 @@ single node with a hand-written backward pass, bit-identical to the chain:
 No GPU, no higher-order derivatives.
 
 The programming model is a dynamic tape: every operation produces a
-:class:`Tensor` that records its parents and a backward rule.
+:class:`Tensor` that records its parents and a backward rule.  The forward
+maps built on :func:`dense` and :func:`concat` (the MLPs of
+:mod:`lsnpc.layers`, the model maps of :mod:`lsnpc.model`) work in two modes
+with one body: given plain arrays they return arrays and build no Tensor,
+for inference that never runs a backward pass; given a Tensor they build the
+tape node.  Both modes give the same bits.
 :func:`backward` replays the tape of a built output in reverse topological
 order with deterministic accumulation; the trainers call it once per step.
 A :class:`ComputeGraph` wraps a python callable of named tensors so that it
@@ -319,62 +324,104 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape})"
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.data.ndim != 2 or b.data.ndim != 2:
+def _check_matmul(a, b) -> None:
+    """Shape check of ``a @ b`` for Tensors and plain arrays alike."""
+    if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError(f"matmul: expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(
-            f"matmul: inner dimensions differ for {a._label()} {a.shape} "
-            f"@ {b._label()} {b.shape}"
+            f"matmul: inner dimensions differ for {_name(a)} {a.shape} "
+            f"@ {_name(b)} {b.shape}"
         )
 
 
+def _name(value) -> str:
+    return value._label() if isinstance(value, Tensor) else "array"
+
+
 def dense(
-    x: Tensor,
+    x,
     W: Tensor,
     b: Tensor,
     ln: tuple[Tensor, Tensor] | None = None,
     gelu: bool = False,
-) -> Tensor:
-    """One MLP layer as one tape node: ``x @ W + b``, then layer norm with
-    ``ln = (gain, shift)`` if given, then GELU if ``gelu``.
+):
+    """One MLP layer: ``x @ W + b``, then layer norm with ``ln = (gain, shift)``
+    if given, then GELU if ``gelu``.
 
-    Both passes repeat the primitive chain (matmul, add, mean, sub, square,
-    mean, add, sqrt, div, mul, add, gelu) expression by expression and in the
-    same order, keeping the forward intermediates for the backward pass.
-    Inside the layer every value feeds at most two consumers, and a sum of
-    two floats does not depend on order, so values and gradients are
-    bit-identical to that chain.  The node is labelled ``dense(<W's name>)``,
-    so a non-finite output names its layer.
+    ``x`` picks the mode.  A plain array gives the output array and builds no
+    Tensor; a Tensor gives one tape node, labelled ``dense(<W's name>)`` so a
+    non-finite output names its layer.  Either way the parameters' arrays are
+    read at the call.
+
+    Both modes run one body: the primitive chain (matmul, add, mean, sub,
+    square, mean, add, sqrt, div, mul, add, gelu) expression by expression
+    and in the same order, with the same ufuncs.  Untaped, no backward pass
+    needs the temporaries, so the chain writes them into two buffers of the
+    output's shape; on the tape, every value the backward pass reads keeps an
+    array of its own.  The backward pass repeats the chain's backward rules
+    the same way, in arrays it makes itself.  Inside the layer every value
+    feeds at most two consumers, and a sum of two floats does not depend on
+    order, so values and gradients are bit-identical to that chain in both
+    modes.  Like every op, both modes run under ``np.errstate(all="ignore")``.
     """
-    _check_matmul(x, W)
-    parents = (x, W, b) if ln is None else (x, W, b, *ln)
-    n = W.shape[1]
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else np.asarray(x, dtype=np.float64)
+    _check_matmul(x if tape else xd, W)
     with np.errstate(all="ignore"):
-        o = x.data @ W.data + b.data
+        o = xd @ W.data
+        o += b.data
         if ln is not None:
-            centered = o - np.mean(o, axis=-1, keepdims=True)
-            var = np.mean(np.square(centered), axis=-1, keepdims=True)
+            centered = np.subtract(o, np.mean(o, axis=-1, keepdims=True), out=o)
+            normed = np.square(centered)
+            var = np.mean(normed, axis=-1, keepdims=True)
             std = np.sqrt(var + _LN_EPS)
-            normed = centered / std
-            o = normed * ln[0].data + ln[1].data
+            normed = np.divide(centered, std, out=normed)
+            o = np.multiply(normed, ln[0].data, out=None if tape else centered)
+            o += ln[1].data
+        out = o
         if gelu:
-            erf1 = 1.0 + _sp.erf(o / _SQRT2)
-            out = 0.5 * o * erf1
-        else:
-            out = o
+            erf1 = np.divide(o, _SQRT2, out=None if tape or ln is None else normed)
+            _sp.erf(erf1, out=erf1)
+            np.add(1.0, erf1, out=erf1)
+            out = np.multiply(0.5, o, out=None if tape else o)
+            out *= erf1
+        if not tape:
+            return out
+        parents = (x, W, b) if ln is None else (x, W, b, *ln)
         node = Tensor(out, name=W.name, _op="dense", _parents=parents)
+    n = W.shape[1]
 
     def bwd(g, xd, Wd, _b, *gain_shift):
+        # Every step writes into an array made here: never into g, which
+        # other nodes may share (``add`` hands one g to both parents), nor
+        # into a forward value the closure keeps.
         if gelu:
-            g = (0.5 * erf1 + o * _INV_SQRT_2PI * np.exp(-0.5 * o * o)) * g
+            d = np.multiply(0.5, erf1)
+            t = np.multiply(o, _INV_SQRT_2PI)
+            e = np.multiply(-0.5, o)
+            e *= o
+            np.exp(e, out=e)
+            t *= e
+            d += t
+            d *= g
+            g = d
         ln_grads = ()
         if ln is not None:
-            ln_grads = ((g * normed).sum(axis=0), g.sum(axis=0))
-            g = g * gain_shift[0]
-            g_var = 0.5 * (-g * centered / (std * std)).sum(axis=1, keepdims=True) / std
-            g = g / std + 2.0 * centered * (g_var / n)
-            g = g + (-g).sum(axis=1, keepdims=True) / n
+            t = np.multiply(g, normed)
+            ln_grads = (t.sum(axis=0), g.sum(axis=0))
+            gg = np.multiply(g, gain_shift[0], out=t)
+            u = np.negative(gg)
+            u *= centered
+            u /= std * std
+            g_var = 0.5 * u.sum(axis=1, keepdims=True) / std
+            np.divide(gg, std, out=u)
+            np.multiply(2.0, centered, out=gg)
+            gg *= g_var / n
+            u += gg
+            np.negative(u, out=gg)
+            u += gg.sum(axis=1, keepdims=True) / n
+            g = u
         g_x = g @ Wd.T if x.requires_grad else None
         return (g_x, xd.T @ g, g.sum(axis=0), *ln_grads)
 
@@ -406,22 +453,24 @@ def fused(op: str, out: np.ndarray, operands, grads) -> Tensor:
     return Tensor(out, _op=op, _parents=tuple(operands[i] for i in keep), _bwd=bwd)
 
 
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis``; gradient splits back."""
-    tensors = tuple(Tensor._lift(t) for t in tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors: Iterable, axis: int = -1):
+    """Concatenate along ``axis``: an array when every part is a plain array,
+    else a tape node over the parts lifted to Tensors, whose gradient splits
+    back."""
+    parts = tuple(tensors)
+    values = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+              for t in parts]
+    out = np.concatenate(values, axis=axis)
+    if not any(isinstance(t, Tensor) for t in parts):
+        return out
+    parents = tuple(Tensor._lift(t) for t in parts)
+    splits = np.cumsum([v.shape[axis] for v in values])[:-1]
 
     def bwd(g, *arrays):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     with np.errstate(all="ignore"):
-        return Tensor(
-            np.concatenate([t.data for t in tensors], axis=axis),
-            _op="concat",
-            _parents=tensors,
-            _bwd=bwd,
-        )
+        return Tensor(out, _op="concat", _parents=parents, _bwd=bwd)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -77,7 +77,7 @@ def train_base(X, Y, cfg: BaseTrainConfig, score=None) -> BaseClassifier:
         raise ValueError(f"inconsistent shapes {X.shape} and {Y.shape}")
     h = _new_classifier(X.shape[1], Y.shape[1], cfg.hidden, cfg.seed)
     sweep = ("train", X.shape[0], rngs.stream(cfg.seed, "base", "shuffle"),
-             lambda idx: _bce(h.net(X[idx]), Tensor(Y[idx])))
+             lambda idx: _bce(h.net(Tensor(X[idx])), Tensor(Y[idx])))
     losses, scores, _, best = fit(h.net.params, cfg, [sweep],
                                   None if score is None else lambda: score(h))
     h.history = {"train_loss": losses["train"], "val_micro_f1": scores}
@@ -86,12 +86,16 @@ def train_base(X, Y, cfg: BaseTrainConfig, score=None) -> BaseClassifier:
 
 
 def predict_probs(h: BaseClassifier, X) -> np.ndarray:
-    """Per-label probabilities in (EPS_P, 1-EPS_P); pure in (params, X)."""
+    """Per-label probabilities in (EPS_P, 1-EPS_P); pure in (params, X).
+
+    Runs the network on arrays, so it builds no tape; the result is written
+    into the logits' array.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != h.d:
         raise ValueError(f"expected (n, {h.d}) features, got {X.shape}")
     logits = h.net(X)
-    return np.clip(expit(logits.data), EPS_P, 1.0 - EPS_P)
+    return np.clip(expit(logits, out=logits), EPS_P, 1.0 - EPS_P, out=logits)
 
 
 def sample_predictions(P, S: int, rng: np.random.Generator) -> np.ndarray:

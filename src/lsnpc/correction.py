@@ -4,6 +4,8 @@ The corrected probability of each label is the mean, over sampled chains
 yhat -> zhat -> z, of the decoder output at (x, z).  The innermost
 expectation over y is analytic (a Bernoulli's mean is its probability), so
 no y sampling occurs.  True labels never enter: the signature has no Y.
+Correction is inference only: it calls the model's forward maps with plain
+arrays, which return arrays and build no autodiff tape.
 """
 
 from __future__ import annotations
@@ -59,10 +61,22 @@ class CorrectionResult:
 
 
 def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> CorrectionResult:
-    """Corrected label probabilities for every row of X, with per-cell MC SE."""
+    """Corrected label probabilities for every row of X, with per-cell MC SE.
+
+    The model maps and the base classifier run on plain arrays, so no tape is
+    built (see :mod:`lsnpc.model`), and like the tape they do not warn on a
+    non-finite value: a NaN feature row gives NaN probabilities in its row.
+
+    Each of the s_y * s_zhat * s_z chains is one pass over all rows of X.
+    The chains are not stacked into one larger pass, and rows that share a
+    sampled yhat are not encoded once for all of them: a row's output bits
+    depend on the shape of the batch it is in (BLAS picks its kernels by
+    shape), so either would change the corrected probabilities in their last
+    bits.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.cfg.d:
-        raise ValueError(f"model expects {model.cfg.d} features, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != model.cfg.d:
+        raise ValueError(f"model expects (n, {model.cfg.d}) features, got shape {X.shape}")
     n, m = X.shape[0], model.cfg.m
     P = predict_probs(h, X)
     yhat_rng = rngs.stream(cfg.seed, "correct", "yhat")
@@ -70,20 +84,19 @@ def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> C
     yhat_all = sample_predictions(P, cfg.s_y, yhat_rng)
 
     chains = []
-    for s in range(cfg.s_y):
-        yhat = yhat_all[s]
-        mu_t, sig_t = model.encode_xy(X, yhat)
-        nu = model.proposal_nu(X, yhat)
-        eps_zhat = noise_rng.standard_normal((cfg.s_zhat, n, m))
-        eps_z = noise_rng.standard_normal((cfg.s_zhat, cfg.s_z, n, m))
-        chi2_u = (None,) * cfg.s_zhat
-        if model.cfg.proposal == "student":
-            chi2_u = noise_rng.random((cfg.s_zhat, n, 1))
-        for t in range(cfg.s_zhat):
-            _, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
-            for u in range(cfg.s_z):
-                z = rsample_diag_normal(mu_k, sig_k, eps_z[t, u])
-                chains.append(model.decode_labels(X, z).data)
+    with np.errstate(all="ignore"):
+        for s in range(cfg.s_y):
+            mu_t, sig_t, nu = model.proposal(X, yhat_all[s])
+            eps_zhat = noise_rng.standard_normal((cfg.s_zhat, n, m))
+            eps_z = noise_rng.standard_normal((cfg.s_zhat, cfg.s_z, n, m))
+            chi2_u = (None,) * cfg.s_zhat
+            if model.cfg.proposal == "student":
+                chi2_u = noise_rng.random((cfg.s_zhat, n, 1))
+            for t in range(cfg.s_zhat):
+                _, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
+                for u in range(cfg.s_z):
+                    z = rsample_diag_normal(mu_k, sig_k, eps_z[t, u])
+                    chains.append(model.decode_labels(X, z))
     stacked = np.stack(chains)
     probs = stacked.mean(axis=0)
     if len(chains) > 1:
@@ -121,12 +134,16 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
     T = np.asarray(train_features, dtype=np.float64)
     L = np.asarray(noisy_train_labels, dtype=np.float64)
     Q = np.asarray(X, dtype=np.float64)
+    if T.ndim != 2 or Q.ndim != 2 or T.shape[1] != Q.shape[1]:
+        raise ValueError(f"training features {T.shape} and query features {Q.shape} "
+                         "must be (n, d) arrays of equal feature dimensions")
+    if L.ndim != 2 or L.shape[0] != T.shape[0]:
+        raise ValueError(f"noisy labels {L.shape} must have one row per training "
+                         f"feature row {T.shape}")
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > T.shape[0]:
         raise ValueError(f"K={K} exceeds the {T.shape[0]} training rows")
-    if T.shape[1] != Q.shape[1]:
-        raise ValueError("feature dimensions differ")
     t2 = np.sum(np.square(T), axis=1)
     out = np.empty((Q.shape[0], L.shape[1]), dtype=np.uint8)
     block = np.empty((min(_KNN_BLOCK, Q.shape[0]), T.shape[0]))

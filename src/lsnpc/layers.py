@@ -5,7 +5,9 @@ affine, then layer normalization (a deliberate stand-in for batch
 normalization: no running statistics, no train/eval mode, no batch order
 sensitivity), then GELU; the output head is affine only and zero-initialized,
 so fresh models start at their symmetric point (probabilities 0.5, latent
-means 0).  Each layer is a single tape node (:func:`autodiff.dense`).
+means 0).  Each layer is one :func:`autodiff.dense` call: a single tape node
+when the input is a Tensor, and plain arrays, with no tape, when it is an
+array.
 
 Hidden weights draw from a caller-supplied stream: models built from the same
 seed are bit-identical.
@@ -72,9 +74,13 @@ class Mlp:
         self.params[name] = Tensor(value, requires_grad=True, name=name)
         return self.params[name]
 
-    def __call__(self, x, gelu_out: bool = False) -> Tensor:
-        """Output-head values; ``gelu_out`` applies GELU to them in the head's node."""
-        h = x if isinstance(x, Tensor) else Tensor(x)
+    def __call__(self, x, gelu_out: bool = False):
+        """Output-head values; ``gelu_out`` applies GELU to them in the head's layer.
+
+        An array ``x`` gives an array and builds no Tensor; a Tensor gives the
+        head's tape node (see :func:`autodiff.dense`).
+        """
+        h = x
         for W, b, ln in self._layers:
             h = dense(h, W, b, ln, gelu=ln is not None or gelu_out)
         return h

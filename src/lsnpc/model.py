@@ -7,6 +7,10 @@ labels through the SAME decoder on (x, zhat).  Inference runs backwards with
 two encoders: q(zhat | x, yhat) (Student, or Normal under the Gaussian
 ablation) and q(z | zhat) (Normal).
 
+The forward maps of :class:`LsnpcModel` take plain arrays or Tensors: arrays
+in give arrays out and build no tape (inference), and a Tensor in gives tape
+nodes out (training).  The losses lift their batch to a Tensor.
+
 Losses are negative single-sample ELBOs.  All latent-distribution terms are
 weighted by beta; reconstruction terms are not.  The supervised loss draws z
 from a two-branch mixture: with probability eta from a Normal encoded from
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
-from scipy.special import gammaincinv
+from scipy.special import expit, gammaincinv
 
 from . import rngs
 from .autodiff import NonFiniteLoss, Tensor, concat
@@ -168,51 +172,74 @@ class LsnpcModel:
             self.params.update(net.params)
 
     # -- forward maps -------------------------------------------------------
+    #
+    # Each map has one body and two modes.  Given plain arrays it returns
+    # arrays and builds no Tensor: inference (``correction.correct``, the
+    # theory checks) never runs a backward pass.  Given a Tensor operand it
+    # lifts the others and returns tape nodes, as the training losses need.
+    # Both modes give the same bits, and both read the parameters' current
+    # arrays at each call.
 
-    def embed_labels(self, y) -> Tensor:
-        y = _lift(y)
+    def embed_labels(self, y):
+        y = _operand(y)
         if y.shape[-1] != self.cfg.k:
             raise ValueError(f"expected {self.cfg.k} labels, got {y.shape[-1]}")
         return self.emb(y)
 
+    def _joined(self, x, y):
+        """Features and the embedding of ``y``, side by side."""
+        x, y = _operands(x, y)
+        if x.shape[-1] != self.cfg.d:
+            raise ValueError(f"expected {self.cfg.d} features, got {x.shape[-1]}")
+        return concat([x, self.embed_labels(y)], axis=-1)
+
     def _heads(self, trunk, mu_head, sigma_head, h_in):
         h = trunk(h_in, gelu_out=True)
         mu = mu_head(h)
-        sigma = sigma_head(h).softplus() + self.cfg.lambda_floor
+        sigma = _softplus(sigma_head(h)) + self.cfg.lambda_floor
         return mu, sigma
 
-    def encode_xy(self, x, y) -> tuple[Tensor, Tensor]:
+    def encode_xy(self, x, y):
         """Latent location/scale from features and a (possibly noisy) label vector."""
-        x = _lift(x)
-        if x.shape[-1] != self.cfg.d:
-            raise ValueError(f"expected {self.cfg.d} features, got {x.shape[-1]}")
-        joined = concat([x, self.embed_labels(y)], axis=-1)
-        return self._heads(self.theta_trunk, self.theta_mu, self.theta_sigma, joined)
+        return self._heads(self.theta_trunk, self.theta_mu, self.theta_sigma,
+                           self._joined(x, y))
 
-    def encode_zhat_to_z(self, zhat) -> tuple[Tensor, Tensor]:
-        zhat = _lift(zhat)
+    def encode_zhat_to_z(self, zhat):
+        zhat = _operand(zhat)
         if zhat.shape[-1] != self.cfg.m:
             raise ValueError(f"expected latent dim {self.cfg.m}, got {zhat.shape[-1]}")
         return self._heads(self.kappa_trunk, self.kappa_mu, self.kappa_sigma, zhat)
 
-    def decode_shift(self, z) -> Tensor:
-        return self.psi(_lift(z))
+    def decode_shift(self, z):
+        return self.psi(z)
 
-    def decode_labels(self, x, z) -> Tensor:
+    def decode_labels(self, x, z):
         """Per-label probabilities; one parameter set serves clean and shifted latents."""
-        x = _lift(x)
-        z = _lift(z)
         logits = self.phi(concat([x, z], axis=-1))
-        return logits.sigmoid().clamp(EPS_P, 1.0 - EPS_P)
+        if isinstance(logits, Tensor):
+            return logits.sigmoid().clamp(EPS_P, 1.0 - EPS_P)
+        return np.clip(expit(logits, out=logits), EPS_P, 1.0 - EPS_P, out=logits)
 
-    def proposal_nu(self, x, yhat) -> Tensor | float:
-        """Degrees of freedom of q(zhat | x, yhat): a constant or a learned map."""
+    def proposal(self, x, yhat):
+        """Location, scale and degrees of freedom of q(zhat | x, yhat).
+
+        The degrees of freedom are ``cfg.nu`` in fixed mode and
+        :func:`learned_nu` in learned mode.  Untaped, the encoder and the nu
+        network share one embedding of ``yhat``.  On the tape each embeds
+        ``yhat`` itself: merging the two embedding nodes would change the
+        order in which their gradients are summed, and with it the trained
+        bits.
+        """
+        joined = self._joined(x, yhat)
+        mu, sigma = self._heads(self.theta_trunk, self.theta_mu, self.theta_sigma, joined)
         if self.cfg.nu_mode == "fixed":
-            return self.cfg.nu
-        return learned_nu(self, x, yhat)
+            return mu, sigma, self.cfg.nu
+        if isinstance(joined, Tensor):
+            joined = self._joined(x, yhat)
+        return mu, sigma, _nu_head(self, joined)
 
 
-def learned_nu(model: LsnpcModel, x, yhat) -> Tensor:
+def learned_nu(model: LsnpcModel, x, yhat):
     """2 + softplus(net(x, yhat)), keeping nu > 2; only in learned mode.
 
     The zero-initialized head starts nu at 2 + ln 2, where softplus has a
@@ -220,13 +247,31 @@ def learned_nu(model: LsnpcModel, x, yhat) -> Tensor:
     """
     if model.nu_net is None:
         raise RuntimeError("model carries a fixed nu; no learned-nu network exists")
-    x = _lift(x)
-    joined = concat([x, model.embed_labels(yhat)], axis=-1)
-    return model.nu_net(joined).softplus() + 2.0
+    return _nu_head(model, model._joined(x, yhat))
 
 
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
+def _nu_head(model: LsnpcModel, joined):
+    return _softplus(model.nu_net(joined)) + 2.0
+
+
+def _operand(value):
+    return value if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+
+
+def _operands(*values):
+    """The values as arrays, or all as Tensors when any of them is one."""
+    if any(isinstance(v, Tensor) for v in values):
+        return tuple(v if isinstance(v, Tensor) else Tensor(v) for v in values)
+    return tuple(np.asarray(v, dtype=np.float64) for v in values)
+
+
+def _softplus(a):
+    """softplus as a tape node, or in place in the array ``a``.  Like the
+    tape, the array mode does not warn on a non-finite value."""
+    if isinstance(a, Tensor):
+        return a.softplus()
+    with np.errstate(all="ignore"):
+        return np.logaddexp(0.0, a, out=a)
 
 
 # --------------------------------------------------------------------------
@@ -307,8 +352,9 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise):
     if cfg.proposal == "student":
         chi2_u = _draw(rng, noise, "chi2_u", (s_z, B, 1), uniform=True)
 
-    mu_t, sig_t = model.encode_xy(x, yhat)
-    nu = model.proposal_nu(x, yhat)
+    # A Tensor operand puts the maps on the tape; the batch stays one leaf.
+    x = Tensor(x)
+    mu_t, sig_t, nu = model.proposal(x, yhat)
     detail: dict = {"terms": {}, "nu": nu}
     if y is not None:
         mu_s, sig_s = model.encode_xy(x, y)

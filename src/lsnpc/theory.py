@@ -121,13 +121,12 @@ def verify_theorem1(
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     yhat = np.asarray(yhat, dtype=np.float64).reshape(1, -1)
 
-    mu_t, sig_t = model.encode_xy(x, yhat)
-    mu_t = float(mu_t.data[0, 0])
-    sig_t = float(sig_t.data[0, 0])
+    mu_t, sig_t, nu = model.proposal(x, yhat)
+    mu_t = float(mu_t[0, 0])
+    sig_t = float(sig_t[0, 0])
     col = g.reshape(-1, 1)
     if model.cfg.proposal == "student":
-        nu = float(model.cfg.nu if model.cfg.nu_mode == "fixed"
-                   else model.proposal_nu(x, yhat).data[0, 0])
+        nu = float(np.reshape(nu, -1)[0])
         sd = sig_t * math.sqrt(nu / (nu - 2.0)) if nu > 2 else sig_t * 4.0
         log_q_zhat = logpdf_diag_student(col, np.full((G, 1), mu_t),
                                          np.full((G, 1), sig_t), nu)
@@ -145,8 +144,8 @@ def verify_theorem1(
         )
 
     mu_k, sig_k = model.encode_zhat_to_z(col)
-    mu_k = mu_k.data[:, 0]
-    sig_k = sig_k.data[:, 0]
+    mu_k = mu_k[:, 0]
+    sig_k = sig_k[:, 0]
     # log q(z_i | zhat_j), rows index z, columns index zhat
     log_q_z = np.subtract(g[:, None], mu_k[None, :])
     log_q_z /= sig_k
@@ -155,10 +154,10 @@ def verify_theorem1(
     log_q_z -= np.log(sig_k)
     log_q_z -= 0.5 * math.log(2 * math.pi)
 
-    psi_vals = model.decode_shift(col).data[:, 0]
+    psi_vals = model.decode_shift(col)[:, 0]
     joint = _shift_logpdf(g[None, :] - psi_vals[:, None], model.cfg.nu0)
     log_p_z = -0.5 * np.square(g) - 0.5 * math.log(2 * math.pi)
-    probs = model.decode_labels(np.tile(x, (G, 1)), col).data
+    probs = model.decode_labels(np.tile(x, (G, 1)), col)
     log_p_yhat = logpmf_bernoulli(np.tile(yhat, (G, 1)), probs)
 
     # joint = (log p(z) + log p(zhat|z)) + log p(yhat|x,zhat), built in the
@@ -336,8 +335,8 @@ def _encoded_pairs(model: LsnpcModel, X_sample, pairs):
     delta = hamming(Y0, Y1)
     if np.any(delta < 1):
         raise ValueError("every label pair must differ in at least one position")
-    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
-    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
+    mu0, sig0 = model.encode_xy(X, Y0)
+    mu1, sig1 = model.encode_xy(X, Y1)
     return delta, mu0, sig0, mu1, sig1
 
 

@@ -323,6 +323,60 @@ def test_dense_is_bit_identical_to_primitive_chain(shape, x_grad):
     assert grad_check(fused, {} if x_grad else {"x": x}, sample=40) < 1e-4
 
 
+@pytest.mark.parametrize("shape", sorted(LAYER_SHAPES))
+def test_untaped_dense_returns_the_taped_values_bit_for_bit(shape):
+    has_ln, gelu = LAYER_SHAPES[shape]
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((33, 21)) * 2.0
+    W = Tensor(rng.standard_normal((21, 17)) * 0.4, requires_grad=True, name="W")
+    b = Tensor(rng.standard_normal(17) * 0.2, requires_grad=True)
+    ln = None
+    if has_ln:
+        ln = (Tensor(1.0 + 0.3 * rng.standard_normal(17), requires_grad=True),
+              Tensor(0.3 * rng.standard_normal(17), requires_grad=True))
+    kept = x.copy()
+    untaped = dense(x, W, b, ln, gelu)
+    taped = dense(Tensor(x), W, b, ln, gelu)
+    assert type(untaped) is np.ndarray and isinstance(taped, Tensor)
+    assert untaped.tobytes() == taped.data.tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
+def test_dense_backward_leaves_a_shared_gradient_intact():
+    # add hands one gradient array to both layers: the first backward pass
+    # must not write into the array the second one reads
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((9, 5))
+    weights = rng.standard_normal((9, 4))
+    arrays = {name: rng.standard_normal(shape) * 0.5 for name, shape in (
+        ("W1", (5, 4)), ("b1", (4,)), ("g1", (4,)), ("s1", (4,)),
+        ("W2", (5, 4)), ("b2", (4,)), ("g2", (4,)), ("s2", (4,)))}
+
+    def run(layer):
+        params = {k: Tensor(v.copy(), requires_grad=True, name=k) for k, v in arrays.items()}
+
+        def fn(t):
+            a = layer(t["x"], t["W1"], t["b1"], (t["g1"], t["s1"]), True)
+            b = layer(t["x"], t["W2"], t["b2"], (t["g2"], t["s2"]), True)
+            return ((a + b) * weights).sum()
+
+        graph = ComputeGraph(fn, params)
+        graph.eval({"x": x})
+        return graph.backward()
+
+    fused, chain = run(dense), run(chain_layer)
+    for name in arrays:
+        assert np.array_equal(fused[name], chain[name]), name
+
+
+def test_concat_of_arrays_builds_no_tensor():
+    a, b = np.ones((2, 3)), np.zeros((2, 1))
+    out = concat([a, b], axis=-1)
+    assert type(out) is np.ndarray
+    np.testing.assert_array_equal(out, np.concatenate([a, b], axis=-1))
+    assert isinstance(concat([a, Tensor(b)], axis=-1), Tensor)
+
+
 def test_dense_node_is_labelled_with_its_weight():
     W = Tensor(np.ones((2, 3)), requires_grad=True, name="net.W0")
     W.data[0, 0] = np.nan

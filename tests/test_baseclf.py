@@ -17,7 +17,9 @@ from lsnpc.baseclf import (
     train_base,
     _new_classifier,
 )
+from lsnpc.autodiff import Tensor
 from lsnpc.checkpoint import snapshot
+from lsnpc.distributions import EPS_P
 from lsnpc.evaluation import micro_f1
 from lsnpc.layers import Mlp
 from lsnpc import rngs
@@ -122,6 +124,17 @@ def _train_digest():
 
 def test_training_is_pinned():
     assert _train_digest() == TRAIN_PIN
+
+
+@pytest.mark.parametrize("rows", [1, 7, 200])
+def test_predict_probs_equals_the_taped_network_bit_for_bit(rows):
+    h = _new_classifier(d=3, k=2, hidden=(4, 5), seed=0)
+    rng = np.random.default_rng(rows)
+    for p in h.net.params.values():
+        p.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
+    X = rng.standard_normal((rows, 3)) * 3.0
+    taped = np.clip(expit(h.net(Tensor(X)).data), EPS_P, 1.0 - EPS_P)
+    assert predict_probs(h, X).tobytes() == taped.tobytes()
 
 
 def test_predict_probs_zero_weights_half():

@@ -4,13 +4,16 @@ against an exhaustive scan."""
 
 import hashlib
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
-from lsnpc.baseclf import BaseTrainConfig, predict_probs, train_base
+from lsnpc import rngs
+from lsnpc.autodiff import Tensor
+from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, train_base
 from lsnpc import correction
 from lsnpc.correction import (
     _KNN_BLOCK,
@@ -23,8 +26,8 @@ from lsnpc.correction import (
     load_correction,
     save_correction,
 )
-from lsnpc.distributions import EPS_P
-from lsnpc.model import LsnpcModel, ModelConfig
+from lsnpc.distributions import EPS_P, rsample_diag_normal
+from lsnpc.model import LsnpcModel, ModelConfig, chain
 
 TINY = dict(d=3, k=4, m=2, embed_hidden=5, embed_dim=6, encoder_hidden=(7,),
             decoder_hidden=(6,), shift_hidden=(4,), nu=3.0, nu0=4.0)
@@ -132,6 +135,116 @@ def test_feature_width_mismatch_is_rejected():
         correct(model, h, np.zeros((4, 9)), CorrectionConfig())
 
 
+def test_one_dimensional_features_are_rejected_with_their_shape():
+    model, h, _ = tiny_setup()
+    with pytest.raises(ValueError, match=r"features, got shape \(3,\)"):
+        correct(model, h, np.zeros(3), CorrectionConfig())
+
+
+# ---------------------------------------------------------------------------
+# correct() runs the maps untaped, with the taped values
+
+
+def _taped_chains(model, h, X, cfg):
+    """The decoder output of every chain of ``correct`` with each map on the
+    tape: the chain loop with the features lifted to a Tensor."""
+    xt = Tensor(X)
+    P = np.clip(expit(h.net(Tensor(X)).data), EPS_P, 1.0 - EPS_P)
+    yhat_all = sample_predictions(P, cfg.s_y, rngs.stream(cfg.seed, "correct", "yhat"))
+    noise_rng = rngs.stream(cfg.seed, "correct", "noise")
+    n, m = X.shape[0], model.cfg.m
+    chains = []
+    with np.errstate(all="ignore"):
+        for s in range(cfg.s_y):
+            mu_t, sig_t, nu = model.proposal(xt, yhat_all[s])
+            eps_zhat = noise_rng.standard_normal((cfg.s_zhat, n, m))
+            eps_z = noise_rng.standard_normal((cfg.s_zhat, cfg.s_z, n, m))
+            chi2_u = (None,) * cfg.s_zhat
+            if model.cfg.proposal == "student":
+                chi2_u = noise_rng.random((cfg.s_zhat, n, 1))
+            for t in range(cfg.s_zhat):
+                _, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
+                for u in range(cfg.s_z):
+                    z = rsample_diag_normal(mu_k, sig_k, eps_z[t, u])
+                    chains.append(model.decode_labels(xt, z).data)
+    return np.stack(chains)
+
+
+def _assert_correct_matches_taped_chains(model, h, X, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = correct(model, h, X, cfg)
+    stacked = _taped_chains(model, h, X, cfg)
+    assert result.probs.tobytes() == stacked.mean(axis=0).tobytes()
+    se = stacked.std(axis=0, ddof=1) / np.sqrt(len(stacked))
+    assert result.se.tobytes() == se.tobytes()
+    return result
+
+
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_correct_equals_the_taped_chains_bit_for_bit(case):
+    model, h, X = tiny_setup(seed=9, n=7, **PROPOSAL_CASES[case])
+    _assert_correct_matches_taped_chains(model, h, X, CorrectionConfig(s_y=2, s_zhat=2, s_z=2))
+
+
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_nan_feature_row_matches_the_taped_chains_without_warning(case):
+    model, h, X = tiny_setup(seed=9, n=7, **PROPOSAL_CASES[case])
+    X[2, 0] = np.nan
+    result = _assert_correct_matches_taped_chains(model, h, X, CorrectionConfig(s_y=2, s_zhat=2))
+    assert np.all(np.isnan(result.probs[2]))
+    assert np.all(np.isfinite(np.delete(result.probs, 2, axis=0)))
+
+
+OVERFLOWS = {
+    # the gain overflows the normalized values to +-inf, and GELU(-inf) is NaN
+    "layer-norm-gain": {"emb.ln0.g": 1e308},
+    # q(z | zhat) at +inf location and scale: the draw of z adds +inf and -inf
+    "infinite-posterior": {"kappa.mu.b0": np.inf, "kappa.sigma.b0": np.inf},
+}
+
+
+@pytest.mark.parametrize("overflow", sorted(OVERFLOWS))
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_overflow_matches_the_taped_chains_without_warning(case, overflow):
+    model, h, X = tiny_setup(seed=9, n=7, **PROPOSAL_CASES[case])
+    for name, value in OVERFLOWS[overflow].items():
+        model.params[name].data[:] = value
+    result = _assert_correct_matches_taped_chains(model, h, X, CorrectionConfig(s_y=2, s_zhat=2))
+    assert not np.all(np.isfinite(result.probs))
+
+
+def test_correct_builds_no_tensor(monkeypatch):
+    model, h, X = tiny_setup(seed=4, nu_mode="learned")
+    built = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    correct(model, h, X, CorrectionConfig(s_y=2, s_zhat=2, s_z=2))
+    assert built == []
+    Tensor(np.zeros(1))
+    assert built == [1]
+
+
+def test_correct_decodes_once_per_chain(monkeypatch):
+    model, h, X = tiny_setup(seed=4)
+    calls = []
+    decode = LsnpcModel.decode_labels
+
+    def counting(self, x, z):
+        calls.append(len(x))
+        return decode(self, x, z)
+
+    monkeypatch.setattr(LsnpcModel, "decode_labels", counting)
+    cfg = CorrectionConfig(s_y=3, s_zhat=2, s_z=2)
+    correct(model, h, X, cfg)
+    assert calls == [len(X)] * cfg.n_chains
+
+
 def test_mc_error_decays_like_inverse_root_chains():
     # grow s_y so every chain draws its own label vector: chains are i.i.d.
     # and the repeated-run spread of the mean must follow S^(-1/2)
@@ -165,8 +278,8 @@ def test_correction_matches_two_dimensional_quadrature():
 
     grid = np.linspace(-12.0, 12.0, 801)
     cols = grid[:, None]
-    mu_k, sig_k = (t.data for t in model.encode_zhat_to_z(cols))
-    probs_z = model.decode_labels(np.repeat(X, grid.size, 0), cols).data  # (G, k)
+    mu_k, sig_k = model.encode_zhat_to_z(cols)
+    probs_z = model.decode_labels(np.repeat(X, grid.size, 0), cols)  # (G, k)
     # E[p_j(z) | zhat] for every zhat grid point, by quadrature over z
     qz = np.exp(-0.5 * np.square((grid[None, :] - mu_k) / sig_k)) / (
         np.sqrt(2.0 * np.pi) * sig_k
@@ -179,7 +292,7 @@ def test_correction_matches_two_dimensional_quadrature():
         for yh1 in (0, 1):
             yhat = np.array([[yh0, yh1]], dtype=float)
             w = (P[0] if yh0 else 1 - P[0]) * (P[1] if yh1 else 1 - P[1])
-            mu_t, sig_t = (t.data for t in model.encode_xy(X, yhat))
+            mu_t, sig_t = model.encode_xy(X, yhat)
             q_zhat = student_t.pdf(grid, cfg.nu, loc=mu_t[0, 0], scale=sig_t[0, 0])
             expected += w * np.trapezoid(q_zhat[:, None] * inner, grid, axis=0)
 
@@ -292,6 +405,17 @@ def test_knn_validation():
         knn_correct(T, L, np.zeros((1, 2)), K=0)
     with pytest.raises(ValueError, match="dimensions"):
         knn_correct(T, L, np.zeros((1, 3)), K=2)
+
+
+def test_knn_rejects_one_dimensional_queries_with_their_shape():
+    with pytest.raises(ValueError, match=r"query features \(2,\)"):
+        knn_correct(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros(2), K=2)
+
+
+@pytest.mark.parametrize("label_rows", [3, 5], ids=["fewer", "more"])
+def test_knn_rejects_labels_misaligned_with_training_rows(label_rows):
+    with pytest.raises(ValueError, match=rf"noisy labels \({label_rows}, 3\).*\(4, 2\)"):
+        knn_correct(np.zeros((4, 2)), np.zeros((label_rows, 3)), np.zeros((1, 2)), K=2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ two-sweep update order, and the Gaussian-ablation limit."""
 import dataclasses
 import hashlib
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,19 +147,19 @@ def test_fresh_model_is_at_symmetric_point():
     y = np.zeros((6, 4))
     y[:, 0] = 1.0
     mu, sigma = model.encode_xy(x, y)
-    assert_array_equal(mu.data, 0.0)
+    assert_array_equal(mu, 0.0)
     expected = np.logaddexp(0.0, model.cfg.sigma_bias_init) + model.cfg.lambda_floor
-    assert_allclose(sigma.data, expected, rtol=0, atol=1e-15)
+    assert_allclose(sigma, expected, rtol=0, atol=1e-15)
     z = np.random.default_rng(1).standard_normal((6, 2))
-    assert_array_equal(model.decode_labels(x, z).data, 0.5)
-    assert_array_equal(model.decode_shift(z).data, 0.0)
+    assert_array_equal(model.decode_labels(x, z), 0.5)
+    assert_array_equal(model.decode_shift(z), 0.0)
 
 
 def test_zero_scale_bias_gives_log_two_scale():
     model = LsnpcModel(ModelConfig(**{**TINY, "sigma_bias_init": 0.0}), seed=0)
     x = np.zeros((2, 3))
     _, sigma = model.encode_xy(x, np.zeros((2, 4)))
-    assert_allclose(sigma.data, np.log(2.0) + 1e-3, rtol=0, atol=1e-15)
+    assert_allclose(sigma, np.log(2.0) + 1e-3, rtol=0, atol=1e-15)
 
 
 def test_scales_respect_floor_everywhere():
@@ -167,15 +168,15 @@ def test_scales_respect_floor_everywhere():
     x = rng.standard_normal((10_000, 3)) * 5.0
     y = (rng.random((10_000, 4)) < 0.5).astype(float)
     _, sig_t = model.encode_xy(x, y)
-    assert np.all(sig_t.data >= model.cfg.lambda_floor)
+    assert np.all(sig_t >= model.cfg.lambda_floor)
     _, sig_k = model.encode_zhat_to_z(rng.standard_normal((10_000, 2)) * 30.0)
-    assert np.all(sig_k.data >= model.cfg.lambda_floor)
+    assert np.all(sig_k >= model.cfg.lambda_floor)
 
 
 def test_shift_identity_passes_latents_through():
     model = LsnpcModel(ModelConfig(**{**TINY, "shift_hidden": (), "shift_identity": True}), seed=0)
     z = np.random.default_rng(3).standard_normal((9, 2)) * 10.0
-    assert_array_equal(model.decode_shift(z).data, z)
+    assert_array_equal(model.decode_shift(z), z)
     # requesting hidden layers alongside the identity map silently drops them
     cfg = ModelConfig(**{**TINY, "shift_identity": True})
     assert cfg.shift_hidden == ()
@@ -187,8 +188,8 @@ def test_decoder_finite_for_large_latents():
     z = rng.standard_normal((200, 2))
     z *= 100.0 / np.linalg.norm(z, axis=1, keepdims=True)
     probs = model.decode_labels(rng.standard_normal((200, 3)), z)
-    assert np.all(np.isfinite(probs.data))
-    assert np.all((probs.data > 0.0) & (probs.data < 1.0))
+    assert np.all(np.isfinite(probs))
+    assert np.all((probs > 0.0) & (probs < 1.0))
 
 
 def test_same_seed_builds_identical_parameters():
@@ -223,6 +224,76 @@ def test_load_arrays_validates_names_and_shapes():
 
 
 # ---------------------------------------------------------------------------
+# untaped maps: arrays in, arrays out, the taped values bit for bit
+
+MAP_CASES = {
+    "student-fixed": {},
+    "student-learned": {"nu_mode": "learned"},
+    "normal-fixed": {"proposal": "normal"},
+    "normal-learned": {"proposal": "normal", "nu_mode": "learned"},
+}
+
+
+def _map_calls(model, x, y, z):
+    """Each forward map, given how to pass its first operand."""
+    calls = {
+        "embed_labels": lambda lift: model.embed_labels(lift(y)),
+        "encode_xy": lambda lift: model.encode_xy(lift(x), y),
+        "encode_zhat_to_z": lambda lift: model.encode_zhat_to_z(lift(z)),
+        "decode_shift": lambda lift: model.decode_shift(lift(z)),
+        "decode_labels": lambda lift: model.decode_labels(lift(x), z),
+        "proposal": lambda lift: model.proposal(lift(x), y),
+    }
+    if model.nu_net is not None:
+        calls["learned_nu"] = lambda lift: learned_nu(model, lift(x), y)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [1, 7, 200])
+@pytest.mark.parametrize("case", sorted(MAP_CASES))
+def test_untaped_maps_equal_the_taped_values_bit_for_bit(case, rows):
+    model = tiny_model(seed=40, **MAP_CASES[case])
+    rng = np.random.default_rng(41 + rows)
+    x = rng.standard_normal((rows, 3)) * 2.0
+    y = (rng.random((rows, 4)) < 0.5).astype(float)
+    z = rng.standard_normal((rows, 2)) * 2.0
+    for name, call in _map_calls(model, x, y, z).items():
+        taped, untaped = call(Tensor), call(np.asarray)
+        if not isinstance(taped, tuple):
+            taped, untaped = (taped,), (untaped,)
+        for t, u in zip(taped, untaped):
+            if isinstance(t, float):  # a fixed nu is the config's number either way
+                assert u == t, name
+                continue
+            assert isinstance(t, Tensor) and type(u) is np.ndarray, name
+            assert u.shape == t.shape and u.tobytes() == t.data.tobytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(MAP_CASES))
+def test_untaped_maps_match_the_tape_on_non_finite_values_without_warning(case):
+    model = tiny_model(seed=40, **MAP_CASES[case])
+    # the gains overflow the normalized values to +-inf, and GELU(-inf) is NaN
+    for name in ("emb.ln0.g", "phi.ln0.g"):
+        model.params[name].data[:] = 1e308
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((7, 3))
+    x[3, 1] = np.nan
+    y = (rng.random((7, 4)) < 0.5).astype(float)
+    z = rng.standard_normal((7, 2))
+    for name, call in _map_calls(model, x, y, z).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            untaped = call(np.asarray)
+        taped = call(Tensor)
+        if not isinstance(taped, tuple):
+            taped, untaped = (taped,), (untaped,)
+        for t, u in zip(taped, untaped):
+            if not isinstance(t, float):
+                assert u.tobytes() == t.data.tobytes(), name
+    assert np.isnan(model.encode_xy(x, y)[0]).all() and np.isnan(model.decode_labels(x, z)).any()
+
+
+# ---------------------------------------------------------------------------
 # gradients through forward maps
 
 
@@ -240,7 +311,7 @@ def test_encoder_gradients_match_finite_differences():
     y = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [1, 1, 1, 0]], dtype=float)
 
     def build(bound):
-        mu, sigma = model.encode_xy(x, y)
+        mu, sigma = model.encode_xy(Tensor(x), y)
         return (mu.square().mean() + sigma.mean()) * 0.5
 
     _grad_check_scalar(model, build, {})
@@ -253,8 +324,8 @@ def test_decoder_and_shift_gradients_match_finite_differences():
     z = rng.standard_normal((3, 2))
 
     def build(bound):
-        probs = model.decode_labels(x, z)
-        return probs.log().mean() + model.decode_shift(z).square().mean()
+        probs = model.decode_labels(Tensor(x), z)
+        return probs.log().mean() + model.decode_shift(Tensor(z)).square().mean()
 
     _grad_check_scalar(model, build, {})
 
@@ -535,15 +606,15 @@ def test_learned_nu_floor_and_gradient():
     x = rng.standard_normal((5, 3))
     yhat = (rng.random((5, 4)) < 0.5).astype(float)
     # zero-initialized head: softplus(0) + 2 = 2 + ln 2
-    assert_array_equal(learned_nu(model, x, yhat).data, 2.0 + np.log(2.0))
+    assert_array_equal(learned_nu(model, x, yhat), 2.0 + np.log(2.0))
 
     for p in model.params.values():
         p.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
     big_x = rng.standard_normal((10_000, 3)) * 4.0
     big_y = (rng.random((10_000, 4)) < 0.5).astype(float)
-    assert np.all(learned_nu(model, big_x, big_y).data > 2.0)
+    assert np.all(learned_nu(model, big_x, big_y) > 2.0)
 
-    graph = ComputeGraph(lambda bound: learned_nu(model, x, yhat).mean(), model.params)
+    graph = ComputeGraph(lambda bound: learned_nu(model, Tensor(x), yhat).mean(), model.params)
     graph.eval({})
     graph.backward()
     grads = [np.abs(model.params[n].grad).max() for n in model.params if n.startswith("nu.")]

@@ -109,10 +109,10 @@ def test_override_with_exact_posterior_zeroes_the_lhs():
     col = g.reshape(-1, 1)
     # tabulate the true posterior marginal over z with independent pieces:
     # p(z) p(zhat | z) p(yhat | x, zhat), marginalized over the zhat axis
-    psi = model.decode_shift(col).data[:, 0]
+    psi = model.decode_shift(col)[:, 0]
     log_shift = student_t.logpdf(g[None, :] - psi[:, None], model.cfg.nu0)
     log_pz = -0.5 * np.square(g) - 0.5 * math.log(2 * math.pi)
-    probs = model.decode_labels(np.tile(x.reshape(1, -1), (len(g), 1)), col).data
+    probs = model.decode_labels(np.tile(x.reshape(1, -1), (len(g), 1)), col)
     yh = yhat.reshape(1, -1)
     log_rec = np.sum(yh * np.log(probs) + (1 - yh) * np.log(1 - probs), axis=-1)
     joint = log_pz[:, None] + log_shift + log_rec[None, :]
@@ -361,8 +361,8 @@ def test_each_pair_draws_from_its_own_stream(monkeypatch, workers):
     model, X, (Y0, Y1) = _perturbed_pairs(4, n=5)
     constants = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
     rows = theorem2_check(model, X, (Y0, Y1), constants, n_mc=3000, seed=7)
-    mu0, sig0 = (t.data for t in model.encode_xy(X, Y0))
-    mu1, sig1 = (t.data for t in model.encode_xy(X, Y1))
+    mu0, sig0 = model.encode_xy(X, Y0)
+    mu1, sig1 = model.encode_xy(X, Y1)
     for i, row in enumerate(rows):
         p = DiagStudentParams(mu1[i], sig1[i], 4.0)
         q = DiagStudentParams(mu0[i], sig0[i], 4.0)
@@ -386,7 +386,7 @@ def test_identical_labels_give_zero_normal_kl():
     model = tiny_model(6, proposal="normal", k=4)
     x = np.random.default_rng(7).standard_normal((1, 3))
     y = np.array([[1.0, 0.0, 1.0, 0.0]])
-    mu, sig = (t.data for t in model.encode_xy(x, y))
+    mu, sig = model.encode_xy(x, y)
     p = DiagNormalParams(mu[0], sig[0])
     assert kl_diag_normal(p, p) == 0.0
 
