@@ -360,14 +360,15 @@ def dense(
     needs the temporaries, so the chain writes them into two buffers of the
     output's shape; on the tape, every value the backward pass reads keeps an
     array of its own.  The backward pass repeats the chain's backward rules
-    the same way, in arrays it makes itself.  Inside the layer every value
-    feeds at most two consumers, and a sum of two floats does not depend on
-    order, so values and gradients are bit-identical to that chain in both
-    modes.  Like every op, both modes run under ``np.errstate(all="ignore")``.
+    the same way.  Inside the layer every value feeds at most two consumers,
+    and a sum of two floats does not depend on order, so values and
+    gradients are bit-identical to that chain in both modes.  Like every op,
+    both modes run under ``np.errstate(all="ignore")``.
     """
     tape = isinstance(x, Tensor)
     xd = x.data if tape else np.asarray(x, dtype=np.float64)
     _check_matmul(x if tape else xd, W)
+    n = W.shape[1]
     with np.errstate(all="ignore"):
         o = xd @ W.data
         o += b.data
@@ -390,38 +391,17 @@ def dense(
             return out
         parents = (x, W, b) if ln is None else (x, W, b, *ln)
         node = Tensor(out, name=W.name, _op="dense", _parents=parents)
-    n = W.shape[1]
 
     def bwd(g, xd, Wd, _b, *gain_shift):
-        # Every step writes into an array made here: never into g, which
-        # other nodes may share (``add`` hands one g to both parents), nor
-        # into a forward value the closure keeps.
         if gelu:
-            d = np.multiply(0.5, erf1)
-            t = np.multiply(o, _INV_SQRT_2PI)
-            e = np.multiply(-0.5, o)
-            e *= o
-            np.exp(e, out=e)
-            t *= e
-            d += t
-            d *= g
-            g = d
+            g = (0.5 * erf1 + o * _INV_SQRT_2PI * np.exp(-0.5 * o * o)) * g
         ln_grads = ()
         if ln is not None:
-            t = np.multiply(g, normed)
-            ln_grads = (t.sum(axis=0), g.sum(axis=0))
-            gg = np.multiply(g, gain_shift[0], out=t)
-            u = np.negative(gg)
-            u *= centered
-            u /= std * std
-            g_var = 0.5 * u.sum(axis=1, keepdims=True) / std
-            np.divide(gg, std, out=u)
-            np.multiply(2.0, centered, out=gg)
-            gg *= g_var / n
-            u += gg
-            np.negative(u, out=gg)
-            u += gg.sum(axis=1, keepdims=True) / n
-            g = u
+            ln_grads = ((g * normed).sum(axis=0), g.sum(axis=0))
+            g = g * gain_shift[0]
+            g_var = 0.5 * (-g * centered / (std * std)).sum(axis=1, keepdims=True) / std
+            g = g / std + 2.0 * centered * (g_var / n)
+            g = g + (-g).sum(axis=1, keepdims=True) / n
         g_x = g @ Wd.T if x.requires_grad else None
         return (g_x, xd.T @ g, g.sum(axis=0), *ln_grads)
 

@@ -224,19 +224,12 @@ class LsnpcModel:
         """Location, scale and degrees of freedom of q(zhat | x, yhat).
 
         The degrees of freedom are ``cfg.nu`` in fixed mode and
-        :func:`learned_nu` in learned mode.  Untaped, the encoder and the nu
-        network share one embedding of ``yhat``.  On the tape each embeds
-        ``yhat`` itself: merging the two embedding nodes would change the
-        order in which their gradients are summed, and with it the trained
-        bits.
+        :func:`learned_nu` in learned mode.
         """
-        joined = self._joined(x, yhat)
-        mu, sigma = self._heads(self.theta_trunk, self.theta_mu, self.theta_sigma, joined)
+        mu, sigma = self.encode_xy(x, yhat)
         if self.cfg.nu_mode == "fixed":
             return mu, sigma, self.cfg.nu
-        if isinstance(joined, Tensor):
-            joined = self._joined(x, yhat)
-        return mu, sigma, _nu_head(self, joined)
+        return mu, sigma, learned_nu(self, x, yhat)
 
 
 def learned_nu(model: LsnpcModel, x, yhat):
@@ -247,11 +240,7 @@ def learned_nu(model: LsnpcModel, x, yhat):
     """
     if model.nu_net is None:
         raise RuntimeError("model carries a fixed nu; no learned-nu network exists")
-    return _nu_head(model, model._joined(x, yhat))
-
-
-def _nu_head(model: LsnpcModel, joined):
-    return _softplus(model.nu_net(joined)) + 2.0
+    return _softplus(model.nu_net(model._joined(x, yhat))) + 2.0
 
 
 def _operand(value):
