@@ -324,6 +324,17 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape})"
 
 
+# Operands may be arrays or Tensors; out of ``__all__``, which tracers wrap.
+def data_of(value) -> np.ndarray:
+    """The float64 array of an operand: a Tensor's values, or the operand as an array."""
+    return value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+
+
+def any_tensor(*values) -> bool:
+    """Whether any operand is a Tensor, which puts the op on the tape."""
+    return any(isinstance(v, Tensor) for v in values)
+
+
 def _check_matmul(a, b) -> None:
     """Shape check of ``a @ b`` for Tensors and plain arrays alike."""
     if len(a.shape) != 2 or len(b.shape) != 2:
@@ -366,7 +377,7 @@ def dense(
     both modes run under ``np.errstate(all="ignore")``.
     """
     tape = isinstance(x, Tensor)
-    xd = x.data if tape else np.asarray(x, dtype=np.float64)
+    xd = data_of(x)
     _check_matmul(x if tape else xd, W)
     n = W.shape[1]
     with np.errstate(all="ignore"):
@@ -438,10 +449,9 @@ def concat(tensors: Iterable, axis: int = -1):
     else a tape node over the parts lifted to Tensors, whose gradient splits
     back."""
     parts = tuple(tensors)
-    values = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-              for t in parts]
+    values = [data_of(t) for t in parts]
     out = np.concatenate(values, axis=axis)
-    if not any(isinstance(t, Tensor) for t in parts):
+    if not any_tensor(*parts):
         return out
     parents = tuple(Tensor._lift(t) for t in parts)
     splits = np.cumsum([v.shape[axis] for v in values])[:-1]

@@ -38,7 +38,6 @@ __all__ = [
     "deserialize_params",
     "save_params",
     "load_params",
-    "digest",
     "file_digest",
 ]
 
@@ -180,10 +179,6 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str]) -> No
 def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     with open(path, "rb") as fh:
         return deserialize_params(fh.read())
-
-
-def digest(params: dict[str, np.ndarray], meta: dict[str, str]) -> str:
-    return hashlib.sha256(serialize_params(params, meta)).hexdigest()
 
 
 def file_digest(path) -> str:

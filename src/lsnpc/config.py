@@ -1,11 +1,11 @@
 """INI experiment configuration: parsing, validation, defaults.
 
 [base], [lsnpc], [correction] and [theory] take the fields of their
-sub-config, less the ``seed`` and ``shuffle`` that the pipeline and tests set;
-``SCHEMA`` and ``SPLIT_KEYS`` name every other key.  Each value is converted
-by its field's type hint.  An unknown section or key, or a value that the
-config dataclasses reject, raises ConfigError when the text is parsed.  All
-keys are optional and fall back to the defaults in ``ExperimentConfig``.
+sub-config, less the ``seed`` that the pipeline sets per cell; ``SCHEMA`` and
+``SPLIT_KEYS`` name every other key.  Each value is converted by its field's
+type hint.  An unknown section or key, or a value that the config
+dataclasses reject, raises ConfigError when the text is parsed.  All keys
+are optional and fall back to the defaults in ``ExperimentConfig``.
 
 Schema (defaults in parentheses):
 
@@ -29,6 +29,9 @@ Schema (defaults in parentheses):
 [theory]      instances (50), pairs (200), n_mc (100000), train_n (400),
               train_epochs (6), base_epochs (10), m (4), nu (4.0),
               noise_rate (0.3), seed (1)
+
+Seeds are non-negative, and a synthetic k must be >= 2 when any [noise] or
+[theory] noise rate is positive.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ class TheoryConfig:
             raise ConfigError("theory m must be >= 1")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigError(f"theory noise rate {self.noise_rate} outside [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"theory seed must be non-negative, got {self.seed}")
 
 
 # The GeneratorConfig and ModelConfig fields that [data] and [model] set.
@@ -131,8 +136,8 @@ class ExperimentConfig:
     theory: TheoryConfig = field(default_factory=TheoryConfig)
 
     def __post_init__(self):
-        if len(self.seeds) < 1:
-            raise ConfigError("need at least one seed")
+        if len(self.seeds) < 1 or min(self.seeds) < 0:
+            raise ConfigError(f"need at least one seed, none negative; got {self.seeds}")
         if self.paradigm not in PARADIGMS:
             raise ConfigError(f"paradigm must be one of {PARADIGMS}")
         for kind in self.noise_kinds:
@@ -165,6 +170,8 @@ class ExperimentConfig:
             if self.source == "synthetic":
                 self.generator_config(0)
                 spec.sizes(self.n)
+                if self.k < 2 and max((*self.noise_rates, self.theory.noise_rate)) > 0:
+                    raise ConfigError(f"label noise needs at least 2 labels, got k={self.k}")
             spec.sizes(self.theory.train_n)  # verify_all's training split
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -209,11 +216,11 @@ SCHEMA: dict[str, dict[str, str]] = {
 }
 # [split] keys, in the order of ExperimentConfig.split_fractions.
 SPLIT_KEYS = ("train", "validation", "clean", "test")
-# Sections that also take the fields of a sub-config, less the ones that
-# the pipeline sets per cell (seed) or that only tests set (shuffle).
+# Sections that also take the fields of a sub-config, less the seed that the
+# pipeline sets per cell.
 SUB_SECTIONS = {
-    "base": (BaseTrainConfig, ("seed", "shuffle")),
-    "lsnpc": (LsnpcTrainConfig, ("seed", "shuffle")),
+    "base": (BaseTrainConfig, ("seed",)),
+    "lsnpc": (LsnpcTrainConfig, ("seed",)),
     "correction": (CorrectionConfig, ("seed",)),
     "theory": (TheoryConfig, ()),
 }

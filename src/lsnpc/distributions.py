@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .autodiff import Tensor, fused, unbroadcast
+from .autodiff import Tensor, any_tensor, data_of, fused, unbroadcast
 
 __all__ = [
     "DiagNormalParams",
@@ -51,10 +51,6 @@ EPS_P = 1e-6
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
-
-
-def _is_tensor(*values) -> bool:
-    return any(isinstance(v, Tensor) for v in values)
 
 
 def _log(a):
@@ -134,8 +130,7 @@ def rsample_diag_student(mean, scale, nu, noise, chi2):
     if np.any(chi2 <= 0.0):
         raise ValueError("chi-square draws must be strictly positive")
     _check_last_dim(mean, noise, "rsample_diag_student")
-    nu_values = nu.data if isinstance(nu, Tensor) else np.asarray(nu, dtype=np.float64)
-    factor = noise * np.sqrt(nu_values / chi2)
+    factor = noise * np.sqrt(data_of(nu) / chi2)
     return mean + scale * factor
 
 
@@ -162,10 +157,10 @@ def logpdf_diag_normal(x, mean, scale):
     """Exact diagonal-Gaussian log density, summed over the last axis."""
     # log(scale) stays a node of its own: q(z | zhat) adds that term to the
     # scale's gradient after the term of the draw z = mean + scale * eps.
-    tape = _is_tensor(x, mean, scale)
+    tape = any_tensor(x, mean, scale)
     with _errstate(tape):
         log_scale = _log(scale)
-        xd, md, sd, ld = _values(x, mean, scale, log_scale)
+        xd, md, sd, ld = map(data_of, (x, mean, scale, log_scale))
         d = xd - md
         z = d / sd
         per_dim = -0.5 * np.square(z) - ld - 0.5 * _LN_2PI
@@ -195,8 +190,8 @@ def logpdf_diag_student(x, mean, scale, nu):
     """
     if not isinstance(nu, Tensor) and np.any(np.asarray(nu) <= 1.0):
         raise ValueError("degrees of freedom must exceed 1")
-    tape = _is_tensor(x, mean, scale, nu)
-    xd, md, sd, nd = _values(x, mean, scale, nu)
+    tape = any_tensor(x, mean, scale, nu)
+    xd, md, sd, nd = map(data_of, (x, mean, scale, nu))
     with _errstate(tape):
         d = xd - md
         t = d / sd
@@ -249,7 +244,7 @@ def logpmf_bernoulli(y, probs):
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be binary")
     tape = isinstance(probs, Tensor)
-    (pd,) = _values(probs)
+    pd = data_of(probs)
     with _errstate(tape):
         not_y = 1.0 - y
         not_p = 1.0 - pd
@@ -266,11 +261,6 @@ def logpmf_bernoulli(y, probs):
             )
 
         return fused("logpmf_bernoulli", out, (probs, probs), grads)
-
-
-def _values(*operands) -> list[np.ndarray]:
-    return [v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-            for v in operands]
 
 
 def _sum_last_grad(g, shape) -> np.ndarray:

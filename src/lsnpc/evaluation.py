@@ -2,9 +2,8 @@
 
 Micro-F1 pools true-positive, false-positive, and false-negative counts over
 every instance-label cell; macro-F1 averages per-label F1 scores.  A label
-that never occurs and is never predicted is vacuously perfect (F1 = 1) by
-default so an unused label cannot punish a perfect predictor; the alternative
-convention of skipping such labels is available via ``vacuous``.
+that never occurs and is never predicted is vacuously perfect (F1 = 1), so an
+unused label cannot punish a perfect predictor.
 
 Reports present mean and sample standard deviation (n - 1 denominator) over
 seeds, scaled by 100 as percentages.
@@ -12,7 +11,6 @@ seeds, scaled by 100 as percentages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,19 +65,6 @@ class ExperimentReport:
             lines.append(f"{setting},{nr!r},{method},{metric},{mean!r},{std!r},{n}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "ExperimentReport":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0] != "setting,nr,method,metric,mean,std,n_seeds":
-            raise ValueError("unrecognized report header")
-        rows = []
-        for line in lines[1:]:
-            setting, nr, method, metric, mean, std, n = line.split(",")
-            rows.append(
-                (setting, float(nr), method, metric, float(mean), float(std), int(n))
-            )
-        return cls(rows=rows)
-
     def to_text(self) -> str:
         header = ("setting", "nr", "method", "metric", "mean", "std", "seeds")
         table = [header]
@@ -87,17 +72,20 @@ class ExperimentReport:
             table.append(
                 (setting, f"{nr:g}", method, metric, f"{mean:.2f}", f"{std:.2f}", str(n))
             )
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = []
-        for row in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-        return "\n".join(lines) + "\n"
+        return "\n".join(table_lines(table)) + "\n"
 
     def lookup(self, setting: str, nr: float, method: str, metric: str) -> tuple[float, float, int]:
         for row in self.rows:
             if row[:4] == (setting, nr, method, metric):
                 return row[4], row[5], row[6]
         raise KeyError(f"no row for {(setting, nr, method, metric)}")
+
+
+def table_lines(table) -> list[str]:
+    """The rows of ``table`` (sequences of strings) as text lines: each column
+    left-justified to its widest cell, columns joined by two spaces."""
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
 
 
 def label_counts(Y_true, Y_pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,29 +112,20 @@ def micro_f1(Y_true, Y_pred) -> float:
     return 2.0 * int(tp.sum()) / denom
 
 
-def macro_f1(Y_true, Y_pred, vacuous: float = 1.0) -> float:
-    """Unweighted mean of per-label F1.
-
-    ``vacuous`` is the score granted to a label with no true occurrences and
-    no predictions (TP = FP = FN = 0); pass ``float('nan')`` to drop such
-    labels from the average instead.
-    """
+def macro_f1(Y_true, Y_pred) -> float:
+    """Unweighted mean of per-label F1; a label with no true occurrences and
+    no predictions (TP = FP = FN = 0) scores 1."""
     tp, fp, fn = label_counts(Y_true, Y_pred)
     denom = 2 * tp + fp + fn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_label = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), vacuous)
-    if math.isnan(vacuous):
-        per_label = per_label[~np.isnan(per_label)]
-        if per_label.size == 0:
-            return 0.0
+    per_label = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 1.0)
     return float(np.mean(per_label))
 
 
-def f1_report(Y_true, Y_pred, vacuous: float = 1.0) -> F1Report:
+def f1_report(Y_true, Y_pred) -> F1Report:
     tp, fp, fn = label_counts(Y_true, Y_pred)
     return F1Report(
         micro_f1=micro_f1(Y_true, Y_pred),
-        macro_f1=macro_f1(Y_true, Y_pred, vacuous=vacuous),
+        macro_f1=macro_f1(Y_true, Y_pred),
         tp=tp,
         fp=fp,
         fn=fn,

@@ -27,14 +27,13 @@ import numpy as np
 from . import rngs
 from .baseclf import BaseClassifier, train_base, predict_probs, save_base
 from .checkpoint import file_digest, restore, snapshot
-from .config import ExperimentConfig, override
+from .config import ExperimentConfig
 from .correction import CorrectionResult, binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
 from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report, micro_f1
 from .model import LsnpcModel, train_semi_supervised, save_model
 from .noise import SplitResult, build_transition_matrix, save_transition, split_dataset
 from .theory import (
-    QuadratureGrid,
     Theorem1Result,
     TheoryReport,
     amortization_demo,
@@ -299,11 +298,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
     return art
 
 
-def sweep_sensitivity(cfg: ExperimentConfig, nu0_values=None, nu_values=None,
-                      out_dir=None, quiet: bool = False) -> ExperimentReport:
-    """One full run per (nu0, nu) cell; nu may be the string 'learned'."""
-    cfg = override(cfg, sweep_nu0=tuple(cfg.sweep_nu0 if nu0_values is None else nu0_values),
-                   sweep_nu=tuple(cfg.sweep_nu if nu_values is None else nu_values))
+def sweep_sensitivity(cfg: ExperimentConfig, out_dir=None,
+                      quiet: bool = False) -> ExperimentReport:
+    """One full run per (nu0, nu) in ``cfg.sweep_nu0`` x ``cfg.sweep_nu``; nu may be 'learned'."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     rows: list[RunMetrics] = []
     for nu0 in cfg.sweep_nu0:
@@ -377,18 +374,16 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
     return model, sp.splits["train"].X.astype(np.float64)
 
 
-def _theorem1_instance(unit) -> Theorem1Result:
+def _theorem1_instance(s: int) -> Theorem1Result:
     """Quadrature instance s: ``tiny_model(seed=s)`` on inputs from stream s."""
-    s, grid = unit
     model = tiny_model(seed=s)
     rng = rngs.stream(s, "theory", "inputs")
     x = rng.standard_normal(model.cfg.d)
     yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
-    return verify_theorem1(model, x, yhat, grid)
+    return verify_theorem1(model, x, yhat)
 
 
-def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None = None,
-               quiet: bool = False) -> TheoryReport:
+def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> TheoryReport:
     """All numerical checks; writes theory_report.{txt,csv} under the out dir.
 
     The quadrature instances and the Monte-Carlo pairs of the affine bound
@@ -400,7 +395,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None 
     report = TheoryReport()
 
     # 1. Expected conditional KL vs joint KL on random 1-D instances.
-    with rngs.fan_out(_theorem1_instance, [(s, grid) for s in range(tc.instances)]) as results:
+    with rngs.fan_out(_theorem1_instance, range(tc.instances)) as results:
         results = list(results)
     held = sum(res.holds for res in results)
     flagged = sum(not res.entropy_nonneg for res in results)
@@ -416,8 +411,8 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, grid: QuadratureGrid | None 
     rng = rngs.stream(tc.seed, "theory", "pairs")
     idx = rng.integers(0, X_train.shape[0], size=tc.pairs)
     X = X_train[idx]
-    deltas = (np.arange(tc.pairs) % 3) + 1
     k = model.cfg.k  # the dataset's label count, which a dataset file sets
+    deltas = np.arange(tc.pairs) % min(3, k) + 1
     Y0 = np.empty((tc.pairs, k)); Y1 = np.empty((tc.pairs, k))
     for i in range(tc.pairs):
         a, b = random_label_pairs(k, 1, rng, delta=int(deltas[i]))

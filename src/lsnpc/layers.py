@@ -86,10 +86,9 @@ class Mlp:
         return h
 
 
-def cosine_lr(base_lr: float, epoch: int, cycle: int = 10) -> float:
-    """Cosine-annealed learning rate restarting every ``cycle`` epochs."""
-    position = epoch % cycle
-    return 0.5 * base_lr * (1.0 + math.cos(math.pi * position / cycle))
+def cosine_lr(epoch: int) -> float:
+    """The learning-rate scale of ``epoch``: cosine-annealed from 1, restarting every 10 epochs."""
+    return 0.5 * (1.0 + math.cos(math.pi * (epoch % 10) / 10))
 
 
 @dataclass
@@ -181,7 +180,6 @@ class TrainConfig:
     batch_size: int = 32
     optimizer: str = "adamw"
     weight_decay: float = 0.01
-    shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -202,8 +200,9 @@ def fit(params: dict[str, Tensor], cfg: TrainConfig, sweeps, score=None):
     """Train ``params`` for ``cfg.epochs`` epochs; keep the best-scored one.
 
     Each epoch runs every sweep ``(name, rows, shuffle_rng, batch_loss)`` in
-    order: ``batch_loss`` maps a batch of row indices to a loss Tensor, and
-    every batch takes one cosine-scaled optimizer step.  ``score()`` then
+    order, over a permutation of its rows drawn from ``shuffle_rng``:
+    ``batch_loss`` maps a batch of row indices to a loss Tensor, and every
+    batch takes one cosine-scaled optimizer step.  ``score()`` then
     rates the epoch's parameters, and the best-rated epoch is restored at the
     end (ties keep the earlier one).  Returns the mean loss per epoch of each
     sweep by name, the scores, the best epoch (-1 without ``score``) and its
@@ -214,9 +213,9 @@ def fit(params: dict[str, Tensor], cfg: TrainConfig, sweeps, score=None):
     scores: list[float] = []
     best_epoch, best, best_arrays = -1, float("nan"), None
     for epoch in range(cfg.epochs):
-        lr_scale = cosine_lr(1.0, epoch)
+        lr_scale = cosine_lr(epoch)
         for name, n, shuffle_rng, batch_loss in sweeps:
-            order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+            order = shuffle_rng.permutation(n)
             total, n_batches = 0.0, 0
             for start in range(0, n, cfg.batch_size):
                 try:

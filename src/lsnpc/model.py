@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit, gammaincinv
 
 from . import rngs
-from .autodiff import NonFiniteLoss, Tensor, concat
+from .autodiff import NonFiniteLoss, Tensor, concat, data_of
 from .baseclf import BaseClassifier, predict_probs, sample_predictions
 from .distributions import (
     EPS_P,
@@ -119,7 +119,6 @@ class LsnpcModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
-        self.init_seed = seed
         self.metadata: dict = {}
         self.history: dict = {}
         rng = rngs.stream(seed, "model", "init")
@@ -181,16 +180,16 @@ class LsnpcModel:
     # arrays at each call.
 
     def embed_labels(self, y):
-        y = _operand(y)
-        if y.shape[-1] != self.cfg.k:
-            raise ValueError(f"expected {self.cfg.k} labels, got {y.shape[-1]}")
+        if np.shape(y)[-1] != self.cfg.k:
+            raise ValueError(f"expected {self.cfg.k} labels, got {np.shape(y)[-1]}")
         return self.emb(y)
 
     def _joined(self, x, y):
         """Features and the embedding of ``y``, side by side."""
-        x, y = _operands(x, y)
-        if x.shape[-1] != self.cfg.d:
-            raise ValueError(f"expected {self.cfg.d} features, got {x.shape[-1]}")
+        if np.shape(x)[-1] != self.cfg.d:
+            raise ValueError(f"expected {self.cfg.d} features, got {np.shape(x)[-1]}")
+        if isinstance(x, Tensor) and not isinstance(y, Tensor):
+            y = Tensor(y)  # so the embedding joins x on the tape
         return concat([x, self.embed_labels(y)], axis=-1)
 
     def _heads(self, trunk, mu_head, sigma_head, h_in):
@@ -205,9 +204,8 @@ class LsnpcModel:
                            self._joined(x, y))
 
     def encode_zhat_to_z(self, zhat):
-        zhat = _operand(zhat)
-        if zhat.shape[-1] != self.cfg.m:
-            raise ValueError(f"expected latent dim {self.cfg.m}, got {zhat.shape[-1]}")
+        if np.shape(zhat)[-1] != self.cfg.m:
+            raise ValueError(f"expected latent dim {self.cfg.m}, got {np.shape(zhat)[-1]}")
         return self._heads(self.kappa_trunk, self.kappa_mu, self.kappa_sigma, zhat)
 
     def decode_shift(self, z):
@@ -243,17 +241,6 @@ def learned_nu(model: LsnpcModel, x, yhat):
     return _softplus(model.nu_net(model._joined(x, yhat))) + 2.0
 
 
-def _operand(value):
-    return value if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-
-
-def _operands(*values):
-    """The values as arrays, or all as Tensors when any of them is one."""
-    if any(isinstance(v, Tensor) for v in values):
-        return tuple(v if isinstance(v, Tensor) else Tensor(v) for v in values)
-    return tuple(np.asarray(v, dtype=np.float64) for v in values)
-
-
 def _softplus(a):
     """softplus as a tape node, or in place in the array ``a``.  Like the
     tape, the array mode does not warn on a non-finite value."""
@@ -269,9 +256,8 @@ def _softplus(a):
 
 def _chi2_from_uniform(nu, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF chi-square(nu) transform of uniforms; nu detached if a Tensor."""
-    nu_values = nu.data if isinstance(nu, Tensor) else np.asarray(nu, dtype=np.float64)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return 2.0 * gammaincinv(nu_values / 2.0, u)
+    return 2.0 * gammaincinv(data_of(nu) / 2.0, u)
 
 
 def _draw(rng, noise, key, shape, uniform=False):
@@ -290,7 +276,7 @@ def _check_terms(loss: Tensor, terms: dict) -> None:
         return
     lines = []
     for name, t in terms.items():
-        values = t.data if isinstance(t, Tensor) else np.asarray(t)
+        values = data_of(t)
         bad = int(np.sum(~np.isfinite(values)))
         lines.append(f"{name}: {bad} non-finite of {values.size}")
     raise NonFiniteLoss(

@@ -36,6 +36,7 @@ from .distributions import (
     mc_kl_diag_student,
     student_entropy,
 )
+from .evaluation import table_lines
 from .model import LsnpcModel, ModelConfig
 
 __all__ = [
@@ -60,6 +61,10 @@ __all__ = [
 
 class GridError(ValueError):
     """Quadrature grid fails a coverage or normalization requirement."""
+
+
+# Largest grid-mass error of either density, and the slack of ``holds``.
+THEOREM1_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,13 @@ def verify_theorem1(
     x,
     yhat,
     grid: QuadratureGrid | None = None,
-    tol: float = 1e-3,
     qz_log_override: np.ndarray | None = None,
 ) -> Theorem1Result:
     """Quadrature comparison of E_zhat KL[q(z|zhat) || p(z|x,yhat)] vs joint KL.
 
     Requires a 1-D latent.  The joint posterior is p(z) p(zhat|z) p(yhat|x,zhat)
     normalized on the grid; both the proposal and the generative density must
-    integrate to 1 within ``tol`` on the grid or a GridError is raised.
+    integrate to 1 within ``THEOREM1_TOL`` on the grid or a GridError is raised.
     ``qz_log_override`` substitutes a tabulated log density for q(z|zhat)
     inside the expected-KL integrand (it does not touch the joint KL).
     """
@@ -169,7 +173,7 @@ def verify_theorem1(
     log_q_joint = log_q_zhat[None, :] + log_q_z
     q_mass = float(np.exp(_logsumexp(log_q_joint))) * dz * dz
     for name, mass in (("proposal", q_mass), ("generative", gen_mass)):
-        if abs(mass - 1.0) > tol:
+        if abs(mass - 1.0) > THEOREM1_TOL:
             raise GridError(
                 f"{name} density integrates to {mass:.6f} on the grid; "
                 f"refine or widen it"
@@ -194,7 +198,7 @@ def verify_theorem1(
         rhs=rhs,
         proposal_entropy=float(entropy),
         entropy_nonneg=entropy >= 0.0,
-        holds=lhs <= rhs + tol,
+        holds=lhs <= rhs + THEOREM1_TOL,
         evidence=float(np.exp(log_evidence)),
         proposal_mass=q_mass,
         generative_mass=gen_mass,
@@ -276,8 +280,8 @@ class BoundConstants:
     """Empirical encoder-regularity constants with the bound coefficients.
 
     M bounds per-dimension variance ratios per unit Hamming distance (both
-    ratio directions), L bounds the mean shift per unit distance in the
-    chosen norm, lam is the smallest observed variance.  alpha, C1, C2 are
+    ratio directions), L bounds the l2 norm of the mean shift per unit
+    distance, lam is the smallest observed variance.  alpha, C1, C2 are
     evaluated at (nu, m).  n_regular counts the pairs whose variance ratio,
     mean shift and smaller variance are finite, with that variance at least
     the model's lambda_floor squared.
@@ -288,7 +292,6 @@ class BoundConstants:
     lam: float
     nu: float
     m: int
-    norm: str = "l2"
     n_pairs: int = 0
     l_degenerate: bool = False
     n_regular: int = 0
@@ -340,9 +343,7 @@ def _encoded_pairs(model: LsnpcModel, X_sample, pairs):
     return delta, mu0, sig0, mu1, sig1
 
 
-def estimate_constants(
-    model: LsnpcModel, X_sample, pairs, norm: str = "l2"
-) -> BoundConstants:
+def estimate_constants(model: LsnpcModel, X_sample, pairs) -> BoundConstants:
     """Empirical (M, L, lam) over row-aligned (x, y0, y1) triples.
 
     ``pairs`` is (Y0, Y1) with one label pair per row of X_sample; every pair
@@ -354,15 +355,7 @@ def estimate_constants(
     ratio = np.maximum(var1 / var0, var0 / var1)
     M = float(np.max(ratio / delta[:, None]))
 
-    diff = mu1 - mu0
-    if norm == "l2":
-        shift = np.linalg.norm(diff, axis=-1)
-    elif norm == "l1":
-        shift = np.sum(np.abs(diff), axis=-1)
-    elif norm == "linf":
-        shift = np.max(np.abs(diff), axis=-1)
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
+    shift = np.linalg.norm(mu1 - mu0, axis=-1)
     L = float(np.max(shift / delta))
     l_degenerate = L == 0.0
     if l_degenerate:
@@ -386,7 +379,6 @@ def estimate_constants(
         lam=lam,
         nu=float(model.cfg.nu),
         m=model.cfg.m,
-        norm=norm,
         n_pairs=len(delta),
         l_degenerate=l_degenerate,
         n_regular=int(np.count_nonzero(regular)),
@@ -616,7 +608,6 @@ class TheoryReport:
         table = [header]
         for name, instances, passes, margin in self.rows:
             table.append((name, str(instances), str(passes), f"{margin:.6g}"))
-        widths = [max(len(row[i]) for row in table) for i in range(4)]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
+        lines = table_lines(table)
         lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines) + "\n"

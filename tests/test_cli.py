@@ -111,6 +111,23 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert not list(out.glob("theory_report.*"))
 
 
+def test_negative_seed_flag_exits_1_before_writing(tiny_ini, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(tiny_ini), "--out", str(out),
+                 "--seed", "-1", "--quiet"]) == 1
+    assert "none negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_label_noise_on_one_label_exits_1_before_writing(tmp_path, capsys):
+    ini = tmp_path / "one_label.ini"
+    ini.write_text(TINY_INI.replace("k = 3", "k = 1"))
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(ini), "--out", str(out), "--quiet"]) == 1
+    assert "at least 2 labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failures_exit_2(tmp_path, capsys):
     ini = tmp_path / "broken.ini"
     ini.write_text(f"[data]\nsource = {tmp_path / 'no_such.bin'}\n")

@@ -125,14 +125,14 @@ seed = 4
                             base_epochs=3, m=2, nu=6.0, noise_rate=0.2, seed=4),
     )
     # so every field is reachable from the INI text, except the per-cell
-    # seed and the test-only shuffle, which stay at their defaults
+    # seed, which stays at its default
     default = ExperimentConfig()
     for f in dataclasses.fields(cfg):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
     for section in ("base", "lsnpc", "correction", "theory"):
         sub, sub_default = getattr(cfg, section), getattr(default, section)
         for f in dataclasses.fields(sub):
-            per_cell = section != "theory" and f.name in ("seed", "shuffle")
+            per_cell = section != "theory" and f.name == "seed"
             assert (getattr(sub, f.name) == getattr(sub_default, f.name)) == per_cell, \
                 f"[{section}] {f.name}"
 
@@ -145,8 +145,8 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"unknown key 'momentum' in \[base\]"):
         parse_config("[base]\nmomentum = 0.9\n")
-    # the pipeline sets each cell's seed; shuffle is for tests only
-    for section, key in (("base", "seed"), ("lsnpc", "shuffle"), ("correction", "seed")):
+    # the pipeline sets each cell's seed
+    for section, key in (("base", "seed"), ("lsnpc", "seed"), ("correction", "seed")):
         with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
             parse_config(f"[{section}]\n{key} = 1\n")
 
@@ -234,6 +234,25 @@ def test_theory_config_validation():
         TheoryConfig(nu=2.0)
     with pytest.raises(ConfigError, match="positive"):
         TheoryConfig(pairs=0)
+
+
+def test_negative_seeds_are_rejected():
+    with pytest.raises(ConfigError, match="none negative"):
+        parse_config("[run]\nseeds = 1, -1\n")
+    with pytest.raises(ConfigError, match="theory seed must be non-negative"):
+        parse_config("[theory]\nseed = -3\n")
+
+
+def test_label_noise_needs_two_synthetic_labels():
+    one = "[data]\nk = 1\n"
+    # a positive [noise] rate, or the [theory] rate alone (0.3 by default)
+    for body in ("[noise]\nrates = 0.0, 0.3\n[theory]\nnoise_rate = 0.0\n",
+                 "[noise]\nrates = 0.0\n"):
+        with pytest.raises(ConfigError, match="at least 2 labels, got k=1"):
+            parse_config(one + body)
+    assert parse_config(one + "[noise]\nrates = 0.0\n[theory]\nnoise_rate = 0.0\n").k == 1
+    # a dataset file's label count is known only once the file is read
+    assert parse_config("[data]\nsource = ds.bin\nk = 1\n").k == 1
 
 
 def test_experiment_config_direct_validation():

@@ -239,22 +239,22 @@ def test_ablation_pairs_arms_on_identical_inputs(tmp_path):
 
 
 def test_sweep_covers_grid_and_learned_mode(tmp_path):
-    cfg = tiny_config(noise_rates=(0.4,), paradigm="unsupervised")
-    report = sweep_sensitivity(cfg, nu0_values=(3.0,), nu_values=(4.0, "learned"),
-                               out_dir=tmp_path, quiet=True)
+    cfg = tiny_config(noise_rates=(0.4,), paradigm="unsupervised",
+                      sweep_nu0=(3.0,), sweep_nu=(4.0, "learned"))
+    report = sweep_sensitivity(cfg, out_dir=tmp_path, quiet=True)
     settings = {row[0] for row in report.rows}
     assert settings == {"nu0=3 nu=4|sym", "nu0=3 nu=learned|sym"}
     report.lookup("nu0=3 nu=learned|sym", 0.4, "lsnpc", "micro_f1")
     assert (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_rejects_bad_values(tmp_path):
+def test_sweep_rejects_bad_values():
+    # the sweep reads its grid from the config, which rejects a bad value
     cfg = tiny_config()
     with pytest.raises(ValueError, match="nu0"):
-        sweep_sensitivity(cfg, nu0_values=(1.0,), nu_values=(4.0,), out_dir=tmp_path)
+        override(cfg, sweep_nu0=(1.0,), sweep_nu=(4.0,))
     with pytest.raises(ValueError, match="nu value"):
-        sweep_sensitivity(cfg, nu0_values=(3.0,), nu_values=("psychic",),
-                          out_dir=tmp_path)
+        override(cfg, sweep_nu0=(3.0,), sweep_nu=("psychic",))
 
 
 THEORY_TINY = TheoryConfig(instances=3, pairs=6, n_mc=2000, train_n=120,
@@ -310,6 +310,15 @@ def test_verify_all_draws_label_pairs_for_the_dataset_file_k(tmp_path):
     rows = {row[0]: row for row in report.rows}
     for name in ("encoder-constants", "student-affine-bound", "normal-quadratic-bound"):
         assert rows[name][1] == THEORY_TINY.pairs
+
+
+def test_verify_all_runs_on_two_labels(tmp_path):
+    # the pair distances cycle through 1..min(3, k), so k = 2 can supply them
+    cfg = tiny_config(k=2, rank=2, theory=THEORY_TINY)
+    report = verify_all(cfg, out_dir=tmp_path, quiet=True)
+    assert len(report.rows) == 5
+    for name, instances, passes, margin in report.rows:
+        assert 0 <= passes <= instances and np.isfinite(margin)
 
 
 def test_theory_model_trains_on_train_n_rows_of_a_dataset_file(tmp_path):

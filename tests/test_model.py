@@ -798,18 +798,21 @@ def test_trainer_matches_manual_two_step_update():
     X, Y, h = _toy_training_setup(n=8)
     Xc, Yc = X[:4], Y[:4].astype(float)
     cfg = LsnpcTrainConfig(lr=0.05, epochs=1, batch_size=8, optimizer="sgd",
-                           weight_decay=0.0, s_y=2, s_z=1, shuffle=False, seed=7)
+                           weight_decay=0.0, s_y=2, s_z=1, seed=7)
     trained = train_semi_supervised(
         LsnpcModel(ModelConfig(**TINY), seed=7), h, X, (Xc, Yc), cfg
     )
 
     # replay: one unsupervised step on the full noisy batch, then one
-    # supervised step on the clean batch, sharing the yhat stream in order
+    # supervised step on the clean batch, each in the order of its sweep's
+    # permutation, sharing the yhat stream in order
     model = LsnpcModel(ModelConfig(**TINY), seed=7)
     yhat_rng = rngs.stream(7, "lsnpc", "yhat")
     noise_rng = rngs.stream(7, "lsnpc", "noise")
     clean_noise_rng = rngs.stream(7, "lsnpc", "clean_noise")
-    scale = cosine_lr(1.0, 0)
+    order = rngs.stream(7, "lsnpc", "shuffle").permutation(len(X))
+    clean_order = rngs.stream(7, "lsnpc", "clean_shuffle").permutation(len(Xc))
+    scale = cosine_lr(0)
 
     def step(loss):
         graph = ComputeGraph(lambda bound: loss, model.params)
@@ -821,8 +824,9 @@ def test_trainer_matches_manual_two_step_update():
                 p.data -= cfg.lr * scale * p.grad
                 p.grad = None
 
-    yh = sample_predictions(predict_probs(h, X), 2, yhat_rng).reshape(16, -1)
-    step(unsupervised_loss(model, np.tile(X, (2, 1)), yh, rng=noise_rng))
+    yh = sample_predictions(predict_probs(h, X)[order], 2, yhat_rng).reshape(16, -1)
+    step(unsupervised_loss(model, np.tile(X[order], (2, 1)), yh, rng=noise_rng))
+    Xc, Yc = Xc[clean_order], Yc[clean_order]
     yh_c = sample_predictions(predict_probs(h, Xc), 2, yhat_rng).reshape(8, -1)
     step(supervised_loss(model, np.tile(Xc, (2, 1)), np.tile(Yc, (2, 1)), yh_c,
                          rng=clean_noise_rng))
