@@ -138,11 +138,15 @@ def rsample_diag_student(mean, scale, nu, noise, chi2):
 # Log densities
 #
 # Each body computes its value in named steps.  With plain arrays that value
-# is returned as it is.  With a Tensor operand it becomes one tape node, whose
-# backward pass repeats the backward rules of the primitive chain those steps
-# spell out, operation by operation and reduction by reduction.  A value used
-# once inside the chain gets the same gradient either way; a value used twice
-# sums two terms, and a sum of two floats does not depend on their order.
+# is returned as it is; the Student density then runs its steps in one buffer
+# of the operands' broadcast shape that it allocates itself, never in an
+# operand, with the same ufuncs in the same order, so its bits do not change.
+# With a Tensor operand the value becomes one tape node, whose backward pass
+# repeats the backward rules of the primitive chain those steps spell out,
+# operation by operation and reduction by reduction, and keeps every
+# temporary that pass reads.  A value used once inside the chain gets the same
+# gradient either way; a value used twice sums two terms, and a sum of two
+# floats does not depend on their order.
 # Inputs shared with the rest of the tape receive their gradient terms in the
 # chain's order (``autodiff.fused``), so losses and gradients are
 # bit-identical to the chain.
@@ -192,20 +196,20 @@ def logpdf_diag_student(x, mean, scale, nu):
         raise ValueError("degrees of freedom must exceed 1")
     tape = any_tensor(x, mean, scale, nu)
     xd, md, sd, nd = map(data_of, (x, mean, scale, nu))
-    with _errstate(tape):
+    if not tape:
+        t = np.empty(np.broadcast_shapes(xd.shape, md.shape, sd.shape, nd.shape))
+        np.subtract(xd, md, out=t)
+        t /= sd
+        return np.sum(student_logpdf_into(t, nd, sd), axis=-1)
+    with np.errstate(all="ignore"):
         d = xd - md
         t = d / sd
         t2 = np.square(t)
-        half = (nd + 1.0) / 2.0
-        nu2 = nd / 2.0
-        head = _sp.gammaln(half) - _sp.gammaln(nu2) - 0.5 * np.log(nd) - 0.5 * _LN_PI
-        head = head - np.log(sd)
+        half, nu2, head = _student_head(nd, sd)
         r = 1.0 + t2 / nd
         log_r = np.log(r)
         per_dim = head - half * log_r
         out = np.sum(per_dim, axis=-1)
-        if not tape:
-            return out
 
         def grads(g):
             G = _sum_last_grad(g, per_dim.shape)
@@ -236,6 +240,31 @@ def logpdf_diag_student(x, mean, scale, nu):
         # The chain adds the scale's log term before its t term, and a
         # learned nu's terms in the order nu / 2, log(nu), nu + 1, t^2 / nu.
         return fused("logpdf_student", out, (x, mean, scale, scale, nu, nu, nu, nu), grads)
+
+
+def _student_head(nu, scale):
+    """(nu + 1) / 2, nu / 2 and the log normalizer of a Student with this scale."""
+    half = (nu + 1.0) / 2.0
+    nu2 = nu / 2.0
+    head = _sp.gammaln(half) - _sp.gammaln(nu2) - 0.5 * np.log(nu) - 0.5 * _LN_PI
+    return half, nu2, head - np.log(scale)
+
+
+def student_logpdf_into(t, nu, scale=1.0):
+    """Per-element univariate Student log density of standardized values, in t's buffer.
+
+    ``t`` holds (x - mean) / scale and must already have the broadcast
+    shape of itself, nu and scale.  It is overwritten with
+    head - half * log(1 + t^2 / nu) and returned: the ``per_dim`` steps of
+    ``logpdf_diag_student``, bit for bit, with no full-size temporary.
+    """
+    half, _, head = _student_head(nu, scale)
+    np.square(t, out=t)
+    t /= nu
+    np.add(1.0, t, out=t)
+    np.log(t, out=t)
+    np.multiply(half, t, out=t)
+    return np.subtract(head, t, out=t)
 
 
 def logpmf_bernoulli(y, probs):
@@ -344,12 +373,16 @@ def mc_kl_diag_student(
 
     Draws from the first argument with per-dimension Student variates so the
     samples follow exactly the product density the log-pdf evaluates; returns
-    (estimate, standard error of the mean).
+    (estimate, standard error of the mean).  The draws are scaled and shifted
+    in the sampler's output, and the q density is subtracted in place from
+    the p density's result; neither density writes into an operand, so p and
+    q are left as they were.
     """
-    m = p.dim
-    draws = p.mean + p.scale * rng.standard_t(df=p.nu, size=(int(n_samples), m))
-    log_ratio = (logpdf_diag_student(draws, p.mean, p.scale, p.nu)
-                 - logpdf_diag_student(draws, q.mean, q.scale, q.nu))
+    draws = rng.standard_t(df=p.nu, size=(int(n_samples), p.dim))
+    draws *= p.scale
+    draws += p.mean
+    log_ratio = logpdf_diag_student(draws, p.mean, p.scale, p.nu)
+    log_ratio -= logpdf_diag_student(draws, q.mean, q.scale, q.nu)
     est = float(np.mean(log_ratio))
     se = float(np.std(log_ratio, ddof=1) / math.sqrt(len(log_ratio)))
     return est, se

@@ -361,6 +361,7 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
         lsnpc=dataclasses.replace(cfg.lsnpc, epochs=tc.train_epochs),
     )
     ds = _dataset(run_cfg, tc.seed)
+    _check_pair_distances(ds.k, tc.pairs)
     if ds.n < tc.train_n:
         raise ValueError(f"{cfg.source} has {ds.n} rows, fewer than [theory] "
                          f"train_n = {tc.train_n}")
@@ -372,6 +373,14 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
     if not quiet:
         print(f"  theory model ({proposal}) trained", file=sys.stderr)
     return model, sp.splits["train"].X.astype(np.float64)
+
+
+def _check_pair_distances(k: int, pairs: int) -> None:
+    """The label pairs sit at distances 1..min(3, k) in turn, and the
+    normal-quadratic-bound slope needs two of them."""
+    if min(k, pairs) < 2:
+        raise ValueError(f"verify-theory needs label pairs at two distances, which "
+                         f"k = {k} labels and [theory] pairs = {pairs} do not give")
 
 
 def _theorem1_instance(s: int) -> Theorem1Result:
@@ -392,6 +401,8 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     depend on the worker count.  The two theory models train in this process.
     """
     tc = cfg.theory
+    if cfg.source == "synthetic":  # a dataset file's k is checked once it is read
+        _check_pair_distances(cfg.k, tc.pairs)
     report = TheoryReport()
 
     # 1. Expected conditional KL vs joint KL on random 1-D instances.

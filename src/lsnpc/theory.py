@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln, psi
+from scipy.special import psi
 
 from . import rngs
 from .distributions import (
@@ -35,6 +35,7 @@ from .distributions import (
     logpmf_bernoulli,
     mc_kl_diag_student,
     student_entropy,
+    student_logpdf_into,
 )
 from .evaluation import table_lines
 from .model import LsnpcModel, ModelConfig
@@ -159,7 +160,7 @@ def verify_theorem1(
     log_q_z -= 0.5 * math.log(2 * math.pi)
 
     psi_vals = model.decode_shift(col)[:, 0]
-    joint = _shift_logpdf(g[None, :] - psi_vals[:, None], model.cfg.nu0)
+    joint = student_logpdf_into(g[None, :] - psi_vals[:, None], model.cfg.nu0)
     log_p_z = -0.5 * np.square(g) - 0.5 * math.log(2 * math.pi)
     probs = model.decode_labels(np.tile(x, (G, 1)), col)
     log_p_yhat = logpmf_bernoulli(np.tile(yhat, (G, 1)), probs)
@@ -239,23 +240,6 @@ def _logsumexp(a, axis=None):
             out = np.where(bad, naive, out)
     out = np.squeeze(out, axis=axes)
     return out[()] if out.ndim == 0 else out
-
-
-def _shift_logpdf(t: np.ndarray, nu0: float) -> np.ndarray:
-    """``logpdf_diag_student(t[..., None], 0.0, 1.0, nu0)`` bit for bit, in t's buffer.
-
-    Leaves out only the exact no-ops of that call (``- 0.0``, ``/ 1.0``,
-    ``- log(1.0)`` and the sum over a size-1 axis).
-    """
-    nu = np.asarray(nu0, dtype=np.float64)
-    half = (nu + 1.0) / 2.0
-    const = gammaln(half) - gammaln(nu / 2.0) - 0.5 * np.log(nu) - 0.5 * math.log(math.pi)
-    np.square(t, out=t)
-    t /= nu
-    np.add(1.0, t, out=t)
-    np.log(t, out=t)
-    np.multiply(half, t, out=t)
-    return np.subtract(const, t, out=t)
 
 
 def _kl_sum(lq, lp, diff_out, q_out, axis=None):

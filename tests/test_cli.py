@@ -128,6 +128,19 @@ def test_label_noise_on_one_label_exits_1_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_theory_on_one_label_exits_2_before_any_report(tmp_path, capsys):
+    # With no label noise k = 1 parses and evaluates; the bound checks need
+    # label pairs at two distances and fail before the quadrature.
+    ini = tmp_path / "one_label.ini"
+    ini.write_text(TINY_INI.replace("k = 3", "k = 1").replace("rates = 0.4", "rates = 0.0")
+                   + "\n[theory]\nnoise_rate = 0.0\n")
+    out = tmp_path / "out"
+    assert main(["verify-theory", "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert "k = 1 labels" in capsys.readouterr().err
+    assert not list(out.glob("theory_report.*"))
+    assert main(["eval", "--config", str(ini), "--out", str(out), "--quiet"]) == 0
+
+
 def test_runtime_failures_exit_2(tmp_path, capsys):
     ini = tmp_path / "broken.ini"
     ini.write_text(f"[data]\nsource = {tmp_path / 'no_such.bin'}\n")

@@ -6,6 +6,7 @@ trapezoid quadrature; Monte-Carlo checks freeze their seeds.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
+from lsnpc import rngs
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.distributions import (
     DiagNormalParams,
@@ -350,13 +352,16 @@ def test_bernoulli_logpmf_node_is_bit_identical_to_chain():
 @pytest.mark.parametrize("learned_nu", [False, True], ids=["nu_float", "nu_array"])
 def test_log_densities_on_arrays_equal_the_chain(learned_nu):
     # With no Tensor operand each density returns its value as an array,
-    # bit for bit the primitive chain evaluated by numpy.
+    # bit for bit the primitive chain evaluated by numpy, and writes into
+    # none of its operands (x has the broadcast shape of all of them).
     rng, arrays = _density_arrays(53)
     mean, scale = arrays["mean"], np.exp(arrays["raw_scale"])
     x = mean + scale * rng.standard_normal(mean.shape)
     nu = np.logaddexp(0.0, arrays["raw_nu"]) + 2.0 if learned_nu else 3.5
     y = (rng.random(mean.shape) < 0.5).astype(float)
     p = 1.0 / (1.0 + np.exp(-mean))
+    operands = (x, mean, scale, nu, y, p)
+    before = [np.copy(a) for a in operands]
     pairs = [
         (logpdf_diag_normal(x, mean, scale), chain_normal(x, mean, scale)),
         (logpdf_diag_normal(x, 0.0, 1.0), chain_normal(x, 0.0, 1.0)),
@@ -366,6 +371,8 @@ def test_log_densities_on_arrays_equal_the_chain(learned_nu):
     for got, want in pairs:
         assert type(got) is np.ndarray and got.shape == (5,)
         assert np.array_equal(got, want)
+    for kept, now in zip(before, operands):
+        assert np.array_equal(kept, now)
 
 
 def test_log_densities_on_arrays_keep_numpy_warnings():
@@ -523,6 +530,47 @@ def test_student_bound_dominates_mc_kl(rng):
         assert bound >= est - 3 * se, f"pair {i}: bound {bound} < MC {est} (se {se})"
         worst = min(worst, bound - est)
     assert math.isfinite(worst)
+
+
+# (estimate, se) of mc_kl_diag_student for fixed parameters and one stream,
+# recorded from the out-of-place chain (fresh draws and temporaries); the
+# in-place estimator must reproduce them bit for bit.
+PINNED_MC_KL = {
+    4.0: (3, (1.5971825622396765, 0.024017578598423916)),
+    2.5: (4, (1.3892372794564671, 0.022132317011494956)),
+}
+
+
+def _pinned_pair(nu):
+    p = DiagStudentParams([0.3, -1.2, 0.0, 2.5], [0.7, 1.3, 0.5, 2.0], nu)
+    q = DiagStudentParams([-0.4, 0.1, 0.8, 2.0], [1.1, 0.9, 0.6, 1.5], nu)
+    return p, q
+
+
+@pytest.mark.parametrize("nu", sorted(PINNED_MC_KL))
+def test_mc_kl_is_pinned_and_leaves_its_parameters_intact(nu):
+    p, q = _pinned_pair(nu)
+    before = [a.copy() for a in (p.mean, p.scale, q.mean, q.scale)]
+    seed, want = PINNED_MC_KL[nu]
+    got = mc_kl_diag_student(p, q, 5000, rngs.stream(seed, "test", "mc_kl"))
+    assert repr(got) == repr(want)
+    for kept, now in zip(before, (p.mean, p.scale, q.mean, q.scale)):
+        assert np.array_equal(kept, now)
+
+
+def test_mc_kl_peak_memory_stays_within_three_draw_arrays():
+    # Draws, one density buffer and two per-row results: about 2.5 draw
+    # arrays.  The out-of-place chain peaked at 8.3.
+    n, m = 100_000, 4
+    p, q = _pinned_pair(4.0)
+    rng = rngs.stream(5, "test", "mc_kl")
+    tracemalloc.start()
+    try:
+        mc_kl_diag_student(p, q, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * m * 8
 
 
 def test_student_bound_depends_on_mean_difference_only(rng):

@@ -321,6 +321,40 @@ def test_verify_all_runs_on_two_labels(tmp_path):
         assert 0 <= passes <= instances and np.isfinite(margin)
 
 
+ONE_LABEL = dict(k=1, noise_rates=(0.0,),
+                 theory=dataclasses.replace(THEORY_TINY, noise_rate=0.0))
+
+
+def test_verify_all_rejects_one_label_before_the_quadrature(tmp_path, monkeypatch):
+    # k = 1 puts every label pair at distance 1, and the normal-quadratic
+    # slope needs two distances: fail before any instance or training runs.
+    import lsnpc.experiment as exp
+
+    def never(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(rngs, "cores", lambda: 1)  # a pool could not pickle ``never``
+    monkeypatch.setattr(exp, "_theorem1_instance", never)
+    monkeypatch.setattr(exp, "_train_base", never)
+    with pytest.raises(ValueError, match="k = 1 labels"):
+        verify_all(tiny_config(**ONE_LABEL), out_dir=tmp_path, quiet=True)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_theory_model_rejects_a_one_label_dataset_file_before_training(tmp_path,
+                                                                       monkeypatch):
+    import lsnpc.experiment as exp
+
+    ds, _ = generate_synthetic(GeneratorConfig(n=240, d=6, k=1, rank=3, seed=1))
+    source = tmp_path / "k1.bin"
+    save_dataset(ds, source)
+    monkeypatch.setattr(exp, "_train_base",
+                        lambda *args: pytest.fail("the base classifier trained"))
+    cfg = tiny_config(source=str(source), **ONE_LABEL)
+    with pytest.raises(ValueError, match="k = 1 labels"):
+        _trained_theory_model(cfg, "student", quiet=True)
+
+
 def test_theory_model_trains_on_train_n_rows_of_a_dataset_file(tmp_path):
     ds, _ = generate_synthetic(GeneratorConfig(n=600, d=6, k=3, rank=3, seed=1))
     source = tmp_path / "600.bin"
