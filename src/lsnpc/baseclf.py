@@ -21,7 +21,7 @@ from scipy.special import expit
 from . import checkpoint, rngs
 from .autodiff import Tensor
 from .distributions import EPS_P
-from .layers import Mlp, TrainConfig, TrainingDiverged, fit
+from .layers import Mlp, TrainConfig, TrainingDiverged, check_widths, fit
 
 __all__ = [
     "BaseTrainConfig",
@@ -38,6 +38,10 @@ __all__ = [
 @dataclass(frozen=True)
 class BaseTrainConfig(TrainConfig):
     hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_widths("hidden", self.hidden)
 
 
 @dataclass

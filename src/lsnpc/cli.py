@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} stage")
         cmd.add_argument("--config", required=True, help="INI config path")
         cmd.add_argument("--seed", type=int, default=None,
-                         help="replace the config's seed list with this seed")
+                         help="replace the config's seed list and [theory] seed with this seed")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--quiet", action="store_true",
                          help="suppress progress output")
@@ -59,6 +59,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = override(cfg, seeds=(args.seed,))
+            cfg = override(cfg, theory=override(cfg.theory, seed=args.seed))
         if args.out is not None:
             cfg = override(cfg, out_dir=args.out)
     except ConfigError as e:

@@ -156,12 +156,14 @@ class ExperimentConfig:
             raise ConfigError("sweep nu0 values must be numbers > 2")
         if not all(v == "learned" or _above_2(v) for v in self.sweep_nu):
             raise ConfigError("sweep nu values must be > 2 or 'learned'")
-        # A repeat would train and score a cell twice; numbers compare by
-        # value, so 3 and 3.0 are one sweep value.
+        # An empty list runs nothing, and a repeat would train and score a
+        # cell twice; numbers compare by value, so 3 and 3.0 are one sweep value.
         for key, values in (("[run] seeds", self.seeds), ("[noise] kinds", self.noise_kinds),
                             ("[noise] rates", self.noise_rates),
                             ("[sweep] nu0_values", self.sweep_nu0),
                             ("[sweep] nu_values", self.sweep_nu)):
+            if not values:
+                raise ConfigError(f"{key} needs at least one value")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} repeats a value: {values}")
         try:

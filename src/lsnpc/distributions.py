@@ -5,26 +5,23 @@ components per dimension, matching the diagonal determinant and trace algebra
 of the bounds), and multivariate Bernoulli: reparameterized samplers,
 log-densities, and closed-form and bounded KL divergences.
 
-The samplers and log densities take their parameters as separate operands:
-``logpdf_diag_normal(x, mean, scale)``, ``logpdf_diag_student(x, mean, scale,
-nu)``, ``logpmf_bernoulli(y, probs)``, ``rsample_diag_normal(mean, scale,
-noise)`` and ``rsample_diag_student(mean, scale, nu, noise, chi2)``.  Each
+Every function takes its parameters as separate ``(mean, scale, nu)``
+operands, as in ``mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu,
+n_samples, rng)`` and ``student_entropy(scale, nu)``; the Normal ones drop
+``nu``, and the Bernoulli ones take probabilities.  A sampler or log density
 operand is a numpy array (or scalar) or an autodiff
 :class:`~lsnpc.autodiff.Tensor`.  Each log density has one body, so the
 training losses and the quadrature/Monte-Carlo oracles share one formula:
 with a Tensor operand its value becomes one tape node, and with plain arrays
 it is returned as an array under numpy's own error state.  Inputs with a
 batch dimension produce per-row values; the label/latent axis is always the
-last one.  The KL and entropy functions take the validated containers
-:class:`DiagNormalParams` and :class:`DiagStudentParams`, or probability
-arrays for the Bernoulli KL.
+last one.  A KL pair has operands of one shape and, for Students, one ``nu``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -32,8 +29,6 @@ from scipy import special as _sp
 from .autodiff import Tensor, any_tensor, data_of, fused, unbroadcast
 
 __all__ = [
-    "DiagNormalParams",
-    "DiagStudentParams",
     "EPS_P",
     "rsample_diag_normal",
     "rsample_diag_student",
@@ -55,52 +50,6 @@ _LN_PI = math.log(math.pi)
 
 def _log(a):
     return a.log() if isinstance(a, Tensor) else np.log(a)
-
-
-# --------------------------------------------------------------------------
-# Parameter containers
-
-
-@dataclass(frozen=True)
-class DiagNormalParams:
-    """Mean and per-dimension scale of a diagonal-covariance Normal."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        scale = np.asarray(self.scale, dtype=np.float64)
-        if mean.shape != scale.shape:
-            raise ValueError(
-                f"mean shape {mean.shape} differs from scale shape {scale.shape}"
-            )
-        if np.any(scale <= 0.0):
-            raise ValueError("scales must be strictly positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-
-@dataclass(frozen=True)
-class DiagStudentParams(DiagNormalParams):
-    """Mean, per-dimension scale, and degrees of freedom of a diagonal Student.
-
-    nu must exceed 1 so the density is integrable in every dimension; bounds
-    that involve means/variances additionally require nu > 2, checked at the
-    point of use.
-    """
-
-    nu: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.nu > 1.0:
-            raise ValueError(f"degrees of freedom must exceed 1, got {self.nu}")
-        object.__setattr__(self, "nu", float(self.nu))
 
 
 # --------------------------------------------------------------------------
@@ -301,13 +250,14 @@ def _sum_last_grad(g, shape) -> np.ndarray:
 # Divergences and bounds
 
 
-def kl_diag_normal(p: DiagNormalParams, q: DiagNormalParams) -> float:
+def kl_diag_normal(mean_p, scale_p, mean_q, scale_q) -> float:
     """Closed-form KL between diagonal Normals, KL[p || q]."""
-    _check_last_dim(p.mean, q.mean, "kl_diag_normal")
-    var_ratio = np.square(p.scale / q.scale)
+    (mean_p, mean_q), (scale_p, scale_q) = _checked(
+        "kl_diag_normal", (mean_p, mean_q), (scale_p, scale_q))
+    var_ratio = np.square(scale_p / scale_q)
     terms = (
-        np.log(q.scale / p.scale)
-        + 0.5 * (var_ratio + np.square((p.mean - q.mean) / q.scale))
+        np.log(scale_q / scale_p)
+        + 0.5 * (var_ratio + np.square((mean_p - mean_q) / scale_q))
         - 0.5
     )
     return float(np.sum(terms, axis=-1))
@@ -335,7 +285,7 @@ def kl_mv_bernoulli(p, q) -> float:
     return float(np.sum(terms, axis=-1))
 
 
-def kl_student_same_nu_upper_bound(p: DiagStudentParams, q: DiagStudentParams) -> float:
+def kl_student_same_nu_upper_bound(mean_p, scale_p, mean_q, scale_q, nu) -> float:
     """Upper bound on KL[p || q] for diagonal Students sharing nu > 2.
 
     Uses the closed bound built from the diagonal determinant and trace:
@@ -343,18 +293,16 @@ def kl_student_same_nu_upper_bound(p: DiagStudentParams, q: DiagStudentParams) -
     the second-argument-whitened first moment matrix (first argument's
     covariance nu/(nu-2) * scale^2 plus the squared mean difference).
     """
-    if p.nu != q.nu:
-        raise ValueError(f"degrees of freedom differ: {p.nu} vs {q.nu}")
-    nu = p.nu
     if not nu > 2.0:
         raise ValueError(f"the bound requires nu > 2, got {nu}")
-    _check_last_dim(p.mean, q.mean, "kl_student_same_nu_upper_bound")
-    m = p.dim
-    var1 = np.square(p.scale)
-    var2 = np.square(q.scale)
+    (mean_p, mean_q), (scale_p, scale_q) = _checked(
+        "kl_student_same_nu_upper_bound", (mean_p, mean_q), (scale_p, scale_q))
+    m = mean_p.shape[-1]
+    var1 = np.square(scale_p)
+    var2 = np.square(scale_q)
     log_det_ratio = float(np.sum(np.log(var2) - np.log(var1)))
     trace_term = float(np.sum(var1 / var2)) / (nu - 2.0)
-    mean_term = float(np.sum(np.square(p.mean - q.mean) / var2)) / nu
+    mean_term = float(np.sum(np.square(mean_p - mean_q) / var2)) / nu
     half_nm = (nu + m) / 2.0
     return float(
         0.5 * log_det_ratio
@@ -364,10 +312,7 @@ def kl_student_same_nu_upper_bound(p: DiagStudentParams, q: DiagStudentParams) -
 
 
 def mc_kl_diag_student(
-    p: DiagStudentParams,
-    q: DiagStudentParams,
-    n_samples: int,
-    rng: np.random.Generator,
+    mean_p, scale_p, mean_q, scale_q, nu, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte-Carlo KL[p || q] between diagonal Students, with standard error.
 
@@ -375,22 +320,24 @@ def mc_kl_diag_student(
     samples follow exactly the product density the log-pdf evaluates; returns
     (estimate, standard error of the mean).  The draws are scaled and shifted
     in the sampler's output, and the q density is subtracted in place from
-    the p density's result; neither density writes into an operand, so p and
-    q are left as they were.
+    the p density's result; neither density writes into an operand, so the
+    operands are left as they were.
     """
-    draws = rng.standard_t(df=p.nu, size=(int(n_samples), p.dim))
-    draws *= p.scale
-    draws += p.mean
-    log_ratio = logpdf_diag_student(draws, p.mean, p.scale, p.nu)
-    log_ratio -= logpdf_diag_student(draws, q.mean, q.scale, q.nu)
+    (mean_p, mean_q), (scale_p, scale_q) = _checked(
+        "mc_kl_diag_student", (mean_p, mean_q), (scale_p, scale_q))
+    draws = rng.standard_t(df=nu, size=(int(n_samples), mean_p.shape[-1]))
+    draws *= scale_p
+    draws += mean_p
+    log_ratio = logpdf_diag_student(draws, mean_p, scale_p, nu)
+    log_ratio -= logpdf_diag_student(draws, mean_q, scale_q, nu)
     est = float(np.mean(log_ratio))
     se = float(np.std(log_ratio, ddof=1) / math.sqrt(len(log_ratio)))
     return est, se
 
 
-def student_entropy(params: DiagStudentParams) -> float:
+def student_entropy(scale, nu) -> float:
     """Differential entropy of a diagonal Student (sum of univariate terms)."""
-    nu = params.nu
+    _, (scale,) = _checked("student_entropy", (), (scale,), nu)
     half = (nu + 1.0) / 2.0
     log_norm = (
         0.5 * math.log(nu)
@@ -399,7 +346,7 @@ def student_entropy(params: DiagStudentParams) -> float:
         - _sp.gammaln(half)
     )
     per_dim_const = log_norm + half * (_sp.psi(half) - _sp.psi(nu / 2.0))
-    return float(np.sum(np.log(params.scale)) + params.dim * per_dim_const)
+    return float(np.sum(np.log(scale)) + scale.shape[-1] * per_dim_const)
 
 
 # --------------------------------------------------------------------------
@@ -413,3 +360,18 @@ def _check_last_dim(a, b, op: str) -> None:
         raise ValueError(
             f"{op}: trailing dimensions differ ({a_shape} vs {b_shape})"
         )
+
+
+def _checked(op: str, means, scales, nu=None):
+    """``means`` and ``scales`` as float64 arrays; a ValueError naming ``op`` if
+    their shapes differ, a scale is not positive or a given ``nu`` is not above 1."""
+    means = [np.asarray(a, dtype=np.float64) for a in means]
+    scales = [np.asarray(a, dtype=np.float64) for a in scales]
+    shapes = [a.shape for a in means + scales]
+    if len(set(shapes)) > 1:
+        raise ValueError(f"{op}: operand shapes differ {shapes}")
+    if any(np.any(scale <= 0.0) for scale in scales):
+        raise ValueError(f"{op}: scales must be strictly positive")
+    if nu is not None and not nu > 1.0:
+        raise ValueError(f"{op}: degrees of freedom must exceed 1, got {nu}")
+    return means, scales

@@ -165,6 +165,12 @@ def check_optimizer(kind: str) -> str:
     return kind.lower()
 
 
+def check_widths(name: str, widths) -> None:
+    """Rejects a layer width below 1 in ``widths``, one int or a tuple of them."""
+    if min(np.atleast_1d(widths), default=1) < 1:
+        raise ValueError(f"{name} needs layer widths >= 1, got {widths}")
+
+
 def make_optimizer(kind: str, params: dict[str, Tensor], lr: float, weight_decay: float):
     if check_optimizer(kind) == "adamw":
         return AdamW(params=params, lr=lr, weight_decay=weight_decay)

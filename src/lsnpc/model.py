@@ -42,7 +42,7 @@ from .distributions import (
     rsample_diag_normal,
     rsample_diag_student,
 )
-from .layers import Mlp, TrainConfig, fit
+from .layers import Mlp, TrainConfig, check_widths, fit
 from . import checkpoint
 
 __all__ = [
@@ -105,6 +105,11 @@ class ModelConfig:
             raise ValueError("scale floor must be positive")
         if not np.isfinite(self.sigma_bias_init):
             raise ValueError("scale head bias must be finite")
+        if not self.encoder_hidden:
+            raise ValueError("encoder_hidden needs at least one layer")
+        for name in ("embed_hidden", "embed_dim", "encoder_hidden", "decoder_hidden",
+                     "shift_hidden"):
+            check_widths(name, getattr(self, name))
         if self.shift_identity and self.shift_hidden != ():
             object.__setattr__(self, "shift_hidden", ())
 

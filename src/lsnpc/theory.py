@@ -27,10 +27,9 @@ from scipy.special import psi
 
 from . import rngs
 from .distributions import (
-    DiagNormalParams,
-    DiagStudentParams,
     kl_diag_normal,
     kl_mv_bernoulli,
+    logpdf_diag_normal,
     logpdf_diag_student,
     logpmf_bernoulli,
     mc_kl_diag_student,
@@ -130,17 +129,15 @@ def verify_theorem1(
     mu_t = float(mu_t[0, 0])
     sig_t = float(sig_t[0, 0])
     col = g.reshape(-1, 1)
+    mean_col, scale_col = np.full((G, 1), mu_t), np.full((G, 1), sig_t)
     if model.cfg.proposal == "student":
         nu = float(np.reshape(nu, -1)[0])
         sd = sig_t * math.sqrt(nu / (nu - 2.0)) if nu > 2 else sig_t * 4.0
-        log_q_zhat = logpdf_diag_student(col, np.full((G, 1), mu_t),
-                                         np.full((G, 1), sig_t), nu)
-        entropy = student_entropy(DiagStudentParams([mu_t], [sig_t], nu))
+        log_q_zhat = logpdf_diag_student(col, mean_col, scale_col, nu)
+        entropy = student_entropy([sig_t], nu)
     else:
         sd = sig_t
-        z_std = (col - mu_t) / sig_t
-        log_q_zhat = (-0.5 * z_std[:, 0] ** 2 - math.log(sig_t)
-                      - 0.5 * math.log(2 * math.pi))
+        log_q_zhat = logpdf_diag_normal(col, mean_col, scale_col)
         entropy = 0.5 * math.log(2 * math.pi * math.e) + math.log(sig_t)
     if mu_t - 4 * sd < grid.lo or mu_t + 4 * sd > grid.hi:
         raise GridError(
@@ -276,8 +273,6 @@ class BoundConstants:
     lam: float
     nu: float
     m: int
-    n_pairs: int = 0
-    l_degenerate: bool = False
     n_regular: int = 0
 
     def inflated(self, factor: float = 1.5) -> "BoundConstants":
@@ -341,8 +336,7 @@ def estimate_constants(model: LsnpcModel, X_sample, pairs) -> BoundConstants:
 
     shift = np.linalg.norm(mu1 - mu0, axis=-1)
     L = float(np.max(shift / delta))
-    l_degenerate = L == 0.0
-    if l_degenerate:
+    if L == 0.0:
         warnings.warn(
             "constant encoder: mean-shift constant is zero, using machine epsilon",
             RuntimeWarning,
@@ -363,8 +357,6 @@ def estimate_constants(model: LsnpcModel, X_sample, pairs) -> BoundConstants:
         lam=lam,
         nu=float(model.cfg.nu),
         m=model.cfg.m,
-        n_pairs=len(delta),
-        l_degenerate=l_degenerate,
         n_regular=int(np.count_nonzero(regular)),
     )
 
@@ -422,10 +414,8 @@ def theorem2_check(
 
 def _mc_kl_pair(unit) -> tuple[float, float]:
     """``theorem2_check``'s estimate for pair i, from pair i's own stream."""
-    mu1, sig1, mu0, sig0, nu, n_mc, seed, i = unit
-    p = DiagStudentParams(mu1, sig1, nu)
-    q = DiagStudentParams(mu0, sig0, nu)
-    return mc_kl_diag_student(p, q, n_mc, rngs.stream(seed, "theory", "mc_kl", i))
+    *operands, seed, i = unit
+    return mc_kl_diag_student(*operands, rngs.stream(seed, "theory", "mc_kl", i))
 
 
 # --------------------------------------------------------------------------
@@ -451,9 +441,7 @@ def gaussian_bound_check(
     delta, mu0, sig0, mu1, sig1 = _encoded_pairs(model, X_sample, pairs)
     rows = []
     for i in range(len(delta)):
-        kl = kl_diag_normal(
-            DiagNormalParams(mu1[i], sig1[i]), DiagNormalParams(mu0[i], sig0[i])
-        )
+        kl = kl_diag_normal(mu1[i], sig1[i], mu0[i], sig0[i])
         bound = gaussian_bound_value(constants, float(delta[i]))
         rows.append(BoundCheckRow(delta=float(delta[i]), kl=kl, se=0.0, bound=bound))
     return rows

@@ -1,10 +1,15 @@
 """Exit codes, argument plumbing, and stage subcommands."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from lsnpc.cli import COMMANDS, build_parser, main
 from lsnpc.datagen import GeneratorConfig, generate_synthetic, save_dataset
 from lsnpc.experiment import STAGES
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_INI = """
 [data]
@@ -82,6 +87,27 @@ def test_seed_flag_replaces_seed_list(tiny_ini, tmp_path):
     assert not (out / "data" / "ds_s1.bin").exists()
 
 
+# sha256 of the theory_report.csv that verify-theory writes for smoke.ini
+SMOKE_THEORY_CSV = "10422bca2305a0df4d67ed64487fe011bf03c443d8120682a151cdfcd6c45147"
+
+
+def test_seed_flag_sets_the_theory_seed(tmp_path):
+    def report(name, config, *flags):
+        out = tmp_path / name
+        assert main(["verify-theory", "--config", str(config), "--out", str(out),
+                     "--quiet", *flags]) == 0
+        return (out / "theory_report.csv").read_bytes()
+
+    smoke = CONFIGS / "smoke.ini"
+    seven = tmp_path / "seed7.ini"
+    seven.write_text(smoke.read_text().replace("[theory]\n", "[theory]\nseed = 7\n"))
+    plain = report("plain", smoke)  # smoke.ini keeps the default [theory] seed, 1
+    assert hashlib.sha256(plain).hexdigest() == SMOKE_THEORY_CSV
+    flagged = report("flagged", smoke, "--seed", "7")
+    assert flagged == report("seven", seven)
+    assert flagged != plain
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[base]\nmomentum = 0.9\n")
@@ -116,6 +142,22 @@ def test_negative_seed_flag_exits_1_before_writing(tiny_ini, tmp_path, capsys):
     assert main(["gen-data", "--config", str(tiny_ini), "--out", str(out),
                  "--seed", "-1", "--quiet"]) == 1
     assert "none negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,old,new", [
+    ("eval", "rates = 0.4", "rates ="),
+    ("sweep", "[run]", "[sweep]\nnu_values =\n[run]"),
+    ("train-lsnpc", "encoder_hidden = 12", "encoder_hidden ="),
+    ("train-lsnpc", "decoder_hidden = 12", "decoder_hidden = -3"),
+    ("train-base", "hidden = 16,16", "hidden = 0"),
+], ids=["empty-rates", "empty-nu", "empty-encoder", "negative-decoder", "zero-base-hidden"])
+def test_empty_list_or_bad_width_exits_1_before_writing(tmp_path, capsys, command, old, new):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(TINY_INI.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out), "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -210,6 +210,40 @@ def test_top_level_validation_applies_to_parsed_text():
             parse_config(f"[{section}]\n{key} = {body}\n")
 
 
+# An empty list would run nothing, a width below 1 builds no layer, and the
+# encoder needs a hidden layer; each fails at parse time.
+BAD_LISTS_AND_WIDTHS = {
+    "empty-kinds": ("[noise]\nkinds =\n", r"\[noise\] kinds needs at least one value"),
+    "empty-rates": ("[noise]\nrates =\n", r"\[noise\] rates needs at least one value"),
+    "empty-nu0": ("[sweep]\nnu0_values =\n", r"\[sweep\] nu0_values needs at least one value"),
+    "empty-nu": ("[sweep]\nnu_values =\n", r"\[sweep\] nu_values needs at least one value"),
+    "empty-encoder": ("[model]\nencoder_hidden =\n", "encoder_hidden needs at least one layer"),
+    "zero-encoder": ("[model]\nencoder_hidden = 8, 0\n",
+                     r"encoder_hidden needs layer widths >= 1, got \(8, 0\)"),
+    "negative-decoder": ("[model]\ndecoder_hidden = -3\n",
+                         r"decoder_hidden needs layer widths >= 1, got \(-3,\)"),
+    "zero-shift": ("[model]\nshift_hidden = 0\n", "shift_hidden needs layer widths >= 1"),
+    "zero-embed-hidden": ("[model]\nembed_hidden = 0\n",
+                          "embed_hidden needs layer widths >= 1, got 0"),
+    "negative-embed-dim": ("[model]\nembed_dim = -1\n",
+                           "embed_dim needs layer widths >= 1, got -1"),
+    "zero-base-hidden": ("[base]\nhidden = 0\n",
+                         r"\[base\]: hidden needs layer widths >= 1, got \(0,\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LISTS_AND_WIDTHS))
+def test_empty_lists_and_non_positive_widths_are_rejected(case):
+    text, message = BAD_LISTS_AND_WIDTHS[case]
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+def test_empty_hidden_lists_give_linear_maps():
+    cfg = parse_config("[model]\ndecoder_hidden =\nshift_hidden =\n[base]\nhidden =\n")
+    assert cfg.decoder_hidden == cfg.shift_hidden == cfg.base.hidden == ()
+
+
 def test_sweep_values_parse_and_validate():
     cfg = parse_config("[sweep]\nnu_values = 4.0, learned\nnu0_values = 2.5, 3.0\n")
     assert cfg.sweep_nu == (4.0, "learned")

@@ -20,8 +20,6 @@ from scipy.special import gammaln
 from lsnpc import rngs
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.distributions import (
-    DiagNormalParams,
-    DiagStudentParams,
     kl_diag_normal,
     kl_mv_bernoulli,
     kl_student_same_nu_upper_bound,
@@ -404,45 +402,60 @@ def test_log_densities_are_one_tape_node_each():
 # KL divergences
 
 
-def test_param_containers_validate_shapes_scales_and_nu():
-    for cls, extra in ((DiagNormalParams, ()), (DiagStudentParams, (4.0,))):
-        with pytest.raises(ValueError, match="differs from scale shape"):
-            cls(np.zeros(2), np.ones(3), *extra)
-        with pytest.raises(ValueError, match="strictly positive"):
-            cls(np.zeros(2), np.array([1.0, 0.0]), *extra)
-    with pytest.raises(ValueError, match="exceed 1"):
-        DiagStudentParams(np.zeros(2), np.ones(2), 1.0)
-    p = DiagStudentParams([0.0, 1.0], [1.0, 2.0], 4)
-    assert p.mean.dtype == np.float64 and p.dim == 2 and type(p.nu) is float
+# Each KL and entropy function called with the given (mean, scale) and nu,
+# beside a standard pair that passes its checks.
+KL_CALLS = {
+    "kl_diag_normal": lambda mean, scale, nu: kl_diag_normal(
+        mean, scale, np.zeros(2), np.ones(2)),
+    "kl_student_same_nu_upper_bound": lambda mean, scale, nu: kl_student_same_nu_upper_bound(
+        mean, scale, np.zeros(2), np.ones(2), nu),
+    "mc_kl_diag_student": lambda mean, scale, nu: mc_kl_diag_student(
+        np.zeros(2), np.ones(2), mean, scale, nu, 10, np.random.default_rng(0))[0],
+    "student_entropy": lambda mean, scale, nu: student_entropy(scale, nu),
+}
+
+
+@pytest.mark.parametrize("op", sorted(KL_CALLS))
+def test_kl_and_entropy_operands_are_checked(op):
+    call = KL_CALLS[op]
+    assert math.isfinite(call(np.zeros(2), [1.0, 2.0], 4.0))
+    with pytest.raises(ValueError, match=rf"{op}: scales must be strictly positive"):
+        call(np.zeros(2), np.array([1.0, 0.0]), 4.0)
+    if op != "student_entropy":  # which takes no mean
+        for mean, scale in ((np.zeros(3), np.ones(2)), (np.zeros(2), np.ones((1, 2)))):
+            with pytest.raises(ValueError, match=rf"{op}: operand shapes differ"):
+                call(mean, scale, 4.0)
+    if op in ("mc_kl_diag_student", "student_entropy"):
+        with pytest.raises(ValueError, match="exceed 1"):
+            call(np.zeros(2), np.ones(2), 1.0)
 
 
 def test_kl_normal_identity():
-    p = DiagNormalParams(np.array([0.3, 1.0]), np.array([0.5, 2.0]))
-    assert kl_diag_normal(p, p) == 0.0
+    mean, scale = np.array([0.3, 1.0]), np.array([0.5, 2.0])
+    assert kl_diag_normal(mean, scale, mean, scale) == 0.0
 
 
 def test_kl_normal_unit_shift_is_half():
-    p = DiagNormalParams(np.array([0.0]), np.array([1.0]))
-    q = DiagNormalParams(np.array([1.0]), np.array([1.0]))
-    assert kl_diag_normal(p, q) == pytest.approx(0.5, abs=1e-12)
+    got = kl_diag_normal(np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]))
+    assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kl_normal_matches_quadrature():
-    p = DiagNormalParams(np.array([0.2]), np.array([0.8]))
-    q = DiagNormalParams(np.array([-0.9]), np.array([1.4]))
+    p = (np.array([0.2]), np.array([0.8]))
+    q = (np.array([-0.9]), np.array([1.4]))
     grid = np.linspace(-30.0, 30.0, 120_001)[:, None]
-    lp = logpdf_diag_normal(grid, p.mean, p.scale)
-    lq = logpdf_diag_normal(grid, q.mean, q.scale)
+    lp = logpdf_diag_normal(grid, *p)
+    lq = logpdf_diag_normal(grid, *q)
     quad = np.trapezoid(np.exp(lp) * (lp - lq), dx=grid[1, 0] - grid[0, 0])
-    assert kl_diag_normal(p, q) == pytest.approx(quad, abs=1e-8)
+    assert kl_diag_normal(*p, *q) == pytest.approx(quad, abs=1e-8)
 
 
 def test_kl_normal_nonnegative_on_random_pairs(rng):
     for _ in range(1000):
         m = int(rng.integers(1, 5))
-        p = DiagNormalParams(rng.normal(size=m), rng.uniform(0.1, 3.0, size=m))
-        q = DiagNormalParams(rng.normal(size=m), rng.uniform(0.1, 3.0, size=m))
-        assert kl_diag_normal(p, q) >= -1e-9
+        p = (rng.normal(size=m), rng.uniform(0.1, 3.0, size=m))
+        q = (rng.normal(size=m), rng.uniform(0.1, 3.0, size=m))
+        assert kl_diag_normal(*p, *q) >= -1e-9
 
 
 def test_kl_bernoulli_rejects_probabilities_outside_the_open_interval():
@@ -499,8 +512,8 @@ def _random_student_pair(rng, m, nu=4.0):
     # jointly heavy-tailed multivariate Student; against our per-dimension
     # product densities it is NOT universal, see
     # test_student_bound_not_universal_for_product_densities.
-    p = DiagStudentParams(rng.normal(0, 0.5, m), rng.uniform(0.6, 1.1, m), nu=nu)
-    q = DiagStudentParams(rng.normal(0, 0.5, m), rng.uniform(0.6, 1.1, m), nu=nu)
+    p = (rng.normal(0, 0.5, m), rng.uniform(0.6, 1.1, m))
+    q = (rng.normal(0, 0.5, m), rng.uniform(0.6, 1.1, m))
     return p, q
 
 
@@ -509,8 +522,8 @@ def test_student_bound_identity_simplification():
     # (nu+m)/2 * [ln(1 + m/(nu-2)) - psi((nu+m)/2) + psi(nu/2)].
     for m in (1, 2, 4):
         nu = 4.0
-        p = DiagStudentParams(np.linspace(-1, 1, m), np.full(m, 1.3), nu=nu)
-        got = kl_student_same_nu_upper_bound(p, p)
+        p = (np.linspace(-1, 1, m), np.full(m, 1.3))
+        got = kl_student_same_nu_upper_bound(*p, *p, nu)
         half_nm = (nu + m) / 2.0
         expected = half_nm * (
             math.log(1.0 + m / (nu - 2.0))
@@ -525,8 +538,8 @@ def test_student_bound_dominates_mc_kl(rng):
     for i in range(200):
         m = (1, 2, 4)[i % 3]
         p, q = _random_student_pair(rng, m)
-        bound = kl_student_same_nu_upper_bound(p, q)
-        est, se = mc_kl_diag_student(p, q, 100_000, rng)
+        bound = kl_student_same_nu_upper_bound(*p, *q, 4.0)
+        est, se = mc_kl_diag_student(*p, *q, 4.0, 100_000, rng)
         assert bound >= est - 3 * se, f"pair {i}: bound {bound} < MC {est} (se {se})"
         worst = min(worst, bound - est)
     assert math.isfinite(worst)
@@ -541,20 +554,20 @@ PINNED_MC_KL = {
 }
 
 
-def _pinned_pair(nu):
-    p = DiagStudentParams([0.3, -1.2, 0.0, 2.5], [0.7, 1.3, 0.5, 2.0], nu)
-    q = DiagStudentParams([-0.4, 0.1, 0.8, 2.0], [1.1, 0.9, 0.6, 1.5], nu)
-    return p, q
+def _pinned_pair():
+    """(mean_p, scale_p, mean_q, scale_q) of the pinned estimates."""
+    return tuple(map(np.array, ([0.3, -1.2, 0.0, 2.5], [0.7, 1.3, 0.5, 2.0],
+                                [-0.4, 0.1, 0.8, 2.0], [1.1, 0.9, 0.6, 1.5])))
 
 
 @pytest.mark.parametrize("nu", sorted(PINNED_MC_KL))
 def test_mc_kl_is_pinned_and_leaves_its_parameters_intact(nu):
-    p, q = _pinned_pair(nu)
-    before = [a.copy() for a in (p.mean, p.scale, q.mean, q.scale)]
+    operands = _pinned_pair()
+    before = [a.copy() for a in operands]
     seed, want = PINNED_MC_KL[nu]
-    got = mc_kl_diag_student(p, q, 5000, rngs.stream(seed, "test", "mc_kl"))
+    got = mc_kl_diag_student(*operands, nu, 5000, rngs.stream(seed, "test", "mc_kl"))
     assert repr(got) == repr(want)
-    for kept, now in zip(before, (p.mean, p.scale, q.mean, q.scale)):
+    for kept, now in zip(before, operands):
         assert np.array_equal(kept, now)
 
 
@@ -562,11 +575,11 @@ def test_mc_kl_peak_memory_stays_within_three_draw_arrays():
     # Draws, one density buffer and two per-row results: about 2.5 draw
     # arrays.  The out-of-place chain peaked at 8.3.
     n, m = 100_000, 4
-    p, q = _pinned_pair(4.0)
+    operands = _pinned_pair()
     rng = rngs.stream(5, "test", "mc_kl")
     tracemalloc.start()
     try:
-        mc_kl_diag_student(p, q, n, rng)
+        mc_kl_diag_student(*operands, 4.0, n, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -576,11 +589,8 @@ def test_mc_kl_peak_memory_stays_within_three_draw_arrays():
 def test_student_bound_depends_on_mean_difference_only(rng):
     p, q = _random_student_pair(rng, 3)
     shift = rng.normal(size=3)
-    shifted = kl_student_same_nu_upper_bound(
-        DiagStudentParams(p.mean + shift, p.scale, p.nu),
-        DiagStudentParams(q.mean + shift, q.scale, q.nu),
-    )
-    assert shifted == pytest.approx(kl_student_same_nu_upper_bound(p, q), abs=1e-12)
+    shifted = kl_student_same_nu_upper_bound(p[0] + shift, p[1], q[0] + shift, q[1], 4.0)
+    assert shifted == pytest.approx(kl_student_same_nu_upper_bound(*p, *q, 4.0), abs=1e-12)
 
 
 def test_student_bound_not_universal_for_product_densities():
@@ -589,9 +599,8 @@ def test_student_bound_not_universal_for_product_densities():
     # KLs exceeds the multivariate bound once per-dimension mean gaps reach
     # a few scales.  Checks that does not silently change.
     m, nu = 4, 4.0
-    p = DiagStudentParams(np.zeros(m), np.ones(m), nu=nu)
-    q = DiagStudentParams(np.full(m, 3.0), np.ones(m), nu=nu)
-    bound = kl_student_same_nu_upper_bound(p, q)
+    bound = kl_student_same_nu_upper_bound(np.zeros(m), np.ones(m), np.full(m, 3.0),
+                                           np.ones(m), nu)
     x = np.linspace(-300.0, 300.0, 1_200_001)[:, None]
     lp = logpdf_diag_student(x, np.zeros(1), np.ones(1), nu)
     lq = logpdf_diag_student(x, np.full(1, 3.0), np.ones(1), nu)
@@ -599,17 +608,12 @@ def test_student_bound_not_universal_for_product_densities():
     assert product_kl > bound + 1.0
 
 
-def test_student_bound_rejects_mismatched_nu():
-    p = DiagStudentParams(np.zeros(2), np.ones(2), nu=4.0)
-    q = DiagStudentParams(np.zeros(2), np.ones(2), nu=5.0)
-    with pytest.raises(ValueError):
-        kl_student_same_nu_upper_bound(p, q)
-    low = DiagStudentParams(np.zeros(2), np.ones(2), nu=1.5)
-    with pytest.raises(ValueError):
-        kl_student_same_nu_upper_bound(low, low)
+def test_student_bound_rejects_nu_at_most_2():
+    with pytest.raises(ValueError, match="requires nu > 2"):
+        kl_student_same_nu_upper_bound(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2), 1.5)
 
 
 def test_student_entropy_matches_scipy():
-    p = DiagStudentParams(np.array([0.0, 2.0]), np.array([1.0, 3.0]), nu=4.0)
-    expected = sum(stats.t.entropy(df=4.0, scale=s) for s in p.scale)
-    assert student_entropy(p) == pytest.approx(expected, abs=1e-10)
+    scale = np.array([1.0, 3.0])
+    expected = sum(stats.t.entropy(df=4.0, scale=s) for s in scale)
+    assert student_entropy(scale, 4.0) == pytest.approx(expected, abs=1e-10)
