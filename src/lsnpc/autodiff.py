@@ -11,6 +11,10 @@ single node with a hand-written backward pass, bit-identical to the chain:
   :mod:`lsnpc.distributions` (``logpdf_normal``, ``logpdf_student``,
   ``logpmf_bernoulli`` nodes), built with :func:`fused`.
 
+GELU is the tanh form of Hendrycks & Gimpel ("Gaussian Error Linear Units",
+2016), 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), within 4.7e-4 of the
+exact x Phi(x), in :meth:`Tensor.gelu` and :func:`dense` alike.
+
 No GPU, no higher-order derivatives.
 
 The programming model is a dynamic tape: every operation produces a
@@ -46,8 +50,8 @@ __all__ = [
     "NonFiniteLoss",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 _LN_EPS = 1e-5
 
 
@@ -260,17 +264,10 @@ class Tensor:
         )
 
     def gelu(self):
-        return self._unary(
-            "gelu",
-            lambda a: 0.5 * a * (1.0 + _sp.erf(a / _SQRT2)),
-            lambda g, a: (
-                (
-                    0.5 * (1.0 + _sp.erf(a / _SQRT2))
-                    + a * _INV_SQRT_2PI * np.exp(-0.5 * a * a)
-                )
-                * g,
-            ),
-        )
+        with np.errstate(all="ignore"):
+            out, tp1 = _gelu(self.data)
+            return Tensor(out, _op="gelu", _parents=(self,),
+                          _bwd=lambda g, a: (_gelu_grad(g, a, tp1),))
 
     def lgamma(self):
         return self._unary(
@@ -350,6 +347,36 @@ def _name(value) -> str:
     return value._label() if isinstance(value, Tensor) else "array"
 
 
+def _gelu(x: np.ndarray, t=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-form GELU into ``out`` (which may be ``x``) and 1 + tanh(.) into ``t``."""
+    t = np.multiply(x, x, out=t)  # x^3 as products: ``x ** 3`` costs >10x more
+    t *= _GELU_C * _GELU_A
+    t += _GELU_C
+    t *= x
+    np.add(np.tanh(t, out=t), 1.0, out=t)
+    out = np.multiply(0.5, x, out=out)
+    out *= t
+    return out, t
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, tp1: np.ndarray) -> np.ndarray:
+    """``g`` times gelu' = 0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 a x^2),
+    with x^2 taken as ((x (1 - t^2)) x) x: 0 where tanh saturates, not 0 * inf
+    once x^2 overflows (|x| > 1.3e154)."""
+    w = np.subtract(2.0, tp1)
+    w *= tp1
+    w *= x
+    v = w * x
+    v *= x
+    v *= 3.0 * _GELU_A
+    v += w
+    v *= _GELU_C
+    v += tp1
+    v *= 0.5
+    v *= g
+    return v
+
+
 def dense(
     x,
     W: Tensor,
@@ -358,7 +385,8 @@ def dense(
     gelu: bool = False,
 ):
     """One MLP layer: ``x @ W + b``, then layer norm with ``ln = (gain, shift)``
-    if given, then GELU if ``gelu``.
+    if given, then GELU if ``gelu`` (the tanh form of Hendrycks & Gimpel, 2016,
+    within 4.7e-4 of exact GELU).
 
     ``x`` picks the mode.  A plain array gives the output array and builds no
     Tensor; a Tensor gives one tape node, labelled ``dense(<W's name>)`` so a
@@ -393,11 +421,8 @@ def dense(
             o += ln[1].data
         out = o
         if gelu:
-            erf1 = np.divide(o, _SQRT2, out=None if tape or ln is None else normed)
-            _sp.erf(erf1, out=erf1)
-            np.add(1.0, erf1, out=erf1)
-            out = np.multiply(0.5, o, out=None if tape else o)
-            out *= erf1
+            out, tp1 = _gelu(o, t=None if tape or ln is None else normed,
+                             out=None if tape else o)
         if not tape:
             return out
         parents = (x, W, b) if ln is None else (x, W, b, *ln)
@@ -405,7 +430,7 @@ def dense(
 
     def bwd(g, xd, Wd, _b, *gain_shift):
         if gelu:
-            g = (0.5 * erf1 + o * _INV_SQRT_2PI * np.exp(-0.5 * o * o)) * g
+            g = _gelu_grad(g, o, tp1)
         ln_grads = ()
         if ln is not None:
             ln_grads = ((g * normed).sum(axis=0), g.sum(axis=0))

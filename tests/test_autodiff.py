@@ -6,11 +6,13 @@ precision.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from lsnpc.autodiff import ComputeGraph, Tensor, concat, dense, grad_check
 
@@ -393,3 +395,69 @@ def test_dense_flags_layer_norm_overflow_with_finite_output():
     out = dense(x, W, Tensor(np.zeros(3)), ln, gelu=True)
     assert np.all(np.isfinite(out.data))
     assert out.nonfinite_op == "dense(net.W0)"
+
+
+@pytest.mark.parametrize("has_ln,bound", [(True, 2.5), (False, 2.1)], ids=["hidden", "trunk"])
+def test_untaped_dense_peak_memory_stays_near_two_outputs(has_ln, bound):
+    # the untaped chain runs in the output buffer plus one more of its shape;
+    # an allocating step (``x ** 3``, an out-of-place temporary) breaks the bound
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((200, 64))
+    W = Tensor(rng.standard_normal((64, 128)) * 0.2, name="W")
+    b = Tensor(np.zeros(128))
+    ln = (Tensor(np.ones(128)), Tensor(np.zeros(128))) if has_ln else None
+    dense(x, W, b, ln, gelu=True)
+    tracemalloc.start()
+    try:
+        out = dense(x, W, b, ln, gelu=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * out.nbytes
+
+
+# ---------------------------------------------------------------------------
+# GELU: the tanh form of Hendrycks & Gimpel (2016)
+
+
+def gelu_of(x):
+    return Tensor(np.asarray(x, dtype=np.float64)).gelu().data
+
+
+def test_gelu_stays_within_its_known_gap_of_exact_gelu():
+    x = np.linspace(-12.0, 12.0, 240_001)
+    gap = np.abs(gelu_of(x) - x * ndtr(x))
+    assert gap.max() <= 4.8e-4
+    assert 2.6 < abs(x[gap.argmax()]) < 2.8
+
+
+def test_gelu_is_exactly_zero_at_zero():
+    assert gelu_of([0.0])[0] == 0.0
+    W = Tensor(np.eye(1), name="W")
+    assert dense(np.zeros((1, 1)), W, Tensor(np.zeros(1)), gelu=True)[0, 0] == 0.0
+
+
+def test_gelu_minus_its_mirror_image_is_the_identity():
+    # gelu(x) - gelu(-x) = x holds for the tanh form as for x Phi(x)
+    x = np.concatenate([np.linspace(-12.0, 12.0, 24_001), [1e-300, 1e-8, 50.0, 1e6, 1e200]])
+    gap = np.abs(gelu_of(x) - gelu_of(-x) - x)
+    assert np.all(gap <= 2 * np.spacing(np.abs(x)))
+
+
+def test_gelu_gradient_is_finite_at_huge_pre_activations():
+    # x^2 overflows past |x| ~ 1.3e154, long after tanh saturates: the
+    # gradient is exactly 1 for x > 0 and 0 for x < 0, as exact GELU's is
+    x0 = np.array([[1e160, -1e160]])
+    params = {"x": Tensor(x0.copy(), requires_grad=True, name="x"),
+              "W": Tensor(np.eye(2), requires_grad=True, name="W"),
+              "b": Tensor(np.zeros(2), requires_grad=True, name="b")}
+    graph = ComputeGraph(lambda t: dense(t["x"], t["W"], t["b"], None, True).sum(), params)
+    assert graph.eval().item() == 1e160
+    grads = graph.backward()
+    np.testing.assert_array_equal(grads["x"], [[1.0, 0.0]])
+    np.testing.assert_array_equal(grads["W"], [[1e160, 0.0], [-1e160, 0.0]])
+    np.testing.assert_array_equal(grads["b"], [1.0, 0.0])
+    w = Tensor(x0[0].copy(), requires_grad=True, name="w")
+    graph = ComputeGraph(lambda t: t["w"].gelu().sum(), {"w": w})
+    graph.eval()
+    np.testing.assert_array_equal(graph.backward()["w"], [1.0, 0.0])

@@ -106,7 +106,7 @@ def test_checkpoint_selected_by_validation_f1():
 # Digest of the exact float64 bytes of the parameters and the history after
 # two epochs with validation.  Any change to the floating-point operations of
 # training, or to their order, changes it.
-TRAIN_PIN = "87fd2b768decc9486ac4bf79"
+TRAIN_PIN = "7786b0aef361918233501f7e"
 
 
 def _train_digest():

@@ -88,7 +88,7 @@ def test_seed_flag_replaces_seed_list(tiny_ini, tmp_path):
 
 
 # sha256 of the theory_report.csv that verify-theory writes for smoke.ini
-SMOKE_THEORY_CSV = "10422bca2305a0df4d67ed64487fe011bf03c443d8120682a151cdfcd6c45147"
+SMOKE_THEORY_CSV = "b8d4c7c284ed2474d13e634555ccd5c9f3e690b419690c8a6d867a15f8b089b7"
 
 
 def test_seed_flag_sets_the_theory_seed(tmp_path):

@@ -69,9 +69,9 @@ def test_correct_signature_takes_no_labels():
 # floating-point operations of the correction chain, or to their order,
 # changes them.
 CORRECT_PINS = {
-    "student": "7431dd172cb52820d74ae13e",
-    "normal": "a843eab459c604e577d14f0a",
-    "learned-nu": "7dadf1287b013177743da5e8",
+    "student": "29032ab2c6d125984ff298da",
+    "normal": "0cc79c0cb5eb51f6ee0ef79b",
+    "learned-nu": "f1b9e555d192dfa866257ac3",
 }
 PROPOSAL_CASES = {
     "student": {},
