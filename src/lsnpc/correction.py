@@ -6,10 +6,16 @@ expectation over y is analytic (a Bernoulli's mean is its probability), so
 no y sampling occurs.  True labels never enter: the signature has no Y.
 Correction is inference only: it calls the model's forward maps with plain
 arrays, which return arrays and build no autodiff tape.
+
+The KNN baseline runs its distance blocks on one thread per core
+(``rngs.workers``): the matmul and the neighbour selection that dominate it
+release the GIL.  ``correct()`` stays on one thread: its small per-chain
+operations hold the GIL, so threads gave it no gain.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +36,14 @@ __all__ = [
 ]
 
 # Query rows per distance block in knn_correct: against 14 000 training rows
-# a block is 29 MB of float64 distances.
+# a block is 29 MB of float64 distances.  A row's distance bits can depend on
+# the row count of its block (BLAS picks its kernels by shape), so the blocks
+# keep these boundaries whatever the thread count.
 _KNN_BLOCK = 256
+# Query rows per neighbour selection: argpartition returns an int64 index for
+# every distance it is given, so it is given this many rows of a block at a
+# time.  It works row by row, so the indices do not depend on the slicing.
+_KNN_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,15 @@ def _sq_distances(q, T, t2, out):
 def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray:
     """Per-label majority vote over the K Euclidean-nearest training rows.
 
-    Exact K/2 ties resolve to 1.  Distances are computed for
-    ``_KNN_BLOCK`` query rows at a time into one reused buffer, so memory
-    stays bounded by the block, not by the number of queries.
+    Exact K/2 ties resolve to 1.  Distances are computed for ``_KNN_BLOCK``
+    query rows at a time, and the neighbours are selected ``_KNN_SLICE``
+    rows of a block at a time.  The blocks run on ``rngs.workers(blocks)``
+    threads (one per core, one inside a ``fan_out`` worker), each with one
+    reused block buffer and writing its own rows of the result, so the
+    labels do not depend on the thread count.  Beyond the inputs and the
+    result, memory stays near ``threads * (_KNN_BLOCK + _KNN_SLICE) * n_train
+    * 8`` bytes, whatever the number of queries.  Every thread has ended
+    when the call returns or raises.
     """
     T = np.asarray(train_features, dtype=np.float64)
     L = np.asarray(noisy_train_labels, dtype=np.float64)
@@ -146,13 +164,25 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
         raise ValueError(f"K={K} exceeds the {T.shape[0]} training rows")
     t2 = np.sum(np.square(T), axis=1)
     out = np.empty((Q.shape[0], L.shape[1]), dtype=np.uint8)
-    block = np.empty((min(_KNN_BLOCK, Q.shape[0]), T.shape[0]))
-    for start in range(0, Q.shape[0], _KNN_BLOCK):
-        q = Q[start : start + _KNN_BLOCK]
-        d2 = _sq_distances(q, T, t2, block[: len(q)])
-        nearest = np.argpartition(d2, K - 1, axis=1)[:, :K]
-        votes = L[nearest].sum(axis=1)
-        out[start : start + _KNN_BLOCK] = 2 * votes >= K
+    starts = range(0, Q.shape[0], _KNN_BLOCK)
+    threads = rngs.workers(len(starts))
+
+    def run_blocks(first: int) -> None:
+        block = np.empty((min(_KNN_BLOCK, Q.shape[0]), T.shape[0]))
+        for start in starts[first::threads]:
+            q = Q[start : start + _KNN_BLOCK]
+            d2 = _sq_distances(q, T, t2, block[: len(q)])
+            for s in range(0, len(q), _KNN_SLICE):
+                rows = d2[s : s + _KNN_SLICE]
+                # one expression, so each index array is freed before the next
+                votes = L[np.argpartition(rows, K - 1, axis=1)[:, :K]].sum(axis=1)
+                out[start + s : start + s + len(rows)] = 2 * votes >= K
+
+    if threads == 1:
+        run_blocks(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(run_blocks, range(threads)))
     return out
 
 

@@ -8,7 +8,8 @@ reproduces the same experiment end to end.
 
 Because no unit of work shares a stream with another, independent units can
 run in any process: ``fan_out`` maps a function over them in a pool of
-worker processes and hands the results back in order.
+worker processes and hands the results back in order.  ``workers`` is the
+one rule for how many processes or threads such work may start.
 """
 
 from __future__ import annotations
@@ -58,8 +59,13 @@ _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one BLAS thread in this worker.
+# Set in each ``fan_out`` worker by its pool initializer.
+_in_worker = False
+
+
+def _start_worker() -> None:
+    """Pool initializer: marks this process as a ``fan_out`` worker, so
+    ``workers`` gives it 1, and sets one BLAS thread in it.
 
     A forked worker keeps the parent's OpenBLAS thread count, so workers on
     every core would each run that many BLAS threads and oversubscribe the
@@ -68,6 +74,8 @@ def _one_blas_thread() -> None:
     the setter of each OpenBLAS that the process has mapped; another BLAS is
     left as it is.
     """
+    global _in_worker
+    _in_worker = True
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = [ctypes.CDLL(path) for path in
@@ -83,9 +91,17 @@ def _one_blas_thread() -> None:
 
 
 def cores() -> int:
-    """CPUs this process may run on: the one reading behind ``fan_out``'s
-    worker count."""
+    """CPUs this process may run on: the one reading behind ``workers``."""
     return len(os.sched_getaffinity(0))
+
+
+def workers(units: int) -> int:
+    """How many processes or threads ``units`` independent units run on: one
+    per core, at most one per unit, never fewer than 1, and 1 inside a
+    ``fan_out`` worker, whose siblings already hold the other cores."""
+    if _in_worker:
+        return 1
+    return max(1, min(cores(), units))
 
 
 @contextmanager
@@ -94,22 +110,23 @@ def fan_out(fn, units):
 
     ``fn`` must be a module-level function and each result a pure function of
     its unit, so the results do not depend on where they are computed.  The
-    work runs in ``min(cores(), len(units))`` forked worker processes, each
-    with one BLAS thread; with one worker it runs lazily in this process and
-    starts no pool.  Workers are forked, not spawned: they start in
-    milliseconds, need no ``__main__`` guard in the calling script, and see
-    the caller's module state, so a caller with other threads must not hold
-    a lock a worker needs.  The pool is shut down when the ``with`` block
+    work runs in ``workers(len(units))`` forked worker processes, each with
+    one BLAS thread; with one worker it runs lazily in this process and
+    starts no pool.  So a ``fan_out`` inside a worker runs in that worker,
+    and no pool is ever nested.  Workers are forked, not spawned: they start
+    in milliseconds, need no ``__main__`` guard in the calling script, and
+    see the caller's module state, so a caller with other threads must not
+    hold a lock a worker needs.  The pool is shut down when the ``with`` block
     exits, pending units cancelled if it exits by an exception, so no worker
     outlives the block.
     """
     units = list(units)
-    workers = min(cores(), len(units))
-    if workers <= 1:
+    count = workers(len(units))
+    if count == 1:
         yield map(fn, units)
         return
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker) as pool:
         try:
             yield pool.map(fn, units)
         except BaseException:

@@ -4,7 +4,14 @@ against an exhaustive scan."""
 
 import hashlib
 import inspect
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, tr
 from lsnpc import correction
 from lsnpc.correction import (
     _KNN_BLOCK,
+    _KNN_SLICE,
     _sq_distances,
     CorrectionConfig,
     CorrectionResult,
@@ -384,6 +392,157 @@ def test_knn_labels_do_not_depend_on_the_block_buffer(monkeypatch, block):
     Q = rng.standard_normal((block * 3 + 5, 6))
     monkeypatch.setattr(correction, "_KNN_BLOCK", block)
     assert_array_equal(knn_correct(T, L, Q, K=5), _knn_by_expression(T, L, Q, 5, block))
+
+
+def _tied_knn_inputs(n_query, seed=14):
+    """Every training row three times, each copy with its own labels: a
+    query's K-th and (K+1)-th neighbours are often copies of one row, so they
+    tie exactly and the selection decides which copies vote."""
+    rng = np.random.default_rng(seed)
+    base = 1.7 * rng.standard_normal((200, 6)) + 0.2
+    T = np.concatenate([base, base[::-1], base])
+    L = (rng.random((len(T), 5)) < 0.5).astype(np.uint8)
+    Q = 1.7 * rng.standard_normal((n_query, 6))
+    return T, L, Q
+
+
+THREAD_CASES = [(n, K) for n in (1, 255, 256, 257, 3 * _KNN_BLOCK + 5) for K in (1, 5)]
+
+
+def _thread_count_mismatches():
+    """The (query count, K, cores) cases whose labels differ from the serial
+    expression at block 256.  Up to four threads, more than this machine may
+    have cores, switching as often as the interpreter allows."""
+    bad = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_query, K in THREAD_CASES:
+            T, L, Q = _tied_knn_inputs(n_query)
+            want = _knn_by_expression(T, L, Q, K, 256)
+            for count in (1, 2, 3, 4):
+                with mock.patch.object(rngs, "cores", lambda: count):
+                    if not np.array_equal(knn_correct(T, L, Q, K=K), want):
+                        bad.append((n_query, K, count))
+    finally:
+        sys.setswitchinterval(interval)
+    return bad
+
+
+def test_knn_thread_inputs_tie_at_the_kth_distance():
+    T, _, Q = _tied_knn_inputs(3 * _KNN_BLOCK + 5)
+    d2 = _sq_distances(Q, T, np.sum(np.square(T), axis=1), np.empty((len(Q), len(T))))
+    d2.sort(axis=1)
+    for K in (1, 5):
+        assert np.mean(d2[:, K - 1] == d2[:, K]) > 0.9
+
+
+def test_knn_labels_do_not_depend_on_the_thread_count():
+    assert _thread_count_mismatches() == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_knn_threads_keep_the_block_boundaries(monkeypatch, count):
+    """A row's distance bits can depend on its block's row count, so every
+    thread count computes the same 256-row blocks at the same offsets."""
+    T, L, Q = _tied_knn_inputs(3 * _KNN_BLOCK + 5)
+    blocks = []
+
+    def recording(q, *args):
+        offset = q.__array_interface__["data"][0] - Q.__array_interface__["data"][0]
+        blocks.append((offset // Q.strides[0], len(q)))
+        return _sq_distances(q, *args)
+
+    monkeypatch.setattr(correction, "_sq_distances", recording)
+    monkeypatch.setattr(rngs, "cores", lambda: count)
+    knn_correct(T, L, Q, K=5)
+    B = _KNN_BLOCK
+    assert sorted(blocks) == [(0, B), (B, B), (2 * B, B), (3 * B, 5)]
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one", "unset"])
+def test_knn_thread_count_with_blas_threads(blas_threads):
+    """The same check in a fresh process, with ``OPENBLAS_NUM_THREADS`` set to
+    1 (as the benchmark sets it) or unset (BLAS on every core)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = "from test_correction import _thread_count_mismatches as m; print(m())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_knn_peak_memory_is_a_block_and_a_slice_per_thread(monkeypatch, count):
+    rng = np.random.default_rng(15)
+    n_train = 4000
+    T = rng.standard_normal((n_train, 8))
+    L = (rng.random((n_train, 5)) < 0.3).astype(np.uint8)
+    Q = rng.standard_normal((4 * _KNN_BLOCK, 8))
+    block, index_slice = _KNN_BLOCK * n_train * 8, _KNN_SLICE * n_train * 8
+    monkeypatch.setattr(rngs, "cores", lambda: count)
+    tracemalloc.start()
+    try:
+        knn_correct(T, L, Q, K=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the margin covers the float64 labels, t2, the result and the votes
+    assert peak <= count * (block + index_slice) + 2**19
+    # a block and two whole-block index arrays, as one selection per block took
+    assert peak < 3 * block
+
+
+def _record_threads(monkeypatch, barrier=None, fail_at=None):
+    """Patches _sq_distances to note the calling thread, to wait at
+    ``barrier`` and to raise on its ``fail_at``-th call."""
+    seen = []
+
+    def recording(*args):
+        seen.append(threading.current_thread())
+        if len(seen) == fail_at:
+            raise RuntimeError("block failed")
+        if barrier is not None:
+            barrier.wait()
+        return _sq_distances(*args)
+
+    monkeypatch.setattr(correction, "_sq_distances", recording)
+    return seen
+
+
+def test_knn_threads_end_with_the_call(monkeypatch):
+    rng = np.random.default_rng(16)
+    T = rng.standard_normal((500, 4))
+    L = (rng.random((500, 3)) < 0.5).astype(np.uint8)
+    Q = rng.standard_normal((2 * _KNN_BLOCK, 4))
+    monkeypatch.setattr(rngs, "cores", lambda: 3)
+    before = threading.active_count()
+    # A thread that the call did not join could still end before the checks
+    # below; a long switch interval keeps this thread running until they ran.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        # the two blocks must be computed at once, so on two threads
+        seen = _record_threads(monkeypatch, barrier=threading.Barrier(2, timeout=30))
+        knn_correct(T, L, Q, K=3)
+        alive = [t.is_alive() for t in seen]
+        count = threading.active_count()
+        # one thread per block, capped by the block count, none of them this one
+        assert len(set(seen)) == 2 and threading.current_thread() not in seen
+        assert alive == [False, False] and count == before
+
+        seen = _record_threads(monkeypatch, fail_at=2)
+        with pytest.raises(RuntimeError, match="block failed"):
+            knn_correct(T, L, Q, K=3)
+        alive = [t.is_alive() for t in seen]
+        count = threading.active_count()
+        assert alive == [False, False] and count == before
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_knn_even_split_votes_positive():

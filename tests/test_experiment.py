@@ -9,6 +9,7 @@ import ctypes
 import dataclasses
 import multiprocessing
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from lsnpc import rngs
 from lsnpc.baseclf import load_base, predict_probs
 from lsnpc.checkpoint import file_digest
 from lsnpc.config import ExperimentConfig, TheoryConfig, load_config, override
-from lsnpc.correction import binarize, correct
+from lsnpc.correction import _KNN_BLOCK, binarize, correct, knn_correct
 from lsnpc.datagen import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
 from lsnpc.evaluation import micro_f1
 from lsnpc.model import load_model
@@ -441,6 +442,54 @@ def test_fan_out_leaves_no_process_behind_on_failure(monkeypatch):
         with rngs.fan_out(_pid, range(6)) as pids:
             next(pids)
             raise KeyError("the caller failed")
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_is_one_per_core_capped_by_the_units(monkeypatch):
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    assert [rngs.workers(units) for units in (0, 1, 2, 8)] == [1, 1, 2, 2]
+    monkeypatch.setattr(rngs, "cores", lambda: 64)
+    assert rngs.workers(3) == 3
+
+
+def _threads_started_by_knn(seed):
+    """How many threads one four-block knn_correct call starts here."""
+    rng = np.random.default_rng(seed)
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    threading.Thread.start = counting
+    try:
+        knn_correct(rng.standard_normal((300, 3)), np.zeros((300, 2)),
+                    rng.standard_normal((4 * _KNN_BLOCK, 3)), K=3)
+    finally:
+        threading.Thread.start = start
+    return len(started)
+
+
+def _nested_work(unit):
+    """What a fan_out worker sees of the parallelism rule."""
+    with rngs.fan_out(_pid, range(4)) as pids:
+        pids = list(pids)
+    return os.getpid(), rngs.workers(8), pids, _threads_started_by_knn(unit)
+
+
+def test_a_fan_out_worker_starts_no_pool_or_thread(monkeypatch):
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    # in this process the same calls do start threads
+    assert _threads_started_by_knn(0) == 2
+    with rngs.fan_out(_nested_work, range(2)) as results:
+        results = list(results)
+    for pid, count, nested_pids, threads in results:
+        assert pid != os.getpid()
+        assert count == 1
+        assert nested_pids == [pid] * 4
+        assert threads == 0
+    assert rngs.workers(8) == 2
     assert multiprocessing.active_children() == []
 
 
