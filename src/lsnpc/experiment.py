@@ -204,16 +204,16 @@ def _run_cell(unit) -> _CellOutput:
         if rank < STAGES.index("train-base"):
             return out
         out.stage = "train-base"
-        t0 = time.time()
+        t0 = time.perf_counter()
         out.base = h = _train_base(cfg, sp, seed)
-        out.seconds["base"] = time.time() - t0
+        out.seconds["base"] = time.perf_counter() - t0
         if rank < STAGES.index("train-lsnpc"):
             return out
         out.stage = "train-lsnpc"
         for arm in ("unsup", "semi") if cfg.paradigm == "semi-supervised" else ("unsup",):
-            t0 = time.time()
+            t0 = time.perf_counter()
             out.arms[arm] = _train_lsnpc(cfg, sp, h, seed, warm=out.arms.get("unsup"))
-            out.seconds[arm] = time.time() - t0
+            out.seconds[arm] = time.perf_counter() - t0
         if rank < STAGES.index("correct"):
             return out
         out.stage = "correct"

@@ -259,8 +259,11 @@ def _softplus(a):
 # Losses
 
 
-def _chi2_from_uniform(nu, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF chi-square(nu) transform of uniforms; nu detached if a Tensor."""
+def chi2_from_uniform(nu, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF chi-square(nu) transform of uniforms; nu detached if a Tensor.
+
+    Elementwise, so a block of uniforms transforms to the bits of its parts.
+    """
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return 2.0 * gammaincinv(data_of(nu) / 2.0, u)
 
@@ -289,14 +292,16 @@ def _check_terms(loss: Tensor, terms: dict) -> None:
     )
 
 
-def chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2_u):
+def chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2):
     """One draw of zhat from q(zhat | x, yhat) and the q(z | zhat) it encodes.
 
-    Student proposals turn ``chi2_u`` into the chi-square mixing draw; the
-    Normal proposal ignores it.  Returns (zhat, mu_k, sig_k).
+    Student proposals take ``chi2``, the chi-square(nu) mixing draw that
+    :func:`chi2_from_uniform` makes of the caller's uniforms; the Normal
+    proposal ignores it.  The training losses transform their uniforms at
+    every step, and ``correction.correct`` transforms those of a fixed nu
+    once for all calls with the same draws.  Returns (zhat, mu_k, sig_k).
     """
     if model.cfg.proposal == "student":
-        chi2 = _chi2_from_uniform(nu, chi2_u)
         zhat = rsample_diag_student(mu_t, sig_t, nu, eps_zhat, chi2)
     else:
         zhat = rsample_diag_normal(mu_t, sig_t, eps_zhat)
@@ -328,13 +333,13 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise):
     if y is not None:
         eps_za = _draw(rng, noise, "eps_za", (s_z, B, m))
         branch_u = _draw(rng, noise, "branch_u", (s_z, B, 1), uniform=True)
-    chi2_u = (None,) * s_z
     if cfg.proposal == "student":
         chi2_u = _draw(rng, noise, "chi2_u", (s_z, B, 1), uniform=True)
 
     # A Tensor operand puts the maps on the tape; the batch stays one leaf.
     x = Tensor(x)
     mu_t, sig_t, nu = model.proposal(x, yhat)
+    chi2 = chi2_from_uniform(nu, chi2_u) if cfg.proposal == "student" else (None,) * s_z
     detail: dict = {"terms": {}, "nu": nu}
     if y is not None:
         mu_s, sig_s = model.encode_xy(x, y)
@@ -343,7 +348,7 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise):
     zeros = np.zeros(m)
     total = None
     for s in range(s_z):
-        zhat, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[s], chi2_u[s])
+        zhat, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[s], chi2[s])
         if cfg.proposal == "student":
             lq_zhat = logpdf_diag_student(zhat, mu_t, sig_t, nu)
         else:

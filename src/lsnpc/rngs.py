@@ -9,12 +9,14 @@ reproduces the same experiment end to end.
 Because no unit of work shares a stream with another, independent units can
 run in any process: ``fan_out`` maps a function over them in a pool of
 worker processes and hands the results back in order.  ``workers`` is the
-one rule for how many processes or threads such work may start.
+one rule for how many processes or threads such work may start, and
+``one_blas_thread`` keeps threads that each call BLAS off each other's cores.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import multiprocessing
 import os
 import zlib
@@ -53,10 +55,55 @@ def spawn_seed(seed: int, *tags) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# The thread-count setters of OpenBLAS builds: plain, 64-bit-integer, and
+# The thread-count functions of OpenBLAS builds: plain, 64-bit-integer, and
 # the symbol-prefixed copies that numpy and scipy wheels bundle.
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+_OPENBLAS_NAMES = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_")
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(setter, getter) of the thread count of each OpenBLAS this process has
+    mapped, found once per process; empty where ``/proc`` cannot be read.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` only when it loads, so a count
+    is changed through these.  Another BLAS is not found and is left as it
+    is.  numpy and scipy map their OpenBLAS when ``lsnpc`` is imported.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = [ctypes.CDLL(path) for path in
+                    sorted({line.split()[-1] for line in fh if "openblas" in line})]
+    except OSError:
+        return ()
+    found = []
+    for lib in libs:
+        for name in _OPENBLAS_NAMES:
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def one_blas_thread():
+    """Runs the ``with`` block with every OpenBLAS on one thread, for a
+    block that runs its own threads, each calling BLAS: one BLAS thread
+    each keeps them from oversubscribing the cores.  Each count that was
+    above 1 is restored on exit, also when the block raises; an OpenBLAS on
+    one thread is left alone."""
+    changed = [(setter, count) for setter, getter in _openblas() if (count := getter()) > 1]
+    for setter, _ in changed:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in changed:
+            setter(count)
 
 
 # Set in each ``fan_out`` worker by its pool initializer.
@@ -70,24 +117,11 @@ def _start_worker() -> None:
     A forked worker keeps the parent's OpenBLAS thread count, so workers on
     every core would each run that many BLAS threads and oversubscribe the
     cores (a two-worker default-size ``eval`` ran 2x slower than serial).
-    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` only when it loads, so this calls
-    the setter of each OpenBLAS that the process has mapped; another BLAS is
-    left as it is.
     """
     global _in_worker
     _in_worker = True
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = [ctypes.CDLL(path) for path in
-                    sorted({line.split()[-1] for line in fh if "openblas" in line})]
-    except OSError:
-        return
-    for lib in libs:
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+    for setter, _ in _openblas():
+        setter(1)
 
 
 def cores() -> int:

@@ -2,6 +2,8 @@
 agreement with 2-D quadrature at m=1, thresholding, and the KNN baseline
 against an exhaustive scan."""
 
+import ast
+import dataclasses
 import hashlib
 import inspect
 import os
@@ -22,6 +24,7 @@ from lsnpc import rngs
 from lsnpc.autodiff import Tensor
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, train_base
 from lsnpc import correction
+from lsnpc import model as model_module
 from lsnpc.correction import (
     _KNN_BLOCK,
     _KNN_SLICE,
@@ -35,7 +38,7 @@ from lsnpc.correction import (
     save_correction,
 )
 from lsnpc.distributions import EPS_P, rsample_diag_normal
-from lsnpc.model import LsnpcModel, ModelConfig, chain
+from lsnpc.model import LsnpcModel, ModelConfig, chain, chi2_from_uniform
 
 TINY = dict(d=3, k=4, m=2, embed_hidden=5, embed_dim=6, encoder_hidden=(7,),
             decoder_hidden=(6,), shift_hidden=(4,), nu=3.0, nu0=4.0)
@@ -171,7 +174,8 @@ def _taped_chains(model, h, X, cfg):
             if model.cfg.proposal == "student":
                 chi2_u = noise_rng.random((cfg.s_zhat, n, 1))
             for t in range(cfg.s_zhat):
-                _, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2_u[t])
+                chi2 = None if chi2_u[t] is None else chi2_from_uniform(nu, chi2_u[t])
+                _, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[t], chi2)
                 for u in range(cfg.s_z):
                     z = rsample_diag_normal(mu_k, sig_k, eps_z[t, u])
                     chains.append(model.decode_labels(xt, z).data)
@@ -220,6 +224,137 @@ def test_overflow_matches_the_taped_chains_without_warning(case, overflow):
         model.params[name].data[:] = value
     result = _assert_correct_matches_taped_chains(model, h, X, CorrectionConfig(s_y=2, s_zhat=2))
     assert not np.all(np.isfinite(result.probs))
+
+
+# ---------------------------------------------------------------------------
+# correct() draws its noise once per key and reuses it
+
+
+def _key_variants(case):
+    """(model, h, X, cfg) of a key A and of keys that each change one of
+    seed, n, s_y, s_zhat, s_z and the fixed nu."""
+    model, h, X = tiny_setup(seed=3, **PROPOSAL_CASES[case])
+    other_nu = tiny_setup(seed=3, **{**PROPOSAL_CASES[case], "nu": 5.0})[0]
+    cfg = CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4)
+    a = (model, h, X, cfg)
+    return a, {
+        "seed": (model, h, X, dataclasses.replace(cfg, seed=5)),
+        "n": (model, h, X[:9], cfg),
+        "s_y": (model, h, X, dataclasses.replace(cfg, s_y=3)),
+        "s_zhat": (model, h, X, dataclasses.replace(cfg, s_zhat=3)),
+        "s_z": (model, h, X, dataclasses.replace(cfg, s_z=1)),
+        "nu": (other_nu, h, X, cfg),
+    }
+
+
+def _result_bytes(result):
+    return result.probs.tobytes() + result.se.tobytes()
+
+
+@pytest.mark.parametrize("change", ["seed", "n", "s_y", "s_zhat", "s_z", "nu"])
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_reused_noise_gives_the_fresh_results(case, change):
+    """Keys A, A, B, B, A in turn: each call equals the same call made right
+    after the cache is cleared, and the repeats hit the cache.  The draws of
+    a Normal proposal or a learned nu do not depend on a fixed nu, so there
+    a change of nu keeps the key."""
+    a, variants = _key_variants(case)
+    calls = [a, a, variants[change], variants[change], a]
+    correction._noise.cache_clear()
+    got = [_result_bytes(correct(*call)) for call in calls]
+    info = correction._noise.cache_info()
+    same_key = change == "nu" and case != "student"
+    assert (info.hits, info.misses) == ((4, 1) if same_key else (2, 3))
+    fresh = []
+    for call in calls:
+        correction._noise.cache_clear()
+        fresh.append(_result_bytes(correct(*call)))
+    assert got == fresh
+
+
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_reused_noise_is_read_only(case):
+    model, h, X = tiny_setup(seed=3, **PROPOSAL_CASES[case])
+    correction._noise.cache_clear()
+    correct(model, h, X, CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4))
+    assert correction._noise.cache_info().currsize == 1
+    fixed = model.cfg.nu if case == "student" else None
+    draws = correction._noise(4, len(X), model.cfg.m, 2, 2, 2, model.cfg.proposal, fixed)
+    assert correction._noise.cache_info().hits == 1
+    arrays = [a for a in draws if a is not None]
+    assert len(arrays) == (2 if case == "normal" else 3)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+
+
+class _CountingGenerator:
+    """A Generator that notes each draw made from it in ``draws``."""
+
+    def __init__(self, gen, tags, draws):
+        self._gen, self._tags, self._draws = gen, tags, draws
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self._draws.append(self._tags)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_same_key_call_draws_and_transforms_nothing_again(monkeypatch, case):
+    model, h, X = tiny_setup(seed=3, **PROPOSAL_CASES[case])
+    cfg = CorrectionConfig(s_y=2, s_zhat=3, s_z=2, seed=4)
+    streams, draws, inverses = [], [], []
+    stream, gammaincinv = rngs.stream, model_module.gammaincinv
+
+    def counting_stream(seed, *tags):
+        streams.append(tags)
+        return _CountingGenerator(stream(seed, *tags), tags, draws)
+
+    def counting_gammaincinv(*args):
+        inverses.append(1)
+        return gammaincinv(*args)
+
+    monkeypatch.setattr(rngs, "stream", counting_stream)
+    monkeypatch.setattr(model_module, "gammaincinv", counting_gammaincinv)
+    correction._noise.cache_clear()
+    counts = []
+    for _ in range(2):
+        streams.clear(), draws.clear(), inverses.clear()
+        correct(model, h, X, cfg)
+        counts.append((list(streams), draws.count(("correct", "noise")), len(inverses)))
+    # per yhat group: eps_zhat, eps_z and, for a Student proposal, the uniforms
+    noise_draws = 2 * (2 if case == "normal" else 3)
+    # fixed nu: one transform of every group's uniforms; learned nu: one per zhat draw
+    transforms = {"student": 1, "normal": 0, "learned-nu": 2 * 3}[case]
+    assert counts[0] == ([("correct", "yhat"), ("correct", "noise")], noise_draws, transforms)
+    assert counts[1] == ([("correct", "yhat")], 0, transforms - (case == "student"))
+
+
+def test_retained_noise_is_one_keys_draws():
+    model, h, X = tiny_setup(seed=3, n=300, m=8)
+    cfg = CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4)
+
+    def draw_bytes(n):
+        return 8 * (cfg.s_y * cfg.s_zhat * (1 + cfg.s_z) * n * 8 + cfg.s_y * cfg.s_zhat * n)
+
+    correct(model, h, X[:200], cfg)  # first-call allocations outside the trace
+    correction._noise.cache_clear()
+    tracemalloc.start()
+    try:
+        correct(model, h, X, cfg)
+        correct(model, h, X[:200], cfg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the second key's draws are kept, and nothing of the first key's
+    assert draw_bytes(200) <= retained <= draw_bytes(200) + 2**14 < draw_bytes(300)
 
 
 def test_correct_builds_no_tensor(monkeypatch):
@@ -474,6 +609,53 @@ def test_knn_thread_count_with_blas_threads(blas_threads):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _blas_threads_around_knn():
+    """On two threads: the OpenBLAS thread counts before a ``knn_correct``
+    call, in each of its blocks, after it and after a call whose second
+    block raises, and whether its labels equal the serial expression."""
+    T, L, Q = _tied_knn_inputs(3 * _KNN_BLOCK + 5)
+    inside = []
+
+    def blas_threads():
+        return tuple(getter() for _, getter in rngs._openblas())
+
+    def recording(*args):
+        inside.append(blas_threads())
+        if len(inside) == 6:
+            raise RuntimeError("block failed")
+        return _sq_distances(*args)
+
+    before = blas_threads()
+    with mock.patch.object(rngs, "cores", lambda: 2), \
+            mock.patch.object(correction, "_sq_distances", recording):
+        same = np.array_equal(knn_correct(T, L, Q, K=5), _knn_by_expression(T, L, Q, 5, 256))
+        after = blas_threads()
+        try:
+            knn_correct(T, L, Q, K=5)
+        except RuntimeError:
+            pass
+        after_raise = blas_threads()
+    return before, sorted(set(inside)), after, after_raise, same
+
+
+def test_knn_threads_run_blas_on_one_thread_and_restore_it():
+    """In a fresh process with ``OPENBLAS_NUM_THREADS`` unset, so that BLAS
+    starts on every core (as do the other variables OpenBLAS reads)."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = "from test_correction import _blas_threads_around_knn as f; print(repr(f()))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    before, inside, after, after_raise, same = ast.literal_eval(run.stdout.strip())
+    assert before and (max(before) > 1 or os.cpu_count() == 1)
+    assert inside == [(1,) * len(before)]
+    assert after == after_raise == before
+    assert same
 
 
 @pytest.mark.parametrize("count", [1, 2])

@@ -416,6 +416,29 @@ def test_fan_out_workers_run_blas_on_one_thread(monkeypatch):
     assert _blas_threads(None) == before
 
 
+def test_one_blas_thread_restores_the_counts_when_its_block_raises():
+    handles = rngs._openblas()
+    if not handles:
+        pytest.skip("no OpenBLAS mapped in this process")
+
+    def counts():
+        return [getter() for _, getter in handles]
+
+    before = counts()
+    try:
+        for setter, _ in handles:
+            setter(2)
+        with pytest.raises(RuntimeError, match="block failed"):
+            with rngs.one_blas_thread():
+                inside = counts()
+                raise RuntimeError("block failed")
+        assert inside == [1] * len(handles)
+        assert counts() == [2] * len(handles)
+    finally:
+        for (setter, _), count in zip(handles, before):
+            setter(count)
+
+
 def test_fan_out_runs_in_process_with_one_worker(monkeypatch):
     monkeypatch.setattr(rngs, "cores", lambda: 1)
     with rngs.fan_out(_pid, range(4)) as pids:
