@@ -19,15 +19,18 @@ values, stay in memory between calls: 1.7 MB at n = 200 with the default
 ``[correction]``.
 
 The KNN baseline runs its distance blocks on one thread per core
-(``rngs.workers``): the matmul and the neighbour selection that dominate it
-release the GIL.  ``correct()`` stays on one thread: its small per-chain
-operations hold the GIL, so threads gave it no gain.
+(``rngs.workers``): the matmul that dominates it and the neighbour
+selection's pass over each distance row release the GIL, while the
+selection's small steps on the gathered chunks hold it.  ``correct()`` stays
+on one thread: its small per-chain operations hold the GIL, so threads gave
+it no gain.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +55,15 @@ __all__ = [
 # the row count of its block (BLAS picks its kernels by shape), so the blocks
 # keep these boundaries whatever the thread count.
 _KNN_BLOCK = 256
-# Query rows per neighbour selection: argpartition returns an int64 index for
-# every distance it is given, so it is given this many rows of a block at a
-# time.  It works row by row, so the indices do not depend on the slicing.
+# Query rows per gather in the second stage of the neighbour selection,
+# whose arrays take about 4 * _KNN_SLICE * K * _KNN_CHUNK * 8 bytes, and per
+# argpartition where a block falls back whole, which returns an int64 index
+# for every distance it is given: either is at most _KNN_SLICE * n_train * 8
+# bytes.  Both work row by row, so the indices do not depend on the slicing.
 _KNN_SLICE = 32
+# Training columns per chunk in the neighbour selection: its first stage
+# reads every distance once for the chunk minima, its second only K chunks.
+_KNN_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,40 @@ class CorrectionResult:
     se: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _OneKey:
+    """``functools.lru_cache(maxsize=1)`` over ``fn``, with the same
+    ``cache_info()`` and ``cache_clear()``, except that a miss drops the held
+    value before it calls ``fn``: across a key change, one key's value is
+    held, not two."""
+
+    def __init__(self, fn):
+        functools.update_wrapper(self, fn)
+        self._fn = fn
+        self.cache_clear()
+
+    def __call__(self, *key):
+        held = self._held
+        if held is not None and held[0] == key:
+            self._hits += 1
+            return held[1]
+        # this frame's reference goes too, so the old value is freed first
+        self._held = held = None
+        self._misses += 1
+        value = self._fn(*key)
+        self._held = (key, value)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, 1, int(self._held is not None))
+
+    def cache_clear(self) -> None:
+        self._held, self._hits, self._misses = None, 0, 0
+
+
+@_OneKey
 def _noise(seed: int, n: int, m: int, s_y: int, s_zhat: int, s_z: int, proposal: str, nu):
     """The ``correct/noise`` draws of ``correct()``, read-only, per yhat group s:
     ``eps_zhat[s]`` (s_zhat, n, m), ``eps_z[s]`` (s_zhat, s_z, n, m) and, for
@@ -95,7 +136,7 @@ def _noise(seed: int, n: int, m: int, s_y: int, s_zhat: int, s_z: int, proposal:
     ``mix`` holds the chi-square(nu) values when ``nu`` is given (a fixed
     nu) and the uniforms when it is None (a learned nu, which transforms
     them per row).  A call with a new key holds its draws for all s_y groups
-    at once, and keeps the previous key's until it returns.
+    at once, and drops the previous key's before it draws.
     """
     rng = rngs.stream(seed, "correct", "noise")
     eps_zhat = np.empty((s_y, s_zhat, n, m))
@@ -184,21 +225,77 @@ def _sq_distances(q, T, t2, out):
     return out
 
 
+def _k_nearest(d2, K: int):
+    """``(nearest, fallback)``: for each row of ``d2``, the column indices of
+    its K smallest values, the ones ``np.argpartition(row, K - 1)[:K]``
+    selects, and the rows that took that argpartition (see ``knn_correct``)."""
+    n_rows, n = d2.shape
+    nearest = np.empty((n_rows, K), dtype=np.intp)
+    slices, starts = range(0, n_rows, _KNN_SLICE), np.arange(0, n, _KNN_CHUNK)
+    # the K gathered chunks must be at most a quarter of the row to pay
+    if len(starts) < 4 * K:
+        for s in slices:
+            rows = d2[s : s + _KNN_SLICE]
+            nearest[s : s + len(rows)] = np.argpartition(rows, K - 1, axis=1)[:, :K]
+        return nearest, np.arange(n_rows)
+    mins = np.minimum.reduceat(d2, starts, axis=1)
+    chunks = np.argpartition(mins, K, axis=1)
+    c = np.take_along_axis(mins, chunks[:, K : K + 1], axis=1)[:, 0]
+    # a NaN makes its chunk's minimum NaN, which hides the chunk's other
+    # distances, so a row with one falls back
+    proved = ~np.isnan(mins).any(axis=1)
+    for s in slices:
+        rows = d2[s : s + _KNN_SLICE]
+        at, part = np.arange(len(rows)), slice(s, s + len(rows))
+        cols = (chunks[part, :K, None] * _KNN_CHUNK + np.arange(_KNN_CHUNK)).reshape(len(rows), -1)
+        vals = rows.reshape(-1)[np.minimum(cols, n - 1) + n * at[:, None]]
+        vals[cols >= n] = np.inf
+        pick = np.argpartition(vals, K, axis=1)
+        a = np.take_along_axis(vals, pick[:, :K], axis=1).max(axis=1)
+        b = vals[at, pick[:, K]]
+        nearest[part] = np.take_along_axis(cols, pick[:, :K], axis=1)
+        proved[part] &= a < np.minimum(b, c[part])
+    fallback = np.flatnonzero(~proved)
+    for i in fallback:
+        nearest[i] = np.argpartition(d2[i], K - 1)[:K]
+    return nearest, fallback
+
+
 def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray:
     """Per-label majority vote over the K Euclidean-nearest training rows.
 
-    Exact K/2 ties resolve to 1.  Distances are computed for ``_KNN_BLOCK``
-    query rows at a time, and the neighbours are selected ``_KNN_SLICE``
-    rows of a block at a time.  The blocks run on ``rngs.workers(blocks)``
-    threads (one per core, one inside a ``fan_out`` worker), each with one
-    reused block buffer and writing its own rows of the result, so the
-    labels do not depend on the thread count.  Beyond the inputs and the
-    result, memory stays near ``threads * (_KNN_BLOCK + _KNN_SLICE) * n_train
-    * 8`` bytes, whatever the number of queries.  While more than one
-    thread runs, OpenBLAS runs on one thread (``rngs.one_blas_thread``), so
-    the block threads do not each ask it for every core.  Every thread has
-    ended, and the BLAS thread counts are restored, when the call returns or
-    raises.
+    Exact K/2 ties resolve to 1, and noisy labels other than 0 and 1 are
+    rejected.  Distances are computed for ``_KNN_BLOCK`` query rows at a
+    time, and each row's neighbours are selected in two stages.  First, its
+    distances are cut into chunks of ``_KNN_CHUNK`` columns and the K chunks
+    with the smallest minima found, for a whole block at once.  Then, for
+    ``_KNN_SLICE`` rows at a time, those chunks are gathered (a ragged last
+    chunk padded with +inf) and their K smallest values taken.  With a the
+    K-th smallest gathered value, b the (K+1)-th and c the (K+1)-th smallest
+    chunk minimum, every distance outside the gathered chunks is at least
+    c, so when a < min(b, c) exactly K distances are at most a: the K
+    nearest are unique, and are the ones ``np.argpartition(row, K - 1)[:K]``
+    selects.  A row for which this fails (its K-th and (K+1)-th distances
+    tie, or it holds a NaN, whose chunk minimum is NaN) takes that
+    argpartition.  So does every row, ``_KNN_SLICE`` at a time, when the
+    training set has fewer than 4 K chunks: there the gathers are more than
+    a quarter of each row, and the two stages cost more than they save (a
+    1 400-row training set selected 1.4x slower).  So the votes are
+    argpartition's, bit for bit.
+
+    The blocks run on ``rngs.workers(blocks)`` threads (one per core, one
+    inside a ``fan_out`` worker), each with one reused block buffer and
+    writing its own rows of the result under the caller's numpy error
+    state, so the labels do not depend on the thread count.  Beyond the
+    inputs and the result, memory stays near ``threads * (_KNN_BLOCK +
+    _KNN_SLICE) * n_train * 8`` bytes, whatever the number of queries: a
+    block of distances, and a slice's argpartition indices or the smaller
+    chunk minima (``_KNN_BLOCK * n_train / _KNN_CHUNK * 16`` bytes) and
+    gathers (about ``4 * _KNN_SLICE * K * _KNN_CHUNK * 8`` bytes, 0.6 MB at
+    K = 5) of the two-stage selection.  While more than one thread runs,
+    OpenBLAS runs on one thread (``rngs.one_blas_thread``), so the block
+    threads do not each ask it for every core.  Every thread has ended, and
+    the BLAS thread counts are restored, when the call returns or raises.
     """
     T = np.asarray(train_features, dtype=np.float64)
     L = np.asarray(noisy_train_labels, dtype=np.float64)
@@ -209,6 +306,9 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
     if L.ndim != 2 or L.shape[0] != T.shape[0]:
         raise ValueError(f"noisy labels {L.shape} must have one row per training "
                          f"feature row {T.shape}")
+    bad = np.count_nonzero((L != 0) & (L != 1))
+    if bad:
+        raise ValueError(f"noisy labels must be 0 or 1; {bad} of their {L.size} entries are not")
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > T.shape[0]:
@@ -223,11 +323,8 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
         for start in starts[first::threads]:
             q = Q[start : start + _KNN_BLOCK]
             d2 = _sq_distances(q, T, t2, block[: len(q)])
-            for s in range(0, len(q), _KNN_SLICE):
-                rows = d2[s : s + _KNN_SLICE]
-                # one expression, so each index array is freed before the next
-                votes = L[np.argpartition(rows, K - 1, axis=1)[:, :K]].sum(axis=1)
-                out[start + s : start + s + len(rows)] = 2 * votes >= K
+            votes = L[_k_nearest(d2, K)[0]].sum(axis=1)
+            out[start : start + len(q)] = 2 * votes >= K
 
     if threads == 1:
         run_blocks(0)
@@ -235,11 +332,14 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
     # One thread per share of the blocks, each started whatever the others'
     # progress (a pool may hand a second share to a thread that finished its
     # first), and every started thread joined before the BLAS counts return.
-    failures = []
+    # A new thread starts with numpy's default error handling, so each takes
+    # the caller's.
+    failures, err = [], np.geterr()
 
     def run_share(first: int) -> None:
         try:
-            run_blocks(first)
+            with np.errstate(**err):
+                run_blocks(first)
         except BaseException as e:
             failures.append(e)
 

@@ -20,14 +20,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
-from lsnpc import rngs
+from lsnpc import config, datagen, rngs
 from lsnpc.autodiff import Tensor
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, train_base
 from lsnpc import correction
 from lsnpc import model as model_module
 from lsnpc.correction import (
     _KNN_BLOCK,
+    _KNN_CHUNK,
     _KNN_SLICE,
+    _k_nearest,
     _sq_distances,
     CorrectionConfig,
     CorrectionResult,
@@ -357,6 +359,32 @@ def test_retained_noise_is_one_keys_draws():
     assert draw_bytes(200) <= retained <= draw_bytes(200) + 2**14 < draw_bytes(300)
 
 
+def test_key_change_holds_one_keys_draws_at_its_peak():
+    """A wide latent and eight yhat groups make the draws the call's largest
+    arrays, so drawing a new key's next to the old key's would raise the peak
+    by the old draws (5.6 MB here) over a call made with the cache empty."""
+    model, h, X = tiny_setup(seed=3, n=300, m=64)
+    old = CorrectionConfig(s_y=8, s_zhat=2, s_z=2, seed=4)
+    new = dataclasses.replace(old, seed=5)
+    draws = 8 * (8 * 2 * 3 * 300 * 64 + 8 * 2 * 300)
+    correct(model, h, X, new)  # first-call allocations outside the trace
+    correction._noise.cache_clear()
+    tracemalloc.start()
+    try:
+        correct(model, h, X, old)
+        tracemalloc.reset_peak()
+        correct(model, h, X, new)
+        across = tracemalloc.get_traced_memory()[1]
+        correction._noise.cache_clear()
+        tracemalloc.reset_peak()
+        correct(model, h, X, new)
+        fresh = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws <= fresh
+    assert across <= fresh + 2**14
+
+
 def test_correct_builds_no_tensor(monkeypatch):
     model, h, X = tiny_setup(seed=4, nu_mode="learned")
     built = []
@@ -506,6 +534,116 @@ def _knn_by_expression(T, L, Q, K, block):
     return out
 
 
+def _ties_at_k(rows, K):
+    """The rows whose K-th and (K+1)-th smallest values are equal, or that
+    hold a NaN: the rows the two-stage selection leaves to argpartition."""
+    nan = np.isnan(rows).any(axis=1)
+    if K == rows.shape[1]:
+        return np.flatnonzero(nan)
+    ordered = np.sort(rows, axis=1)
+    return np.flatnonzero((ordered[:, K - 1] == ordered[:, K]) | nan)
+
+
+def _assert_selects_as_argpartition(rows, K):
+    """``_k_nearest`` picks argpartition's K columns in every row, so any
+    labels get argpartition's votes; returns the rows that fell back."""
+    nearest, fallback = _k_nearest(rows, K)
+    want = np.argpartition(rows, K - 1, axis=1)[:, :K]
+    assert_array_equal(np.sort(nearest, axis=1), np.sort(want, axis=1))
+    L = np.random.default_rng(21).random((rows.shape[1], 16)) < 0.5
+    assert_array_equal(L[nearest].sum(axis=1), L[want].sum(axis=1))
+    return fallback
+
+
+def _crafted_distance_rows(K, n):
+    """Rows of n distances in [1, 2), each changed to hold one case."""
+    W = _KNN_CHUNK
+    rng = np.random.default_rng(20 + K)
+    rows = rng.uniform(1.0, 2.0, (11, n))
+    small = np.linspace(0.1, 0.5, K)
+    rows[1, rng.permutation(K)] = small  # all K nearest in the first chunk
+    rows[2, n - 1 - rng.permutation(K)] = small  # all in the ragged last chunk
+    spread = np.arange(K) * W + 1  # one nearest per chunk ...
+    rows[3, spread] = small
+    rows[3, K * W + 5] = small[-1]  # ... and a tie at the K-th in the next chunk
+    rows[4, spread] = small
+    rows[4, spread[-1] + 1] = small[-1]  # a tie at the K-th in the same chunk
+    rows[5, 1:K + 1] = small
+    rows[5, 0] = np.nan  # a NaN in the chunk of the nearest
+    rows[6, rng.random(n) < 0.5] = np.inf
+    rows[6, spread] = small  # half the distances +inf
+    rows[7, spread] = -np.inf  # K at -inf: no tie
+    rows[8, np.append(spread, K * W + 5)] = -np.inf  # K + 1 at -inf: a tie
+    rows[9] = np.nan
+    rows[10, n - 1] = 0.05  # the nearest in the last column
+    return rows
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_k_nearest_on_crafted_rows(K):
+    rows = _crafted_distance_rows(K, 20 * _KNN_CHUNK + 37)
+    fallback = _assert_selects_as_argpartition(rows, K)
+    assert_array_equal(fallback, _ties_at_k(rows, K))
+    assert_array_equal(fallback, [3, 4, 5, 8, 9])
+
+
+@pytest.mark.parametrize("K, n", [(5, 20 * _KNN_CHUNK), (5, 19 * _KNN_CHUNK + 1),
+                                  (5, 19 * _KNN_CHUNK), (1, 2), (1, 3 * _KNN_CHUNK + 1),
+                                  (3 * _KNN_CHUNK + 5, 3 * _KNN_CHUNK + 5)])
+def test_k_nearest_at_edge_sizes(K, n):
+    """Training sets of exactly 4 K chunks, of a one-column last chunk, of
+    fewer than 4 K chunks (the block falls back whole), of one chunk, and
+    K = n."""
+    rng = np.random.default_rng(22)
+    rows = rng.uniform(1.0, 2.0, (_KNN_SLICE, n))
+    if K < n:
+        ordered = np.sort(rows[::2], axis=1)
+        rows[::2, 0] = ordered[:, K - 1]  # a tie at the K-th in every other row
+        rows[1, -1] = 0.5
+    rows[3, n // 2] = np.nan
+    fallback = _assert_selects_as_argpartition(rows, K)
+    chunks = -(-n // _KNN_CHUNK)
+    want = _ties_at_k(rows, K) if chunks >= 4 * K else np.arange(len(rows))
+    assert_array_equal(fallback, want)
+
+
+def test_knn_falls_back_on_tied_rows_only():
+    """None of the rows of benchmark-like data fall back, and on copied
+    training rows every row that ties at the K-th distance does."""
+    cfg = config.load_config(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
+    ds, _ = datagen.generate_synthetic(config.override(cfg, n=3300).generator_config(1))
+    T, Q = ds.X[:3000], ds.X[3000:]
+    tied_T, _, tied_Q = _tied_knn_inputs(300, n_base=900)
+    for K in (1, 5):
+        d2 = _sq_distances(Q, T, np.sum(np.square(T), axis=1), np.empty((len(Q), len(T))))
+        assert len(_assert_selects_as_argpartition(d2, K)) == 0
+        t2 = np.sum(np.square(tied_T), axis=1)
+        d2 = _sq_distances(tied_Q, tied_T, t2, np.empty((len(tied_Q), len(tied_T))))
+        fallback = _assert_selects_as_argpartition(d2, K)
+        assert len(fallback) > 0.9 * len(d2)
+        assert_array_equal(fallback, _ties_at_k(d2, K))
+
+
+@pytest.mark.parametrize("K, n_train", [(1, 8 * _KNN_CHUNK + 37), (5, 20 * _KNN_CHUNK + 37),
+                                        (5, 19 * _KNN_CHUNK), (200, 200)])
+def test_knn_selection_cases_match_the_expression(monkeypatch, K, n_train):
+    """Copied training rows tie at the K-th distance beside untied queries,
+    and query rows with NaN or infinite features give non-finite distances,
+    with two block threads under the caller's error state."""
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    rng = np.random.default_rng(23)
+    T = rng.standard_normal((n_train, 6))
+    T[n_train // 2 :: 7] = T[: len(T[n_train // 2 :: 7])]
+    L = (rng.random((n_train, 5)) < 0.5).astype(np.uint8)
+    Q = rng.standard_normal((_KNN_BLOCK + 40, 6))
+    Q[::9] = T[: len(Q[::9])] + 1e-3
+    Q[5, 2], Q[6, 0], Q[7, 4] = np.nan, np.inf, -np.inf
+    with np.errstate(all="ignore"):
+        got = knn_correct(T, L, Q, K=K)
+        want = _knn_by_expression(T, L, Q, K, 256)
+    assert_array_equal(got, want)
+
+
 def test_block_distances_equal_the_expression_bit_for_bit():
     rng = np.random.default_rng(12)
     T = 3.7 * rng.standard_normal((900, 32)) + 0.3
@@ -529,12 +667,12 @@ def test_knn_labels_do_not_depend_on_the_block_buffer(monkeypatch, block):
     assert_array_equal(knn_correct(T, L, Q, K=5), _knn_by_expression(T, L, Q, 5, block))
 
 
-def _tied_knn_inputs(n_query, seed=14):
+def _tied_knn_inputs(n_query, seed=14, n_base=200):
     """Every training row three times, each copy with its own labels: a
     query's K-th and (K+1)-th neighbours are often copies of one row, so they
     tie exactly and the selection decides which copies vote."""
     rng = np.random.default_rng(seed)
-    base = 1.7 * rng.standard_normal((200, 6)) + 0.2
+    base = 1.7 * rng.standard_normal((n_base, 6)) + 0.2
     T = np.concatenate([base, base[::-1], base])
     L = (rng.random((len(T), 5)) < 0.5).astype(np.uint8)
     Q = 1.7 * rng.standard_normal((n_query, 6))
@@ -595,20 +733,38 @@ def test_knn_threads_keep_the_block_boundaries(monkeypatch, count):
     assert sorted(blocks) == [(0, B), (B, B), (2 * B, B), (3 * B, 5)]
 
 
-@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one", "unset"])
-def test_knn_thread_count_with_blas_threads(blas_threads):
-    """The same check in a fresh process, with ``OPENBLAS_NUM_THREADS`` set to
-    1 (as the benchmark sets it) or unset (BLAS on every core)."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+def _blas_thread_counts():
+    return tuple(getter() for _, getter in rngs._openblas())
+
+
+def _in_fresh_process(code, **env_vars):
+    """What ``code`` prints in a fresh interpreter that imports this file,
+    with the variables OpenBLAS reads its thread count from unset, so that
+    BLAS starts on every core, and then ``env_vars`` set."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars} | env_vars
     here = Path(__file__).resolve().parent
     env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
-    code = "from test_correction import _thread_count_mismatches as m; print(m())"
     run = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return ast.literal_eval(run.stdout.strip())
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one", "unset"])
+def test_knn_thread_count_with_blas_threads(blas_threads):
+    """The same check in a fresh process, with BLAS on one thread (as the
+    benchmark sets it) or on every core."""
+    env = {} if blas_threads is None else {"OPENBLAS_NUM_THREADS": blas_threads}
+    code = ("from test_correction import _blas_thread_counts as b, "
+            "_thread_count_mismatches as m; print(repr((b(), m())))")
+    counts, mismatches = _in_fresh_process(code, **env)
+    assert counts
+    if blas_threads == "1":
+        assert max(counts) == 1
+    elif rngs.cores() > 1:
+        assert min(counts) > 1
+    assert mismatches == []
 
 
 def _blas_threads_around_knn():
@@ -618,40 +774,28 @@ def _blas_threads_around_knn():
     T, L, Q = _tied_knn_inputs(3 * _KNN_BLOCK + 5)
     inside = []
 
-    def blas_threads():
-        return tuple(getter() for _, getter in rngs._openblas())
-
     def recording(*args):
-        inside.append(blas_threads())
+        inside.append(_blas_thread_counts())
         if len(inside) == 6:
             raise RuntimeError("block failed")
         return _sq_distances(*args)
 
-    before = blas_threads()
+    before = _blas_thread_counts()
     with mock.patch.object(rngs, "cores", lambda: 2), \
             mock.patch.object(correction, "_sq_distances", recording):
         same = np.array_equal(knn_correct(T, L, Q, K=5), _knn_by_expression(T, L, Q, 5, 256))
-        after = blas_threads()
+        after = _blas_thread_counts()
         try:
             knn_correct(T, L, Q, K=5)
         except RuntimeError:
             pass
-        after_raise = blas_threads()
+        after_raise = _blas_thread_counts()
     return before, sorted(set(inside)), after, after_raise, same
 
 
 def test_knn_threads_run_blas_on_one_thread_and_restore_it():
-    """In a fresh process with ``OPENBLAS_NUM_THREADS`` unset, so that BLAS
-    starts on every core (as do the other variables OpenBLAS reads)."""
-    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    here = Path(__file__).resolve().parent
-    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
     code = "from test_correction import _blas_threads_around_knn as f; print(repr(f()))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    before, inside, after, after_raise, same = ast.literal_eval(run.stdout.strip())
+    before, inside, after, after_raise, same = _in_fresh_process(code)
     assert before and (max(before) > 1 or os.cpu_count() == 1)
     assert inside == [(1,) * len(before)]
     assert after == after_raise == before
@@ -746,6 +890,17 @@ def test_knn_validation():
         knn_correct(T, L, np.zeros((1, 2)), K=0)
     with pytest.raises(ValueError, match="dimensions"):
         knn_correct(T, L, np.zeros((1, 3)), K=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 2.0, 0.5])
+def test_knn_rejects_labels_that_are_not_zero_or_one(monkeypatch, bad):
+    seen = _record_threads(monkeypatch)
+    monkeypatch.setattr(rngs, "cores", lambda: 2)
+    L = np.zeros((600, 3))
+    L[[4, 9], [0, 2]] = bad
+    with pytest.raises(ValueError, match="2 of their 1800 entries"):
+        knn_correct(np.zeros((600, 2)), L, np.zeros((2 * _KNN_BLOCK, 2)), K=2)
+    assert seen == []
 
 
 def test_knn_rejects_one_dimensional_queries_with_their_shape():
