@@ -18,10 +18,10 @@ Schema (defaults in parentheses):
               proposal (student | normal), nu_mode (fixed | learned),
               embed_hidden (64), embed_dim (128), encoder_hidden (64),
               decoder_hidden (128), shift_hidden (64), sigma_bias_init (-2.0)
-[base]        lr (1e-3), epochs (50), batch_size (32), optimizer (adamw | sgd),
+[base]        lr (1e-3), epochs (50), batch_size (32), optimizer (adamw),
               weight_decay (0.01), hidden (64,64)
 [lsnpc]       lr (2e-3), epochs (20), clean_epochs (5), batch_size (32),
-              optimizer (adamw | sgd), weight_decay (0.01), s_y (4), s_z (1)
+              optimizer (adamw), weight_decay (0.01), s_y (4), s_z (1)
 [correction]  s_y (8), s_zhat (4), s_z (1), tau (0.5)
 [run]         paradigm (unsupervised | semi-supervised), seeds (1,2,3,4,5),
               out (runs), knn_k (5)

@@ -7,16 +7,23 @@ no y sampling occurs.  True labels never enter: the signature has no Y.
 Correction is inference only: it calls the model's forward maps with plain
 arrays, which return arrays and build no autodiff tape.
 
-The Monte-Carlo noise of a ``correct()`` call (the Gaussian draws of zhat and
-z and the chi-square mixing draws) depends only on the seed, the shapes and
-the proposal, never on the model or on X.  So it is drawn once per key and
-reused, read-only, by the next call with the same key; the fixed-nu
-chi-square values are kept transformed.  One key is kept: calls with the
-same key come back to back (the per-epoch validation of a trainer, both
-arms' test corrections, fixed-size batches).  The last key's draws,
-s_y * s_zhat * (1 + s_z) * n * m float64 plus s_y * s_zhat * n chi-square
-values, stay in memory between calls: 1.7 MB at n = 200 with the default
-``[correction]``.
+``correct()`` runs over batches of ``_BATCH`` = 200 rows: its result on X is
+the row-wise concatenation, bit for bit, of its results on X[0:200],
+X[200:400], ...  Each batch draws its yhat and its noise from fresh
+``correct/*`` streams, as a call of that size would, so a call of at most 200
+rows is one batch.  Beyond X and the result, a call holds one batch's
+working arrays at a time, whatever its number of rows.
+
+The Monte-Carlo noise of a batch (the Gaussian draws of zhat and z and the
+chi-square mixing draws) depends only on the seed, the batch's shape and the
+proposal, never on the model or on X.  So it is drawn once per key and
+reused, read-only, by later batches with the same key; the fixed-nu
+chi-square values are kept transformed.  Two keys are kept, a full batch's
+and a ragged last batch's, so repeated calls of any one size hit the cache
+on every batch (the per-epoch validation of a trainer, both arms' test
+corrections).  A key's draws, s_y * s_zhat * (1 + s_z) * n * m float64 plus
+s_y * s_zhat * n chi-square values, take 1.7 MB at n = 200 with the default
+``[correction]``, so the two keys stay in memory between calls in 3.4 MB.
 
 The KNN baseline runs its distance blocks on one thread per core
 (``rngs.workers``): the matmul that dominates it and the neighbour
@@ -30,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,8 @@ __all__ = [
     "load_correction",
 ]
 
+# Rows per batch of correct(): the default validation split.
+_BATCH = 200
 # Query rows per distance block in knn_correct: against 14 000 training rows
 # a block is 29 MB of float64 distances.  A row's distance bits can depend on
 # the row count of its block (BLAS picks its kernels by shape), so the blocks
@@ -92,40 +100,7 @@ class CorrectionResult:
     se: np.ndarray
 
 
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-class _OneKey:
-    """``functools.lru_cache(maxsize=1)`` over ``fn``, with the same
-    ``cache_info()`` and ``cache_clear()``, except that a miss drops the held
-    value before it calls ``fn``: across a key change, one key's value is
-    held, not two."""
-
-    def __init__(self, fn):
-        functools.update_wrapper(self, fn)
-        self._fn = fn
-        self.cache_clear()
-
-    def __call__(self, *key):
-        held = self._held
-        if held is not None and held[0] == key:
-            self._hits += 1
-            return held[1]
-        # this frame's reference goes too, so the old value is freed first
-        self._held = held = None
-        self._misses += 1
-        value = self._fn(*key)
-        self._held = (key, value)
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, 1, int(self._held is not None))
-
-    def cache_clear(self) -> None:
-        self._held, self._hits, self._misses = None, 0, 0
-
-
-@_OneKey
+@functools.lru_cache(maxsize=2)
 def _noise(seed: int, n: int, m: int, s_y: int, s_zhat: int, s_z: int, proposal: str, nu):
     """The ``correct/noise`` draws of ``correct()``, read-only, per yhat group s:
     ``eps_zhat[s]`` (s_zhat, n, m), ``eps_z[s]`` (s_zhat, s_z, n, m) and, for
@@ -135,8 +110,10 @@ def _noise(seed: int, n: int, m: int, s_y: int, s_zhat: int, s_z: int, proposal:
     order; the pinned outputs of ``correct()`` depend on this order.
     ``mix`` holds the chi-square(nu) values when ``nu`` is given (a fixed
     nu) and the uniforms when it is None (a learned nu, which transforms
-    them per row).  A call with a new key holds its draws for all s_y groups
-    at once, and drops the previous key's before it draws.
+    them per row).  A batch with a new key draws for all s_y groups at once,
+    and the cache drops the least recently used of its two keys after it
+    draws, so a miss holds three keys' draws at its peak: 5.1 MB at n = 200
+    with the default ``[correction]``.
     """
     rng = rngs.stream(seed, "correct", "noise")
     eps_zhat = np.empty((s_y, s_zhat, n, m))
@@ -158,26 +135,39 @@ def _noise(seed: int, n: int, m: int, s_y: int, s_zhat: int, s_z: int, proposal:
 def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> CorrectionResult:
     """Corrected label probabilities for every row of X, with per-cell MC SE.
 
+    The rows run in batches of ``_BATCH``: the result is the row-wise
+    concatenation of the results of the calls on X[0:200], X[200:400], ...,
+    each of which draws its yhat and noise afresh (see the module docstring
+    for the memory this bounds).
+
     The model maps and the base classifier run on plain arrays, so no tape is
     built (see :mod:`lsnpc.model`), and like the tape they do not warn on a
     non-finite value: a NaN feature row gives NaN probabilities in its row.
 
-    Each of the s_y * s_zhat * s_z chains is one pass over all rows of X.
-    The chains are not stacked into one larger pass, and rows that share a
-    sampled yhat are not encoded once for all of them: a row's output bits
-    depend on the shape of the batch it is in (BLAS picks its kernels by
-    shape), so either would change the corrected probabilities in their last
-    bits.
+    Each of the s_y * s_zhat * s_z chains is one pass over all rows of a
+    batch.  The chains are not stacked into one larger pass, and rows that
+    share a sampled yhat are not encoded once for all of them: a row's
+    output bits depend on the shape of the batch it is in (BLAS picks its
+    kernels by shape), so either would change the corrected probabilities in
+    their last bits.
 
-    The latent noise and the chi-square draws are reused from the previous
-    call when its (seed, n, m, s_y, s_zhat, s_z, proposal, fixed nu) is this
-    call's, and kept for the next call otherwise (see the module docstring
-    for the memory this holds).  A learned nu transforms the kept uniforms
-    with each call's per-row nu.
+    A batch reuses the latent noise and the chi-square draws of an earlier
+    batch with its (seed, rows, m, s_y, s_zhat, s_z, proposal, fixed nu),
+    from this call or a previous one, while that key is one of the two last
+    used.  A learned nu transforms the kept uniforms with each batch's
+    per-row nu.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.cfg.d:
         raise ValueError(f"model expects (n, {model.cfg.d}) features, got shape {X.shape}")
+    probs, se = np.empty((len(X), model.cfg.k)), np.empty((len(X), model.cfg.k))
+    for i in range(0, len(X), _BATCH):
+        probs[i : i + _BATCH], se[i : i + _BATCH] = _correct_batch(model, h, X[i : i + _BATCH], cfg)
+    return CorrectionResult(probs=probs, labels=binarize(probs, cfg.tau), se=se)
+
+
+def _correct_batch(model: LsnpcModel, h: BaseClassifier, X: np.ndarray, cfg: CorrectionConfig):
+    """``(probs, se)`` of the rows of X, one batch of ``correct()``."""
     n, m = X.shape[0], model.cfg.m
     P = predict_probs(h, X)
     yhat_all = sample_predictions(P, cfg.s_y, rngs.stream(cfg.seed, "correct", "yhat"))
@@ -204,7 +194,7 @@ def correct(model: LsnpcModel, h: BaseClassifier, X, cfg: CorrectionConfig) -> C
         se = stacked.std(axis=0, ddof=1) / np.sqrt(len(chains))
     else:
         se = np.zeros_like(probs)
-    return CorrectionResult(probs=probs, labels=binarize(probs, cfg.tau), se=se)
+    return probs, se
 
 
 def binarize(probs, tau: float) -> np.ndarray:

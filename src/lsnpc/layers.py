@@ -1,4 +1,4 @@
-"""MLP building blocks, the optimizers, and the epoch loop that drives them.
+"""MLP building blocks, the AdamW optimizer, and the epoch loop that drives it.
 
 Every multilayer perceptron here follows one recipe: hidden layers are
 affine, then layer normalization (a deliberate stand-in for batch
@@ -30,7 +30,7 @@ from .autodiff import NonFiniteLoss, Tensor, backward, dense
 
 # ``fit`` stays out of ``__all__``: call tracers wrap the names listed there,
 # and a span around the loop would stand between each trainer and its steps.
-__all__ = ["Mlp", "AdamW", "Sgd", "make_optimizer", "cosine_lr", "TrainConfig",
+__all__ = ["Mlp", "AdamW", "make_optimizer", "cosine_lr", "TrainConfig",
            "TrainingDiverged"]
 
 
@@ -93,17 +93,7 @@ def cosine_lr(epoch: int) -> float:
 
 
 @dataclass
-class _Optimizer:
-    params: dict[str, Tensor]
-    lr: float = 1e-3
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-
-@dataclass
-class AdamW(_Optimizer):
+class AdamW:
     """Adaptive moments with decoupled weight decay.
 
     Weight decay applies only to weight matrices (names containing '.W'), not
@@ -111,6 +101,8 @@ class AdamW(_Optimizer):
     the step without touching the moment state.
     """
 
+    params: dict[str, Tensor]
+    lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -118,6 +110,10 @@ class AdamW(_Optimizer):
     _m: dict[str, np.ndarray] = field(default_factory=dict)
     _v: dict[str, np.ndarray] = field(default_factory=dict)
     _t: int = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.grad = None
 
     def step(self, lr_scale: float = 1.0) -> None:
         self._t += 1
@@ -145,25 +141,13 @@ class AdamW(_Optimizer):
             p.data -= lr * update
 
 
-@dataclass
-class Sgd(_Optimizer):
-    """Plain gradient descent, used to mirror the update rule literally."""
-
-    def step(self, lr_scale: float = 1.0) -> None:
-        for name in sorted(self.params):
-            p = self.params[name]
-            if p.grad is not None:
-                p.data -= self.lr * lr_scale * p.grad
+OPTIMIZERS = ("adamw",)
 
 
-OPTIMIZERS = ("adamw", "sgd")
-
-
-def check_optimizer(kind: str) -> str:
-    """``kind`` in lower case, after checking that it names one of OPTIMIZERS."""
+def check_optimizer(kind: str) -> None:
+    """Rejects a ``kind`` that names none of OPTIMIZERS in any case."""
     if kind.lower() not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}; expected one of {OPTIMIZERS}")
-    return kind.lower()
 
 
 def check_widths(name: str, widths) -> None:
@@ -173,9 +157,8 @@ def check_widths(name: str, widths) -> None:
 
 
 def make_optimizer(kind: str, params: dict[str, Tensor], lr: float, weight_decay: float):
-    if check_optimizer(kind) == "adamw":
-        return AdamW(params=params, lr=lr, weight_decay=weight_decay)
-    return Sgd(params=params, lr=lr)
+    check_optimizer(kind)
+    return AdamW(params=params, lr=lr, weight_decay=weight_decay)
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,6 @@ class ModelConfig:
     encoder_hidden: tuple[int, ...] = (64,)
     decoder_hidden: tuple[int, ...] = (128,)
     shift_hidden: tuple[int, ...] = (64,)
-    shift_identity: bool = False
     # Initial bias of the scale heads.  softplus(-2) starts both posteriors
     # near-deterministic so early reconstruction gradients are not drowned
     # by latent noise; the heads are free to widen during training.
@@ -110,8 +109,6 @@ class ModelConfig:
         for name in ("embed_hidden", "embed_dim", "encoder_hidden", "decoder_hidden",
                      "shift_hidden"):
             check_widths(name, getattr(self, name))
-        if self.shift_identity and self.shift_hidden != ():
-            object.__setattr__(self, "shift_hidden", ())
 
 
 class LsnpcModel:
@@ -153,8 +150,6 @@ class LsnpcModel:
         for head in (self.theta_sigma, self.kappa_sigma):
             head.params[f"{head.prefix}.b0"].data[:] = cfg.sigma_bias_init
         self.psi = Mlp("psi", cfg.m, cfg.shift_hidden, cfg.m, rng, zero_init_head=True)
-        if cfg.shift_identity:
-            self.psi.params["psi.W0"].data = np.eye(cfg.m)
         self.phi = Mlp("phi", cfg.d + cfg.m, cfg.decoder_hidden, cfg.k, rng, zero_init_head=True)
         nets = [
             self.emb,

@@ -28,7 +28,6 @@ __all__ = [
     "corrupt_labels",
     "split_dataset",
     "save_transition",
-    "load_transition",
 ]
 
 KINDS = ("sym", "pair")
@@ -205,14 +204,3 @@ def save_transition(T: TransitionMatrix, path) -> None:
         lines.append(" ".join(repr(float(v)) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_transition(path) -> TransitionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    k_str, kind, nr_str = lines[0].split()
-    k = int(k_str)
-    if len(lines) != k + 1:
-        raise ValueError(f"expected {k} matrix rows, found {len(lines) - 1}")
-    rows = np.array([[float(v) for v in line.split()] for line in lines[1:]])
-    return TransitionMatrix(k=k, kind=kind, nr=float(nr_str), rows=rows)

@@ -63,7 +63,7 @@ sigma_bias_init = -1.0
 lr = 0.01
 epochs = 7
 batch_size = 16
-optimizer = sgd
+optimizer = AdamW
 weight_decay = 0.0
 hidden = 16,16
 
@@ -72,7 +72,7 @@ lr = 0.005
 epochs = 9
 clean_epochs = 2
 batch_size = 64
-optimizer = SGD
+optimizer = ADAMW
 weight_decay = 0.001
 s_y = 2
 s_z = 3
@@ -113,9 +113,9 @@ seed = 4
         beta=0.02, eta=0.25, proposal="normal", nu_mode="learned", embed_hidden=32,
         embed_dim=48, encoder_hidden=(32, 32), decoder_hidden=(96,), shift_hidden=(16,),
         sigma_bias_init=-1.0,
-        base=BaseTrainConfig(lr=0.01, epochs=7, batch_size=16, optimizer="sgd",
+        base=BaseTrainConfig(lr=0.01, epochs=7, batch_size=16, optimizer="AdamW",
                              weight_decay=0.0, hidden=(16, 16)),
-        lsnpc=LsnpcTrainConfig(lr=0.005, epochs=9, batch_size=64, optimizer="SGD",
+        lsnpc=LsnpcTrainConfig(lr=0.005, epochs=9, batch_size=64, optimizer="ADAMW",
                                weight_decay=0.001, s_y=2, s_z=3),
         clean_epochs=2,
         correction=CorrectionConfig(s_y=4, s_zhat=6, s_z=2, tau=0.4),
@@ -169,8 +169,9 @@ def test_sub_config_validation_carries_section_name():
     with pytest.raises(ConfigError, match=r"\[lsnpc\]: epochs must be >= 0"):
         parse_config("[lsnpc]\nepochs = -1\n")
     for section in ("base", "lsnpc"):
-        with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown optimizer 'sgdd'"):
-            parse_config(f"[{section}]\noptimizer = sgdd\n")
+        for kind in ("sgdd", "sgd"):
+            with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown optimizer '{kind}'"):
+                parse_config(f"[{section}]\noptimizer = {kind}\n")
 
 
 def test_top_level_validation_applies_to_parsed_text():

@@ -26,6 +26,7 @@ from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, tr
 from lsnpc import correction
 from lsnpc import model as model_module
 from lsnpc.correction import (
+    _BATCH,
     _KNN_BLOCK,
     _KNN_CHUNK,
     _KNN_SLICE,
@@ -257,16 +258,17 @@ def _result_bytes(result):
 @pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
 def test_reused_noise_gives_the_fresh_results(case, change):
     """Keys A, A, B, B, A in turn: each call equals the same call made right
-    after the cache is cleared, and the repeats hit the cache.  The draws of
-    a Normal proposal or a learned nu do not depend on a fixed nu, so there
-    a change of nu keeps the key."""
+    after the cache is cleared, and the repeats hit the cache, the last one
+    too, since two keys are kept.  The draws of a Normal proposal or a
+    learned nu do not depend on a fixed nu, so there a change of nu keeps
+    the key."""
     a, variants = _key_variants(case)
     calls = [a, a, variants[change], variants[change], a]
     correction._noise.cache_clear()
     got = [_result_bytes(correct(*call)) for call in calls]
     info = correction._noise.cache_info()
     same_key = change == "nu" and case != "student"
-    assert (info.hits, info.misses) == ((4, 1) if same_key else (2, 3))
+    assert (info.hits, info.misses) == ((4, 1) if same_key else (3, 2))
     fresh = []
     for call in calls:
         correction._noise.cache_clear()
@@ -339,50 +341,105 @@ def test_same_key_call_draws_and_transforms_nothing_again(monkeypatch, case):
     assert counts[1] == ([("correct", "yhat")], 0, transforms - (case == "student"))
 
 
+def _draw_bytes(cfg, n, m):
+    """The bytes of one key's draws for a Student proposal with a fixed nu."""
+    return 8 * (cfg.s_y * cfg.s_zhat * (1 + cfg.s_z) * n * m + cfg.s_y * cfg.s_zhat * n)
+
+
 def test_retained_noise_is_one_keys_draws():
+    """Each batch size keeps one key's draws, and of two keys at most: a
+    300-row call holds the keys of 200 and 100 rows, and a 250-row call then
+    reuses the first and replaces the second with the key of 50 rows."""
     model, h, X = tiny_setup(seed=3, n=300, m=8)
     cfg = CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4)
-
-    def draw_bytes(n):
-        return 8 * (cfg.s_y * cfg.s_zhat * (1 + cfg.s_z) * n * 8 + cfg.s_y * cfg.s_zhat * n)
-
     correct(model, h, X[:200], cfg)  # first-call allocations outside the trace
     correction._noise.cache_clear()
     tracemalloc.start()
     try:
         correct(model, h, X, cfg)
-        correct(model, h, X[:200], cfg)
+        correct(model, h, X[:250], cfg)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the second key's draws are kept, and nothing of the first key's
-    assert draw_bytes(200) <= retained <= draw_bytes(200) + 2**14 < draw_bytes(300)
+    info = correction._noise.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+    kept = _draw_bytes(cfg, 200, 8) + _draw_bytes(cfg, 50, 8)
+    assert kept <= retained <= kept + 2**14 < _draw_bytes(cfg, 200, 8) + _draw_bytes(cfg, 100, 8)
 
 
-def test_key_change_holds_one_keys_draws_at_its_peak():
-    """A wide latent and eight yhat groups make the draws the call's largest
-    arrays, so drawing a new key's next to the old key's would raise the peak
-    by the old draws (5.6 MB here) over a call made with the cache empty."""
-    model, h, X = tiny_setup(seed=3, n=300, m=64)
-    old = CorrectionConfig(s_y=8, s_zhat=2, s_z=2, seed=4)
-    new = dataclasses.replace(old, seed=5)
-    draws = 8 * (8 * 2 * 3 * 300 * 64 + 8 * 2 * 300)
-    correct(model, h, X, new)  # first-call allocations outside the trace
-    correction._noise.cache_clear()
+def test_large_call_holds_one_batch_of_memory():
+    """A 20 000-row call keeps at most two batch keys' draws after it
+    returns, and beyond its result it peaks as high as a 200-row call."""
+    model, h, X = tiny_setup(seed=3, n=20_000, m=8)
+    cfg = CorrectionConfig(s_y=4, s_zhat=2, s_z=2, seed=4)
+    correct(model, h, X[:_BATCH], cfg)  # first-call allocations outside the trace
+    peaks = []
     tracemalloc.start()
     try:
-        correct(model, h, X, old)
-        tracemalloc.reset_peak()
-        correct(model, h, X, new)
-        across = tracemalloc.get_traced_memory()[1]
-        correction._noise.cache_clear()
-        tracemalloc.reset_peak()
-        correct(model, h, X, new)
-        fresh = tracemalloc.get_traced_memory()[1]
+        for rows in (_BATCH, len(X)):
+            correction._noise.cache_clear()
+            tracemalloc.reset_peak()
+            result = correct(model, h, X[:rows], cfg)
+            held = result.probs.nbytes + result.labels.nbytes + result.se.nbytes
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            del result
+        retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert draws <= fresh
-    assert across <= fresh + 2**14
+    # a 20 000-row key's draws would take 100 times one batch's
+    assert _draw_bytes(cfg, _BATCH, 8) <= peaks[0]
+    assert retained <= 2 * _draw_bytes(cfg, _BATCH, 8) + 2**14
+    assert peaks[1] <= 2 * peaks[0]
+
+
+@pytest.mark.parametrize("case", sorted(PROPOSAL_CASES))
+def test_correct_is_the_concatenation_of_its_batches(case):
+    model, h, X = tiny_setup(seed=5, n=2 * _BATCH + 7, **PROPOSAL_CASES[case])
+    cfg = CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4)
+    whole = correct(model, h, X, cfg)
+    parts = [correct(model, h, X[i : i + _BATCH], cfg) for i in range(0, len(X), _BATCH)]
+    assert [len(p.probs) for p in parts] == [_BATCH, _BATCH, 7]
+    for name in ("probs", "labels", "se"):
+        joined = np.concatenate([getattr(p, name) for p in parts])
+        assert getattr(whole, name).dtype == joined.dtype
+        assert getattr(whole, name).tobytes() == joined.tobytes()
+
+
+def test_batches_do_not_call_correct_again(monkeypatch):
+    """Call tracers wrap ``correction.correct``; a call that re-entered it per
+    batch would count each batch as a call of its own."""
+    model, h, X = tiny_setup(seed=5, n=2 * _BATCH + 7)
+    calls = []
+    inner = correction.correct
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(correction, "correct", counting)
+    correction.correct(model, h, X, CorrectionConfig(s_y=2, s_zhat=2, s_z=2))
+    assert calls == [1]
+
+
+def test_zero_row_call_gives_empty_arrays():
+    model, h, X = tiny_setup(seed=5)
+    result = correct(model, h, X[:0], CorrectionConfig(s_y=2, s_zhat=2, s_z=2))
+    for name in ("probs", "labels", "se"):
+        assert getattr(result, name).shape == (0, model.cfg.k)
+
+
+def test_repeated_ragged_calls_hit_the_cache():
+    """330 rows run as batches of 200 and 130: the cache keeps both keys, so
+    a repeated call draws nothing again."""
+    model, h, X = tiny_setup(seed=5, n=330)
+    cfg = CorrectionConfig(s_y=2, s_zhat=2, s_z=2, seed=4)
+    correction._noise.cache_clear()
+    counts = []
+    for _ in range(3):
+        correct(model, h, X, cfg)
+        info = correction._noise.cache_info()
+        counts.append((info.hits, info.misses))
+    assert counts == [(0, 2), (2, 2), (4, 2)]
 
 
 def test_correct_builds_no_tensor(monkeypatch):

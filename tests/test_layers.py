@@ -24,8 +24,7 @@ def _problem(seed=0):
     return params, [("train", 6, np.random.default_rng(seed + 1), batch_loss)]
 
 
-@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
-def test_fit_restores_the_best_scored_epoch_and_ties_keep_the_earlier(optimizer):
+def test_fit_restores_the_best_scored_epoch_and_ties_keep_the_earlier():
     params, sweeps = _problem()
     # Best is epoch 1; epoch 3 ties it and must not replace it; the last is worst.
     scripted = iter([0.2, 0.7, 0.5, 0.7, 0.1])
@@ -35,7 +34,7 @@ def test_fit_restores_the_best_scored_epoch_and_ties_keep_the_earlier(optimizer)
         seen.append(snapshot(params))
         return next(scripted)
 
-    cfg = TrainConfig(lr=0.05, epochs=5, batch_size=4, optimizer=optimizer)
+    cfg = TrainConfig(lr=0.05, epochs=5, batch_size=4)
     losses, scores, best_epoch, best = fit(params, cfg, sweeps, score)
     assert scores == [0.2, 0.7, 0.5, 0.7, 0.1]
     assert (best_epoch, best) == (1, 0.7)

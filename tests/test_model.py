@@ -21,7 +21,7 @@ from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, tr
 from lsnpc.checkpoint import restore, snapshot
 from lsnpc.correction import CorrectionConfig, correct
 from lsnpc.evaluation import micro_f1
-from lsnpc.layers import cosine_lr
+from lsnpc.layers import AdamW, cosine_lr
 from lsnpc.model import (
     LsnpcModel,
     LsnpcTrainConfig,
@@ -172,15 +172,6 @@ def test_scales_respect_floor_everywhere():
     assert np.all(sig_t >= model.cfg.lambda_floor)
     _, sig_k = model.encode_zhat_to_z(rng.standard_normal((10_000, 2)) * 30.0)
     assert np.all(sig_k >= model.cfg.lambda_floor)
-
-
-def test_shift_identity_passes_latents_through():
-    model = LsnpcModel(ModelConfig(**{**TINY, "shift_hidden": (), "shift_identity": True}), seed=0)
-    z = np.random.default_rng(3).standard_normal((9, 2)) * 10.0
-    assert_array_equal(model.decode_shift(z), z)
-    # requesting hidden layers alongside the identity map silently drops them
-    cfg = ModelConfig(**{**TINY, "shift_identity": True})
-    assert cfg.shift_hidden == ()
 
 
 def test_decoder_finite_for_large_latents():
@@ -798,8 +789,8 @@ def test_empty_clean_set_equals_unsupervised_training():
 def test_trainer_matches_manual_two_step_update():
     X, Y, h = _toy_training_setup(n=8)
     Xc, Yc = X[:4], Y[:4].astype(float)
-    cfg = LsnpcTrainConfig(lr=0.05, epochs=1, batch_size=8, optimizer="sgd",
-                           weight_decay=0.0, s_y=2, s_z=1, seed=7)
+    cfg = LsnpcTrainConfig(lr=0.05, epochs=1, batch_size=8, weight_decay=0.0,
+                           s_y=2, s_z=1, seed=7)
     trained = train_semi_supervised(
         LsnpcModel(ModelConfig(**TINY), seed=7), h, X, (Xc, Yc), cfg
     )
@@ -813,17 +804,14 @@ def test_trainer_matches_manual_two_step_update():
     clean_noise_rng = rngs.stream(7, "lsnpc", "clean_noise")
     order = rngs.stream(7, "lsnpc", "shuffle").permutation(len(X))
     clean_order = rngs.stream(7, "lsnpc", "clean_shuffle").permutation(len(Xc))
-    scale = cosine_lr(0)
+    opt = AdamW(params=model.params, lr=cfg.lr, weight_decay=0.0)
 
     def step(loss):
         graph = ComputeGraph(lambda bound: loss, model.params)
         graph.eval({})
         graph.backward()
-        for name in sorted(model.params):
-            p = model.params[name]
-            if p.grad is not None:
-                p.data -= cfg.lr * scale * p.grad
-                p.grad = None
+        opt.step(lr_scale=cosine_lr(0))
+        opt.zero_grad()
 
     yh = sample_predictions(predict_probs(h, X)[order], 2, yhat_rng).reshape(16, -1)
     step(unsupervised_loss(model, np.tile(X[order], (2, 1)), yh, rng=noise_rng))
@@ -933,7 +921,6 @@ MODEL_CONFIG_FIELDS = {
     "encoder_hidden": st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
     "decoder_hidden": st.lists(st.integers(1, 4), max_size=2).map(tuple),
     "shift_hidden": st.lists(st.integers(1, 4), max_size=2).map(tuple),
-    "shift_identity": st.booleans(),
     "sigma_bias_init": st.floats(-5.0, 5.0),
 }
 

@@ -11,7 +11,6 @@ from lsnpc.noise import (
     TransitionMatrix,
     build_transition_matrix,
     corrupt_labels,
-    load_transition,
     save_transition,
     split_dataset,
 )
@@ -156,15 +155,6 @@ def test_corrupt_rejects_nonbinary():
     T = build_transition_matrix("sym", 4, 0.3)
     with pytest.raises(ValueError):
         corrupt_labels(np.full((2, 4), 0.5), T, seed=0)
-
-
-def test_transition_round_trips(tmp_path):
-    T = build_transition_matrix("pair", 5, 0.35)
-    path = tmp_path / "T.csv"
-    save_transition(T, path)
-    loaded = load_transition(path)
-    assert (loaded.k, loaded.kind, loaded.nr) == (T.k, T.kind, T.nr)
-    np.testing.assert_array_equal(loaded.rows, T.rows)
 
 
 def test_transition_text_header(tmp_path):
