@@ -395,14 +395,19 @@ def dense(
 
     Both modes run one body: the primitive chain (matmul, add, mean, sub,
     square, mean, add, sqrt, div, mul, add, gelu) expression by expression
-    and in the same order, with the same ufuncs.  Untaped, no backward pass
-    needs the temporaries, so the chain writes them into two buffers of the
-    output's shape; on the tape, every value the backward pass reads keeps an
-    array of its own.  The backward pass repeats the chain's backward rules
-    the same way.  Inside the layer every value feeds at most two consumers,
-    and a sum of two floats does not depend on order, so values and
-    gradients are bit-identical to that chain in both modes.  Like every op,
-    both modes run under ``np.errstate(all="ignore")``.
+    and in the same order, with the same ufuncs; a mean is ``np.add.reduce``
+    then a division by the count, which is what ``np.mean`` computes.
+    Untaped, no backward pass needs the temporaries, so the chain writes
+    them into two buffers of the output's shape; on the tape, every value
+    the backward pass reads keeps an array of its own.  The backward pass
+    repeats the chain's backward rules the same way, writing its
+    temporaries into arrays it made, never into the incoming gradient; it
+    negates the layer-norm row sums rather than their terms, which gives
+    the same bits because rounding is symmetric in sign.  Inside the layer
+    every value feeds at most two consumers, and a sum of two floats does
+    not depend on order, so values and gradients are bit-identical to that
+    chain in both modes.  Like every op, both modes run under
+    ``np.errstate(all="ignore")``.
     """
     tape = isinstance(x, Tensor)
     xd = data_of(x)
@@ -412,9 +417,12 @@ def dense(
         o = xd @ W.data
         o += b.data
         if ln is not None:
-            centered = np.subtract(o, np.mean(o, axis=-1, keepdims=True), out=o)
+            mean = np.add.reduce(o, axis=-1, keepdims=True)
+            mean /= n
+            centered = np.subtract(o, mean, out=o)
             normed = np.square(centered)
-            var = np.mean(normed, axis=-1, keepdims=True)
+            var = np.add.reduce(normed, axis=-1, keepdims=True)
+            var /= n
             std = np.sqrt(var + _LN_EPS)
             normed = np.divide(centered, std, out=normed)
             o = np.multiply(normed, ln[0].data, out=None if tape else centered)
@@ -433,13 +441,25 @@ def dense(
             g = _gelu_grad(g, o, tp1)
         ln_grads = ()
         if ln is not None:
-            ln_grads = ((g * normed).sum(axis=0), g.sum(axis=0))
-            g = g * gain_shift[0]
-            g_var = 0.5 * (-g * centered / (std * std)).sum(axis=1, keepdims=True) / std
-            g = g / std + 2.0 * centered * (g_var / n)
-            g = g + (-g).sum(axis=1, keepdims=True) / n
+            t = np.multiply(g, normed)
+            ln_grads = (np.add.reduce(t, axis=0), np.add.reduce(g, axis=0))
+            # g is the caller's array unless the GELU backward made it here
+            g = np.multiply(g, gain_shift[0], out=g if gelu else None)
+            t = np.multiply(g, centered, out=t)
+            t /= std * std
+            g_var = np.add.reduce(t, axis=1, keepdims=True)
+            g_var *= -0.5
+            g_var /= std
+            g_var /= n
+            t = np.multiply(2.0, centered, out=t)
+            t *= g_var
+            g /= std
+            g += t
+            row = np.add.reduce(g, axis=1, keepdims=True)
+            row /= -n
+            g += row
         g_x = g @ Wd.T if x.requires_grad else None
-        return (g_x, xd.T @ g, g.sum(axis=0), *ln_grads)
+        return (g_x, xd.T @ g, np.add.reduce(g, axis=0), *ln_grads)
 
     node._bwd = bwd
     # An overflow inside layer norm can leave the output finite (x / inf
@@ -489,22 +509,29 @@ def concat(tensors: Iterable, axis: int = -1):
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    """Iterative DFS topological order (parents before children)."""
+    """Iterative DFS topological order (parents before children).
+
+    A node's first pop expands it: it goes back on the stack below its
+    unseen parents and is emitted when it surfaces again.  In a DAG no other
+    entry of an expanded node surfaces before that, so a seen node that is
+    not yet emitted is always that second pop.  Tensors hash by identity.
+    """
     order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    seen: set[Tensor] = set()
+    emitted: set[Tensor] = set()
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node in seen:
+            if node not in emitted:
+                emitted.add(node)
+                order.append(node)
             continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
+        seen.add(node)
+        stack.append(node)
         for parent in node._parents:
-            if id(parent) not in seen and parent.requires_grad:
-                stack.append((parent, False))
+            if parent not in seen and parent.requires_grad:
+                stack.append(parent)
     return order
 
 

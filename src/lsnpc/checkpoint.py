@@ -160,14 +160,16 @@ def snapshot(params: dict) -> dict[str, np.ndarray]:
 
 def restore(params: dict, arrays: dict[str, np.ndarray]) -> None:
     """Load ``arrays`` into a name -> Tensor parameter dict, after checking
-    that the names and every shape match."""
+    that the names and every shape match.  Each value is written into the
+    parameter's array, so a parameter whose storage an optimizer owns stays
+    bound to it."""
     if set(arrays) != set(params):
         raise ValueError("parameter names do not match this architecture")
     for name, value in arrays.items():
         p = params[name]
         if p.data.shape != value.shape:
             raise ValueError(f"shape mismatch for {name}")
-        p.data = value.astype(np.float64)
+        p.data[...] = value
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str]) -> None:

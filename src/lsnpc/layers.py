@@ -16,12 +16,17 @@ seed are bit-identical.
 :func:`fit` is the one training loop: the base classifier and the
 latent-shift model hand it their parameters, a :class:`TrainConfig` and
 their loss sweeps, plus an optional score that picks the epoch to keep.
+
+:class:`AdamW` owns its parameters' storage: it moves them into one
+contiguous arena and updates that arena as a whole.  Code that sets a
+parameter writes into its array (``p.data[...] = value``, as
+:func:`checkpoint.restore` does) rather than binding a new one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,53 +97,81 @@ def cosine_lr(epoch: int) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * (epoch % 10) / 10))
 
 
-@dataclass
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
+    """Adaptive moments with decoupled weight decay (Loshchilov & Hutter, 2019).
 
-    Weight decay applies only to weight matrices (names containing '.W'), not
-    to biases or layer-norm parameters.  ``lr_scale`` lets a scheduler rescale
-    the step without touching the moment state.
+    AdamW owns its parameters' storage: construction copies every parameter
+    into one contiguous float64 arena, weight matrices (names containing
+    '.W') first, and binds each parameter's ``data`` to its view of the
+    arena.  So each step copies the gradients into one buffer and runs
+    about a dozen whole-arena numpy operations: the per-element operations
+    of the textbook per-parameter loop in the same order, so every bit is
+    the same.  Weight decay applies to the weight prefix only, not to
+    biases or layer-norm parameters.  Code that writes a parameter
+    afterwards writes into its array (``p.data[...] = ...``); binding a new
+    array would detach it from the optimizer.  ``step`` raises a
+    ``ValueError`` naming the first parameter, in arena order, that has no
+    gradient.  ``lr_scale`` lets a scheduler rescale the step without
+    touching the moment state.
     """
 
-    params: dict[str, Tensor]
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    _m: dict[str, np.ndarray] = field(default_factory=dict)
-    _v: dict[str, np.ndarray] = field(default_factory=dict)
-    _t: int = 0
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
+        self.params = params
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
+        self.eps, self.weight_decay = eps, weight_decay
+        order = sorted(params, key=lambda name: ".W" not in name)
+        sizes = [params[name].size for name in order]
+        self._n_decayed = sum(size for name, size in zip(order, sizes) if ".W" in name)
+        self._arena = np.empty(sum(sizes))
+        self._grad = np.empty_like(self._arena)
+        self._update = np.empty_like(self._arena)
+        self._m = np.zeros_like(self._arena)
+        self._v = np.zeros_like(self._arena)
+        self._t = 0
+        self._slots = []
+        start = 0
+        for name, size in zip(order, sizes):
+            p = params[name]
+            view = self._arena[start : start + size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append((name, p, self._grad[start : start + size].reshape(p.shape)))
+            start += size
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self, lr_scale: float = 1.0) -> None:
+        for name, p, g in self._slots:
+            if p.grad is None:
+                raise ValueError(f"AdamW.step: parameter {name} has no gradient")
+            g[...] = p.grad
         self._t += 1
         lr = self.lr * lr_scale
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = p.grad
-            if g is None:
-                continue
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self._m[name] = m
-                self._v[name] = np.zeros_like(p.data)
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and ".W" in name:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
+        g, m, v, update, data = self._grad, self._m, self._v, self._update, self._arena
+        # m += (1 - beta1) g;  v += (1 - beta2) g^2;  data -= lr update, with
+        # update = (m / bc1) / (sqrt(v / bc2) + eps) + weight_decay data on weights
+        np.multiply(1.0 - self.beta1, g, out=update)
+        m *= self.beta1
+        m += update
+        v *= self.beta2
+        np.square(g, out=g)
+        g *= 1.0 - self.beta2
+        v += g
+        np.divide(m, bc1, out=update)
+        root = np.divide(v, bc2, out=g)
+        np.sqrt(root, out=root)
+        root += self.eps
+        update /= root
+        if self.weight_decay:
+            n = self._n_decayed
+            update[:n] += np.multiply(self.weight_decay, data[:n], out=root[:n])
+        update *= lr
+        data -= update
 
 
 OPTIMIZERS = ("adamw",)

@@ -540,8 +540,8 @@ def tiny_model(
         W = model.params[f"{prefix}.W0"]
         b = model.params[f"{prefix}.b0"]
         fan_in = W.data.shape[0]
-        W.data = rng.standard_normal(W.data.shape) * (w_scale / math.sqrt(fan_in))
-        b.data = rng.standard_normal(b.data.shape) * b_scale + b_shift
+        W.data[...] = rng.standard_normal(W.data.shape) * (w_scale / math.sqrt(fan_in))
+        b.data[...] = rng.standard_normal(b.data.shape) * b_scale + b_shift
     return model
 
 

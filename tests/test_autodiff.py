@@ -14,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from lsnpc.autodiff import ComputeGraph, Tensor, concat, dense, grad_check
+from lsnpc.autodiff import (
+    ComputeGraph,
+    Tensor,
+    _gelu,
+    _gelu_grad,
+    _toposort,
+    backward,
+    concat,
+    dense,
+    grad_check,
+)
 
 
 def scalar_graph(fn, x0):
@@ -369,6 +379,80 @@ def test_dense_backward_leaves_a_shared_gradient_intact():
     fused, chain = run(dense), run(chain_layer)
     for name in arrays:
         assert np.array_equal(fused[name], chain[name]), name
+
+
+def expression_form_backward(g, x, W, b, gain, shift, gelu):
+    """The dense layer's backward pass as whole-array expressions (the form
+    it had before it reused its temporaries), over a forward of np.mean."""
+    o = x @ W + b
+    centered = o - np.mean(o, axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(np.square(centered), axis=-1, keepdims=True) + 1e-5)
+    normed = centered / std
+    o = normed * gain + shift
+    n = W.shape[1]
+    if gelu:
+        g = _gelu_grad(g, o, _gelu(o)[1])
+    ln_grads = ((g * normed).sum(axis=0), g.sum(axis=0))
+    g = g * gain
+    g_var = 0.5 * (-g * centered / (std * std)).sum(axis=1, keepdims=True) / std
+    g = g / std + 2.0 * centered * (g_var / n)
+    g = g + (-g).sum(axis=1, keepdims=True) / n
+    return {"x": g @ W.T, "W": x.T @ g, "b": g.sum(axis=0),
+            "gain": ln_grads[0], "shift": ln_grads[1]}
+
+
+@pytest.mark.parametrize("gelu", [True, False], ids=["gelu", "no_gelu"])
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("rows", [1, 7, 128])
+def test_dense_backward_equals_the_expression_form_bit_for_bit(rows, width, gelu):
+    rng = np.random.default_rng(rows * width)
+    arrays = {"x": rng.standard_normal((rows, 40)) * 2.0,
+              "W": rng.standard_normal((40, width)) * 0.3,
+              "b": rng.standard_normal(width) * 0.2,
+              "gain": 1.0 + 0.3 * rng.standard_normal(width),
+              "shift": 0.3 * rng.standard_normal(width)}
+    params = {k: Tensor(v, requires_grad=True, name=k) for k, v in arrays.items()}
+    out = dense(params["x"], params["W"], params["b"], (params["gain"], params["shift"]), gelu)
+    g = rng.standard_normal((rows, width))
+    incoming = g.copy()
+    grads = backward(out, params, seed_grad=g)
+    assert g.tobytes() == incoming.tobytes()
+    expected = expression_form_backward(incoming, *arrays.values(), gelu)
+    for name in arrays:
+        assert grads[name].tobytes() == expected[name].tobytes(), name
+
+
+def tuple_dfs_order(root):
+    """The topological order of a DFS whose stack holds (node, expanded) tuples."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen and parent.requires_grad:
+                stack.append((parent, False))
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_toposort_keeps_the_tuple_dfs_order(data):
+    n_leaves = data.draw(st.integers(1, 5))
+    nodes = [Tensor(np.zeros(1), requires_grad=data.draw(st.booleans()))
+             for _ in range(n_leaves)]
+    for _ in range(data.draw(st.integers(0, 25))):
+        # repeated and shared parents; a node whose parents all lack
+        # requires_grad lacks it too, so whole branches drop out
+        picks = data.draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=4))
+        nodes.append(Tensor(np.zeros(1), _op="op", _parents=tuple(nodes[i] for i in picks)))
+    root = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+    assert [id(t) for t in _toposort(root)] == [id(t) for t in tuple_dfs_order(root)]
 
 
 def test_concat_of_arrays_builds_no_tensor():

@@ -126,6 +126,27 @@ def test_training_is_pinned():
     assert _train_digest() == TRAIN_PIN
 
 
+# The same digest at the default ``[base]`` widths (two 64-wide hidden
+# layers) on 32-d inputs and 10 labels, where layer norm spans 64 columns.
+DEFAULT_WIDTH_TRAIN_PIN = "bc39a8bc60f61e47ca5bbe37"
+
+
+def _default_width_train_digest():
+    X, Y = separable_toy(n=96, d=32, k=10, seed=12)
+    Xv, Yv = separable_toy(n=40, d=32, k=10, seed=13)
+    h = train_base(X, Y, BaseTrainConfig(epochs=2, seed=12), score=val_f1(Xv, Yv))
+    arrays = {**snapshot(h.net.params), "loss": h.history["train_loss"],
+              "val": h.history["val_micro_f1"]}
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode() + np.asarray(arrays[name], dtype=np.float64).tobytes())
+    return digest.hexdigest()[:24]
+
+
+def test_training_at_default_widths_is_pinned():
+    assert _default_width_train_digest() == DEFAULT_WIDTH_TRAIN_PIN
+
+
 @pytest.mark.parametrize("rows", [1, 7, 200])
 def test_predict_probs_equals_the_taped_network_bit_for_bit(rows):
     h = _new_classifier(d=3, k=2, hidden=(4, 5), seed=0)

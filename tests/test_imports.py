@@ -1,8 +1,14 @@
-"""Import hygiene of the package, checked on the source text.
+"""Import hygiene and parameter storage of the package, checked on the source text.
 
 No module imports another ``lsnpc`` module's private (``_``-prefixed) name,
 and no import sits inside a function body: a helper that several modules
 need is public, and a dependency is visible at the top of its module.
+
+No module binds a new array to a Tensor's ``data`` (``<expr>.data = ...``)
+except where the array is bound: ``Tensor.__init__`` and ``AdamW.__init__``,
+which moves the parameters into the arena it owns.  Anywhere else a
+rebinding would silently detach a parameter from its optimizer; writes go
+into the array (``p.data[...] = ...``).
 """
 
 import ast
@@ -48,3 +54,55 @@ def test_the_checker_flags_both_kinds():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_are_public_and_top_level(path):
     assert violations(path.read_text(encoding="utf-8")) == []
+
+
+DATA_BINDERS = {"Tensor.__init__", "AdamW.__init__"}
+
+
+def data_rebindings(text: str) -> list[str]:
+    """One line per ``<expr>.data = ...`` outside the functions of DATA_BINDERS."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        for target in targets:
+            for leaf in ast.walk(target):
+                if (isinstance(leaf, ast.Attribute) and leaf.attr == "data"
+                        and isinstance(leaf.ctx, ast.Store) and scope not in DATA_BINDERS):
+                    found.append(f"line {leaf.lineno}: binds .data in {scope or 'module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_the_rebinding_checker_flags_a_planted_case():
+    text = ("class Tensor:\n"
+            "    def __init__(self, data):\n"
+            "        self.data = data\n"
+            "class AdamW:\n"
+            "    def __init__(self, p, view):\n"
+            "        p.data = view\n"
+            "def restore(p, value, q):\n"
+            "    p.data[...] = value\n"
+            "    p.data -= value\n"
+            "    p.data = value\n"
+            "    q.data, r = value, 1\n"
+            "class Model:\n"
+            "    def __init__(self, p):\n"
+            "        self.params['w'].data: object = p\n")
+    assert data_rebindings(text) == ["line 10: binds .data in restore",
+                                     "line 11: binds .data in restore",
+                                     "line 14: binds .data in Model.__init__"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_rebinds_a_tensors_data(path):
+    assert data_rebindings(path.read_text(encoding="utf-8")) == []

@@ -1,12 +1,13 @@
-"""The shared epoch loop: its schedule checks and its best-epoch selection."""
+"""The shared epoch loop (its schedule checks and its best-epoch selection)
+and AdamW, against the per-parameter loop it replaces."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from lsnpc.autodiff import Tensor
-from lsnpc.checkpoint import snapshot
-from lsnpc.layers import TrainConfig, TrainingDiverged, fit
+from lsnpc.autodiff import Tensor, backward
+from lsnpc.checkpoint import restore, snapshot
+from lsnpc.layers import AdamW, Mlp, TrainConfig, TrainingDiverged, cosine_lr, fit
 
 
 def _problem(seed=0):
@@ -76,3 +77,96 @@ def test_fit_names_the_epoch_and_sweep_of_a_non_finite_loss():
 def test_train_config_checks(field, value, match):
     with pytest.raises(ValueError, match=match):
         TrainConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# AdamW
+
+
+class PerParameterAdamW:
+    """The textbook per-parameter AdamW loop: the oracle of the arena AdamW."""
+
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.t = 0
+
+    def step(self, lr_scale):
+        self.t += 1
+        lr = self.lr * lr_scale
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name in sorted(self.params):
+            p, g, m, v = self.params[name], self.params[name].grad, self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * np.square(g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay and ".W" in name:
+                update = update + self.weight_decay * p.data
+            p.data -= lr * update
+
+
+def _mixed_mlp():
+    """An Mlp with weights, biases and layer-norm gains and shifts, plus a batch."""
+    rng = np.random.default_rng(40)
+    net = Mlp("net", 6, (16, 9), 4, rng, zero_init_head=False)
+    return net, rng.standard_normal((12, 6)), rng.standard_normal((12, 4))
+
+
+def test_adamw_gives_the_per_parameter_loop_bit_for_bit():
+    net, x, target = _mixed_mlp()
+    twin, _, _ = _mixed_mlp()
+    assert {name.rsplit(".", 1)[-1][0] for name in net.params} == {"W", "b", "g"}
+    opt = AdamW(params=net.params, lr=0.01, weight_decay=0.05)
+    oracle = PerParameterAdamW(twin.params, lr=0.01, weight_decay=0.05)
+    for step in range(36):
+        for model, optimizer in ((net, opt), (twin, oracle)):
+            for p in model.params.values():
+                p.grad = None
+            rows = np.arange(step % 3, 12, 2)
+            loss = (model(Tensor(x[rows])) - target[rows]).square().mean()
+            backward(loss, model.params)
+            optimizer.step(lr_scale=cosine_lr(step // 3))
+        for name, p in net.params.items():
+            assert p.data.tobytes() == twin.params[name].data.tobytes(), (step, name)
+
+
+def test_adamw_decays_weight_matrices_only():
+    net, _, _ = _mixed_mlp()
+    before = snapshot(net.params)
+    opt = AdamW(params=net.params, lr=0.1, weight_decay=0.5)
+    for p in net.params.values():
+        p.grad = np.zeros(p.shape)
+    opt.step()
+    for name, p in net.params.items():
+        expected = before[name] - 0.1 * (0.5 * before[name]) if ".W" in name else before[name]
+        assert_array_equal(p.data, expected, err_msg=name)
+
+
+def test_adamw_names_a_parameter_without_a_gradient():
+    params, _ = _problem()
+    opt = AdamW(params=params)
+    params["a.W0"].grad = np.ones((3, 2))
+    with pytest.raises(ValueError, match="a.b0 has no gradient"):
+        opt.step()
+
+
+def test_restore_writes_into_the_optimizers_arrays():
+    net, _, _ = _mixed_mlp()
+    saved = {name: value + 1.0 for name, value in snapshot(net.params).items()}
+    AdamW(params=net.params)
+    bound = {name: p.data for name, p in net.params.items()}
+    restore(net.params, saved)
+    for name, p in net.params.items():
+        assert p.data is bound[name]
+        assert_array_equal(p.data, saved[name])
+    with pytest.raises(ValueError, match="names"):
+        restore(net.params, {**saved, "net.extra": np.zeros(1)})
+    with pytest.raises(ValueError, match="shape mismatch for net.b0"):
+        restore(net.params, {**saved, "net.b0": np.zeros(3)})
+    for name, p in net.params.items():
+        assert p.data is bound[name]

@@ -776,6 +776,32 @@ def test_trainer_is_pinned():
     assert _trainer_digest() == TRAINER_PIN
 
 
+# The trainer's digest at the default ``[model]`` widths, with 32-row batches
+# tiled s_y = 4 as in ``[lsnpc]``: the tiny nets above give layer norm at most
+# 8 columns, these 64 and 128.
+DEFAULT_WIDTH_TRAINER_PIN = "b161bb7a5349eb7b652e60bd"
+
+
+def _default_width_trainer_digest():
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((96, 32))
+    Y = (X @ rng.standard_normal((32, 10)) > 0.0).astype(np.uint8)
+    h = train_base(X[:64], Y[:64], BaseTrainConfig(epochs=1, seed=21))
+    cfg = LsnpcTrainConfig(epochs=2, batch_size=32, s_y=4, seed=21)
+    model = train_semi_supervised(
+        LsnpcModel(ModelConfig(d=32, k=10), seed=21), h, X[:64],
+        (X[64:], Y[64:].astype(float)), cfg,
+        score=corrected_f1(h, X[64:], Y[64:], seed=21),
+    )
+    hist = model.history
+    return _digest({**snapshot(model.params), "unsup": hist["unsup_losses"],
+                    "sup": hist["sup_losses"], "val": hist["val_scores"]})
+
+
+def test_trainer_at_default_widths_is_pinned():
+    assert _default_width_trainer_digest() == DEFAULT_WIDTH_TRAINER_PIN
+
+
 def test_empty_clean_set_equals_unsupervised_training():
     X, Y, h = _toy_training_setup()
     cfg = LsnpcTrainConfig(epochs=2, batch_size=8, s_y=2, seed=7)
