@@ -30,8 +30,9 @@ Schema (defaults in parentheses):
               train_epochs (6), base_epochs (10), m (4), nu (4.0),
               noise_rate (0.3), seed (1)
 
-Seeds are non-negative, and a synthetic k must be >= 2 when any [noise] or
-[theory] noise rate is positive.
+Seeds are non-negative, [theory] n_mc is at least 2 (a standard error needs
+two draws), and a synthetic k must be >= 2 when any [noise] or [theory] noise
+rate is positive.
 """
 
 from __future__ import annotations
@@ -72,8 +73,11 @@ class TheoryConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if min(self.instances, self.pairs, self.n_mc, self.train_n) < 1:
+        if min(self.instances, self.pairs, self.train_n) < 1:
             raise ConfigError("theory sizes must be positive")
+        if self.n_mc < 2:
+            raise ConfigError(f"theory n_mc must be >= 2 for a Monte-Carlo standard "
+                              f"error, got {self.n_mc}")
         if not self.nu > 2:
             raise ConfigError("theory nu must exceed 2")
         if self.m < 1:

@@ -346,9 +346,12 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None,
 # Theory verification driver
 
 
-def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
-                          quiet: bool) -> tuple[LsnpcModel, np.ndarray]:
-    """Small end-to-end training run; returns the model and its train features."""
+def _theory_base(cfg: ExperimentConfig) -> tuple[ExperimentConfig, SplitResult, BaseClassifier]:
+    """The [theory]-sized run config, split and base classifier.
+
+    Both theory models train on them, as a cell's two arms share their split
+    and base classifier.
+    """
     tc = cfg.theory
     run_cfg = dataclasses.replace(
         cfg,
@@ -356,7 +359,6 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
         m=tc.m,
         nu=tc.nu,
         nu0=tc.nu,
-        proposal=proposal,
         base=dataclasses.replace(cfg.base, epochs=tc.base_epochs),
         lsnpc=dataclasses.replace(cfg.lsnpc, epochs=tc.train_epochs),
     )
@@ -369,10 +371,17 @@ def _trained_theory_model(cfg: ExperimentConfig, proposal: str,
     ds = dataclasses.replace(ds, X=ds.X[:tc.train_n], Y=ds.Y[:tc.train_n])
     T = build_transition_matrix("sym", ds.k, tc.noise_rate) if tc.noise_rate > 0 else None
     sp = split_dataset(ds, run_cfg.split_spec(tc.seed), T)
-    model = _train_lsnpc(run_cfg, sp, _train_base(run_cfg, sp, tc.seed), tc.seed)
+    return run_cfg, sp, _train_base(run_cfg, sp, tc.seed)
+
+
+def _trained_theory_model(run_cfg: ExperimentConfig, sp: SplitResult, h: BaseClassifier,
+                          proposal: str, quiet: bool) -> LsnpcModel:
+    """Small end-to-end training run of one proposal on ``_theory_base``'s output."""
+    model = _train_lsnpc(dataclasses.replace(run_cfg, proposal=proposal), sp, h,
+                         run_cfg.theory.seed)
     if not quiet:
         print(f"  theory model ({proposal}) trained", file=sys.stderr)
-    return model, sp.splits["train"].X.astype(np.float64)
+    return model
 
 
 def _check_pair_distances(k: int, pairs: int) -> None:
@@ -398,7 +407,8 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     The quadrature instances and the Monte-Carlo pairs of the affine bound
     run through ``rngs.fan_out``, on every core this process may use; each
     instance and each pair draws from its own stream, so the report does not
-    depend on the worker count.  The two theory models train in this process.
+    depend on the worker count.  The two theory models train in this process,
+    on one split and one base classifier.
     """
     tc = cfg.theory
     if cfg.source == "synthetic":  # a dataset file's k is checked once it is read
@@ -418,7 +428,9 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     )
 
     # 2 + 3. Encoder constants and the affine bound on a trained model.
-    model, X_train = _trained_theory_model(cfg, "student", quiet)
+    run_cfg, sp, h = _theory_base(cfg)
+    model = _trained_theory_model(run_cfg, sp, h, "student", quiet)
+    X_train = sp.splits["train"].X.astype(np.float64)
     rng = rngs.stream(tc.seed, "theory", "pairs")
     idx = rng.integers(0, X_train.shape[0], size=tc.pairs)
     X = X_train[idx]
@@ -445,7 +457,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     )
 
     # 4. Normal-proposal arm against the quadratic bound.
-    gmodel, gX_train = _trained_theory_model(cfg, "normal", quiet)
+    gmodel = _trained_theory_model(run_cfg, sp, h, "normal", quiet)
     gconst = estimate_constants(gmodel, X, (Y0, Y1)).inflated(1.5)
     grows = gaussian_bound_check(gmodel, X, (Y0, Y1), gconst)
     gdom = sum(r.dominated for r in grows)

@@ -114,13 +114,17 @@ def verify_theorem1(
     normalized on the grid; both the proposal and the generative density must
     integrate to 1 within ``THEOREM1_TOL`` on the grid or a GridError is raised.
     ``qz_log_override`` substitutes a tabulated log density for q(z|zhat)
-    inside the expected-KL integrand (it does not touch the joint KL).
+    inside the expected-KL integrand (it does not touch the joint KL); it
+    holds one value per grid point.
     """
     if model.cfg.m != 1:
         raise ValueError("quadrature verification supports only 1-D latents")
     grid = grid or QuadratureGrid()
     g = grid.values
     G = len(g)
+    if qz_log_override is not None and np.size(qz_log_override) != G:
+        raise ValueError(f"qz_log_override has {np.size(qz_log_override)} values, "
+                         f"but the grid has {G} points")
     dz = grid.step
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     yhat = np.asarray(yhat, dtype=np.float64).reshape(1, -1)

@@ -127,7 +127,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
     save_dataset(generate_synthetic(GeneratorConfig(n=240, d=6, k=3, rank=3, seed=1))[0],
                  source)
     for body in ("[theory]\ntrain_n = 12\n", "[theory]\nm = 0\n",
-                 "[theory]\nnoise_rate = 1.5\n",
+                 "[theory]\nnoise_rate = 1.5\n", "[theory]\nn_mc = 1\n",
                  f"[data]\nsource = {source}\n[theory]\ntrain_n = 12\n"):
         bad.write_text(body)
         out = tmp_path / "theory_out"

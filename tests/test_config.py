@@ -269,6 +269,11 @@ def test_theory_config_validation():
         TheoryConfig(nu=2.0)
     with pytest.raises(ConfigError, match="positive"):
         TheoryConfig(pairs=0)
+    # one draw has no standard error, and zero draws no estimate
+    for n_mc in (0, 1):
+        with pytest.raises(ConfigError, match=rf"theory n_mc must be >= 2.*got {n_mc}"):
+            parse_config(f"[theory]\nn_mc = {n_mc}\n")
+    assert TheoryConfig(n_mc=2).n_mc == 2
 
 
 def test_negative_seeds_are_rejected():

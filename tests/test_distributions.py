@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from lsnpc import rngs
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.distributions import (
+    _MC_ROWS,
     kl_diag_normal,
     kl_mv_bernoulli,
     kl_student_same_nu_upper_bound,
@@ -571,9 +572,10 @@ def test_mc_kl_is_pinned_and_leaves_its_parameters_intact(nu):
         assert np.array_equal(kept, now)
 
 
-def test_mc_kl_peak_memory_stays_within_three_draw_arrays():
-    # Draws, one density buffer and two per-row results: about 2.5 draw
-    # arrays.  The out-of-place chain peaked at 8.3.
+def test_mc_kl_peak_memory_stays_within_its_row_array_and_tile_buffers():
+    # The (n,) log ratios and np.std's (n,) deviations, plus the draw tile,
+    # the density buffer and the row sums: about 0.6 draw arrays at this
+    # size.  The full-size estimator peaked at 2.5 draw arrays.
     n, m = 100_000, 4
     operands = _pinned_pair()
     rng = rngs.stream(5, "test", "mc_kl")
@@ -583,7 +585,71 @@ def test_mc_kl_peak_memory_stays_within_three_draw_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * m * 8
+    assert peak <= 2 * n * 8 + 3 * _MC_ROWS * m * 8
+
+
+def _mc_kl_reference(mean_p, scale_p, mean_q, scale_q, nu, n_samples, rng):
+    """The estimator before row tiles: one full-size draw through
+    ``logpdf_diag_student``'s array mode, row sums by ``np.sum``."""
+    draws = rng.standard_t(df=nu, size=(n_samples, len(mean_p)))
+    draws *= scale_p
+    draws += mean_p
+    log_ratio = logpdf_diag_student(draws, mean_p, scale_p, nu)
+    log_ratio -= logpdf_diag_student(draws, mean_q, scale_q, nu)
+    return (float(np.mean(log_ratio)),
+            float(np.std(log_ratio, ddof=1) / math.sqrt(len(log_ratio))))
+
+
+# Ragged tiles (n below, above and between multiples of 256 and of the tile),
+# the column fold (m < 8) and np.sum's own order (m >= 8).
+@pytest.mark.parametrize("nu", [2.5, 4.0])
+@pytest.mark.parametrize("n", [2, 10, 255, 256, 8192, 8193, 20_000])
+@pytest.mark.parametrize("m", [1, 3, 4, 7, 8, 9])
+def test_mc_kl_tiles_equal_one_full_size_draw_bit_for_bit(m, n, nu):
+    g = np.random.default_rng([m, n])
+    operands = (g.normal(size=m), g.uniform(0.3, 2.0, m),
+                g.normal(size=m), g.uniform(0.3, 2.0, m))
+    got = mc_kl_diag_student(*operands, nu, n, np.random.default_rng(7))
+    want = _mc_kl_reference(*operands, nu, n, np.random.default_rng(7))
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_mc_kl_needs_two_draws_for_its_standard_error(n):
+    with pytest.raises(ValueError, match=rf"n_samples = {n} .*at least 2"):
+        mc_kl_diag_student(*_pinned_pair(), 4.0, n, np.random.default_rng(0))
+
+
+def test_mc_kl_operands_are_one_row():
+    mean_p, scale_p, mean_q, scale_q = (np.tile(a, (2, 1)) for a in _pinned_pair())
+    with pytest.raises(ValueError, match=r"operands must be one row, got shape \(2, 4\)"):
+        mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, 4.0, 10, np.random.default_rng(0))
+    one_row = [a[:1] for a in (mean_p, scale_p, mean_q, scale_q)]
+    assert (mc_kl_diag_student(*one_row, 4.0, 300, np.random.default_rng(0))
+            == mc_kl_diag_student(*_pinned_pair(), 4.0, 300, np.random.default_rng(0)))
+
+
+# Canaries for the numpy behaviour that mc_kl_diag_student's row tiles rely on.
+def test_numpy_canary_standard_t_row_tiles_are_one_draw():
+    for nu in (2.5, 4.0):
+        whole = np.random.default_rng(3).standard_t(nu, size=(20_000, 4))
+        rng = np.random.default_rng(3)
+        tiles = [rng.standard_t(nu, size=(rows, 4)) for rows in (8192, 8192, 3616)]
+        assert np.array_equal(np.concatenate(tiles), whole), (
+            "numpy canary: consecutive row tiles of Generator.standard_t no longer "
+            "equal one draw of their total size")
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_numpy_canary_short_row_sums_are_the_left_column_fold(m):
+    g = np.random.default_rng(m)
+    a = g.standard_normal((1000, m)) * 10.0 ** g.uniform(-8.0, 8.0, (1000, m))
+    fold = a[:, 0].copy()
+    for j in range(1, m):
+        fold += a[:, j]
+    assert np.array_equal(np.sum(a, axis=-1), fold), (
+        f"numpy canary: np.sum(axis=-1) over a last axis of {m} is no longer the "
+        f"left fold of the columns")
 
 
 def test_student_bound_depends_on_mean_difference_only(rng):

@@ -29,7 +29,7 @@ from lsnpc.experiment import (
     StageError,
     run_ablation,
     run_experiment,
-    _trained_theory_model,
+    _theory_base,
     sweep_sensitivity,
     verify_all,
 )
@@ -353,7 +353,7 @@ def test_theory_model_rejects_a_one_label_dataset_file_before_training(tmp_path,
                         lambda *args: pytest.fail("the base classifier trained"))
     cfg = tiny_config(source=str(source), **ONE_LABEL)
     with pytest.raises(ValueError, match="k = 1 labels"):
-        _trained_theory_model(cfg, "student", quiet=True)
+        _theory_base(cfg)
 
 
 def test_theory_model_trains_on_train_n_rows_of_a_dataset_file(tmp_path):
@@ -362,8 +362,8 @@ def test_theory_model_trains_on_train_n_rows_of_a_dataset_file(tmp_path):
     save_dataset(ds, source)
     for cfg in (tiny_config(theory=THEORY_TINY),
                 tiny_config(source=str(source), theory=THEORY_TINY)):
-        _, X_train = _trained_theory_model(cfg, "student", quiet=True)
-        assert X_train.shape[0] == 84  # 0.7 of train_n = 120
+        _, sp, _ = _theory_base(cfg)
+        assert sp.splits["train"].X.shape[0] == 84  # 0.7 of train_n = 120
 
 
 def test_theory_model_rejects_a_dataset_file_shorter_than_train_n(tmp_path):
@@ -372,7 +372,17 @@ def test_theory_model_rejects_a_dataset_file_shorter_than_train_n(tmp_path):
     save_dataset(ds, source)
     cfg = tiny_config(source=str(source), theory=THEORY_TINY)
     with pytest.raises(ValueError, match="100 rows, fewer than .* train_n = 120"):
-        _trained_theory_model(cfg, "student", quiet=True)
+        _theory_base(cfg)
+
+
+def test_verify_all_trains_one_base_classifier_for_both_theory_models(tmp_path,
+                                                                      monkeypatch):
+    import lsnpc.experiment as exp
+
+    train_base, calls = exp._train_base, []
+    monkeypatch.setattr(exp, "_train_base", lambda *args: calls.append(args) or train_base(*args))
+    verify_all(tiny_config(theory=THEORY_TINY), out_dir=tmp_path, quiet=True)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

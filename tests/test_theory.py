@@ -123,6 +123,21 @@ def test_override_with_exact_posterior_zeroes_the_lhs():
     assert result.holds
 
 
+@pytest.mark.parametrize("n_values,grid", [(10, QuadratureGrid()),
+                                           (1601, QuadratureGrid(-16.0, 16.0, 0.04))])
+def test_override_of_the_wrong_length_is_rejected_on_entry(n_values, grid, monkeypatch):
+    model, x, yhat = _instance(3)
+    points = len(grid.values)
+
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(model, "proposal", no_quadrature)
+    with pytest.raises(ValueError, match=rf"has {n_values} values, but the grid has "
+                                         rf"{points} points"):
+        verify_theorem1(model, x, yhat, grid=grid, qz_log_override=np.zeros(n_values))
+
+
 def test_negative_entropy_is_reported_not_failed():
     model, x, yhat = _instance(5)
     # pin the proposal scale near 0.1: Student(4) entropy 1.68 + ln(0.1) < 0
