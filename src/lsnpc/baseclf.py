@@ -13,7 +13,6 @@ saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 from scipy.special import expit
@@ -111,22 +110,13 @@ def sample_predictions(P, S: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def save_base(h: BaseClassifier, path) -> None:
-    meta = {
-        "kind": "base",
-        **{name: checkpoint.field_text(getattr(h, name)) for name in _ARCH},
-        **{key: checkpoint.text(value) for key, value in h.metadata.items()},
-    }
-    checkpoint.save_params(path, checkpoint.snapshot(h.net.params), meta)
+    checkpoint.save(path, "base", checkpoint.snapshot(h.net.params),
+                    {name: getattr(h, name) for name in _ARCH}, h.metadata)
 
 
 def load_base(path) -> BaseClassifier:
-    arrays, meta = checkpoint.load_params(path)
-    if meta.get("kind") != "base":
-        raise ValueError("checkpoint does not hold a base classifier")
-    types = get_type_hints(BaseClassifier)
-    h = _new_classifier(*(checkpoint.field_value(types[f], meta[f]) for f in _ARCH), seed=0)
+    arrays, fields, metadata = checkpoint.load(path, "base", _ARCH)
+    h = _new_classifier(**fields, seed=0)
     checkpoint.restore(h.net.params, arrays)
-    h.metadata = {
-        k: checkpoint.literal(v) for k, v in meta.items() if k not in {"kind", *_ARCH}
-    }
+    h.metadata = metadata
     return h

@@ -1,35 +1,43 @@
-"""Binary checkpoint format, and the artifact codec shared by every saver.
+"""The one binary container of every artifact, and its header codec.
 
-Layout (all integers little-endian):
+Layout, version 2 (all integers little-endian):
 
     magic  b"LSNP"
     version u8
-    meta_len u32, meta utf-8 text: sorted "key=value" lines
+    header_len u32, header utf-8 text: sorted "key=value" lines
     count u32
     per array, sorted by name:
-        name_len u16, name utf-8, ndim u8, ndim x u32 dims, float64 payload
+        name_len u16, name utf-8, type u8, ndim u8, ndim x u32 dims, payload
 
-Sorting plus repr-based metadata (:func:`text`) makes saves
-byte-deterministic, so equal digests imply equal checkpoints.
-:func:`literal` parses a saved value back, so a load followed by a save
-reproduces the file byte for byte.  Dataset files (``datagen``) keep their
-own layout but write and parse their metadata with the same two functions,
-and both checkpoint kinds encode their architecture fields with
-:func:`field_text` / :func:`field_value` and move parameters in and out of
-a model with :func:`snapshot` / :func:`restore`.
+A payload holds float64 values (type 0), float32 values (type 1) or uint8
+0/1 labels packed 8 to a byte by ``np.packbits`` (type 2).  :func:`save`
+writes these header lines, each value a :func:`text` that :func:`literal`
+parses back:
+
+    kind=<kind>          'dataset' (float32 X, bit-packed Y), 'base' or
+                         'lsnpc' (float64 parameters, see :func:`snapshot`)
+    cfg.<field>=<value>  d, k and hidden of a base classifier, every
+                         ModelConfig field of an LSNPC model, none for a dataset
+    meta.<key>=<value>   the artifact's metadata
+
+Sorted arrays and lines make saves byte-deterministic, so equal digests
+imply equal files, and a load followed by a save reproduces the file.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import math
 import struct
-from typing import get_args, get_origin
+from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"LSNP"
-VERSION = 1
+VERSION = 2
+_TYPES = (np.dtype("<f8"), np.dtype("<f4"), np.dtype(np.uint8))
+_BITS = 2
 
 __all__ = [
     "MAGIC",
@@ -38,25 +46,27 @@ __all__ = [
     "deserialize_params",
     "save_params",
     "load_params",
+    "save",
+    "load",
     "file_digest",
 ]
 
 
 def serialize_params(params: dict[str, np.ndarray], meta: dict[str, str]) -> bytes:
-    chunks = [MAGIC, struct.pack("<B", VERSION)]
-    meta_text = "".join(f"{k}={meta[k]}\n" for k in sorted(meta))
-    meta_bytes = meta_text.encode("utf-8")
-    chunks.append(struct.pack("<I", len(meta_bytes)))
-    chunks.append(meta_bytes)
-    chunks.append(struct.pack("<I", len(params)))
+    meta_bytes = "".join(f"{k}={meta[k]}\n" for k in sorted(meta)).encode("utf-8")
+    chunks = [MAGIC, struct.pack("<BI", VERSION, len(meta_bytes)), meta_bytes,
+              struct.pack("<I", len(params))]
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        arr = np.ascontiguousarray(params[name])
+        if arr.dtype not in _TYPES:
+            raise ValueError(f"cannot store {name} of dtype {arr.dtype}")
+        code = _TYPES.index(arr.dtype)
+        if code == _BITS and np.any(arr > 1):
+            raise ValueError(f"{name} is stored as bits, so it must hold only 0 and 1")
         name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8").tobytes())
+        chunks += [struct.pack("<H", len(name_bytes)), name_bytes,
+                   struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape),
+                   (np.packbits(arr) if code == _BITS else arr).tobytes()]
     return b"".join(chunks)
 
 
@@ -72,27 +82,29 @@ def deserialize_params(blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, st
         offset += n
         return view[offset - n : offset]
 
-    if take(4, "magic") != MAGIC:
-        raise ValueError("not a checkpoint file: bad magic")
+    magic = bytes(take(4, "magic"))
+    if magic != MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {magic!r}, expected {MAGIC!r}")
     version = take(1, "version")[0]
     if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"unsupported checkpoint version {version}, expected {VERSION}")
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
-    meta_text = str(take(meta_len, "metadata"), "utf-8")
-    meta: dict[str, str] = {}
-    for line in meta_text.splitlines():
-        key, _, value = line.partition("=")
-        meta[key] = value
+    lines = str(take(meta_len, "metadata"), "utf-8").splitlines()
+    meta = dict(line.partition("=")[::2] for line in lines)
     (count,) = struct.unpack("<I", take(4, "array count"))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "array name length"))
         name = str(take(name_len, "array name"), "utf-8")
-        ndim = take(1, f"rank of {name}")[0]
+        code, ndim = take(2, f"type and rank of {name}")
+        if code >= len(_TYPES):
+            raise ValueError(f"unknown array type {code} for {name}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name}"))
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(8 * size, f"values of {name}"), dtype="<f8")
-        params[name] = arr.reshape(shape).astype(np.float64)
+        size, dtype = math.prod(shape), _TYPES[code]
+        raw = take(-(-size // 8) if code == _BITS else dtype.itemsize * size, f"values of {name}")
+        arr = np.frombuffer(raw, dtype=dtype)
+        arr = np.unpackbits(arr, count=size) if code == _BITS else arr.astype(dtype.type)
+        params[name] = arr.reshape(shape)
     if offset != len(blob):
         raise ValueError("trailing bytes after checkpoint payload")
     return params, meta
@@ -137,22 +149,6 @@ def literal(raw: str):
         return raw
 
 
-def field_text(value) -> str:
-    """A dataclass field as saved: a tuple as its comma-joined items, any
-    other value as :func:`text`."""
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return text(value)
-
-
-def field_value(hint, raw: str):
-    """A field saved by :func:`field_text`, converted by its type ``hint``
-    (``tuple[T, ...]`` applies T to each item)."""
-    if get_origin(hint) is tuple:
-        return tuple(get_args(hint)[0](v) for v in raw.split(",") if v)
-    return hint(literal(raw))
-
-
 def snapshot(params: dict) -> dict[str, np.ndarray]:
     """Copies of the arrays behind a name -> Tensor parameter dict."""
     return {name: p.data.copy() for name, p in params.items()}
@@ -173,16 +169,36 @@ def restore(params: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str]) -> None:
-    blob = serialize_params(params, meta)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    Path(path).write_bytes(serialize_params(params, meta))
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    with open(path, "rb") as fh:
-        return deserialize_params(fh.read())
+    return deserialize_params(Path(path).read_bytes())
+
+
+def save(path, kind: str, arrays: dict[str, np.ndarray], fields: dict, metadata: dict) -> None:
+    """Write an artifact of ``kind``: its arrays, and each of ``fields`` and
+    ``metadata`` as a ``cfg.<name>`` or ``meta.<key>`` header line."""
+    header = {"kind": kind, **{f"cfg.{name}": value for name, value in fields.items()},
+              **{f"meta.{key}": value for key, value in metadata.items()}}
+    save_params(path, arrays, {key: text(value) for key, value in header.items()})
+
+
+def load(path, kind: str, fields=()) -> tuple[dict[str, np.ndarray], dict, dict]:
+    """The arrays, fields and metadata of an artifact that :func:`save` wrote;
+    a ValueError if it is of another kind or has a field not named in ``fields``."""
+    arrays, header = load_params(path)
+    found = literal(header.pop("kind", "None"))
+    if found != kind:
+        raise ValueError(f"{path} holds a {found!r} artifact, not a {kind!r} one")
+    parts: dict[str, dict] = {"cfg": {}, "meta": {}}
+    for key, raw in header.items():
+        group, _, name = key.partition(".")
+        if group not in parts or (group == "cfg" and name not in fields):
+            raise ValueError(f"{path}: {key!r} is not a header line of a {kind!r} artifact")
+        parts[group][name] = literal(raw)
+    return arrays, parts["cfg"], parts["meta"]
 
 
 def file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -9,8 +9,8 @@ are optional and fall back to the defaults in ``ExperimentConfig``.
 
 Schema (defaults in parentheses):
 
-[data]        source (synthetic | path to a binary dataset file written by
-              datagen.save_dataset), n (2000), d (32), k (10), rank (8),
+[data]        source (synthetic | path to a dataset file, laid out in the
+              checkpoint module docstring), n (2000), d (32), k (10), rank (8),
               noise_scale (0.5), b_loc (-2.0), b_scale (0.5)
 [split]       train (0.7), validation (0.1), clean (0.035), test (0.165)
 [noise]       kinds (sym,pair), rates (0.0,0.3,0.4,0.5)
@@ -48,7 +48,8 @@ from .datagen import GeneratorConfig
 from .model import LsnpcTrainConfig, ModelConfig
 from .noise import KINDS, SplitSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "TheoryConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "TheoryConfig", "load_config", "parse_config",
+           "rate_tag", "sweep_tag"]
 
 PARADIGMS = ("unsupervised", "semi-supervised")
 
@@ -93,6 +94,16 @@ DATA_FIELDS = ("n", "d", "k", "rank", "noise_scale", "b_loc", "b_scale")
 MODEL_FIELDS = ("m", "nu", "nu0", "beta", "eta", "proposal", "nu_mode", "embed_hidden",
                 "embed_dim", "encoder_hidden", "decoder_hidden", "shift_hidden",
                 "sigma_bias_init")
+
+
+def rate_tag(nr: float) -> str:
+    """A noise rate as artifact names spell it: whole percent."""
+    return str(int(round(nr * 100)))
+
+
+def sweep_tag(value) -> str:
+    """A [sweep] nu0 or nu value as run directory names spell it."""
+    return value if value == "learned" else format(value, "g")
 
 
 def _above_2(value) -> bool:
@@ -160,16 +171,20 @@ class ExperimentConfig:
             raise ConfigError("sweep nu0 values must be numbers > 2")
         if not all(v == "learned" or _above_2(v) for v in self.sweep_nu):
             raise ConfigError("sweep nu values must be > 2 or 'learned'")
-        # An empty list runs nothing, and a repeat would train and score a
-        # cell twice; numbers compare by value, so 3 and 3.0 are one sweep value.
-        for key, values in (("[run] seeds", self.seeds), ("[noise] kinds", self.noise_kinds),
-                            ("[noise] rates", self.noise_rates),
-                            ("[sweep] nu0_values", self.sweep_nu0),
-                            ("[sweep] nu_values", self.sweep_nu)):
+        # An empty list runs nothing, and two values of one artifact name (3 and
+        # 3.0, rates 0.3 and 0.304) would run a cell twice, overwriting its files.
+        for key, values, tag in (("[run] seeds", self.seeds, str),
+                                 ("[noise] kinds", self.noise_kinds, str),
+                                 ("[noise] rates", self.noise_rates, rate_tag),
+                                 ("[sweep] nu0_values", self.sweep_nu0, sweep_tag),
+                                 ("[sweep] nu_values", self.sweep_nu, sweep_tag)):
             if not values:
                 raise ConfigError(f"{key} needs at least one value")
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{key} repeats a value: {values}")
+            names = [tag(value) for value in values]
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ConfigError(f"{key} repeats a name: {values[names.index(name)]!r} and "
+                                      f"{values[i]!r} both become {name!r} in artifact names")
         try:
             self.model_config(self.d, self.k)
             spec = self.split_spec(0)

@@ -6,21 +6,13 @@ as a random linear embedding of the same factor plus Gaussian noise.  Shared
 factors make labels correlated, and the threshold offsets control imbalance;
 labels stay recoverable from features up to the injected feature noise.
 
-Datasets persist in a fixed little-endian binary layout so that identical
-configs reproduce byte-identical files:
-
-    magic 'LSDS' | version u8 | n u32 | d u32 | k u32 | meta_len u32 |
-    metadata utf-8 | X float32 row-major | Y bit-packed rows (flattened)
-
-The metadata is sorted "key=value" lines joined by newlines, each value a
-``checkpoint.text`` that ``checkpoint.literal`` parses back, so a load
-followed by a save reproduces the file byte for byte.
+Datasets persist as 'dataset' files of the container laid out in the
+``checkpoint`` module docstring: identical configs reproduce byte-identical
+files, and a load followed by a save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +27,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
-
-_MAGIC = b"LSDS"
-_VERSION = 1
 
 
 @dataclass
@@ -154,43 +143,11 @@ def generate_synthetic(cfg: GeneratorConfig) -> tuple[FeatureDataset, SyntheticA
 # --------------------------------------------------------------------------
 # Binary persistence
 
-_HEADER = 21  # magic, version, then n, d, k and the metadata length as u32
-
 
 def save_dataset(ds: FeatureDataset, path) -> None:
-    lines = [f"{key}={checkpoint.text(ds.metadata[key])}" for key in sorted(ds.metadata)]
-    meta = "\n".join(lines).encode("utf-8")
-    header = _MAGIC + bytes([_VERSION]) + struct.pack("<4I", ds.n, ds.d, ds.k, len(meta))
-    packed = np.packbits(ds.Y.reshape(-1))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(meta)
-        fh.write(np.ascontiguousarray(ds.X, dtype="<f4").tobytes())
-        fh.write(packed.tobytes())
+    checkpoint.save(path, "dataset", {"X": ds.X, "Y": ds.Y}, {}, ds.metadata)
 
 
 def load_dataset(path) -> FeatureDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not _MAGIC.startswith(blob[:4]):
-        raise ValueError(f"not a dataset file: bad magic {blob[:4]!r}")
-    if len(blob) < _HEADER:
-        raise ValueError(f"truncated dataset file: the header needs {_HEADER} bytes, "
-                         f"found {len(blob)}")
-    if blob[4] != _VERSION:
-        raise ValueError(f"unsupported dataset format version {blob[4]}")
-    n, d, k, meta_len = struct.unpack("<4I", blob[5:_HEADER])
-    x_at = _HEADER + meta_len
-    y_at = x_at + 4 * n * d
-    size = y_at + math.ceil(n * k / 8)
-    if len(blob) < size:
-        raise ValueError(f"truncated dataset file: expected {size} bytes, found {len(blob)}")
-    if len(blob) > size:
-        raise ValueError(f"oversized dataset file: expected {size} bytes, found {len(blob)}")
-    meta = {}
-    for line in str(blob[_HEADER:x_at], "utf-8").splitlines():
-        key, _, raw = line.partition("=")
-        meta[key] = checkpoint.literal(raw)
-    X = np.frombuffer(blob, dtype="<f4", count=n * d, offset=x_at).reshape(n, d)
-    Y = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=y_at), count=n * k)
-    return FeatureDataset(X=X.copy(), Y=Y.reshape(n, k), metadata=meta)
+    arrays, _, metadata = checkpoint.load(path, "dataset")
+    return FeatureDataset(**arrays, metadata=metadata)

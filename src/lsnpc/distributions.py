@@ -67,13 +67,14 @@ def rsample_diag_normal(mean, scale, noise):
 
 
 def rsample_diag_student(mean, scale, nu, noise, chi2):
-    """Student draw mean + scale * noise * sqrt(nu / chi2).
+    """Student draw mean + scale * noise * sqrt(nu / chi2), for nu > 1.
 
     ``chi2`` must be chi-square(nu) distributed, supplied by the caller's
     RNG stream; a scalar or (batch, 1) array shares one draw across the
     dimensions of each sample vector (the jointly heavy-tailed multivariate
     construction), while a full (batch, m) array makes dimensions independent.
     """
+    _check_nu("rsample_diag_student", nu)
     noise = np.asarray(noise, dtype=np.float64)
     chi2 = np.asarray(chi2, dtype=np.float64)
     if np.any(chi2 <= 0.0):
@@ -141,8 +142,7 @@ def logpdf_diag_student(x, mean, scale, nu):
     nu may be a python float (fixed mode) or a Tensor broadcastable against
     the last axis (learned mode).  Requires nu > 1.
     """
-    if not isinstance(nu, Tensor) and np.any(np.asarray(nu) <= 1.0):
-        raise ValueError("degrees of freedom must exceed 1")
+    _check_nu("logpdf_diag_student", nu)
     tape = any_tensor(x, mean, scale, nu)
     xd, md, sd, nd = map(data_of, (x, mean, scale, nu))
     if not tape:
@@ -446,6 +446,15 @@ def _checked(op: str, means, scales, nu=None):
         raise ValueError(f"{op}: operand shapes differ {shapes}")
     if any(np.any(scale <= 0.0) for scale in scales):
         raise ValueError(f"{op}: scales must be strictly positive")
-    if nu is not None and not nu > 1.0:
-        raise ValueError(f"{op}: degrees of freedom must exceed 1, got {nu}")
+    if nu is not None:
+        _check_nu(op, nu)
     return means, scales
+
+
+def _check_nu(op: str, nu) -> None:
+    """A ValueError naming ``op`` if a fixed ``nu`` is not above 1 (NaN is not) or
+    a per-row ``nu`` array has an entry of 1 or less.  A NaN entry, from a NaN
+    feature row, passes, and a learned nu's Tensor is kept above 2 by its net."""
+    if not isinstance(nu, Tensor) and (
+            (not nu > 1.0) if np.ndim(nu) == 0 else np.any(np.asarray(nu) <= 1.0)):
+        raise ValueError(f"{op}: degrees of freedom must exceed 1, got {nu}")

@@ -27,7 +27,7 @@ import numpy as np
 from . import rngs
 from .baseclf import BaseClassifier, train_base, predict_probs, save_base
 from .checkpoint import file_digest, restore, snapshot
-from .config import ExperimentConfig
+from .config import ExperimentConfig, rate_tag, sweep_tag
 from .correction import CorrectionResult, binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
 from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report, micro_f1
@@ -83,10 +83,6 @@ class RunArtifacts:
         path = self.out_dir / "manifest.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
-
-
-def _nr_tag(nr: float) -> str:
-    return str(int(round(nr * 100)))
 
 
 def _cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
@@ -264,10 +260,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
                 current = "corrupt"
                 # One matrix per (kind, rate): the datasets of all seeds have the same k.
                 if res.T is not None and seed == cfg.seeds[0]:
-                    write(f"noise/T_{kind}_{_nr_tag(nr)}.csv",
+                    write(f"noise/T_{kind}_{rate_tag(nr)}.csv",
                           lambda p: save_transition(res.T, p))
-                cell = f"[{kind} nr={_nr_tag(nr)} s={seed}]"
-                name = f"{kind}_{_nr_tag(nr)}_s{seed}"
+                cell = f"[{kind} nr={rate_tag(nr)} s={seed}]"
+                name = f"{kind}_{rate_tag(nr)}_s{seed}"
                 if res.base is not None:
                     current = "train-base"
                     val = res.base.metadata.get("val_micro_f1", float("nan"))
@@ -305,7 +301,7 @@ def sweep_sensitivity(cfg: ExperimentConfig, out_dir=None,
     rows: list[RunMetrics] = []
     for nu0 in cfg.sweep_nu0:
         for nu in cfg.sweep_nu:
-            tag = f"nu0={nu0:g} nu={'learned' if nu == 'learned' else format(nu, 'g')}"
+            tag = f"nu0={sweep_tag(nu0)} nu={sweep_tag(nu)}"
             cell_cfg = dataclasses.replace(
                 cfg,
                 nu0=float(nu0),

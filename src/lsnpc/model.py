@@ -25,8 +25,7 @@ predictions by micro-F1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit, gammaincinv
@@ -515,30 +514,13 @@ def train_semi_supervised(
 
 
 def save_model(model: LsnpcModel, path) -> None:
-    meta = {"kind": "lsnpc"}
-    for name, value in vars(model.cfg).items():
-        meta[f"cfg.{name}"] = checkpoint.field_text(value)
-    for key, value in model.metadata.items():
-        meta[f"meta.{key}"] = checkpoint.text(value)
-    checkpoint.save_params(path, checkpoint.snapshot(model.params), meta)
+    checkpoint.save(path, "lsnpc", checkpoint.snapshot(model.params), vars(model.cfg),
+                    model.metadata)
 
 
 def load_model(path) -> LsnpcModel:
-    arrays, meta = checkpoint.load_params(path)
-    if meta.get("kind") != "lsnpc":
-        raise ValueError("checkpoint does not hold a latent-shift model")
-    types = get_type_hints(ModelConfig)
-    kwargs = {}
-    for key, raw in meta.items():
-        if not key.startswith("cfg."):
-            continue
-        name = key[4:]
-        if name not in types:
-            raise ValueError(f"checkpoint field {key!r} is not a ModelConfig field")
-        kwargs[name] = checkpoint.field_value(types[name], raw)
-    model = LsnpcModel(ModelConfig(**kwargs), seed=0)
+    arrays, cfg, metadata = checkpoint.load(path, "lsnpc", [f.name for f in fields(ModelConfig)])
+    model = LsnpcModel(ModelConfig(**cfg), seed=0)
     checkpoint.restore(model.params, arrays)
-    model.metadata = {
-        key[5:]: checkpoint.literal(value) for key, value in meta.items() if key.startswith("meta.")
-    }
+    model.metadata = metadata
     return model

@@ -92,7 +92,6 @@ class SplitResult:
 
     splits: dict[str, FeatureDataset]
     indices: dict[str, np.ndarray]
-    transition: TransitionMatrix | None = None
     true_labels: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -189,12 +188,7 @@ def split_dataset(
         meta = dict(ds.metadata)
         meta["split"] = name
         splits[name] = FeatureDataset(X=X, Y=Y, metadata=meta)
-    return SplitResult(
-        splits=splits,
-        indices=index_of,
-        transition=transition,
-        true_labels=true_labels,
-    )
+    return SplitResult(splits=splits, indices=index_of, true_labels=true_labels)
 
 
 def save_transition(T: TransitionMatrix, path) -> None:

@@ -161,6 +161,20 @@ def test_empty_list_or_bad_width_exits_1_before_writing(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,old,new", [
+    ("eval", "rates = 0.4", "rates = 0.3,0.304"),
+    ("sweep", "[run]", "[sweep]\nnu0_values = 2.01,2.0100001\n[run]"),
+], ids=["rates", "nu0"])
+def test_values_naming_the_same_artifacts_exit_1_before_writing(tmp_path, capsys, command,
+                                                                old, new):
+    ini = tmp_path / "clash.ini"
+    ini.write_text(TINY_INI.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out), "--quiet"]) == 1
+    assert "both become" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_label_noise_on_one_label_exits_1_before_writing(tmp_path, capsys):
     ini = tmp_path / "one_label.ini"
     ini.write_text(TINY_INI.replace("k = 3", "k = 1"))

@@ -264,6 +264,21 @@ def test_sweep_values_parse_and_validate():
         ExperimentConfig(sweep_nu0=(3, 3.0))
 
 
+@pytest.mark.parametrize("section,key,body,name", [
+    ("noise", "rates", "0.3, 0.304", "'30'"),
+    ("noise", "rates", "0.0, 0.004", "'0'"),
+    ("sweep", "nu0_values", "2.01, 2.0100001", "'2.01'"),
+    ("sweep", "nu_values", "4.0, 4.0000001, learned", "'4'"),
+], ids=["rates", "rates-at-zero", "nu0", "nu"])
+def test_values_that_name_the_same_artifacts_are_rejected(section, key, body, name):
+    a, b = body.split(", ")[:2]
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} repeats a name: {a} and {b} "
+                                          rf"both become {name} in artifact names"):
+        parse_config(f"[{section}]\n{key} = {body}\n")
+    # values whose names differ still parse
+    parse_config(f"[{section}]\n{key} = {a}, {float(b) + 0.01!r}\n")
+
+
 def test_theory_config_validation():
     with pytest.raises(ConfigError, match="nu must exceed 2"):
         TheoryConfig(nu=2.0)

@@ -1,11 +1,12 @@
 """Synthetic data generation and dataset persistence."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from lsnpc.baseclf import BaseTrainConfig, predict_probs, train_base
+from lsnpc.baseclf import BaseTrainConfig, load_base, predict_probs, save_base, train_base
 from lsnpc.correction import binarize
 from lsnpc.datagen import (
     FeatureDataset,
@@ -154,22 +155,46 @@ def test_every_proper_prefix_is_rejected_as_truncated(tmp_path):
     blob = path.read_bytes()
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
-        with pytest.raises(ValueError, match="truncated dataset file"):
+        with pytest.raises(ValueError, match="truncated checkpoint"):
             load_dataset(path)
 
 
-def test_file_size_arithmetic(tmp_path):
+def test_label_payload_is_ceil_nk_over_8_bytes(tmp_path):
+    # n * k = 265 bits: the last byte is partly filled
     n, d, k = 53, 7, 5
     ds, _ = generate_synthetic(GeneratorConfig(n=n, d=d, k=k, rank=4, seed=5))
     path = tmp_path / "ds.bin"
     save_dataset(ds, path)
-    meta_len = None
-    # header: 4 magic + 1 version + four 4-byte fields
-    header = 4 + 1 + 16
     blob = path.read_bytes()
-    meta_len = int.from_bytes(blob[17:21], "little")
-    expected = header + meta_len + 4 * n * d + math.ceil(n * k / 8)
-    assert len(blob) == expected
+    labels = np.packbits(ds.Y).tobytes()
+    assert len(labels) == math.ceil(n * k / 8) == 34
+    # Y sorts last: name, type 2 (bits), rank 2, dims (n, k), then the payload
+    assert blob.endswith(b"\x01\x00Y\x02\x02" + struct.pack("<2I", n, k) + labels)
+    header_len = int.from_bytes(blob[5:9], "little")
+    entry = 2 + 1 + 1 + 1 + 8  # name length, name, type, rank, two dims
+    assert len(blob) == 9 + header_len + 4 + entry + 4 * n * d + entry + len(labels)
+
+
+def test_loading_as_the_wrong_kind_names_both_kinds(tmp_path):
+    ds, _ = generate_synthetic(GeneratorConfig(n=20, seed=0))
+    data, base = tmp_path / "ds.bin", tmp_path / "base.ckpt"
+    save_dataset(ds, data)
+    save_base(train_base(ds.X, ds.Y, BaseTrainConfig(epochs=1, hidden=(4,))), base)
+    with pytest.raises(ValueError, match="holds a 'base' artifact, not a 'dataset' one"):
+        load_dataset(base)
+    with pytest.raises(ValueError, match="holds a 'dataset' artifact, not a 'base' one"):
+        load_base(data)
+
+
+def test_a_version_1_lsds_file_is_rejected_by_its_magic(tmp_path):
+    # the layout before the shared container: magic, version 1, n, d, k and
+    # the metadata length as u32, metadata, float32 X, bit-packed Y
+    meta = b"n=1"
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"LSDS\x01" + struct.pack("<4I", 1, 1, 1, len(meta)) + meta
+                     + struct.pack("<f", 0.5) + b"\x80")
+    with pytest.raises(ValueError, match="bad magic b'LSDS'"):
+        load_dataset(path)
 
 
 def test_dataset_validation():

@@ -97,6 +97,25 @@ def test_student_rsample_rejects_nonpositive_chi2():
         rsample_diag_student(np.zeros(2), np.ones(2), 4.0, np.ones(2), 0.0)
 
 
+@pytest.mark.parametrize("nu", [float("nan"), 1.0, -4.0, np.array([[4.0], [-4.0]])],
+                         ids=["nan", "one", "negative", "per-row-negative"])
+def test_student_density_and_sampler_reject_nu_not_above_1(nu):
+    # NaN fails "nu > 1" as it fails "nu <= 1", so only the first rejects it
+    with pytest.raises(ValueError, match="logpdf_diag_student: degrees of freedom must exceed 1"):
+        logpdf_diag_student(np.zeros((2, 2)), np.zeros(2), np.ones(2), nu)
+    with pytest.raises(ValueError, match="rsample_diag_student: degrees of freedom must exceed 1"):
+        rsample_diag_student(np.zeros(2), np.ones(2), nu, np.ones(2), 3.0)
+
+
+def test_a_nan_entry_of_a_per_row_nu_passes_through_as_nan():
+    # a NaN feature row gives a learned nu of NaN in that row only
+    nu = np.array([[4.0], [np.nan]])
+    density = logpdf_diag_student(np.zeros((2, 2)), np.zeros(2), np.ones(2), nu)
+    draws = rsample_diag_student(np.zeros(2), np.ones(2), nu, np.ones((2, 2)), 3.0)
+    assert np.isfinite(density[0]) and np.isnan(density[1])
+    assert np.all(np.isfinite(draws[0])) and np.all(np.isnan(draws[1]))
+
+
 def test_rsample_gradient_wrt_mean_is_exact(rng):
     # d/dmu E[c . z] = c for both families: the reparameterized draw is
     # affine in mu, so the analytic gradient matches without MC error.

@@ -9,6 +9,9 @@ except where the array is bound: ``Tensor.__init__`` and ``AdamW.__init__``,
 which moves the parameters into the arena it owns.  Anywhere else a
 rebinding would silently detach a parameter from its optimizer; writes go
 into the array (``p.data[...] = ...``).
+
+Only ``checkpoint.py`` imports ``struct``: it is the one binary codec of
+every artifact, and a second one would need ``struct`` again.
 """
 
 import ast
@@ -106,3 +109,31 @@ def test_the_rebinding_checker_flags_a_planted_case():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_rebinds_a_tensors_data(path):
     assert data_rebindings(path.read_text(encoding="utf-8")) == []
+
+
+def struct_imports(text: str) -> list[str]:
+    """One line per import of the ``struct`` module, in either form."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "struct" for name in names):
+            found.append(f"line {node.lineno}: imports struct")
+    return found
+
+
+def test_the_struct_checker_flags_both_import_forms():
+    text = ("import math, struct as st\n"
+            "from struct import pack\n"
+            "from . import structure\n"
+            "import structlog\n")
+    assert struct_imports(text) == ["line 1: imports struct", "line 2: imports struct"]
+
+
+def test_only_the_checkpoint_module_imports_struct():
+    importers = [p.name for p in SOURCES if struct_imports(p.read_text(encoding="utf-8"))]
+    assert importers == ["checkpoint.py"]

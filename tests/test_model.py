@@ -18,7 +18,7 @@ from scipy.special import expit, gammaincinv
 from lsnpc import rngs
 from lsnpc.autodiff import ComputeGraph, Tensor
 from lsnpc.baseclf import BaseTrainConfig, predict_probs, sample_predictions, train_base
-from lsnpc.checkpoint import restore, snapshot
+from lsnpc.checkpoint import restore, save, snapshot
 from lsnpc.correction import CorrectionConfig, correct
 from lsnpc.evaluation import micro_f1
 from lsnpc.layers import AdamW, cosine_lr
@@ -974,7 +974,15 @@ def test_checkpoint_rejects_foreign_kind(tmp_path):
     from lsnpc.baseclf import save_base
     path = tmp_path / "base.lsck"
     save_base(h, path)
-    with pytest.raises(ValueError, match="latent-shift"):
+    with pytest.raises(ValueError, match="holds a 'base' artifact, not a 'lsnpc' one"):
+        load_model(path)
+
+
+def test_checkpoint_rejects_a_field_that_is_not_a_model_config_field(tmp_path):
+    model = tiny_model(seed=19, perturb=0.0)
+    path = tmp_path / "model.lsck"
+    save(path, "lsnpc", snapshot(model.params), {**vars(model.cfg), "width": 3}, {})
+    with pytest.raises(ValueError, match="'cfg.width' is not a header line of a 'lsnpc'"):
         load_model(path)
 
 
