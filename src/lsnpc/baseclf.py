@@ -13,6 +13,7 @@ saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 from scipy.special import expit
@@ -53,8 +54,10 @@ class BaseClassifier:
     history: dict = field(default_factory=dict)
 
 
-# The BaseClassifier fields a checkpoint needs to rebuild the network.
-_ARCH = ("d", "k", "hidden")
+# The BaseClassifier fields a checkpoint needs to rebuild the network, with
+# the types that ``load_base`` checks.
+_ARCH = {name: declared for name, declared in get_type_hints(BaseClassifier).items()
+         if name in ("d", "k", "hidden")}
 
 
 def _new_classifier(d: int, k: int, hidden: tuple[int, ...], seed: int) -> BaseClassifier:

@@ -30,6 +30,7 @@ import ast
 import hashlib
 import math
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -184,9 +185,28 @@ def save(path, kind: str, arrays: dict[str, np.ndarray], fields: dict, metadata:
     save_params(path, arrays, {key: text(value) for key, value in header.items()})
 
 
-def load(path, kind: str, fields=()) -> tuple[dict[str, np.ndarray], dict, dict]:
-    """The arrays, fields and metadata of an artifact that :func:`save` wrote;
-    a ValueError if it is of another kind or has a field not named in ``fields``."""
+def _fits(value, declared) -> bool:
+    """Whether a parsed header value has the ``declared`` type: a float field
+    takes an int too, and a ``tuple[T, ...]`` field a tuple of T values."""
+    if typing.get_origin(declared) is tuple:
+        item = typing.get_args(declared)[0]
+        return type(value) is tuple and all(_fits(v, item) for v in value)
+    if declared is float:
+        return type(value) in (int, float)
+    return type(value) is declared
+
+
+def load(path, kind: str,
+         fields: dict | None = None) -> tuple[dict[str, np.ndarray], dict, dict]:
+    """The arrays, fields and metadata of an artifact that :func:`save` wrote.
+
+    ``fields`` maps each ``cfg.<field>`` name the kind may hold to the
+    field's declared type.  A ValueError if the file is of another kind, has
+    a field not named there, or has a value of another type; the last names
+    the field, the value and the type, before any caller builds an object
+    from them.  An int where a float is declared comes back as that float.
+    """
+    fields = fields or {}
     arrays, header = load_params(path)
     found = literal(header.pop("kind", "None"))
     if found != kind:
@@ -196,7 +216,16 @@ def load(path, kind: str, fields=()) -> tuple[dict[str, np.ndarray], dict, dict]
         group, _, name = key.partition(".")
         if group not in parts or (group == "cfg" and name not in fields):
             raise ValueError(f"{path}: {key!r} is not a header line of a {kind!r} artifact")
-        parts[group][name] = literal(raw)
+        value = literal(raw)
+        if group == "cfg":
+            declared = fields[name]
+            if not _fits(value, declared):
+                expected = declared.__name__ if isinstance(declared, type) else declared
+                raise ValueError(f"{path}: {key}={value!r} is not of the field's type "
+                                 f"{expected}")
+            if declared is float:
+                value = float(value)
+        parts[group][name] = value
     return arrays, parts["cfg"], parts["meta"]
 
 

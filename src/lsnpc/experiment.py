@@ -371,13 +371,10 @@ def _theory_base(cfg: ExperimentConfig) -> tuple[ExperimentConfig, SplitResult, 
 
 
 def _trained_theory_model(run_cfg: ExperimentConfig, sp: SplitResult, h: BaseClassifier,
-                          proposal: str, quiet: bool) -> LsnpcModel:
+                          proposal: str) -> LsnpcModel:
     """Small end-to-end training run of one proposal on ``_theory_base``'s output."""
-    model = _train_lsnpc(dataclasses.replace(run_cfg, proposal=proposal), sp, h,
-                         run_cfg.theory.seed)
-    if not quiet:
-        print(f"  theory model ({proposal}) trained", file=sys.stderr)
-    return model
+    return _train_lsnpc(dataclasses.replace(run_cfg, proposal=proposal), sp, h,
+                        run_cfg.theory.seed)
 
 
 def _check_pair_distances(k: int, pairs: int) -> None:
@@ -404,12 +401,22 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     run through ``rngs.fan_out``, on every core this process may use; each
     instance and each pair draws from its own stream, so the report does not
     depend on the worker count.  The two theory models train in this process,
-    on one split and one base classifier.
+    on one split and one base classifier.  Unless ``quiet``, each of the four
+    stages (the instances, the base and Student model, the pairs, the Normal
+    model with the closed-form checks) prints one line with its wall time.
     """
     tc = cfg.theory
     if cfg.source == "synthetic":  # a dataset file's k is checked once it is read
         _check_pair_distances(cfg.k, tc.pairs)
     report = TheoryReport()
+    started = time.perf_counter()
+
+    def stage_done(msg: str) -> None:
+        nonlocal started
+        now = time.perf_counter()
+        if not quiet:
+            print(f"  theory {msg} ({now - started:.1f}s)", file=sys.stderr)
+        started = now
 
     # 1. Expected conditional KL vs joint KL on random 1-D instances.
     with rngs.fan_out(_theorem1_instance, range(tc.instances)) as results:
@@ -422,10 +429,12 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
         f"expected-vs-joint-kl: {flagged} instances had negative proposal "
         f"entropy (reported, not failed)"
     )
+    stage_done(f"quadrature: {held}/{tc.instances} instances held")
 
     # 2 + 3. Encoder constants and the affine bound on a trained model.
     run_cfg, sp, h = _theory_base(cfg)
-    model = _trained_theory_model(run_cfg, sp, h, "student", quiet)
+    model = _trained_theory_model(run_cfg, sp, h, "student")
+    stage_done("base and student model trained")
     X_train = sp.splits["train"].X.astype(np.float64)
     rng = rngs.stream(tc.seed, "theory", "pairs")
     idx = rng.integers(0, X_train.shape[0], size=tc.pairs)
@@ -451,9 +460,10 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     report.notes.append(
         f"student-affine-bound: MC SE below 1% of the bound on {se_ok}/{len(rows)}"
     )
+    stage_done(f"monte-carlo pairs: {dominated}/{len(rows)} dominated")
 
     # 4. Normal-proposal arm against the quadratic bound.
-    gmodel = _trained_theory_model(run_cfg, sp, h, "normal", quiet)
+    gmodel = _trained_theory_model(run_cfg, sp, h, "normal")
     gconst = estimate_constants(gmodel, X, (Y0, Y1)).inflated(1.5)
     grows = gaussian_bound_check(gmodel, X, (Y0, Y1), gconst)
     gdom = sum(r.dominated for r in grows)
@@ -473,6 +483,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     report.notes.append(
         f"bernoulli-amortization: total divergence {totals[0]!r} at k={ks}"
     )
+    stage_done("normal model trained, closed-form checks done")
 
     _write_report(report, Path(out_dir if out_dir is not None else cfg.out_dir),
                   "theory_report", quiet)

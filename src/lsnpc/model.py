@@ -25,7 +25,8 @@ predictions by micro-F1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 from scipy.special import expit, gammaincinv
@@ -519,7 +520,7 @@ def save_model(model: LsnpcModel, path) -> None:
 
 
 def load_model(path) -> LsnpcModel:
-    arrays, cfg, metadata = checkpoint.load(path, "lsnpc", [f.name for f in fields(ModelConfig)])
+    arrays, cfg, metadata = checkpoint.load(path, "lsnpc", get_type_hints(ModelConfig))
     model = LsnpcModel(ModelConfig(**cfg), seed=0)
     checkpoint.restore(model.params, arrays)
     model.metadata = metadata

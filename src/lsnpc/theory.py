@@ -113,6 +113,10 @@ def verify_theorem1(
     Requires a 1-D latent.  The joint posterior is p(z) p(zhat|z) p(yhat|x,zhat)
     normalized on the grid; both the proposal and the generative density must
     integrate to 1 within ``THEOREM1_TOL`` on the grid or a GridError is raised.
+    Each mass is the sum of a table the check makes anyway, times dz squared:
+    the generative mass sums exp(log p(z) + log p(zhat|z)), taken before
+    log p(yhat|x,zhat) joins the joint, and the proposal mass sums the
+    q(z, zhat) that the joint KL's ``_kl_sum`` leaves in its buffer.
     ``qz_log_override`` substitutes a tabulated log density for q(z|zhat)
     inside the expected-KL integrand (it does not touch the joint KL); it
     holds one value per grid point.
@@ -167,25 +171,29 @@ def verify_theorem1(
     log_p_yhat = logpmf_bernoulli(np.tile(yhat, (G, 1)), probs)
 
     # joint = (log p(z) + log p(zhat|z)) + log p(yhat|x,zhat), built in the
-    # shift table's buffer; the bracket is the generative density
+    # shift table's buffer; the bracket is the generative density, whose
+    # exponential goes into a buffer that then serves both logsumexps and
+    # finally takes log q(z, zhat)
     np.add(log_p_z[:, None], joint, out=joint)
-    gen_mass = float(np.exp(_logsumexp(joint))) * dz * dz
+    p_gen = np.exp(joint)
+    gen_mass = float(np.sum(p_gen)) * dz * dz
     joint += log_p_yhat[None, :]
-    log_evidence = float(_logsumexp(joint)) + 2.0 * math.log(dz)
-    log_q_joint = log_q_zhat[None, :] + log_q_z
-    q_mass = float(np.exp(_logsumexp(log_q_joint))) * dz * dz
+    log_evidence = float(_logsumexp(joint, scratch=p_gen)) + 2.0 * math.log(dz)
+    log_post_z = _logsumexp(joint, axis=1, scratch=p_gen) + math.log(dz) - log_evidence
+    log_q_joint = np.add(log_q_zhat[None, :], log_q_z, out=p_gen)
+    del p_gen
+
+    log_post = np.subtract(joint, log_evidence, out=joint)
+    rhs = _kl_sum(log_q_joint, log_post, diff_out=log_post, q_out=log_q_joint)
+    rhs = float(rhs) * dz * dz
+    q_mass = float(np.sum(log_q_joint)) * dz * dz  # _kl_sum wrote q over log q
+    del log_q_joint
     for name, mass in (("proposal", q_mass), ("generative", gen_mass)):
         if abs(mass - 1.0) > THEOREM1_TOL:
             raise GridError(
                 f"{name} density integrates to {mass:.6f} on the grid; "
                 f"refine or widen it"
             )
-
-    log_post_z = _logsumexp(joint, axis=1) + math.log(dz) - log_evidence
-    log_post = np.subtract(joint, log_evidence, out=joint)
-    rhs = _kl_sum(log_q_joint, log_post, diff_out=log_post, q_out=log_q_joint)
-    rhs = float(rhs) * dz * dz
-    del log_q_joint
 
     lq = log_q_z if qz_log_override is None else np.broadcast_to(
         np.asarray(qz_log_override, dtype=np.float64).reshape(-1, 1), (G, G)
@@ -207,27 +215,28 @@ def verify_theorem1(
     )
 
 
-def _logsumexp(a, axis=None):
+def _logsumexp(a, axis=None, scratch=None):
     """``scipy.special.logsumexp(a, axis)`` for real input, bit for bit.
 
     Runs the steps of scipy 1.17's algorithm in the same order: the maxima
     are split out of the shifted sum and counted, the result is
     log1p(s) + log(count) + max, NaN where its sign is negative, and the naive
-    log(sum(exp(a))) replaces it where it is not finite.  It makes one
-    full-size buffer where scipy makes several copies, and takes the naive
-    pass only when some result needs it.
+    log(sum(exp(a))) replaces it where it is not finite.  It needs one
+    full-size buffer where scipy makes several copies: ``scratch``, a float64
+    array of a's shape whose values the caller no longer needs, or a new one.
+    It takes the naive pass only when some result needs it.
     """
     a = np.asarray(a, dtype=np.float64)
     axes = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore"):
         a_max = np.max(a, axis=axes, keepdims=True)
         ties = a == a_max
-        shifted = np.subtract(a, a_max)
+        shifted = np.subtract(a, a_max, out=scratch)
         np.exp(shifted, out=shifted)
         # scipy sets the tied entries to -inf before the shift; their
         # exponentials are 0 wherever the result can stay finite
-        np.copyto(shifted, 0.0, where=ties)
-        m = np.sum(ties, axis=axes, keepdims=True, dtype=np.float64)
+        shifted.reshape(-1)[np.flatnonzero(ties)] = 0.0
+        m = np.reshape(np.count_nonzero(ties, axis=axis), a_max.shape).astype(np.float64)
         s = np.sum(shifted, axis=axes, keepdims=True)
         del ties, shifted
         s = np.where(s == 0, s, s / m)
@@ -248,12 +257,21 @@ def _kl_sum(lq, lp, diff_out, q_out, axis=None):
 
     Writes lq - lp into ``diff_out`` and q into ``q_out``, which may be
     inputs the caller no longer needs, so no full-size array is made.
+
+    The unmasked products are summed first.  Where q is not > 0 the product
+    is NaN or a signed zero, so a total that is finite and nonzero is the
+    masked sum bit for bit: a -0.0 that the mask makes +0.0 can change only
+    the sign of a zero total.  Only other totals build the mask and sum again.
     """
-    diff = np.subtract(lq, lp, out=diff_out)
-    q = np.exp(lq, out=q_out)
-    diff *= q
-    np.copyto(diff, 0.0, where=~(q > 0))
-    return np.sum(diff, axis=axis)
+    with np.errstate(invalid="ignore"):
+        diff = np.subtract(lq, lp, out=diff_out)
+        q = np.exp(lq, out=q_out)
+        diff *= q
+        total = np.sum(diff, axis=axis)
+        if np.all(np.isfinite(total) & (total != 0)):
+            return total
+        np.copyto(diff, 0.0, where=~(q > 0))
+        return np.sum(diff, axis=axis)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 """Checkpoint wire format: round trips, corruption detection, and the
 digest-equality contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from lsnpc import baseclf, model
+from lsnpc.baseclf import load_base, save_base
+from lsnpc.config import load_config
+from lsnpc.datagen import load_dataset, save_dataset
+from lsnpc.experiment import run_experiment
+from lsnpc.model import ModelConfig, load_model, save_model
 from lsnpc.checkpoint import (
     MAGIC,
     VERSION,
@@ -146,7 +154,8 @@ def test_artifact_header_round_trips_values_and_bytes(tmp_path):
     first, second = tmp_path / "a.bin", tmp_path / "b.bin"
     save(first, "test", typed_arrays(), fields, metadata)
     assert b"\ncfg.hidden=(4, 2)\n" in first.read_bytes()
-    arrays, got_fields, got_meta = load(first, "test", ("d", "hidden", "nu"))
+    types = {"d": int, "hidden": tuple[int, ...], "nu": float}
+    arrays, got_fields, got_meta = load(first, "test", types)
     assert got_fields == {"d": 3, "hidden": (4, 2), "nu": 2.5}
     assert type(got_fields["nu"]) is float and type(got_meta["seed"]) is int
     nan = got_meta.pop("nan")
@@ -163,10 +172,69 @@ def test_artifact_header_rejects_unknown_lines_and_a_missing_kind(tmp_path):
     path = tmp_path / "a.bin"
     save(path, "base", {}, {"d": 1}, {})
     with pytest.raises(ValueError, match="'cfg.d' is not a header line of a 'base' artifact"):
-        load(path, "base", ("k",))
+        load(path, "base", {"k": int})
     save_params(path, {}, {"kind": "'base'", "d": "1"})
     with pytest.raises(ValueError, match="'d' is not a header line"):
-        load(path, "base", ("d",))
+        load(path, "base", {"d": int})
     save_params(path, {}, {})
     with pytest.raises(ValueError, match="holds a None artifact, not a 'base' one"):
         load(path, "base")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# artifact directory of a run -> (loader, saver) of its files
+CODECS = {"data": (load_dataset, save_dataset), "base": (load_base, save_base),
+          "lsnpc": (load_model, save_model)}
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("smoke")
+    run_experiment(load_config(CONFIGS / "smoke.ini"), out_dir=out, quiet=True)
+    return out
+
+
+def test_every_smoke_artifact_loads_and_resaves_byte_identically(smoke_run, tmp_path):
+    paths = sorted(path for group in CODECS for path in (smoke_run / group).iterdir())
+    assert {path.parent.name for path in paths} == set(CODECS)
+    for path in paths:
+        loader, saver = CODECS[path.parent.name]
+        again = tmp_path / path.name
+        saver(loader(path), again)
+        assert again.read_bytes() == path.read_bytes(), path.name
+
+
+def _with_header_line(src, dst, key, raw):
+    arrays, header = load_params(src)
+    assert key in header
+    save_params(dst, arrays, {**header, key: raw})
+
+
+def _no_constructor(*args, **kwargs):
+    raise AssertionError("a constructor ran")
+
+
+@pytest.mark.parametrize("group,key,raw,declared", [
+    ("base", "cfg.hidden", "4", r"tuple\[int, \.\.\.\]"),
+    ("base", "cfg.d", "'2'", "int"),
+    ("lsnpc", "cfg.m", "'1'", "int"),
+], ids=["base-hidden", "base-d", "lsnpc-m"])
+def test_wrong_typed_header_value_is_named_before_any_constructor(
+        smoke_run, tmp_path, monkeypatch, group, key, raw, declared):
+    path = tmp_path / "crafted.ckpt"
+    _with_header_line(sorted((smoke_run / group).iterdir())[0], path, key, raw)
+    monkeypatch.setattr(baseclf, "_new_classifier", _no_constructor)
+    monkeypatch.setattr(model, "LsnpcModel", _no_constructor)
+    monkeypatch.setattr(ModelConfig, "__post_init__", _no_constructor)
+    with pytest.raises(ValueError, match=rf"{key}={raw} is not of the field's type {declared}$"):
+        CODECS[group][0](path)
+
+
+def test_int_header_value_of_a_float_field_loads_as_that_float(smoke_run, tmp_path):
+    src = sorted((smoke_run / "lsnpc").iterdir())[0]
+    crafted, again = tmp_path / "crafted.ckpt", tmp_path / "again.ckpt"
+    _with_header_line(src, crafted, "cfg.nu", "4")
+    loaded = load_model(crafted)
+    assert type(loaded.cfg.nu) is float and loaded.cfg == load_model(src).cfg
+    save_model(loaded, again)
+    assert again.read_bytes() == src.read_bytes()

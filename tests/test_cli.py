@@ -1,6 +1,7 @@
 """Exit codes, argument plumbing, and stage subcommands."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,27 @@ def test_seed_flag_replaces_seed_list(tiny_ini, tmp_path):
 
 # sha256 of the theory_report.csv that verify-theory writes for smoke.ini
 SMOKE_THEORY_CSV = "b8d4c7c284ed2474d13e634555ccd5c9f3e690b419690c8a6d867a15f8b089b7"
+
+
+def test_verify_theory_prints_one_timed_line_per_stage_unless_quiet(tmp_path, capsys):
+    reports = []
+    for flags in ((), ("--quiet",)):
+        out = tmp_path / str(len(flags))
+        assert main(["verify-theory", "--config", str(CONFIGS / "smoke.ini"),
+                     "--out", str(out), *flags]) == 0
+        err = capsys.readouterr().err
+        stages = [re.fullmatch(r"  theory (.+) \(\d+\.\ds\)", line)
+                  for line in err.splitlines() if line.startswith("  theory ")]
+        if flags:
+            assert err == ""
+        else:
+            assert [stage and stage[1] for stage in stages] == [
+                "quadrature: 5/5 instances held", "base and student model trained",
+                "monte-carlo pairs: 20/20 dominated",
+                "normal model trained, closed-form checks done"]
+        reports.append([(out / f"theory_report.{ext}").read_bytes() for ext in ("csv", "txt")])
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0][0]).hexdigest() == SMOKE_THEORY_CSV
 
 
 def test_seed_flag_sets_the_theory_seed(tmp_path):

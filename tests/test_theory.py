@@ -3,17 +3,20 @@ estimation, both distance bounds, and the label-KL amortization demo."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
-from lsnpc import rngs
+from lsnpc import rngs, theory
 from lsnpc.autodiff import Tensor
 from lsnpc.distributions import (
     kl_diag_normal,
+    logpdf_diag_normal,
     logpdf_diag_student,
+    logpmf_bernoulli,
     mc_kl_diag_student,
     student_logpdf_into,
 )
@@ -165,7 +168,10 @@ def _lse_cases():
     special[2, :] = -np.inf
     special[3, 4] = np.nan
     special[4, 1:] = -np.inf
-    return {"random": random, "tied": tied, "special": special,
+    one_row = rng.standard_normal((6, 8))
+    one_row[2, [1, 4, 6]] = one_row.max() + 1.0  # three maxima in one row
+    return {"random": random, "tied": tied, "special": special, "one_row_tied": one_row,
+            "all_tied": np.full((4, 5), 1.5),
             "all_neg_inf": np.full((3, 4), -np.inf), "nan": np.full((2, 3), np.nan)}
 
 
@@ -178,6 +184,18 @@ def test_logsumexp_equals_scipy_bit_for_bit(case, axis):
     got = _logsumexp(a, axis=axis)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", sorted(_lse_cases()))
+@pytest.mark.parametrize("axis", [None, 1])
+def test_logsumexp_into_scratch_equals_scipy_and_keeps_its_input(case, axis):
+    a = _lse_cases()[case]
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, axis=axis)
+    scratch = np.full_like(a, 7.0)
+    got = _logsumexp(a, axis=axis, scratch=scratch)
+    assert _bits(got) == _bits(want)
+    assert _bits(a) == _bits(_lse_cases()[case])
 
 
 @pytest.mark.parametrize("nu0", [2.01, 4.0, 30.0])
@@ -205,21 +223,77 @@ def test_kl_sum_equals_masked_where_sum(axis):
     assert np.array_equal(got, want)
 
 
-# Instance 0 of verify_all's expected-vs-joint-kl check, computed with
-# scipy.special.logsumexp and out-of-place grid tables; the quadrature must
-# reproduce these values bit for bit.
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class _NumpyWith:
+    """numpy, with the functions passed as keywords in place of its own."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _kl_sum_cases():
+    rng = np.random.default_rng(43)
+    lq = rng.standard_normal((7, 5)) * 3.0
+    lp = rng.standard_normal((7, 5))
+    lq[1, :2] = -800.0  # exp underflows to 0: a -0.0 product that the mask makes +0.0
+    column = lq.copy()
+    column[:, 3] = -800.0  # every q of column 3 underflows
+    neg_inf = lq.copy()
+    neg_inf[2, 3] = -np.inf
+    nan = lq.copy()
+    nan[4, 1] = np.nan
+    inf_lp = lp.copy()
+    inf_lp[5, 2] = np.inf
+    # (lq, lp, whether the mask is built for axis None, for axis 0)
+    return {"finite": (lq, lp, False, False), "underflow_column": (column, lp, False, True),
+            "neg_inf_lq": (neg_inf, lp, True, True), "nan_lq": (nan, lp, True, True),
+            "inf_lp": (lq, inf_lp, True, True)}
+
+
+@pytest.mark.parametrize("case", sorted(_kl_sum_cases()))
+@pytest.mark.parametrize("axis", [None, 0])
+def test_kl_sum_paths_equal_the_masked_sum_bit_for_bit(case, axis, monkeypatch):
+    lq, lp, masked_none, masked_0 = _kl_sum_cases()[case]
+    q = np.exp(lq)
+    with np.errstate(invalid="ignore"):
+        want = np.sum(np.where(q > 0, q * (lq - lp), 0.0), axis)
+    masks = []
+
+    def copyto(dst, src, where):
+        masks.append(where)
+        np.copyto(dst, src, where=where)
+
+    monkeypatch.setattr(theory, "np", _NumpyWith(copyto=copyto))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kl_sum(lq.copy(), lp, diff_out=np.empty_like(lq), q_out=np.empty_like(lq),
+                      axis=axis)
+    assert _bits(got) == _bits(want)
+    assert len(masks) == (masked_none if axis is None else masked_0)
+
+
+# Instance 0 of verify_all's expected-vs-joint-kl check.  lhs, rhs, the
+# entropy and the evidence were computed with scipy.special.logsumexp and
+# out-of-place grid tables; each mass is np.sum(np.exp(table)) * dz * dz of
+# its out-of-place log table.  The quadrature must reproduce them bit for bit.
 PINNED_THEOREM1 = {
     "student": Theorem1Result(
         lhs=0.7199289184722757, rhs=1.7876463764770403,
         proposal_entropy=1.065891113766942, entropy_nonneg=True, holds=True,
-        evidence=0.24997775085294885, proposal_mass=0.9999916330600137,
-        generative_mass=0.9999110034117963,
+        evidence=0.24997775085294885, proposal_mass=0.9999916330600133,
+        generative_mass=0.999911003411796,
     ),
     "normal": Theorem1Result(
         lhs=0.68929080929311, rhs=1.9693026613286178,
         proposal_entropy=0.8030696300929483, entropy_nonneg=True, holds=True,
-        evidence=0.24997775085294885, proposal_mass=0.9999999999999999,
-        generative_mass=0.9999110034117963,
+        evidence=0.24997775085294885, proposal_mass=1.0,
+        generative_mass=0.999911003411796,
     ),
 }
 
@@ -231,6 +305,80 @@ def test_theorem1_result_is_pinned(proposal):
     x = rng.standard_normal(model.cfg.d)
     yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
     assert verify_theorem1(model, x, yhat) == PINNED_THEOREM1[proposal]
+
+
+def _grid_tables(model, x, yhat, grid):
+    """verify_theorem1's log tables, built out of place: the generative
+    log p(z) + log p(zhat|z), the proposal log q(zhat) + log q(z|zhat) and the
+    joint, rows indexing z and columns zhat; and the proposal's log q(zhat)."""
+    g = grid.values
+    G = len(g)
+    col = g.reshape(-1, 1)
+    mu_t, sig_t, nu = model.proposal(x.reshape(1, -1), yhat.reshape(1, -1))
+    mean_col, scale_col = np.full((G, 1), mu_t[0, 0]), np.full((G, 1), sig_t[0, 0])
+    if model.cfg.proposal == "student":
+        log_q_zhat = logpdf_diag_student(col, mean_col, scale_col, float(np.reshape(nu, -1)[0]))
+    else:
+        log_q_zhat = logpdf_diag_normal(col, mean_col, scale_col)
+    mu_k, sig_k = model.encode_zhat_to_z(col)
+    log_q_z = (-0.5 * np.square((g[:, None] - mu_k[None, :, 0]) / sig_k[:, 0])
+               - np.log(sig_k[:, 0]) - 0.5 * math.log(2 * math.pi))
+    psi = model.decode_shift(col)[:, 0]
+    log_p_z = -0.5 * np.square(g) - 0.5 * math.log(2 * math.pi)
+    generative = log_p_z[:, None] + student_logpdf_into(g[None, :] - psi[:, None],
+                                                        model.cfg.nu0)
+    probs = model.decode_labels(np.tile(x.reshape(1, -1), (G, 1)), col)
+    joint = generative + logpmf_bernoulli(np.tile(yhat.reshape(1, -1), (G, 1)), probs)[None, :]
+    return generative, log_q_zhat[None, :] + log_q_z, joint, log_q_zhat
+
+
+@pytest.mark.parametrize("proposal", ["student", "normal"])
+def test_masses_are_out_of_place_sums_of_exp_bit_for_bit(proposal):
+    model = tiny_model(seed=0, proposal=proposal)
+    rng = rngs.stream(0, "theory", "inputs")
+    x = rng.standard_normal(model.cfg.d)
+    yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
+    grid = QuadratureGrid()
+    generative, proposal_table, _, _ = _grid_tables(model, x, yhat, grid)
+    dz = grid.step
+    result = verify_theorem1(model, x, yhat, grid=grid)
+    assert result.generative_mass == float(np.sum(np.exp(generative))) * dz * dz
+    assert result.proposal_mass == float(np.sum(np.exp(proposal_table))) * dz * dz
+
+
+def test_grid_errors_name_the_density_that_misses_mass():
+    model, x, yhat = _instance(0)
+    with pytest.raises(GridError, match="generative density integrates to 0.998682"):
+        verify_theorem1(model, x, yhat, grid=QuadratureGrid(lo=-8.0, hi=8.0, step=0.02))
+    # a proposal scale of 2: its bulk fits the grid, its Student tails do not
+    model.params["theta.sigma.W0"].data[...] = 0.0
+    model.params["theta.sigma.b0"].data[:] = math.log(math.expm1(2.0))
+    with pytest.raises(GridError, match="proposal density integrates to 0.998551"):
+        verify_theorem1(model, x, yhat)
+
+
+def test_override_with_zero_density_gives_the_masked_lhs_without_warning():
+    model, x, yhat = _instance(3)
+    grid = QuadratureGrid()
+    G, dz = len(grid.values), grid.step
+    _, _, joint, log_q_zhat = _grid_tables(model, x, yhat, grid)
+    log_evidence = float(logsumexp(joint)) + 2.0 * math.log(dz)
+    log_post_z = logsumexp(joint, axis=1) + math.log(dz) - log_evidence
+    override = log_post_z.copy()
+    override[:200] = -np.inf  # zero density on the lowest 200 grid points
+    override[-200:] = -np.inf
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = verify_theorem1(model, x, yhat, grid=grid, qz_log_override=override)
+    q = np.exp(override)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(q > 0, q * (override - log_post_z), 0.0)
+    # the expected KL sums a G x G table down its columns, every column this one
+    inner = np.sum(np.repeat(terms[:, None], G, axis=1), axis=0) * dz
+    want = float(np.sum(np.exp(log_q_zhat) * dz * inner))
+    assert math.isfinite(result.lhs)
+    assert result.lhs == want
 
 
 # ---------------------------------------------------------------------------
