@@ -13,11 +13,11 @@ from .baseclf import BaseClassifier, BaseTrainConfig, train_base
 from .config import ConfigError, ExperimentConfig, load_config
 from .correction import CorrectionConfig, CorrectionResult, correct, knn_correct
 from .datagen import FeatureDataset, GeneratorConfig, generate_synthetic
-from .evaluation import ExperimentReport, f1_report, macro_f1, micro_f1
+from .evaluation import Report, macro_f1, micro_f1
 from .experiment import run_ablation, run_experiment, sweep_sensitivity, verify_all
 from .model import LsnpcModel, LsnpcTrainConfig, ModelConfig, train_semi_supervised
 from .noise import SplitSpec, TransitionMatrix, build_transition_matrix, corrupt_labels
-from .theory import QuadratureGrid, TheoryReport, verify_theorem1
+from .theory import QuadratureGrid, verify_theorem1
 
 __version__ = "0.1.0"
 
@@ -29,21 +29,19 @@ __all__ = [
     "CorrectionConfig",
     "CorrectionResult",
     "ExperimentConfig",
-    "ExperimentReport",
     "FeatureDataset",
     "GeneratorConfig",
     "LsnpcModel",
     "LsnpcTrainConfig",
     "ModelConfig",
     "QuadratureGrid",
+    "Report",
     "SplitSpec",
     "Tensor",
-    "TheoryReport",
     "TransitionMatrix",
     "build_transition_matrix",
     "correct",
     "corrupt_labels",
-    "f1_report",
     "generate_synthetic",
     "knn_correct",
     "load_config",

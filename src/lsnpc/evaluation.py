@@ -1,12 +1,14 @@
-"""Micro/macro F1 metrics and experiment report assembly.
+"""Micro/macro F1 metrics and the one report table every command writes.
 
 Micro-F1 pools true-positive, false-positive, and false-negative counts over
 every instance-label cell; macro-F1 averages per-label F1 scores.  A label
 that never occurs and is never predicted is vacuously perfect (F1 = 1), so an
 unused label cannot punish a perfect predictor.
 
-Reports present mean and sample standard deviation (n - 1 denominator) over
-seeds, scaled by 100 as percentages.
+``Report`` is the table that ``eval``, ``sweep``, ``ablate`` and
+``verify-theory`` write as CSV and as aligned text.  ``build_report`` fills
+one from per-seed runs: mean and sample standard deviation (n - 1
+denominator) over seeds, scaled by 100 as percentages.
 """
 
 from __future__ import annotations
@@ -16,26 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "F1Report",
+    "Report",
     "RunMetrics",
-    "ExperimentReport",
     "label_counts",
     "micro_f1",
     "macro_f1",
-    "f1_report",
     "build_report",
 ]
-
-
-@dataclass(frozen=True)
-class F1Report:
-    """Both metrics plus the per-label counts they were computed from."""
-
-    micro_f1: float
-    macro_f1: float
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,41 +40,43 @@ class RunMetrics:
 
 
 @dataclass
-class ExperimentReport:
-    """Aggregated rows: (setting, nr, method, metric, mean, std, n_seeds).
+class Report:
+    """A table: its CSV column names, its text labels, one format spec per
+    text column, the rows (tuples in column order) and the notes that the
+    text prints below the table."""
 
-    Means and standard deviations are stored on the x100 percentage scale.
-    """
-
+    columns: tuple[str, ...]
+    labels: tuple[str, ...]
+    formats: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    def add(self, *row) -> None:
+        self.rows.append(row)
+
+    def lookup(self, *key) -> tuple:
+        """The values after ``key`` in the first row that starts with it."""
+        for row in self.rows:
+            if row[:len(key)] == key:
+                return row[len(key):]
+        raise KeyError(f"no row for {key}")
 
     def to_csv(self) -> str:
-        lines = ["setting,nr,method,metric,mean,std,n_seeds"]
-        for setting, nr, method, metric, mean, std, n in self.rows:
-            lines.append(f"{setting},{nr!r},{method},{metric},{mean!r},{std!r},{n}")
+        """One line per row, each value through ``str``: a float (numpy's
+        too) as its shortest round-tripping digits."""
+        lines = [",".join(self.columns)]
+        lines.extend(",".join(map(str, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        header = ("setting", "nr", "method", "metric", "mean", "std", "seeds")
-        table = [header]
-        for setting, nr, method, metric, mean, std, n in self.rows:
-            table.append(
-                (setting, f"{nr:g}", method, metric, f"{mean:.2f}", f"{std:.2f}", str(n))
-            )
-        return "\n".join(table_lines(table)) + "\n"
-
-    def lookup(self, setting: str, nr: float, method: str, metric: str) -> tuple[float, float, int]:
-        for row in self.rows:
-            if row[:4] == (setting, nr, method, metric):
-                return row[4], row[5], row[6]
-        raise KeyError(f"no row for {(setting, nr, method, metric)}")
-
-
-def table_lines(table) -> list[str]:
-    """The rows of ``table`` (sequences of strings) as text lines: each column
-    left-justified to its widest cell, columns joined by two spaces."""
-    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
+        """Each column left-justified to its widest cell, columns joined by
+        two spaces, then one ``note:`` line per note."""
+        table = [self.labels]
+        table.extend(tuple(map(format, row, self.formats)) for row in self.rows)
+        widths = [max(len(row[i]) for row in table) for i in range(len(self.labels))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
+        lines.extend(f"note: {note}" for note in self.notes)
+        return "\n".join(lines) + "\n"
 
 
 def label_counts(Y_true, Y_pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,32 +112,22 @@ def macro_f1(Y_true, Y_pred) -> float:
     return float(np.mean(per_label))
 
 
-def f1_report(Y_true, Y_pred) -> F1Report:
-    tp, fp, fn = label_counts(Y_true, Y_pred)
-    return F1Report(
-        micro_f1=micro_f1(Y_true, Y_pred),
-        macro_f1=macro_f1(Y_true, Y_pred),
-        tp=tp,
-        fp=fp,
-        fn=fn,
-    )
-
-
-def build_report(runs: list[RunMetrics]) -> ExperimentReport:
-    """Aggregate per-seed metrics into mean/std rows on the x100 scale."""
+def build_report(runs: list[RunMetrics]) -> Report:
+    """Aggregate per-seed metrics into rows (setting, nr, method, metric,
+    mean, std, n_seeds), with the mean and std on the x100 scale."""
     if not runs:
         raise ValueError("at least one run is required")
     groups: dict[tuple, list[RunMetrics]] = {}
     for run in runs:
         groups.setdefault((run.setting, run.nr, run.method), []).append(run)
-    report = ExperimentReport()
-    for (setting, nr, method), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        members = sorted(members, key=lambda r: r.seed)
+    report = Report(("setting", "nr", "method", "metric", "mean", "std", "n_seeds"),
+                    ("setting", "nr", "method", "metric", "mean", "std", "seeds"),
+                    ("", "g", "", "", ".2f", ".2f", ""))
+    for setting, nr, method in sorted(groups):
+        members = sorted(groups[setting, nr, method], key=lambda r: r.seed)
         for metric in ("micro_f1", "macro_f1"):
             values = np.array([getattr(r, metric) for r in members]) * 100.0
             mean = float(np.mean(values))
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-            report.rows.append((setting, nr, method, metric, mean, std, len(values)))
+            report.add(setting, nr, method, metric, mean, std, len(values))
     return report

@@ -3,8 +3,11 @@
 One run cell is (noise kind, noise rate, seed).  The dataset of a seed is
 made once per run and shared by that seed's cells; everything else (split,
 base classifier, both LSNPC arms) is built inside its cell and handed from
-stage to stage.  The Normal-proposal ablation arm recomputes the Student
-arm's datasets and base checkpoints, with identical bytes.
+stage to stage.  The sensitivity sweep and the proposal ablation are lists
+of (subdirectory, config, relabel) variants that one runner runs in turn
+into one table; the Normal-proposal ablation arm recomputes the Student
+arm's datasets and base checkpoints, with identical bytes.  Every command
+writes its ``evaluation.Report`` as ``<stem>.csv`` and ``<stem>.txt``.
 
 Every artifact is a pure function of (config, seed): the manifest written at
 the end maps each artifact file to its content digest, so two runs agree
@@ -30,12 +33,11 @@ from .checkpoint import file_digest, restore, snapshot
 from .config import ExperimentConfig, rate_tag, sweep_tag
 from .correction import CorrectionResult, binarize, correct, knn_correct, save_correction
 from .datagen import FeatureDataset, generate_synthetic, load_dataset, save_dataset
-from .evaluation import ExperimentReport, RunMetrics, build_report, f1_report, micro_f1
+from .evaluation import Report, RunMetrics, build_report, macro_f1, micro_f1
 from .model import LsnpcModel, train_semi_supervised, save_model
 from .noise import SplitResult, build_transition_matrix, save_transition, split_dataset
 from .theory import (
     Theorem1Result,
-    TheoryReport,
     amortization_demo,
     estimate_constants,
     fit_delta_exponent,
@@ -72,7 +74,7 @@ class StageError(RuntimeError):
 class RunArtifacts:
     out_dir: Path
     rows: list[RunMetrics] = field(default_factory=list)
-    report: ExperimentReport | None = None
+    report: Report | None = None
     manifest: dict[str, str] = field(default_factory=dict)
 
     def record(self, path: Path) -> None:
@@ -94,7 +96,7 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     return out
 
 
-def _write_report(report, out: Path, stem: str, quiet: bool = True) -> tuple[Path, Path]:
+def _write_report(report, out: Path, stem: str, quiet: bool) -> tuple[Path, Path]:
     """Writes ``<stem>.csv`` and ``<stem>.txt`` under ``out``; prints the text unless ``quiet``."""
     out.mkdir(parents=True, exist_ok=True)
     csv, txt = out / f"{stem}.csv", out / f"{stem}.txt"
@@ -160,10 +162,10 @@ def _evaluate(cfg: ExperimentConfig, split: SplitResult, h: BaseClassifier,
         method = "lsnpc-semi" if arm == "semi" else "lsnpc"
         corrections[method] = res = _correct(cfg, model, h, test.X, seed)
         labels[method] = res.labels
-    reports = {method: f1_report(split.true_labels["test"], y) for method, y in labels.items()}
+    truth = split.true_labels["test"]
     return [RunMetrics(setting=kind, nr=nr, method=method, seed=seed,
-                       micro_f1=rep.micro_f1, macro_f1=rep.macro_f1)
-            for method, rep in reports.items()]
+                       micro_f1=micro_f1(truth, y), macro_f1=macro_f1(truth, y))
+            for method, y in labels.items()]
 
 
 class _CellTraceback(Exception):
@@ -294,48 +296,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, stage: str = "eval",
     return art
 
 
-def sweep_sensitivity(cfg: ExperimentConfig, out_dir=None,
-                      quiet: bool = False) -> ExperimentReport:
-    """One full run per (nu0, nu) in ``cfg.sweep_nu0`` x ``cfg.sweep_nu``; nu may be 'learned'."""
+def _compare(cfg: ExperimentConfig, out_dir, stem: str, variants, quiet: bool) -> Report:
+    """Runs each (subdirectory, config, relabel) variant under the out dir,
+    keeps the rows that its relabel returns (None drops a row), and writes
+    their aggregate as ``<stem>.csv`` and ``<stem>.txt``."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     rows: list[RunMetrics] = []
+    for sub, variant, relabel in variants:
+        art = run_experiment(variant, out_dir=out / sub, quiet=quiet)
+        rows.extend(row for row in map(relabel, art.rows) if row is not None)
+    report = build_report(rows)
+    _write_report(report, out, stem, quiet)
+    return report
+
+
+def sweep_sensitivity(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Report:
+    """One full run per (nu0, nu) in ``cfg.sweep_nu0`` x ``cfg.sweep_nu``; nu may be 'learned'."""
+    variants = []
     for nu0 in cfg.sweep_nu0:
         for nu in cfg.sweep_nu:
             tag = f"nu0={sweep_tag(nu0)} nu={sweep_tag(nu)}"
-            cell_cfg = dataclasses.replace(
-                cfg,
-                nu0=float(nu0),
-                nu=cfg.nu if nu == "learned" else float(nu),
-                nu_mode="learned" if nu == "learned" else "fixed",
-            )
-            art = run_experiment(cell_cfg, out_dir=out / tag.replace(" ", "_"),
-                                 quiet=quiet)
-            for row in art.rows:
-                rows.append(dataclasses.replace(row, setting=f"{tag}|{row.setting}"))
-    report = build_report(rows)
-    _write_report(report, out, "sweep")
-    return report
+            learned = nu == "learned"
+            variant = dataclasses.replace(cfg, nu0=float(nu0), nu=cfg.nu if learned else float(nu),
+                                          nu_mode="learned" if learned else "fixed")
+            variants.append((tag.replace(" ", "_"), variant, lambda row, tag=tag:
+                             dataclasses.replace(row, setting=f"{tag}|{row.setting}")))
+    return _compare(cfg, out_dir, "sweep", variants, quiet)
 
 
-def run_ablation(cfg: ExperimentConfig, out_dir=None,
-                 quiet: bool = False) -> ExperimentReport:
+def run_ablation(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Report:
     """Student arm vs Normal arm on identical data, seeds, and base models."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    arms = (("LSNPC", "student"), ("GAUSS", "normal"))
-    rows: list[RunMetrics] = []
-    for arm_index, (label, proposal) in enumerate(arms):
-        arm_cfg = dataclasses.replace(cfg, proposal=proposal)
-        art = run_experiment(arm_cfg, out_dir=out / label, quiet=quiet)
-        for row in art.rows:
-            if "lsnpc" in row.method:
-                rows.append(dataclasses.replace(
-                    row, method=row.method.replace("lsnpc", label)))
-            elif arm_index == 0:
-                # baseline and knn are arm-independent; keep one copy
-                rows.append(row)
-    report = build_report(rows)
-    _write_report(report, out, "ablation")
-    return report
+    def arm(label, shared):
+        # baseline and knn are arm-independent; the first arm keeps one copy
+        return lambda row: (dataclasses.replace(row, method=row.method.replace("lsnpc", label))
+                            if "lsnpc" in row.method else row if shared else None)
+
+    return _compare(cfg, out_dir, "ablation", [
+        ("LSNPC", dataclasses.replace(cfg, proposal="student"), arm("LSNPC", True)),
+        ("GAUSS", dataclasses.replace(cfg, proposal="normal"), arm("GAUSS", False)),
+    ], quiet)
 
 
 # --------------------------------------------------------------------------
@@ -394,8 +393,10 @@ def _theorem1_instance(s: int) -> Theorem1Result:
     return verify_theorem1(model, x, yhat)
 
 
-def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> TheoryReport:
+def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Report:
     """All numerical checks; writes theory_report.{txt,csv} under the out dir.
+
+    The report has one row (name, instances, passes, worst margin) per check.
 
     The quadrature instances and the Monte-Carlo pairs of the affine bound
     run through ``rngs.fan_out``, on every core this process may use; each
@@ -408,7 +409,8 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     tc = cfg.theory
     if cfg.source == "synthetic":  # a dataset file's k is checked once it is read
         _check_pair_distances(cfg.k, tc.pairs)
-    report = TheoryReport()
+    report = Report(("name", "instances", "passes", "worst_margin"),
+                    ("check", "instances", "passes", "worst margin"), ("", "", "", ".6g"))
     started = time.perf_counter()
 
     def stage_done(msg: str) -> None:
@@ -425,10 +427,12 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     flagged = sum(not res.entropy_nonneg for res in results)
     worst = min((res.margin for res in results), default=float("inf"))
     report.add("expected-vs-joint-kl", tc.instances, held, worst)
-    report.notes.append(
-        f"expected-vs-joint-kl: {flagged} instances had negative proposal "
-        f"entropy (reported, not failed)"
-    )
+    report.notes.append(f"expected-vs-joint-kl: {flagged} instances had negative proposal "
+                        f"entropy (reported, not failed)")
+    dropped = [res.empty_columns for res in results if res.empty_columns]
+    report.notes.append(f"expected-vs-joint-kl: {len(dropped)} instances have zhat columns "
+                        f"whose q(z | zhat) is 0 on the grid, {sum(dropped)} in all "
+                        f"(the lhs leaves them out)")
     stage_done(f"quadrature: {held}/{tc.instances} instances held")
 
     # 2 + 3. Encoder constants and the affine bound on a trained model.
@@ -447,19 +451,16 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
         Y0[i], Y1[i] = a[0], b[0]
     const = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
     report.add("encoder-constants", tc.pairs, const.n_regular, const.lam)
-    report.notes.append(
-        f"encoder-constants (x1.5 inflated): M={const.M:.4f} L={const.L:.4f} "
-        f"lam={const.lam:.6f} alpha={const.alpha:.4f} C1={const.C1:.4f} "
-        f"C2={const.C2:.4f}"
-    )
+    report.notes.append(f"encoder-constants (x1.5 inflated): M={const.M:.4f} L={const.L:.4f} "
+                        f"lam={const.lam:.6f} alpha={const.alpha:.4f} C1={const.C1:.4f} "
+                        f"C2={const.C2:.4f}")
     rows = theorem2_check(model, X, (Y0, Y1), const, n_mc=tc.n_mc, seed=tc.seed)
     dominated = sum(r.dominated for r in rows)
     se_ok = sum(r.se < 0.01 * r.bound for r in rows)
     report.add("student-affine-bound", len(rows), dominated,
                min(r.margin for r in rows))
-    report.notes.append(
-        f"student-affine-bound: MC SE below 1% of the bound on {se_ok}/{len(rows)}"
-    )
+    report.notes.append(f"student-affine-bound: MC SE below 1% of the bound on "
+                        f"{se_ok}/{len(rows)}")
     stage_done(f"monte-carlo pairs: {dominated}/{len(rows)} dominated")
 
     # 4. Normal-proposal arm against the quadratic bound.
@@ -470,9 +471,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     exponent = fit_delta_exponent(grows)
     report.add("normal-quadratic-bound", len(grows), gdom,
                min(r.margin for r in grows))
-    report.notes.append(
-        f"normal-quadratic-bound: fitted distance exponent {exponent:.3f}"
-    )
+    report.notes.append(f"normal-quadratic-bound: fitted distance exponent {exponent:.3f}")
 
     # 5. Label-KL amortization across label-space sizes.
     ks = (20, 80, 320)
@@ -480,9 +479,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Theo
     spread = max(totals) - min(totals)
     matches = sum(abs(t - totals[0]) <= 1e-12 for t in totals)
     report.add("bernoulli-amortization", len(ks), matches, spread)
-    report.notes.append(
-        f"bernoulli-amortization: total divergence {totals[0]!r} at k={ks}"
-    )
+    report.notes.append(f"bernoulli-amortization: total divergence {totals[0]!r} at k={ks}")
     stage_done("normal model trained, closed-form checks done")
 
     _write_report(report, Path(out_dir if out_dir is not None else cfg.out_dir),

@@ -163,7 +163,7 @@ class LsnpcModel:
             self.phi,
         ]
         self.nu_net = None
-        if cfg.nu_mode == "learned":
+        if cfg.proposal == "student" and cfg.nu_mode == "learned":
             self.nu_net = Mlp("nu", enc_in, (cfg.embed_hidden,), 1, rng, zero_init_head=True)
             nets.append(self.nu_net)
         self.params: dict[str, Tensor] = {}
@@ -221,17 +221,18 @@ class LsnpcModel:
     def proposal(self, x, yhat):
         """Location, scale and degrees of freedom of q(zhat | x, yhat).
 
-        The degrees of freedom are ``cfg.nu`` in fixed mode and
-        :func:`learned_nu` in learned mode.
+        The degrees of freedom are :func:`learned_nu` for a Student proposal
+        in learned mode and ``cfg.nu`` otherwise; a Normal proposal ignores them.
         """
         mu, sigma = self.encode_xy(x, yhat)
-        if self.cfg.nu_mode == "fixed":
+        if self.nu_net is None:
             return mu, sigma, self.cfg.nu
         return mu, sigma, learned_nu(self, x, yhat)
 
 
 def learned_nu(model: LsnpcModel, x, yhat):
-    """2 + softplus(net(x, yhat)), keeping nu > 2; only in learned mode.
+    """2 + softplus(net(x, yhat)), keeping nu > 2; only for a Student
+    proposal in learned mode.
 
     The zero-initialized head starts nu at 2 + ln 2, where softplus has a
     non-zero slope, so the net receives a gradient from its first step.

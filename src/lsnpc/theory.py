@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import psi
@@ -36,7 +36,6 @@ from .distributions import (
     student_entropy,
     student_logpdf_into,
 )
-from .evaluation import table_lines
 from .model import LsnpcModel, ModelConfig
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "Theorem1Result",
     "BoundConstants",
     "BoundCheckRow",
-    "TheoryReport",
     "verify_theorem1",
     "estimate_constants",
     "theorem2_bound",
@@ -95,6 +93,7 @@ class Theorem1Result:
     evidence: float
     proposal_mass: float
     generative_mass: float
+    empty_columns: int
 
     @property
     def margin(self) -> float:
@@ -120,6 +119,9 @@ def verify_theorem1(
     ``qz_log_override`` substitutes a tabulated log density for q(z|zhat)
     inside the expected-KL integrand (it does not touch the joint KL); it
     holds one value per grid point.
+
+    ``empty_columns`` counts the zhat columns whose q(z | zhat) is 0 at every
+    grid point: the lhs gives them an inner KL of 0.
     """
     if model.cfg.m != 1:
         raise ValueError("quadrature verification supports only 1-D latents")
@@ -200,6 +202,7 @@ def verify_theorem1(
     )
     inner = _kl_sum(lq, log_post_z[:, None], diff_out=log_post, q_out=log_q_z,
                     axis=0) * dz
+    empty_columns = int(np.count_nonzero(np.sum(log_q_z, axis=0) == 0))  # _kl_sum wrote q there
     w = np.exp(log_q_zhat) * dz
     lhs = float(np.sum(w * inner))
 
@@ -212,6 +215,7 @@ def verify_theorem1(
         evidence=float(np.exp(log_evidence)),
         proposal_mass=q_mass,
         generative_mass=gen_mass,
+        empty_columns=empty_columns,
     )
 
 
@@ -516,7 +520,7 @@ def amortization_demo(
 
 
 # --------------------------------------------------------------------------
-# Instance generators and the report
+# Instance generators
 
 
 def tiny_model(
@@ -579,29 +583,3 @@ def random_label_pairs(
         flip = rng.choice(k, size=width, replace=False)
         Y1[i, flip] = 1.0 - Y1[i, flip]
     return Y0, Y1
-
-
-@dataclass
-class TheoryReport:
-    """One row per check: (name, instances, passes, worst margin)."""
-
-    rows: list[tuple] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def add(self, name: str, instances: int, passes: int, worst_margin: float) -> None:
-        self.rows.append((name, instances, passes, worst_margin))
-
-    def to_csv(self) -> str:
-        lines = ["name,instances,passes,worst_margin"]
-        for name, instances, passes, margin in self.rows:
-            lines.append(f"{name},{instances},{passes},{margin!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        header = ("check", "instances", "passes", "worst margin")
-        table = [header]
-        for name, instances, passes, margin in self.rows:
-            table.append((name, str(instances), str(passes), f"{margin:.6g}"))
-        lines = table_lines(table)
-        lines.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(lines) + "\n"

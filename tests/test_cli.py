@@ -88,6 +88,22 @@ def test_seed_flag_replaces_seed_list(tiny_ini, tmp_path):
     assert not (out / "data" / "ds_s1.bin").exists()
 
 
+def test_ablate_prints_its_table_unless_quiet(tiny_ini, tmp_path, capsys):
+    reports = []
+    for flags in ((), ("--quiet",)):
+        out = tmp_path / str(len(flags))
+        assert main(["ablate", "--config", str(tiny_ini), "--out", str(out), *flags]) == 0
+        err = capsys.readouterr().err
+        reports.append([(out / f"ablation.{ext}").read_bytes() for ext in ("csv", "txt")])
+        table = reports[-1][1].decode()
+        if flags:
+            assert err == ""
+        else:
+            assert err.endswith(table) and table.startswith("setting  nr ")
+            assert "  base [sym nr=40 s=1]" in err
+    assert reports[0] == reports[1]
+
+
 # sha256 of the theory_report.csv that verify-theory writes for smoke.ini
 SMOKE_THEORY_CSV = "b8d4c7c284ed2474d13e634555ccd5c9f3e690b419690c8a6d867a15f8b089b7"
 

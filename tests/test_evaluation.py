@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_array_equal
 
 from lsnpc.evaluation import (
+    Report,
     RunMetrics,
     build_report,
-    f1_report,
     label_counts,
     macro_f1,
     micro_f1,
@@ -140,16 +140,6 @@ def test_micro_is_label_permutation_invariant(seed):
     )
 
 
-def test_f1_report_carries_counts():
-    truth = np.array([[1, 0], [0, 1]])
-    pred = np.array([[1, 1], [0, 1]])
-    report = f1_report(truth, pred)
-    assert report.micro_f1 == pytest.approx(0.8)
-    assert_array_equal(report.tp, [1, 1])
-    assert_array_equal(report.fp, [0, 1])
-    assert_array_equal(report.fn, [0, 0])
-
-
 # ---------------------------------------------------------------------------
 # aggregation and serialization
 
@@ -193,8 +183,16 @@ def test_report_csv_round_trip():
     assert len(lines) == 1 + len(report.rows)
     for line, row in zip(lines[1:], report.rows):
         setting, nr, method, metric, mean, std, n = line.split(",")
-        # floats are written as repr, so they parse back to the same values
+        # floats are written through str, so they parse back to the same values
         assert (setting, float(nr), method, metric, float(mean), float(std), int(n)) == row
+
+
+def test_report_csv_writes_a_numpy_float_as_a_python_float():
+    # under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)"; str gives "0.5"
+    value = 0.1 + 0.2
+    written = [Report(("name", "value"), ("name", "value"), ("", ".2f"), rows=[("a", v)]).to_csv()
+               for v in (np.float64(value), value)]
+    assert written[0] == written[1] == "name,value\na,0.30000000000000004\n"
 
 
 def test_report_text_is_aligned():

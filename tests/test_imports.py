@@ -12,6 +12,9 @@ into the array (``p.data[...] = ...``).
 
 Only ``checkpoint.py`` imports ``struct``: it is the one binary codec of
 every artifact, and a second one would need ``struct`` again.
+
+Only ``evaluation.py`` defines ``to_csv`` or ``to_text``: ``Report`` is the
+one table that every command writes, and a second renderer would duplicate it.
 """
 
 import ast
@@ -137,3 +140,30 @@ def test_the_struct_checker_flags_both_import_forms():
 def test_only_the_checkpoint_module_imports_struct():
     importers = [p.name for p in SOURCES if struct_imports(p.read_text(encoding="utf-8"))]
     assert importers == ["checkpoint.py"]
+
+
+RENDERERS = {"to_csv", "to_text"}
+
+
+def renderer_definitions(text: str) -> list[str]:
+    """One line per function or method named ``to_csv`` or ``to_text``."""
+    found = sorted((node.lineno, node.name) for node in ast.walk(ast.parse(text))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name in RENDERERS)
+    return [f"line {line}: defines {name}" for line, name in found]
+
+
+def test_the_renderer_checker_flags_methods_and_functions():
+    text = ("class TheoryReport:\n"
+            "    def to_csv(self):\n"
+            "        return ''\n"
+            "    def to_text_lines(self):\n"
+            "        return []\n"
+            "def to_text(report):\n"
+            "    return report.to_csv()\n")
+    assert renderer_definitions(text) == ["line 2: defines to_csv", "line 6: defines to_text"]
+
+
+def test_only_the_evaluation_module_renders_reports():
+    renderers = [p.name for p in SOURCES if renderer_definitions(p.read_text(encoding="utf-8"))]
+    assert renderers == ["evaluation.py"]

@@ -624,6 +624,25 @@ def test_learned_nu_trains_in_one_epoch():
         assert not np.array_equal(model.params[name].data, value), name
 
 
+def test_a_normal_proposal_ignores_the_nu_mode():
+    # A Normal proposal has no degrees of freedom, so learned mode builds no
+    # nu network, and training gives the fixed-mode parameters bit for bit.
+    X, _, h = _toy_training_setup()
+    cfg = LsnpcTrainConfig(epochs=2, batch_size=8, s_y=2, seed=7)
+    trained = {}
+    for mode in ("fixed", "learned"):
+        model = LsnpcModel(ModelConfig(**{**TINY, "proposal": "normal", "nu_mode": mode}), seed=7)
+        assert model.nu_net is None
+        train_semi_supervised(model, h, X, None, cfg)
+        trained[mode] = snapshot(model.params)
+    assert list(trained["learned"]) == list(trained["fixed"])
+    for name, value in trained["fixed"].items():
+        assert trained["learned"][name].tobytes() == value.tobytes(), name
+    student = LsnpcModel(ModelConfig(**{**TINY, "nu_mode": "learned"}), seed=7)
+    assert sorted(n for n in student.params if n.startswith("nu.")) == [
+        "nu.W0", "nu.W1", "nu.b0", "nu.b1", "nu.ln0.b", "nu.ln0.g"]
+
+
 def test_learned_nu_requires_learned_mode():
     model = tiny_model()
     with pytest.raises(RuntimeError, match="fixed"):

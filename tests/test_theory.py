@@ -20,6 +20,8 @@ from lsnpc.distributions import (
     mc_kl_diag_student,
     student_logpdf_into,
 )
+from lsnpc.evaluation import Report
+from lsnpc.experiment import _theorem1_instance
 from lsnpc.model import LsnpcModel, ModelConfig
 from lsnpc.theory import (
     Theorem1Result,
@@ -29,7 +31,6 @@ from lsnpc.theory import (
     BoundConstants,
     GridError,
     QuadratureGrid,
-    TheoryReport,
     amortization_demo,
     estimate_constants,
     fit_delta_exponent,
@@ -287,13 +288,13 @@ PINNED_THEOREM1 = {
         lhs=0.7199289184722757, rhs=1.7876463764770403,
         proposal_entropy=1.065891113766942, entropy_nonneg=True, holds=True,
         evidence=0.24997775085294885, proposal_mass=0.9999916330600133,
-        generative_mass=0.999911003411796,
+        generative_mass=0.999911003411796, empty_columns=0,
     ),
     "normal": Theorem1Result(
         lhs=0.68929080929311, rhs=1.9693026613286178,
         proposal_entropy=0.8030696300929483, entropy_nonneg=True, holds=True,
         evidence=0.24997775085294885, proposal_mass=1.0,
-        generative_mass=0.999911003411796,
+        generative_mass=0.999911003411796, empty_columns=0,
     ),
 }
 
@@ -305,6 +306,13 @@ def test_theorem1_result_is_pinned(proposal):
     x = rng.standard_normal(model.cfg.d)
     yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
     assert verify_theorem1(model, x, yhat) == PINNED_THEOREM1[proposal]
+
+
+@pytest.mark.parametrize("instance,empty", [(0, 0), (43, 477)])
+def test_theorem1_counts_the_zhat_columns_whose_q_is_zero_on_the_grid(instance, empty):
+    # theory.ini's instance 43 has 477 columns at the grid's edges where every
+    # q(z | zhat) underflows to 0; the lhs gives them an inner KL of 0
+    assert _theorem1_instance(instance).empty_columns == empty
 
 
 def _grid_tables(model, x, yhat, grid):
@@ -632,8 +640,13 @@ def test_random_label_pairs_have_requested_distance():
     assert np.all((d >= 1) & (d <= 8))
 
 
+def theory_table():
+    return Report(("name", "instances", "passes", "worst_margin"),
+                  ("check", "instances", "passes", "worst margin"), ("", "", "", ".6g"))
+
+
 def test_theory_report_rendering():
-    report = TheoryReport()
+    report = theory_table()
     report.add("posterior-kl", 50, 50, 0.123456)
     report.add("affine-bound", 200, 200, 1.5)
     report.notes.append("entropy negative on 3 instances")
@@ -646,3 +659,13 @@ def test_theory_report_rendering():
         "affine-bound  200        200     1.5         \n"
         "note: entropy negative on 3 instances\n"
     )
+
+
+def test_lookup_finds_a_theory_row_by_its_leading_values():
+    report = theory_table()
+    report.add("posterior-kl", 50, 49, 0.123456)
+    report.add("affine-bound", 200, 200, 1.5)
+    assert report.lookup("affine-bound") == (200, 200, 1.5)
+    assert report.lookup("posterior-kl", 50) == (49, 0.123456)
+    with pytest.raises(KeyError):
+        report.lookup("affine-bound", 199)
