@@ -17,25 +17,40 @@ exact x Phi(x), in :meth:`Tensor.gelu` and :func:`dense` alike.
 
 No GPU, no higher-order derivatives.
 
-The programming model is a dynamic tape: every operation produces a
-:class:`Tensor` that records its parents and a backward rule.  The forward
-maps built on :func:`dense` and :func:`concat` (the MLPs of
-:mod:`lsnpc.layers`, the model maps of :mod:`lsnpc.model`) work in two modes
-with one body: given plain arrays they return arrays and build no Tensor,
-for inference that never runs a backward pass; given a Tensor they build the
-tape node.  Both modes give the same bits.
-:func:`backward` replays the tape of a built output in reverse topological
-order with deterministic accumulation; the trainers call it once per step.
-A :class:`ComputeGraph` wraps a python callable of named tensors so that it
-can be evaluated again (:func:`grad_check`) and runs the same reverse pass
-over the node order it caches.  Both passes run under
-``np.errstate(all="ignore")``: a non-finite value does not warn but marks
-its node (``nonfinite_op`` names the first op that made one).
+The tape records; a plan replays.  Every operation produces a
+:class:`Tensor` that records its operands, its forward (a function of the
+operands' arrays that returns the value and whatever its backward rule
+reads) and its backward rule; :func:`detached` adds a leaf computed from
+operands, which no gradient passes.  The forward maps built on :func:`dense`
+and :func:`concat` (the MLPs of :mod:`lsnpc.layers`, the model maps of
+:mod:`lsnpc.model`) work in two modes with one body: given plain arrays they
+return arrays and build no Tensor, for inference that never runs a backward
+pass; given a Tensor they build the tape node.  Both modes give the same
+bits.  :func:`backward` runs the tape of a built output in reverse
+topological order with deterministic accumulation.  A :class:`ComputeGraph`
+wraps a python callable of named tensors so that it can be evaluated again
+(:func:`grad_check`) and runs the same reverse pass over the node order it
+caches.
+
+:func:`record` runs one training step's loss on the tape and keeps it as a
+:class:`Plan`: the forwards and backward rules of the step's nodes, bound to
+the step's named input arrays, the parameters' arrays and the constants.
+:meth:`Plan.run` replays that step on another step's inputs of the same
+shapes: every forward in the order the tape made it, then every backward
+rule in the tape's reverse topological order, building no Tensor, backward
+closure or node order, and gives each parameter its gradient as
+:func:`backward` does.
+The same functions run in the same order on the same values, so a replayed
+step gives the taped step's bits.  The tape, the plan and every op run
+under ``np.errstate(all="ignore")``: a non-finite value does not warn but
+marks its node (``nonfinite_op`` names the first op that made one), and a
+plan that meets one stops, so that the step runs on the tape again.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -53,6 +68,10 @@ __all__ = [
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-5
+
+# While ``record`` runs: (Tensor, made from an ndarray) for every Tensor made,
+# in the order they are made.
+_LOG: list | None = None
 
 
 class NonFiniteLoss(RuntimeError):
@@ -91,6 +110,7 @@ class Tensor:
         "_op",
         "_parents",
         "_bwd",
+        "_rec",
     )
 
     # Make numpy defer mixed ndarray-Tensor arithmetic to the reflected
@@ -106,12 +126,16 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _bwd: Callable | None = None,
     ):
+        if _LOG is not None:
+            _LOG.append((self, isinstance(data, np.ndarray)))
         self.data = data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
         self._op = _op
         self._parents = _parents
         self._bwd = _bwd
+        # (forward, backward rule, operands, context) of an op's node
+        self._rec = None
         requires_grad = bool(requires_grad)
         nonfinite_op = None
         for p in _parents:
@@ -125,11 +149,11 @@ class Tensor:
             # element-wise test.  Ops whose values can overflow build their
             # node inside np.errstate; a leaf silences the overflow here.
             if _parents:
-                total = data.sum()
+                bad = _nonfinite(data)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    total = data.sum()
-            if not math.isfinite(total) and not np.all(np.isfinite(data)):
+                    bad = _nonfinite(data)
+            if bad:
                 nonfinite_op = self._label()
         self.nonfinite_op: str | None = nonfinite_op
 
@@ -158,167 +182,209 @@ class Tensor:
             return value
         return Tensor(value)
 
-    def _binary(self, other, op: str, forward, grad_a, grad_b) -> "Tensor":
-        """``forward(a, b)`` as a node; ``grad_a``/``grad_b`` map (g, a, b) to
-        the unreduced gradient of each operand, computed only for operands
+    def _binary(self, other, op: str, grad_a, grad_b) -> "Tensor":
+        """``op`` of ``_FORWARD`` as a node; ``grad_a``/``grad_b`` map (g, a, b)
+        to the unreduced gradient of each operand, computed only for operands
         that require one."""
         other = Tensor._lift(other)
+        need_a, need_b = self.requires_grad, other.requires_grad
 
-        def bwd(g, a, b):
+        def rule(_, g, a, b):
             return (
-                unbroadcast(grad_a(g, a, b), a.shape) if self.requires_grad else None,
-                unbroadcast(grad_b(g, a, b), b.shape) if other.requires_grad else None,
+                unbroadcast(grad_a(g, a, b), a.shape) if need_a else None,
+                unbroadcast(grad_b(g, a, b), b.shape) if need_b else None,
             )
 
-        with np.errstate(all="ignore"):
-            try:
-                data = forward(self.data, other.data)
-            except ValueError:
-                raise ValueError(
-                    f"{op}: operands {self._label()} {self.shape} and "
-                    f"{other._label()} {other.shape} do not broadcast"
-                ) from None
-            return Tensor(data, _op=op, _parents=(self, other), _bwd=bwd)
+        try:
+            return _node(op, _FORWARD[op], rule, (self, other))
+        except ValueError:
+            raise ValueError(
+                f"{op}: operands {self._label()} {self.shape} and "
+                f"{other._label()} {other.shape} do not broadcast"
+            ) from None
 
     # ---- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        return self._binary(other, "add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+        return self._binary(other, "add", lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, "sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+        return self._binary(other, "sub", lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return Tensor._lift(other).__sub__(self)
 
     def __mul__(self, other):
-        return self._binary(
-            other, "mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a
-        )
+        return self._binary(other, "mul", lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self._binary(
-            other,
-            "div",
-            np.divide,
-            lambda g, a, b: g / b,
-            lambda g, a, b: -g * a / (b * b),
+            other, "div", lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)
         )
 
     def __rtruediv__(self, other):
         return Tensor._lift(other).__truediv__(self)
 
     def __neg__(self):
-        return self._unary("neg", np.negative, lambda g, a: (-g,))
+        return self._unary("neg", lambda _, g, a: (-g,))
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
         _check_matmul(self, other)
-        with np.errstate(all="ignore"):
-            return Tensor(
-                self.data @ other.data,
-                _op="matmul",
-                _parents=(self, other),
-                _bwd=lambda g, a, b: (
-                    g @ b.T if self.requires_grad else None,
-                    a.T @ g if other.requires_grad else None,
-                ),
-            )
+        need_a, need_b = self.requires_grad, other.requires_grad
+        return _node("matmul", _FORWARD["matmul"], lambda _, g, a, b: (
+            g @ b.T if need_a else None,
+            a.T @ g if need_b else None,
+        ), (self, other))
 
     # ---- unary math ------------------------------------------------------
 
-    def _unary(self, op: str, forward, bwd) -> "Tensor":
-        with np.errstate(all="ignore"):
-            return Tensor(forward(self.data), _op=op, _parents=(self,), _bwd=bwd)
+    def _unary(self, op: str, rule, forward=None) -> "Tensor":
+        return _node(op, forward or _FORWARD[op], rule, (self,))
 
     def square(self):
-        return self._unary("square", np.square, lambda g, a: (2.0 * a * g,))
+        return self._unary("square", lambda _, g, a: (2.0 * a * g,))
 
     def sqrt(self):
-        return self._unary(
-            "sqrt", np.sqrt, lambda g, a: (0.5 * g / np.sqrt(a),)
-        )
+        return self._unary("sqrt", lambda _, g, a: (0.5 * g / np.sqrt(a),))
 
     def exp(self):
-        return self._unary("exp", np.exp, lambda g, a: (np.exp(a) * g,))
+        return self._unary("exp", lambda _, g, a: (np.exp(a) * g,))
 
     def log(self):
-        return self._unary("log", np.log, lambda g, a: (g / a,))
+        return self._unary("log", lambda _, g, a: (g / a,))
 
     def sigmoid(self):
         # Values in [0, 1]: the finiteness sum cannot overflow.
-        s = _sp.expit(self.data)
-        return Tensor(
-            s, _op="sigmoid", _parents=(self,), _bwd=lambda g, a: (s * (1.0 - s) * g,)
-        )
+        return self._unary("sigmoid", lambda s, g, a: (s * (1.0 - s) * g,))
 
     def softplus(self):
-        return self._unary(
-            "softplus",
-            lambda a: np.logaddexp(0.0, a),
-            lambda g, a: (_sp.expit(a) * g,),
-        )
+        return self._unary("softplus", lambda _, g, a: (_sp.expit(a) * g,))
 
     def gelu(self):
-        with np.errstate(all="ignore"):
-            out, tp1 = _gelu(self.data)
-            return Tensor(out, _op="gelu", _parents=(self,),
-                          _bwd=lambda g, a: (_gelu_grad(g, a, tp1),))
+        return self._unary("gelu", lambda tp1, g, a: (_gelu_grad(g, a, tp1),), _gelu)
 
     def lgamma(self):
-        return self._unary(
-            "lgamma", _sp.gammaln, lambda g, a: (_sp.psi(a) * g,)
-        )
+        return self._unary("lgamma", lambda _, g, a: (_sp.psi(a) * g,))
 
     def clamp(self, lo: float, hi: float):
         return self._unary(
             "clamp",
-            lambda a: np.clip(a, lo, hi),
-            lambda g, a: (((a > lo) & (a < hi)) * g,),
+            lambda _, g, a: (((a > lo) & (a < hi)) * g,),
+            _no_context(lambda a: np.clip(a, lo, hi)),
         )
 
     # ---- reductions ------------------------------------------------------
 
-    def _reduce_bwd(self, grad, axis, keepdims):
-        if axis is None:
-            return np.broadcast_to(grad, self.shape)
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(a % self.data.ndim for a in axes)
-            shape = tuple(
-                1 if i in axes else s for i, s in enumerate(self.shape)
-            )
-            grad = np.reshape(grad, shape)
-        return np.broadcast_to(grad, self.shape)
-
     def sum(self, axis=None, keepdims: bool = False):
-        with np.errstate(all="ignore"):
-            return Tensor(
-                np.sum(self.data, axis=axis, keepdims=keepdims),
-                _op="sum",
-                _parents=(self,),
-                _bwd=lambda g, a: (self._reduce_bwd(g, axis, keepdims),),
-            )
+        return self._unary(
+            "sum",
+            lambda _, g, a: (_reduce_grad(g, a.shape, axis, keepdims),),
+            _no_context(lambda a: np.sum(a, axis=axis, keepdims=keepdims)),
+        )
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.size if axis is None else np.prod(
             [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
         )
-        with np.errstate(all="ignore"):
-            return Tensor(
-                np.mean(self.data, axis=axis, keepdims=keepdims),
-                _op="mean",
-                _parents=(self,),
-                _bwd=lambda g, a: (self._reduce_bwd(g, axis, keepdims) / count,),
-            )
+        return self._unary(
+            "mean",
+            lambda _, g, a: (_reduce_grad(g, a.shape, axis, keepdims) / count,),
+            _no_context(lambda a: np.mean(a, axis=axis, keepdims=keepdims)),
+        )
 
     def __repr__(self):
         tag = self.name or self._op
         return f"Tensor({tag}, shape={self.shape})"
+
+
+def _nonfinite(a) -> bool:
+    """The per-node finiteness rule: whether the array ``a`` holds a nan or an inf."""
+    return not math.isfinite(np.add.reduce(a, None)) and not np.all(np.isfinite(a))
+
+
+def _no_context(fn):
+    """``fn`` as a forward whose backward rule reads no context."""
+    return lambda *arrays: (fn(*arrays), None)
+
+
+def _sigmoid(a):
+    s = _sp.expit(a)
+    return s, s
+
+
+_FORWARD = {
+    "add": _no_context(np.add),
+    "sub": _no_context(np.subtract),
+    "mul": _no_context(np.multiply),
+    "div": _no_context(np.divide),
+    "neg": _no_context(np.negative),
+    "matmul": _no_context(np.matmul),
+    "square": _no_context(np.square),
+    "sqrt": _no_context(np.sqrt),
+    "exp": _no_context(np.exp),
+    "log": _no_context(np.log),
+    "sigmoid": _sigmoid,
+    "softplus": _no_context(lambda a: np.logaddexp(0.0, a)),
+    "lgamma": _no_context(_sp.gammaln),
+}
+
+
+def _reduce_grad(grad, shape, axis, keepdims):
+    """The gradient of a sum over ``axis`` of an array of ``shape``."""
+    if axis is None:
+        return np.broadcast_to(grad, shape)
+    if not keepdims:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        axes = tuple(a % len(shape) for a in axes)
+        grad = np.reshape(grad, tuple(1 if i in axes else s for i, s in enumerate(shape)))
+    return np.broadcast_to(grad, shape)
+
+
+def _node(op: str, forward, rule, operands, parents=None, name=None) -> Tensor:
+    """One tape node over ``operands``: Tensors, arrays, scalars or None.
+
+    ``forward(*arrays)`` takes the operands' arrays and returns the value
+    and the context that the backward rule reads.  ``rule(context, g,
+    *arrays)`` returns one gradient per parent, None where the parent needs
+    none.  ``parents`` are the Tensor operands whose gradients ``rule``
+    returns, in that order; they default to ``operands``.
+    """
+    arrays = [None if a is None else data_of(a) for a in operands]
+    with np.errstate(all="ignore"):
+        out, ctx = forward(*arrays)
+        if parents is None:
+            bwd = partial(rule, ctx)
+        else:
+            bwd = partial(_rule_of_operands, rule, ctx, arrays)
+        node = Tensor(out, name=name, _op=op,
+                      _parents=operands if parents is None else parents, _bwd=bwd)
+    node._rec = (forward, rule, operands, ctx)
+    return node
+
+
+def _rule_of_operands(rule, ctx, arrays, g, *_):
+    """A node's backward rule over all its operands' arrays, not its parents'."""
+    return rule(ctx, g, *arrays)
+
+
+def detached(fn: Callable, *operands) -> Tensor:
+    """``fn`` of the operands' arrays as a tape leaf.
+
+    No gradient flows through it, and like a leaf it names itself ``leaf``
+    when its value is not finite.  A recorded plan computes it again from
+    each step's operands, so a value derived from a step's inputs (or from a
+    node, read without its gradient) never goes stale.
+    """
+    forward = _no_context(fn)
+    with np.errstate(all="ignore"):
+        leaf = Tensor(forward(*(None if a is None else data_of(a) for a in operands))[0])
+    leaf._rec = (forward, None, operands, None)
+    return leaf
 
 
 # Operands may be arrays or Tensors; out of ``__all__``, which tracers wrap.
@@ -393,14 +459,14 @@ def dense(
     non-finite output names its layer.  Either way the parameters' arrays are
     read at the call.
 
-    Both modes run one body: the primitive chain (matmul, add, mean, sub,
-    square, mean, add, sqrt, div, mul, add, gelu) expression by expression
-    and in the same order, with the same ufuncs; a mean is ``np.add.reduce``
-    then a division by the count, which is what ``np.mean`` computes.
-    Untaped, no backward pass needs the temporaries, so the chain writes
-    them into two buffers of the output's shape; on the tape, every value
-    the backward pass reads keeps an array of its own.  The backward pass
-    repeats the chain's backward rules the same way, writing its
+    Both modes run one body, ``_dense``: the primitive chain (matmul, add,
+    mean, sub, square, mean, add, sqrt, div, mul, add, gelu) expression by
+    expression and in the same order, with the same ufuncs; a mean is
+    ``np.add.reduce`` then a division by the count, which is what ``np.mean``
+    computes.  Untaped, no backward pass needs the temporaries, so the chain
+    writes them into two buffers of the output's shape; on the tape, every
+    value the backward pass reads keeps an array of its own.  The backward
+    pass repeats the chain's backward rules the same way, writing its
     temporaries into arrays it made, never into the incoming gradient; it
     negates the layer-norm row sums rather than their terms, which gives
     the same bits because rounding is symmetric in sign.  Inside the layer
@@ -410,83 +476,103 @@ def dense(
     ``np.errstate(all="ignore")``.
     """
     tape = isinstance(x, Tensor)
-    xd = data_of(x)
-    _check_matmul(x if tape else xd, W)
-    n = W.shape[1]
-    with np.errstate(all="ignore"):
-        o = xd @ W.data
-        o += b.data
-        if ln is not None:
-            mean = np.add.reduce(o, axis=-1, keepdims=True)
-            mean /= n
-            centered = np.subtract(o, mean, out=o)
-            normed = np.square(centered)
-            var = np.add.reduce(normed, axis=-1, keepdims=True)
-            var /= n
-            std = np.sqrt(var + _LN_EPS)
-            normed = np.divide(centered, std, out=normed)
-            o = np.multiply(normed, ln[0].data, out=None if tape else centered)
-            o += ln[1].data
-        out = o
-        if gelu:
-            out, tp1 = _gelu(o, t=None if tape or ln is None else normed,
-                             out=None if tape else o)
-        if not tape:
-            return out
-        parents = (x, W, b) if ln is None else (x, W, b, *ln)
-        node = Tensor(out, name=W.name, _op="dense", _parents=parents)
-
-    def bwd(g, xd, Wd, _b, *gain_shift):
-        if gelu:
-            g = _gelu_grad(g, o, tp1)
-        ln_grads = ()
-        if ln is not None:
-            t = np.multiply(g, normed)
-            ln_grads = (np.add.reduce(t, axis=0), np.add.reduce(g, axis=0))
-            # g is the caller's array unless the GELU backward made it here
-            g = np.multiply(g, gain_shift[0], out=g if gelu else None)
-            t = np.multiply(g, centered, out=t)
-            t /= std * std
-            g_var = np.add.reduce(t, axis=1, keepdims=True)
-            g_var *= -0.5
-            g_var /= std
-            g_var /= n
-            t = np.multiply(2.0, centered, out=t)
-            t *= g_var
-            g /= std
-            g += t
-            row = np.add.reduce(g, axis=1, keepdims=True)
-            row /= -n
-            g += row
-        g_x = g @ Wd.T if x.requires_grad else None
-        return (g_x, xd.T @ g, np.add.reduce(g, axis=0), *ln_grads)
-
-    node._bwd = bwd
+    if not tape:
+        x = data_of(x)
+    _check_matmul(x, W)
+    params = (W, b) if ln is None else (W, b, *ln)
+    if not tape:
+        with np.errstate(all="ignore"):
+            return _dense(False, gelu, x, *(p.data for p in params))[0]
+    node = _node("dense", partial(_dense, True, gelu), partial(_dense_grad, x.requires_grad),
+                 (x, *params), name=W.name)
     # An overflow inside layer norm can leave the output finite (x / inf
     # is 0); it is still a non-finite value of this layer.
-    if ln is not None and node.nonfinite_op is None:
-        if not np.all(np.isfinite(var)):
-            node.nonfinite_op = node._label()
+    if node.nonfinite_op is None and _ln_overflow(node._rec[3]):
+        node.nonfinite_op = node._label()
     return node
 
 
-def fused(op: str, out: np.ndarray, operands, grads) -> Tensor:
-    """``out`` as one tape node over the Tensor entries of ``operands``.
+def _dense(keep: bool, gelu: bool, x, W, b, gain=None, shift=None):
+    """The forward of :func:`dense` on arrays: the output and the context of
+    its backward pass.  ``keep`` gives each value that pass reads an array
+    of its own; without it the chain runs in two buffers."""
+    n = W.shape[1]
+    o = x @ W
+    o += b
+    normed = centered = std = tp1 = None
+    if gain is not None:
+        mean = np.add.reduce(o, axis=-1, keepdims=True)
+        mean /= n
+        centered = np.subtract(o, mean, out=o)
+        normed = np.square(centered)
+        var = np.add.reduce(normed, axis=-1, keepdims=True)
+        var /= n
+        std = np.sqrt(var + _LN_EPS)
+        normed = np.divide(centered, std, out=normed)
+        o = np.multiply(normed, gain, out=None if keep else centered)
+        o += shift
+    out = o
+    if gelu:
+        out, tp1 = _gelu(o, t=None if keep or gain is None else normed,
+                         out=None if keep else o)
+    return out, (o, tp1, normed, centered, std)
 
-    ``operands`` lists every use of an input in the order in which the
-    primitive chain adds that use's gradient, so an input the chain uses
-    twice is listed twice; plain arrays are constants and drop out.
-    ``grads(g)`` returns one thunk per entry, giving that use's gradient;
-    a thunk runs only when its operand requires a gradient.  Like every op,
-    call it inside ``np.errstate(all="ignore")``.
+
+def _ln_overflow(ctx) -> bool:
+    """Whether a dense layer's layer-norm scale left the finite range; it is
+    finite exactly when the variance under it is."""
+    std = ctx[4]
+    return std is not None and not np.all(np.isfinite(std))
+
+
+def _dense_grad(need_x: bool, ctx, g, x, W, _b, *gain_shift):
+    o, tp1, normed, centered, std = ctx
+    n = W.shape[1]
+    if tp1 is not None:
+        g = _gelu_grad(g, o, tp1)
+    ln_grads = ()
+    if std is not None:
+        t = np.multiply(g, normed)
+        ln_grads = (np.add.reduce(t, axis=0), np.add.reduce(g, axis=0))
+        # g is the caller's array unless the GELU backward made it here
+        g = np.multiply(g, gain_shift[0], out=g if tp1 is not None else None)
+        t = np.multiply(g, centered, out=t)
+        t /= std * std
+        g_var = np.add.reduce(t, axis=1, keepdims=True)
+        g_var *= -0.5
+        g_var /= std
+        g_var /= n
+        t = np.multiply(2.0, centered, out=t)
+        t *= g_var
+        g /= std
+        g += t
+        row = np.add.reduce(g, axis=1, keepdims=True)
+        row /= -n
+        g += row
+    g_x = g @ W.T if need_x else None
+    return (g_x, x.T @ g, np.add.reduce(g, axis=0), *ln_grads)
+
+
+def fused(op: str, forward, grads, operands, uses) -> Tensor:
+    """One tape node that runs a whole primitive chain over ``operands``.
+
+    ``forward(*arrays)`` returns the value and the context of the backward
+    pass.  ``uses`` lists, as indices into ``operands``, every use of an
+    input in the order in which the chain adds that use's gradient, so an
+    input the chain uses twice is listed twice.  ``grads(need, context, g,
+    *arrays)`` returns one gradient per use, computed where ``need`` is true
+    (its operand is a Tensor that requires a gradient) and None elsewhere.
+    Plain arrays and scalars are constants: they get no gradient.
     """
-    keep = [i for i, t in enumerate(operands) if isinstance(t, Tensor)]
+    tensors = [i for i, j in enumerate(uses) if isinstance(operands[j], Tensor)]
+    need = tuple(isinstance(operands[j], Tensor) and operands[j].requires_grad for j in uses)
 
-    def bwd(g, *_):
-        thunks = grads(g)
-        return tuple(thunks[i]() if operands[i].requires_grad else None for i in keep)
+    def rule(ctx, g, *arrays):
+        out = grads(need, ctx, g, *arrays)
+        return tuple(out[i] for i in tensors)
 
-    return Tensor(out, _op=op, _parents=tuple(operands[i] for i in keep), _bwd=bwd)
+    return _node(op, forward, rule, operands,
+                 parents=tuple(operands[uses[i]] for i in tensors))
 
 
 def concat(tensors: Iterable, axis: int = -1):
@@ -494,18 +580,17 @@ def concat(tensors: Iterable, axis: int = -1):
     else a tape node over the parts lifted to Tensors, whose gradient splits
     back."""
     parts = tuple(tensors)
-    values = [data_of(t) for t in parts]
-    out = np.concatenate(values, axis=axis)
     if not any_tensor(*parts):
-        return out
+        return np.concatenate([data_of(t) for t in parts], axis=axis)
     parents = tuple(Tensor._lift(t) for t in parts)
-    splits = np.cumsum([v.shape[axis] for v in values])[:-1]
-
-    def bwd(g, *arrays):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    with np.errstate(all="ignore"):
-        return Tensor(out, _op="concat", _parents=parents, _bwd=bwd)
+    splits = np.cumsum([p.shape[axis] for p in parents])[:-1]
+    return _node(
+        "concat",
+        _no_context(lambda *arrays: np.concatenate(arrays, axis=axis)),
+        lambda _, g, *arrays: tuple(np.ascontiguousarray(p)
+                                    for p in np.split(g, splits, axis=axis)),
+        parents,
+    )
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -610,6 +695,167 @@ def backward(output: Tensor, params: Mapping[str, Tensor], seed_grad=None,
         p.grad = g if p.grad is None else p.grad + g
         result[name] = g
     return result
+
+
+class Plan:
+    """One training step recorded by :func:`record`, replayed by :meth:`run`.
+
+    Values live in numbered slots: the template holds the constants and the
+    arrays of Tensors made before the step (the parameters, read through
+    their arrays, so writes into them such as an optimizer step or
+    ``checkpoint.restore`` reach the plan), ``_plan_feeds`` binds the step's
+    input arrays by name, and ``_plan_forward`` computes the rest, as
+    (slot, forward, operand slots, whether layer norm's scale is checked).
+    ``_plan_backward`` holds (slot, rule, operand slots, parent slots or
+    None) in the tape's reverse topological order, and ``_plan_grads``
+    (parameter, slot) pairs.  A plan holds no value of a step.
+    """
+
+    __slots__ = ("_plan_template", "_plan_feeds", "_plan_forward", "_plan_backward",
+                 "_plan_grads", "_plan_out")
+
+    def __init__(self, template, feeds, forward, backward_rules, grads, out):
+        self._plan_template = template
+        self._plan_feeds = feeds
+        self._plan_forward = forward
+        self._plan_backward = backward_rules
+        self._plan_grads = grads
+        self._plan_out = out
+
+    def run(self, inputs: Mapping[str, np.ndarray]) -> float | None:
+        """The recorded step on ``inputs``: the loss, with each parameter's
+        gradient in its ``grad``; None, with no gradient set, as soon as an
+        input or a replayed value is not finite under the per-node rule."""
+        vals = list(self._plan_template)
+        ctxs = [None] * len(vals)
+        with np.errstate(all="ignore"):
+            for key, s in self._plan_feeds:
+                vals[s] = value = np.asarray(inputs[key], dtype=np.float64)
+                if _nonfinite(value):
+                    return None
+            for s, forward, args, ln in self._plan_forward:
+                out, ctx = forward(*[vals[i] for i in args])
+                if type(out) is not np.ndarray:
+                    out = np.asarray(out, dtype=np.float64)
+                if _nonfinite(out) or (ln and _ln_overflow(ctx)):
+                    return None
+                vals[s], ctxs[s] = out, ctx
+            self._backprop(vals, ctxs)
+        return float(vals[self._plan_out])
+
+    def _backprop(self, vals, ctxs) -> None:
+        """The reverse pass of :func:`backward` over slots; sets each ``grad``."""
+        grads = [None] * len(vals)
+        out = self._plan_out
+        grads[out] = np.ones_like(vals[out])
+        for s, rule, args, parents in self._plan_backward:
+            g = grads[s]
+            if g is None:
+                continue
+            for p, pg in zip(parents, rule(ctxs[s], g, *[vals[i] for i in args])):
+                if pg is not None and p is not None:
+                    q = grads[p]
+                    grads[p] = pg if q is None else q + pg
+        for param, s in self._plan_grads:
+            g = None if s is None else grads[s]
+            param.grad = np.zeros_like(param.data) if g is None else g
+
+
+def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
+           params: Mapping[str, Tensor]) -> tuple[Plan, float]:
+    """Run ``fn(inputs)`` on the tape and record it as a :class:`Plan`.
+
+    ``inputs`` maps names to the step's float64 arrays, and ``fn`` must read
+    every per-step value from them: an array operand or leaf that is not one
+    of them raises a ``ValueError``, since a plan would replay it as a stale
+    constant.  Derived values go through :func:`detached` or are computed
+    into ``inputs`` beforehand.  The plan's reverse pass over the tape's
+    values then sets each parameter's ``grad`` (zeros where none flows, as
+    :func:`backward` after ``zero_grad``).  Returns the plan and the loss; a
+    non-finite loss raises the tape's :class:`NonFiniteLoss`.
+    """
+    global _LOG
+    if _LOG is not None:
+        raise RuntimeError("record: already recording a step")
+    _LOG = log = []
+    try:
+        out = fn(inputs)
+    finally:
+        _LOG = None
+    if not np.isfinite(out.data):
+        raise NonFiniteLoss(f"non-finite loss (first bad op: {out.nonfinite_op})")
+
+    template: list = []
+    slots: dict[int, int] = {}          # id(Tensor) -> slot
+    feeds: dict = {}                    # input name -> slot
+    names = {}
+    for key, value in inputs.items():
+        names.setdefault(id(value), key)
+
+    def new(value=None) -> int:
+        template.append(value)
+        return len(template) - 1
+
+    def feed(array, what: str) -> int:
+        key = names.get(id(array))
+        if key is None:
+            raise ValueError(f"record: {what} is an array that is not one of the step's "
+                             f"inputs; pass every per-step value in them")
+        if key not in feeds:
+            feeds[key] = new()
+        return feeds[key]
+
+    def operand(a, op: str) -> int:
+        if isinstance(a, Tensor):
+            if id(a) not in slots:  # made before the step: read through its array
+                slots[id(a)] = new(a.data)
+            return slots[id(a)]
+        if isinstance(a, np.ndarray):
+            return feed(a, f"an operand of {op}")
+        return new(None if a is None else data_of(a))
+
+    needed, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in needed:
+            needed.add(id(t))
+            stack.extend(a for a in (t._parents if t._rec is None else t._rec[2])
+                         if isinstance(a, Tensor))
+    forward, operands, vals, ctxs = [], {}, {}, {}
+    for t, from_array in log:
+        if id(t) not in needed:
+            continue
+        if t._rec is not None:
+            fwd, _, args, ctx = t._rec
+            s = slots[id(t)] = new()
+            operands[s] = tuple(operand(a, t._op) for a in args)
+            forward.append((s, fwd, operands[s], t._op == "dense"))
+            vals[s], ctxs[s] = t.data, ctx
+        elif t._parents:
+            raise ValueError(f"record: node {t._label()} has no recorded forward")
+        elif from_array:
+            slots[id(t)] = feed(t.data, "a leaf")
+        else:
+            slots[id(t)] = new(t.data)
+    backward_rules = []
+    for t in reversed(_toposort(out)):
+        if t._rec is None or t._rec[1] is None:
+            continue
+        s = slots[id(t)]
+        if s not in operands:
+            raise ValueError(f"record: the loss reads node {t._label()}, made before the step")
+        backward_rules.append((s, t._rec[1], operands[s], tuple(
+            slots[id(p)] if p.requires_grad else None for p in t._parents)))
+    plan = Plan(template, tuple(feeds.items()), tuple(forward), tuple(backward_rules),
+                tuple((p, slots.get(id(p))) for p in params.values()), slots[id(out)])
+    step = list(template)
+    for key, s in feeds.items():
+        step[s] = inputs[key]
+    for s, value in vals.items():
+        step[s] = value
+    with np.errstate(all="ignore"):
+        plan._backprop(step, [ctxs.get(s) for s in range(len(step))])
+    return plan, float(out.data)
 
 
 def grad_check(

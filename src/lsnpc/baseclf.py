@@ -83,7 +83,8 @@ def train_base(X, Y, cfg: BaseTrainConfig, score=None) -> BaseClassifier:
         raise ValueError(f"inconsistent shapes {X.shape} and {Y.shape}")
     h = _new_classifier(X.shape[1], Y.shape[1], cfg.hidden, cfg.seed)
     sweep = ("train", X.shape[0], rngs.stream(cfg.seed, "base", "shuffle"),
-             lambda idx: _bce(h.net(Tensor(X[idx])), Tensor(Y[idx])))
+             lambda idx: {"x": X[idx], "y": Y[idx]},
+             lambda batch: _bce(h.net(Tensor(batch["x"])), Tensor(batch["y"])))
     losses, scores, _, best = fit(h.net.params, cfg, [sweep],
                                   None if score is None else lambda: score(h))
     h.history = {"train_loss": losses["train"], "val_micro_f1": scores}

@@ -20,13 +20,12 @@ last one.  A KL pair has operands of one shape and, for Students, one ``nu``.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 from scipy import special as _sp
 
-from .autodiff import Tensor, any_tensor, data_of, fused, unbroadcast
+from .autodiff import Tensor, any_tensor, data_of, detached, fused, unbroadcast
 
 __all__ = [
     "EPS_P",
@@ -46,10 +45,6 @@ EPS_P = 1e-6
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
-
-
-def _log(a):
-    return a.log() if isinstance(a, Tensor) else np.log(a)
 
 
 # --------------------------------------------------------------------------
@@ -76,22 +71,33 @@ def rsample_diag_student(mean, scale, nu, noise, chi2):
     """
     _check_nu("rsample_diag_student", nu)
     noise = np.asarray(noise, dtype=np.float64)
+    if any_tensor(mean, scale, nu, chi2):
+        # a leaf that a recorded plan computes again, and checks, every step
+        factor = detached(_student_factor, noise, nu, chi2)
+    else:
+        factor = _student_factor(noise, nu, chi2)
+    _check_last_dim(mean, noise, "rsample_diag_student")
+    return mean + scale * factor
+
+
+def _student_factor(noise, nu, chi2):
+    """noise * sqrt(nu / chi2), with ``nu`` read without its gradient."""
     chi2 = np.asarray(chi2, dtype=np.float64)
     if np.any(chi2 <= 0.0):
         raise ValueError("chi-square draws must be strictly positive")
-    _check_last_dim(mean, noise, "rsample_diag_student")
-    factor = noise * np.sqrt(data_of(nu) / chi2)
-    return mean + scale * factor
+    return noise * np.sqrt(data_of(nu) / chi2)
 
 
 # --------------------------------------------------------------------------
 # Log densities
 #
-# Each body computes its value in named steps.  With plain arrays that value
-# is returned as it is; the Student density then runs its steps in one buffer
-# of the operands' broadcast shape that it allocates itself, never in an
-# operand, with the same ufuncs in the same order, so its bits do not change.
-# With a Tensor operand the value becomes one tape node, whose backward pass
+# Each density's forward is one function of its operands' arrays, computing
+# its value in named steps and returning it with the context of its backward
+# pass.  With plain arrays that value is returned as it is; the Student
+# density then runs its steps in one buffer of the operands' broadcast shape
+# that it allocates itself, never in an operand, with the same ufuncs in the
+# same order, so its bits do not change.  With a Tensor operand the forward
+# becomes one tape node (which a recorded plan replays), whose backward pass
 # repeats the backward rules of the primitive chain those steps spell out,
 # operation by operation and reduction by reduction, and keeps every
 # temporary that pass reads.  A value used once inside the chain gets the same
@@ -102,38 +108,38 @@ def rsample_diag_student(mean, scale, nu, noise, chi2):
 # bit-identical to the chain.
 
 
-def _errstate(tape: bool):
-    """The tape marks non-finite values itself; plain arrays keep numpy's state."""
-    return np.errstate(all="ignore") if tape else contextlib.nullcontext()
-
-
 def logpdf_diag_normal(x, mean, scale):
     """Exact diagonal-Gaussian log density, summed over the last axis."""
+    if not any_tensor(x, mean, scale):
+        return _normal(*map(data_of, (x, mean, scale)), None)[0]
     # log(scale) stays a node of its own: q(z | zhat) adds that term to the
     # scale's gradient after the term of the draw z = mean + scale * eps.
-    tape = any_tensor(x, mean, scale)
-    with _errstate(tape):
-        log_scale = _log(scale)
-        xd, md, sd, ld = map(data_of, (x, mean, scale, log_scale))
-        d = xd - md
-        z = d / sd
-        per_dim = -0.5 * np.square(z) - ld - 0.5 * _LN_2PI
-        out = np.sum(per_dim, axis=-1)
-        if not tape:
-            return out
+    log_scale = scale.log() if isinstance(scale, Tensor) else None
+    return fused("logpdf_normal", _normal, _normal_grads, (x, mean, scale, log_scale),
+                 (0, 1, 2, 3))
 
-        def grads(g):
-            G = _sum_last_grad(g, per_dim.shape)
-            g_z = 2.0 * z * unbroadcast(G * -0.5, z.shape)
-            g_d = unbroadcast(g_z / sd, d.shape)
-            return (
-                lambda: unbroadcast(g_d, xd.shape),
-                lambda: unbroadcast(-g_d, md.shape),
-                lambda: unbroadcast(-g_z * d / (sd * sd), sd.shape),
-                lambda: unbroadcast(-G, ld.shape),
-            )
 
-        return fused("logpdf_normal", out, (x, mean, scale, log_scale), grads)
+def _normal(x, mean, scale, log_scale):
+    """The Normal forward; a constant scale's log is taken here."""
+    if log_scale is None:
+        log_scale = np.log(scale)
+    d = x - mean
+    z = d / scale
+    per_dim = -0.5 * np.square(z) - log_scale - 0.5 * _LN_2PI
+    return np.sum(per_dim, axis=-1), (d, z, per_dim.shape)
+
+
+def _normal_grads(need, ctx, g, x, mean, scale, log_scale):
+    d, z, shape = ctx
+    G = _sum_last_grad(g, shape)
+    g_z = 2.0 * z * unbroadcast(G * -0.5, z.shape)
+    g_d = unbroadcast(g_z / scale, d.shape)
+    return (
+        unbroadcast(g_d, x.shape) if need[0] else None,
+        unbroadcast(-g_d, mean.shape) if need[1] else None,
+        unbroadcast(-g_z * d / (scale * scale), scale.shape) if need[2] else None,
+        unbroadcast(-G, log_scale.shape) if need[3] else None,
+    )
 
 
 def logpdf_diag_student(x, mean, scale, nu):
@@ -143,52 +149,58 @@ def logpdf_diag_student(x, mean, scale, nu):
     the last axis (learned mode).  Requires nu > 1.
     """
     _check_nu("logpdf_diag_student", nu)
-    tape = any_tensor(x, mean, scale, nu)
-    xd, md, sd, nd = map(data_of, (x, mean, scale, nu))
-    if not tape:
+    if not any_tensor(x, mean, scale, nu):
+        xd, md, sd, nd = map(data_of, (x, mean, scale, nu))
         t = np.empty(np.broadcast_shapes(xd.shape, md.shape, sd.shape, nd.shape))
         np.subtract(xd, md, out=t)
         t /= sd
         return np.sum(student_logpdf_into(t, nd, sd), axis=-1)
-    with np.errstate(all="ignore"):
-        d = xd - md
-        t = d / sd
-        t2 = np.square(t)
-        half, nu2, head = _student_head(nd, sd)
-        r = 1.0 + t2 / nd
-        log_r = np.log(r)
-        per_dim = head - half * log_r
-        out = np.sum(per_dim, axis=-1)
+    # The chain adds the scale's log term before its t term, and a learned
+    # nu's terms in the order nu / 2, log(nu), nu + 1, t^2 / nu.
+    return fused("logpdf_student", _student, _student_grads, (x, mean, scale, nu),
+                 (0, 1, 2, 2, 3, 3, 3, 3))
 
-        def grads(g):
-            G = _sum_last_grad(g, per_dim.shape)
-            g_head = unbroadcast(G, head.shape)
-            # half * log(r) has the broadcast shape of every operand, as
-            # per_dim has, and t^2 / nu the shape of r.
-            g_tail = -G
-            g_q = unbroadcast(g_tail * half, log_r.shape) / r
-            g_t = 2.0 * t * unbroadcast(g_q / nd, t2.shape)
-            g_d = unbroadcast(g_t / sd, d.shape)
-            uses = [
-                lambda: unbroadcast(g_d, xd.shape),
-                lambda: unbroadcast(-g_d, md.shape),
-                lambda: unbroadcast(-g_head, sd.shape) / sd,
-                lambda: unbroadcast(-g_t * d / (sd * sd), sd.shape),
-            ]
-            if isinstance(nu, Tensor):
-                g_s = unbroadcast(g_head, nd.shape)
-                g_half = _sp.psi(half) * g_s + unbroadcast(g_tail * log_r, half.shape)
-                uses += [
-                    lambda: _sp.psi(nu2) * -g_s / 2.0,
-                    lambda: -g_s * 0.5 / nd,
-                    lambda: g_half / 2.0,
-                    lambda: unbroadcast(-g_q * t2 / (nd * nd), nd.shape),
-                ]
-            return uses
 
-        # The chain adds the scale's log term before its t term, and a
-        # learned nu's terms in the order nu / 2, log(nu), nu + 1, t^2 / nu.
-        return fused("logpdf_student", out, (x, mean, scale, scale, nu, nu, nu, nu), grads)
+def _student(x, mean, scale, nu):
+    d = x - mean
+    t = d / scale
+    t2 = np.square(t)
+    half, nu2, head = _student_head(nu, scale)
+    r = 1.0 + t2 / nu
+    log_r = np.log(r)
+    per_dim = head - half * log_r
+    return np.sum(per_dim, axis=-1), (d, t, t2, half, nu2, np.shape(head), r, log_r,
+                                      per_dim.shape)
+
+
+def _student_grads(need, ctx, g, x, mean, scale, nu):
+    d, t, t2, half, nu2, head_shape, r, log_r, shape = ctx
+    G = _sum_last_grad(g, shape)
+    g_head = unbroadcast(G, head_shape)
+    # half * log(r) has the broadcast shape of every operand, as per_dim
+    # has, and t^2 / nu the shape of r.
+    g_tail = -G
+    g_q = unbroadcast(g_tail * half, log_r.shape) / r
+    g_t = 2.0 * t * unbroadcast(g_q / nu, t2.shape)
+    g_d = unbroadcast(g_t / scale, d.shape)
+    out = [
+        unbroadcast(g_d, x.shape) if need[0] else None,
+        unbroadcast(-g_d, mean.shape) if need[1] else None,
+        unbroadcast(-g_head, scale.shape) / scale if need[2] else None,
+        unbroadcast(-g_t * d / (scale * scale), scale.shape) if need[3] else None,
+    ]
+    if need[4]:
+        g_s = unbroadcast(g_head, nu.shape)
+        g_half = _sp.psi(half) * g_s + unbroadcast(g_tail * log_r, half.shape)
+        out += [
+            _sp.psi(nu2) * -g_s / 2.0,
+            -g_s * 0.5 / nu,
+            g_half / 2.0,
+            unbroadcast(-g_q * t2 / (nu * nu), nu.shape),
+        ]
+    else:
+        out += [None] * 4
+    return out
 
 
 def _student_head(nu, scale):
@@ -219,26 +231,28 @@ def student_logpdf_into(t, nu, scale=1.0):
 def logpmf_bernoulli(y, probs):
     """Sum of per-label Bernoulli log masses; y must be binary."""
     y = np.asarray(y, dtype=np.float64)
+    if not isinstance(probs, Tensor):
+        return _bernoulli(y, data_of(probs))[0]
+    return fused("logpmf_bernoulli", _bernoulli, _bernoulli_grads, (y, probs), (1, 1))
+
+
+def _bernoulli(y, p):
+    """The Bernoulli forward, which checks on every call that y is binary."""
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be binary")
-    tape = isinstance(probs, Tensor)
-    pd = data_of(probs)
-    with _errstate(tape):
-        not_y = 1.0 - y
-        not_p = 1.0 - pd
-        per_dim = y * np.log(pd) + not_y * np.log(not_p)
-        out = np.sum(per_dim, axis=-1)
-        if not tape:
-            return out
+    not_y = 1.0 - y
+    not_p = 1.0 - p
+    per_dim = y * np.log(p) + not_y * np.log(not_p)
+    return np.sum(per_dim, axis=-1), (not_y, not_p, per_dim.shape)
 
-        def grads(g):
-            G = _sum_last_grad(g, per_dim.shape)
-            return (
-                lambda: unbroadcast(G * y, pd.shape) / pd,
-                lambda: -(unbroadcast(G * not_y, pd.shape) / not_p),
-            )
 
-        return fused("logpmf_bernoulli", out, (probs, probs), grads)
+def _bernoulli_grads(need, ctx, g, y, p):
+    not_y, not_p, shape = ctx
+    G = _sum_last_grad(g, shape)
+    return (
+        unbroadcast(G * y, p.shape) / p if need[0] else None,
+        -(unbroadcast(G * not_y, p.shape) / not_p) if need[1] else None,
+    )
 
 
 def _sum_last_grad(g, shape) -> np.ndarray:

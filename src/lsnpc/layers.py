@@ -15,12 +15,15 @@ seed are bit-identical.
 
 :func:`fit` is the one training loop: the base classifier and the
 latent-shift model hand it their parameters, a :class:`TrainConfig` and
-their loss sweeps, plus an optional score that picks the epoch to keep.
+their loss sweeps, plus an optional score that picks the epoch to keep.  It
+records the first step of each batch shape on the tape and replays the
+record on the later ones.
 
 :class:`AdamW` owns its parameters' storage: it moves them into one
 contiguous arena and updates that arena as a whole.  Code that sets a
 parameter writes into its array (``p.data[...] = value``, as
-:func:`checkpoint.restore` does) rather than binding a new one.
+:func:`checkpoint.restore` does) rather than binding a new one, so a
+recorded step, which reads the parameters through those arrays, sees it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .autodiff import NonFiniteLoss, Tensor, backward, dense
+from .autodiff import NonFiniteLoss, Tensor, dense, record
 
 # ``fit`` stays out of ``__all__``: call tracers wrap the names listed there,
 # and a span around the loop would stand between each trainer and its steps.
@@ -222,35 +225,43 @@ class TrainingDiverged(RuntimeError):
 def fit(params: dict[str, Tensor], cfg: TrainConfig, sweeps, score=None):
     """Train ``params`` for ``cfg.epochs`` epochs; keep the best-scored one.
 
-    Each epoch runs every sweep ``(name, rows, shuffle_rng, batch_loss)`` in
-    order, over a permutation of its rows drawn from ``shuffle_rng``:
-    ``batch_loss`` maps a batch of row indices to a loss Tensor, and every
-    batch takes one cosine-scaled optimizer step.  ``score()`` then
-    rates the epoch's parameters, and the best-rated epoch is restored at the
-    end (ties keep the earlier one).  Returns the mean loss per epoch of each
-    sweep by name, the scores, the best epoch (-1 without ``score``) and its
-    score (NaN without ``score``).
+    Each epoch runs every sweep ``(name, rows, shuffle_rng, inputs, loss)``
+    in order, over a permutation of its rows drawn from ``shuffle_rng``.
+    ``inputs`` maps a batch of row indices to the step's named float64
+    arrays, drawing whatever the step draws; ``loss`` maps those arrays to a
+    loss Tensor that reads every per-step value from them (the contract of
+    :func:`autodiff.record`).  Every batch takes one cosine-scaled optimizer
+    step.  The first step of each (sweep, input shapes) key runs ``loss`` on
+    the tape and records it; every later step of that key replays the
+    record on its own inputs, and runs on the tape again if a replayed value
+    is not finite, so a diverging step raises the tape's error.  ``score()``
+    then rates the epoch's parameters, and the best-rated epoch is restored
+    at the end (ties keep the earlier one).  Returns the mean loss per epoch
+    of each sweep by name, the scores, the best epoch (-1 without
+    ``score``) and its score (NaN without ``score``).
     """
     opt = make_optimizer(cfg.optimizer, params, cfg.lr, cfg.weight_decay)
+    plans = {}  # per (sweep, input shapes); they read params through AdamW's arena
     losses: dict[str, list[float]] = {name: [] for name, *_ in sweeps}
     scores: list[float] = []
     best_epoch, best, best_arrays = -1, float("nan"), None
     for epoch in range(cfg.epochs):
         lr_scale = cosine_lr(epoch)
-        for name, n, shuffle_rng, batch_loss in sweeps:
+        for name, n, shuffle_rng, inputs, loss_of in sweeps:
             order = shuffle_rng.permutation(n)
             total, n_batches = 0.0, 0
             for start in range(0, n, cfg.batch_size):
                 try:
-                    loss = batch_loss(order[start : start + cfg.batch_size])
-                    if not np.isfinite(loss.data):
-                        raise NonFiniteLoss(f"non-finite loss (first bad op: {loss.nonfinite_op})")
+                    batch = inputs(order[start : start + cfg.batch_size])
+                    key = (name, *((k, v.shape) for k, v in batch.items()))
+                    plan = plans.get(key)
+                    loss = None if plan is None else plan.run(batch)
+                    if loss is None:
+                        plans[key], loss = record(loss_of, batch, params)
                 except NonFiniteLoss as err:
                     raise TrainingDiverged(f"epoch {epoch} ({name} sweep): {err}") from err
-                opt.zero_grad()
-                backward(loss, params)
                 opt.step(lr_scale=lr_scale)
-                total += loss.item()
+                total += loss
                 n_batches += 1
             losses[name].append(total / max(n_batches, 1))
         if score is not None:

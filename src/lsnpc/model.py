@@ -11,6 +11,14 @@ The forward maps of :class:`LsnpcModel` take plain arrays or Tensors: arrays
 in give arrays out and build no tape (inference), and a Tensor in gives tape
 nodes out (training).  The losses lift their batch to a Tensor.
 
+A loss step reads everything that changes from step to step (the batch, its
+sampled labels, every noise draw and the branch masks) from one dict of
+named arrays, drawn in a fixed order from the caller's stream, with any
+array that ``noise=`` injects taking its name's place.  The trainer's sweeps
+hand :func:`layers.fit` that dict and the ELBO that reads it, so ``fit``
+records the step once per batch shape and replays the record on later
+batches (see :mod:`lsnpc.autodiff`).
+
 Losses are negative single-sample ELBOs.  All latent-distribution terms are
 weighted by beta; reconstruction terms are not.  The supervised loss draws z
 from a two-branch mixture: with probability eta from a Normal encoded from
@@ -32,7 +40,7 @@ import numpy as np
 from scipy.special import expit, gammaincinv
 
 from . import rngs
-from .autodiff import NonFiniteLoss, Tensor, concat, data_of
+from .autodiff import NonFiniteLoss, Tensor, concat, data_of, detached
 from .baseclf import BaseClassifier, predict_probs, sample_predictions
 from .distributions import (
     EPS_P,
@@ -264,17 +272,6 @@ def chi2_from_uniform(nu, u: np.ndarray) -> np.ndarray:
     return 2.0 * gammaincinv(data_of(nu) / 2.0, u)
 
 
-def _draw(rng, noise, key, shape, uniform=False):
-    if noise is not None and key in noise:
-        arr = np.asarray(noise[key], dtype=np.float64)
-        if arr.shape != shape:
-            raise ValueError(f"injected noise {key!r} has shape {arr.shape}, expected {shape}")
-        return arr
-    if rng is None:
-        raise ValueError(f"no rng given and noise lacks {key!r}")
-    return rng.random(shape) if uniform else rng.standard_normal(shape)
-
-
 def _check_terms(loss: Tensor, terms: dict) -> None:
     if loss.nonfinite_op is None and np.all(np.isfinite(loss.data)):
         return
@@ -305,12 +302,19 @@ def chain(model: LsnpcModel, mu_t, sig_t, nu, eps_zhat, chi2):
     return zhat, mu_k, sig_k
 
 
-def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise):
-    """Negative ELBO of the noisy path (``y`` None) or the clean path.
+def _step_inputs(model: LsnpcModel, x, y, yhat, rng, s_z, noise) -> dict:
+    """The named float64 arrays of one loss step, the noisy path's (``y``
+    None) or the clean path's.
 
-    Returns the loss and a detail dict: the per-draw ``terms`` (a list of
-    arrays per name), ``nu`` and, on the clean path, ``n_branch_encoded`` of
-    ``n_rows``."""
+    ``x``, ``yhat`` and on the clean path ``y``; then per draw s, under the
+    key (name, s), the noise in draw order: eps_zhat, eps_z, on the clean
+    path eps_za and the branch uniforms, and for a Student proposal the chi2
+    uniforms last.  Each noise array is drawn from ``rng`` as one (s_z, rows,
+    width) block unless ``noise`` supplies it by name.  On the clean path the
+    branch masks follow: ``branch`` (1 where the draw takes the encoded
+    branch, rows x 1), ``not_branch`` (1 - branch) and their per-row
+    columns ``branch_row`` and ``not_branch_row``.
+    """
     cfg = model.cfg
     x = np.asarray(x, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -324,50 +328,80 @@ def _elbo(model: LsnpcModel, x, y, yhat, rng, s_z, noise):
     if s_z < 1:
         raise ValueError("need at least one latent sample")
     B, m = x.shape[0], cfg.m
-    eps_zhat = _draw(rng, noise, "eps_zhat", (s_z, B, m))
-    eps_z = _draw(rng, noise, "eps_z", (s_z, B, m))
+    inputs = {"x": x, "yhat": yhat}
+    draws = [("eps_zhat", m, False), ("eps_z", m, False)]
     if y is not None:
-        eps_za = _draw(rng, noise, "eps_za", (s_z, B, m))
-        branch_u = _draw(rng, noise, "branch_u", (s_z, B, 1), uniform=True)
+        inputs["y"] = y
+        draws += [("eps_za", m, False), ("branch_u", 1, True)]
     if cfg.proposal == "student":
-        chi2_u = _draw(rng, noise, "chi2_u", (s_z, B, 1), uniform=True)
+        draws.append(("chi2_u", 1, True))
+    for key, width, uniform in draws:
+        shape = (s_z, B, width)
+        if noise is not None and key in noise:
+            arr = np.asarray(noise[key], dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"injected noise {key!r} has shape {arr.shape}, expected {shape}")
+        elif rng is None:
+            raise ValueError(f"no rng given and noise lacks {key!r}")
+        else:
+            arr = rng.random(shape) if uniform else rng.standard_normal(shape)
+        for s in range(s_z):
+            inputs[key, s] = arr[s]
+    if y is not None:
+        for s in range(s_z):
+            b = (inputs["branch_u", s] < cfg.eta).astype(np.float64)
+            inputs["branch", s], inputs["not_branch", s] = b, 1.0 - b
+            inputs["branch_row", s], inputs["not_branch_row", s] = b[:, 0], 1.0 - b[:, 0]
+    return inputs
 
+
+def _branch_count(inputs: dict, s_z: int) -> int:
+    """Draws of the step that take the encoded branch, over rows and draws."""
+    return sum(int(inputs["branch", s].sum()) for s in range(s_z))
+
+
+def _elbo(model: LsnpcModel, inputs: dict, s_z: int):
+    """Negative ELBO of one step's inputs (:func:`_step_inputs`): the noisy
+    path without ``y``, the clean path with it.
+
+    Reads every per-step value from ``inputs`` or through ``detached``, so a
+    recorded step replays on other inputs.  Returns the loss and a detail
+    dict: the per-draw ``terms`` (a list of arrays per name), ``nu`` and, on
+    the clean path, ``n_branch_encoded`` of ``n_rows``."""
+    cfg = model.cfg
+    yhat, y = inputs["yhat"], inputs.get("y")
     # A Tensor operand puts the maps on the tape; the batch stays one leaf.
-    x = Tensor(x)
+    x = Tensor(inputs["x"])
     mu_t, sig_t, nu = model.proposal(x, yhat)
-    chi2 = chi2_from_uniform(nu, chi2_u) if cfg.proposal == "student" else (None,) * s_z
     detail: dict = {"terms": {}, "nu": nu}
     if y is not None:
         mu_s, sig_s = model.encode_xy(x, y)
-        detail.update(n_branch_encoded=0, n_rows=s_z * B)
-    ones = np.ones(m)
-    zeros = np.zeros(m)
+        detail.update(n_branch_encoded=_branch_count(inputs, s_z), n_rows=s_z * x.shape[0])
     total = None
     for s in range(s_z):
-        zhat, mu_k, sig_k = chain(model, mu_t, sig_t, nu, eps_zhat[s], chi2[s])
+        chi2 = None
+        if cfg.proposal == "student":
+            chi2 = detached(chi2_from_uniform, nu, inputs["chi2_u", s])
+        zhat, mu_k, sig_k = chain(model, mu_t, sig_t, nu, inputs["eps_zhat", s], chi2)
         if cfg.proposal == "student":
             lq_zhat = logpdf_diag_student(zhat, mu_t, sig_t, nu)
         else:
             lq_zhat = logpdf_diag_normal(zhat, mu_t, sig_t)
         rec_hat = logpmf_bernoulli(yhat, model.decode_labels(x, zhat))
         if y is None:
-            z = rsample_diag_normal(mu_k, sig_k, eps_z[s])
+            z = rsample_diag_normal(mu_k, sig_k, inputs["eps_z", s])
             lq_z = logpdf_diag_normal(z, mu_k, sig_k)
             rec, recs = rec_hat, {"rec": rec_hat}
         else:
-            b = (branch_u[s] < cfg.eta).astype(np.float64)
-            detail["n_branch_encoded"] += int(b.sum())
-            z_a = rsample_diag_normal(mu_s, sig_s, eps_za[s])
-            z_b = rsample_diag_normal(mu_k, sig_k, eps_z[s])
-            z = z_a * b + z_b * (1.0 - b)
-            b_row = b[:, 0]
-            lq_z = logpdf_diag_normal(z, mu_s, sig_s) * b_row + logpdf_diag_normal(
-                z, mu_k, sig_k
-            ) * (1.0 - b_row)
+            z_a = rsample_diag_normal(mu_s, sig_s, inputs["eps_za", s])
+            z_b = rsample_diag_normal(mu_k, sig_k, inputs["eps_z", s])
+            z = z_a * inputs["branch", s] + z_b * inputs["not_branch", s]
+            lq_z = (logpdf_diag_normal(z, mu_s, sig_s) * inputs["branch_row", s]
+                    + logpdf_diag_normal(z, mu_k, sig_k) * inputs["not_branch_row", s])
             rec_y = logpmf_bernoulli(y, model.decode_labels(x, z))
             rec, recs = rec_hat + rec_y, {"rec_hat": rec_hat, "rec_y": rec_y}
-        lp_shift = logpdf_diag_student(zhat, model.decode_shift(z), ones, cfg.nu0)
-        lp_z = logpdf_diag_normal(z, zeros, ones)
+        lp_shift = logpdf_diag_student(zhat, model.decode_shift(z), 1.0, cfg.nu0)
+        lp_z = logpdf_diag_normal(z, 0.0, 1.0)
         elbo_rows = rec + (lp_shift + lp_z - lq_zhat - lq_z) * cfg.beta
         sample_loss = -elbo_rows.mean()
         total = sample_loss if total is None else total + sample_loss
@@ -406,7 +440,8 @@ def unsupervised_loss(
     run consumes a prefix of the Student run's stream; ``noise`` may inject
     any of the arrays by name for replay.
     """
-    return _collected(*_elbo(model, x, None, yhat, rng, s_z, noise), collect)
+    inputs = _step_inputs(model, x, None, yhat, rng, s_z, noise)
+    return _collected(*_elbo(model, inputs, s_z), collect)
 
 
 def supervised_loss(
@@ -428,7 +463,8 @@ def supervised_loss(
     """
     if y is None:
         raise ValueError("the supervised loss needs clean labels y")
-    return _collected(*_elbo(model, x, y, yhat, rng, s_z, noise), collect)
+    inputs = _step_inputs(model, x, y, yhat, rng, s_z, noise)
+    return _collected(*_elbo(model, inputs, s_z), collect)
 
 
 # --------------------------------------------------------------------------
@@ -478,26 +514,29 @@ def train_semi_supervised(
         yhat_s = sample_predictions(P, cfg.s_y, yhat_rng)
         return np.tile(xb, (cfg.s_y, 1)), yhat_s.reshape(cfg.s_y * len(xb), -1)
 
-    def noisy_loss(idx):
+    def noisy_inputs(idx):
         x_rep, yhat_rep = tiled(X_noisy[idx], P_noisy[idx])
-        return unsupervised_loss(model, x_rep, yhat_rep, rng=noise_rng, s_z=cfg.s_z)
+        return _step_inputs(model, x_rep, None, yhat_rep, noise_rng, cfg.s_z, None)
 
-    def clean_loss(idx):
+    def clean_inputs(idx):
         nonlocal branch_encoded
         xb = X_clean[idx]
         x_rep, yhat_rep = tiled(xb, predict_probs(h, xb))
-        y_rep = np.tile(Y_clean[idx], (cfg.s_y, 1))
-        # supervised_loss without stacking the terms: only the branch count is read
-        loss, det = _elbo(model, x_rep, y_rep, yhat_rep, clean_noise_rng, cfg.s_z, None)
-        branch_encoded += det["n_branch_encoded"]
-        return loss
+        inputs = _step_inputs(model, x_rep, np.tile(Y_clean[idx], (cfg.s_y, 1)), yhat_rep,
+                              clean_noise_rng, cfg.s_z, None)
+        branch_encoded += _branch_count(inputs, cfg.s_z)
+        return inputs
 
-    sweeps = [("noisy", len(X_noisy), rngs.stream(cfg.seed, "lsnpc", "shuffle"), noisy_loss)]
+    def loss(inputs):
+        return _elbo(model, inputs, cfg.s_z)[0]
+
+    sweeps = [("noisy", len(X_noisy), rngs.stream(cfg.seed, "lsnpc", "shuffle"),
+               noisy_inputs, loss)]
     if clean is not None:
         X_clean, Y_clean = (np.asarray(a, dtype=np.float64) for a in clean)
         if len(X_clean):
             sweeps.append(("clean", len(X_clean),
-                           rngs.stream(cfg.seed, "lsnpc", "clean_shuffle"), clean_loss))
+                           rngs.stream(cfg.seed, "lsnpc", "clean_shuffle"), clean_inputs, loss))
     losses, scores, best_epoch, best = fit(model.params, cfg, sweeps,
                                            None if score is None else lambda: score(model))
     model.history = {

@@ -97,3 +97,13 @@ def test_every_span_perfbench_reads_is_traced():
     assert {"correction.correct", "layers.AdamW.step", "model.LsnpcModel.decode_labels",
             "experiment.verify_all"} <= read
     assert sorted(read - _traced_span_names()) == []
+
+
+def test_the_training_loop_and_its_plan_stay_out_of_every_all():
+    # The tracer wraps every callable an ``__all__`` lists.  A span around
+    # ``fit``, a recording or a replay would stand between a trainer's span
+    # and its ``AdamW.step`` spans, which ``baseclf.steps`` and
+    # ``model.steps`` count only directly under the trainer.
+    listed = {attr for name in MODULES
+              for attr in getattr(importlib.import_module(name), "__all__", ())}
+    assert listed & {"fit", "Plan", "record", "detached"} == set()

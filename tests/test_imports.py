@@ -15,6 +15,11 @@ every artifact, and a second one would need ``struct`` again.
 
 Only ``evaluation.py`` defines ``to_csv`` or ``to_text``: ``Report`` is the
 one table that every command writes, and a second renderer would duplicate it.
+
+Only ``autodiff.py`` touches a node's ``_parents``, ``_bwd`` or ``_rec`` or a
+recorded plan's fields: the tape and the plan are one engine, and code
+elsewhere that walked a node's parents or called its rule would not be
+replayed by a plan.
 """
 
 import ast
@@ -23,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import lsnpc
+from lsnpc.autodiff import Plan
 
 SOURCES = sorted(Path(lsnpc.__file__).parent.glob("*.py"))
 
@@ -167,3 +173,28 @@ def test_the_renderer_checker_flags_methods_and_functions():
 def test_only_the_evaluation_module_renders_reports():
     renderers = [p.name for p in SOURCES if renderer_definitions(p.read_text(encoding="utf-8"))]
     assert renderers == ["evaluation.py"]
+
+
+TAPE_FIELDS = {"_parents", "_bwd", "_rec", *Plan.__slots__}
+
+
+def tape_accesses(text: str) -> list[str]:
+    """One line per attribute access to a node's tape fields or a plan's."""
+    found = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Attribute) and node.attr in TAPE_FIELDS)
+    return [f"line {line}: touches {attr}" for line, attr in found]
+
+
+def test_the_tape_checker_flags_reads_and_writes():
+    text = ("def walk(node, plan):\n"
+            "    for p in node._parents:\n"
+            "        p._bwd(1.0)\n"
+            "    node._rec = None\n"
+            "    return plan._plan_forward, node.parents, node._op\n")
+    assert tape_accesses(text) == ["line 2: touches _parents", "line 3: touches _bwd",
+                                   "line 4: touches _rec", "line 5: touches _plan_forward"]
+
+
+def test_only_the_autodiff_module_touches_the_tape_and_the_plan():
+    touching = [p.name for p in SOURCES if tape_accesses(p.read_text(encoding="utf-8"))]
+    assert touching == ["autodiff.py"]

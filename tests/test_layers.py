@@ -18,11 +18,12 @@ def _problem(seed=0):
     target = rng.standard_normal((6, 2))
     X = rng.standard_normal((6, 3))
 
-    def batch_loss(idx):
-        out = Tensor(X[idx]) @ params["a.W0"] + params["a.b0"]
-        return (out - target[idx]).square().mean()
+    def batch_loss(batch):
+        out = Tensor(batch["x"]) @ params["a.W0"] + params["a.b0"]
+        return (out - batch["target"]).square().mean()
 
-    return params, [("train", 6, np.random.default_rng(seed + 1), batch_loss)]
+    return params, [("train", 6, np.random.default_rng(seed + 1),
+                     lambda idx: {"x": X[idx], "target": target[idx]}, batch_loss)]
 
 
 def test_fit_restores_the_best_scored_epoch_and_ties_keep_the_earlier():
@@ -62,10 +63,23 @@ def test_fit_without_a_score_keeps_the_last_epoch():
 
 def test_fit_names_the_epoch_and_sweep_of_a_non_finite_loss():
     params, _ = _problem()
-    sweeps = [("noisy", 4, np.random.default_rng(0),
-               lambda idx: params["a.b0"].sum() * np.inf)]
+    sweeps = [("noisy", 4, np.random.default_rng(0), lambda idx: {},
+               lambda batch: params["a.b0"].sum() * np.inf)]
     with pytest.raises(TrainingDiverged, match=r"epoch 0 \(noisy sweep\)"):
         fit(params, TrainConfig(epochs=2), sweeps)
+    # finite through epoch 0, whose steps are recorded and replayed; the
+    # score then makes the inputs of epoch 1's replayed steps infinite
+    scale = [1.0]
+    sweeps = [("noisy", 8, np.random.default_rng(0), lambda idx: {"s": np.full(1, scale[0])},
+               lambda batch: (params["a.b0"].sum() * Tensor(batch["s"])).sum())]
+
+    def score():
+        scale[0] = np.inf
+        return 0.0
+
+    with pytest.raises(TrainingDiverged) as err:
+        fit(params, TrainConfig(epochs=3, batch_size=2), sweeps, score)
+    assert str(err.value) == "epoch 1 (noisy sweep): non-finite loss (first bad op: leaf)"
 
 
 @pytest.mark.parametrize("field, value, match", [
