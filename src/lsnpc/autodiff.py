@@ -50,6 +50,7 @@ plan that meets one stops, so that the step runs on the tape again.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from functools import partial
 from typing import Callable, Iterable, Mapping
 
@@ -69,9 +70,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-5
 
-# While ``record`` runs: (Tensor, made from an ndarray) for every Tensor made,
-# in the order they are made.
-_LOG: list | None = None
+# While ``record`` runs in this context: (Tensor, made from an ndarray) for
+# every Tensor made, in the order they are made.
+_LOG: ContextVar[list | None] = ContextVar("tape_log", default=None)
 
 
 class NonFiniteLoss(RuntimeError):
@@ -126,8 +127,9 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _bwd: Callable | None = None,
     ):
-        if _LOG is not None:
-            _LOG.append((self, isinstance(data, np.ndarray)))
+        log = _LOG.get()
+        if log is not None:
+            log.append((self, isinstance(data, np.ndarray)))
         self.data = data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -521,8 +523,7 @@ def _dense(keep: bool, gelu: bool, x, W, b, gain=None, shift=None):
 def _ln_overflow(ctx) -> bool:
     """Whether a dense layer's layer-norm scale left the finite range; it is
     finite exactly when the variance under it is."""
-    std = ctx[4]
-    return std is not None and not np.all(np.isfinite(std))
+    return ctx[4] is not None and _nonfinite(ctx[4])
 
 
 def _dense_grad(need_x: bool, ctx, g, x, W, _b, *gain_shift):
@@ -584,11 +585,12 @@ def concat(tensors: Iterable, axis: int = -1):
         return np.concatenate([data_of(t) for t in parts], axis=axis)
     parents = tuple(Tensor._lift(t) for t in parts)
     splits = np.cumsum([p.shape[axis] for p in parents])[:-1]
+    need = [p.requires_grad for p in parents]
     return _node(
         "concat",
         _no_context(lambda *arrays: np.concatenate(arrays, axis=axis)),
-        lambda _, g, *arrays: tuple(np.ascontiguousarray(p)
-                                    for p in np.split(g, splits, axis=axis)),
+        lambda _, g, *arrays: tuple(np.ascontiguousarray(part) if n else None for part, n
+                                    in zip(np.split(g, splits, axis=axis), need)),
         parents,
     )
 
@@ -774,14 +776,14 @@ def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
     :func:`backward` after ``zero_grad``).  Returns the plan and the loss; a
     non-finite loss raises the tape's :class:`NonFiniteLoss`.
     """
-    global _LOG
-    if _LOG is not None:
+    if _LOG.get() is not None:
         raise RuntimeError("record: already recording a step")
-    _LOG = log = []
+    log = []
+    token = _LOG.set(log)
     try:
         out = fn(inputs)
     finally:
-        _LOG = None
+        _LOG.reset(token)
     if not np.isfinite(out.data):
         raise NonFiniteLoss(f"non-finite loss (first bad op: {out.nonfinite_op})")
 

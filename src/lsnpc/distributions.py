@@ -176,7 +176,7 @@ def _student(x, mean, scale, nu):
 def _student_grads(need, ctx, g, x, mean, scale, nu):
     d, t, t2, half, nu2, head_shape, r, log_r, shape = ctx
     G = _sum_last_grad(g, shape)
-    g_head = unbroadcast(G, head_shape)
+    g_head = unbroadcast(G, head_shape) if need[2] or need[4] else None
     # half * log(r) has the broadcast shape of every operand, as per_dim
     # has, and t^2 / nu the shape of r.
     g_tail = -G
