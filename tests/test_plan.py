@@ -184,7 +184,7 @@ def test_restores_and_a_warm_start_need_no_new_record(records, monkeypatch):
 
         def score(m):
             # after epoch 1, go back to the parameters of epoch 0
-            if first and len(first) == 1:
+            if len(first) == 1:
                 checkpoint.restore(m.params, first[0])
             first.append(checkpoint.snapshot(m.params))
             return float(len(first) % 2)
