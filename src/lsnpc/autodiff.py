@@ -792,7 +792,9 @@ def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
     feeds: dict = {}                    # input name -> slot
     names = {}
     for key, value in inputs.items():
-        names.setdefault(id(value), key)
+        if names.setdefault(id(value), key) != key:
+            # a later step may pass two arrays; the plan would read one of them
+            raise ValueError(f"record: inputs {names[id(value)]!r} and {key!r} are one array")
 
     def new(value=None) -> int:
         template.append(value)

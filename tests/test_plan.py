@@ -123,6 +123,10 @@ def test_record_rejects_an_array_that_is_not_a_step_input():
     assert loss == 0.0 and w.grad.tolist() == [2.0, 2.0, 2.0]
     assert plan.run({"x": np.full(3, 2.0), "t": target}) == 6.0
     assert w.grad.tolist() == [4.0, 4.0, 4.0]
+    # one array under two names could be two arrays on a later step
+    with pytest.raises(ValueError, match="'x' and 't' are one array"):
+        record(lambda b: (w * Tensor(b["x"]) - b["t"]).sum(), {"x": target, "t": target},
+               {"w": w})
 
 
 # ---------------------------------------------------------------------------
