@@ -17,29 +17,28 @@ exact x Phi(x), in :meth:`Tensor.gelu` and :func:`dense` alike.
 
 No GPU, no higher-order derivatives.
 
-The tape records; a plan replays.  Every operation produces a
-:class:`Tensor` that records its operands, its forward (a function of the
-operands' arrays that returns the value and whatever its backward rule
-reads) and its backward rule; :func:`detached` adds a leaf computed from
-operands, which no gradient passes.  The forward maps built on :func:`dense`
-and :func:`concat` (the MLPs of :mod:`lsnpc.layers`, the model maps of
-:mod:`lsnpc.model`) work in two modes with one body: given plain arrays they
-return arrays and build no Tensor, for inference that never runs a backward
-pass; given a Tensor they build the tape node.  Both modes give the same
-bits.  :func:`backward` runs the tape of a built output in reverse
-topological order with deterministic accumulation.  A :class:`ComputeGraph`
-wraps a python callable of named tensors so that it can be evaluated again
-(:func:`grad_check`) and runs the same reverse pass over the node order it
-caches.
+The tape records; a plan replays; one reverse pass serves both.  Every
+operation produces a :class:`Tensor` that stores its operands, its forward
+(a function of the operands' arrays that returns the value and the context
+its backward rule reads), that context and its backward rule;
+:func:`detached` adds a leaf computed from operands, which no gradient
+passes.  The forward maps built on :func:`dense` and :func:`concat` (the
+MLPs of :mod:`lsnpc.layers`, the model maps of :mod:`lsnpc.model`) work in
+two modes with one body: given plain arrays they return arrays and build no
+Tensor, for inference that never runs a backward pass; given a Tensor they
+build the tape node.  Both modes give the same bits.  :func:`backward` runs
+the stored rules of a built output's tape in reverse topological order with
+deterministic accumulation.  A :class:`ComputeGraph` wraps a python callable
+of named tensors so that it can be evaluated again (:func:`grad_check`), and
+calls :func:`backward` with the node order it caches.
 
 :func:`record` runs one training step's loss on the tape and keeps it as a
 :class:`Plan`: the forwards and backward rules of the step's nodes, bound to
 the step's named input arrays, the parameters' arrays and the constants.
 :meth:`Plan.run` replays that step on another step's inputs of the same
-shapes: every forward in the order the tape made it, then every backward
-rule in the tape's reverse topological order, building no Tensor, backward
-closure or node order, and gives each parameter its gradient as
-:func:`backward` does.
+shapes: every forward in the order the tape made it, then the same reverse
+pass as :func:`backward` over the same rules, building no Tensor or node
+order.
 The same functions run in the same order on the same values, so a replayed
 step gives the taped step's bits.  The tape, the plan and every op run
 under ``np.errstate(all="ignore")``: a non-finite value does not warn but
@@ -110,7 +109,6 @@ class Tensor:
         "nonfinite_op",
         "_op",
         "_parents",
-        "_bwd",
         "_rec",
     )
 
@@ -125,7 +123,6 @@ class Tensor:
         name: str | None = None,
         _op: str = "leaf",
         _parents: tuple["Tensor", ...] = (),
-        _bwd: Callable | None = None,
     ):
         log = _LOG.get()
         if log is not None:
@@ -135,7 +132,6 @@ class Tensor:
         self.name = name
         self._op = _op
         self._parents = _parents
-        self._bwd = _bwd
         # (forward, backward rule, operands, context) of an op's node
         self._rec = None
         requires_grad = bool(requires_grad)
@@ -356,22 +352,12 @@ def _node(op: str, forward, rule, operands, parents=None, name=None) -> Tensor:
     none.  ``parents`` are the Tensor operands whose gradients ``rule``
     returns, in that order; they default to ``operands``.
     """
-    arrays = [None if a is None else data_of(a) for a in operands]
     with np.errstate(all="ignore"):
-        out, ctx = forward(*arrays)
-        if parents is None:
-            bwd = partial(rule, ctx)
-        else:
-            bwd = partial(_rule_of_operands, rule, ctx, arrays)
+        out, ctx = forward(*map(_array, operands))
         node = Tensor(out, name=name, _op=op,
-                      _parents=operands if parents is None else parents, _bwd=bwd)
+                      _parents=operands if parents is None else parents)
     node._rec = (forward, rule, operands, ctx)
     return node
-
-
-def _rule_of_operands(rule, ctx, arrays, g, *_):
-    """A node's backward rule over all its operands' arrays, not its parents'."""
-    return rule(ctx, g, *arrays)
 
 
 def detached(fn: Callable, *operands) -> Tensor:
@@ -384,7 +370,7 @@ def detached(fn: Callable, *operands) -> Tensor:
     """
     forward = _no_context(fn)
     with np.errstate(all="ignore"):
-        leaf = Tensor(forward(*(None if a is None else data_of(a) for a in operands))[0])
+        leaf = Tensor(forward(*map(_array, operands))[0])
     leaf._rec = (forward, None, operands, None)
     return leaf
 
@@ -393,6 +379,11 @@ def detached(fn: Callable, *operands) -> Tensor:
 def data_of(value) -> np.ndarray:
     """The float64 array of an operand: a Tensor's values, or the operand as an array."""
     return value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+
+
+def _array(value) -> np.ndarray | None:
+    """The array of an operand that may be None."""
+    return None if value is None else data_of(value)
 
 
 def any_tensor(*values) -> bool:
@@ -668,32 +659,51 @@ class ComputeGraph:
         return backward(self.output, self.params, seed_grad, self.nodes())
 
 
+def _rules(order: list[Tensor], key: Callable) -> tuple:
+    """The backward rules of the nodes of ``order`` that have one, last node
+    first, as :func:`_backprop` runs them: (key, rule, operand keys, parent
+    keys), where ``key`` maps a node or operand to its key and a parent that
+    takes no gradient has the key None."""
+    return tuple((key(t), t._rec[1], tuple(map(key, t._rec[2])),
+                  tuple(key(p) if p.requires_grad else None for p in t._parents))
+                 for t in reversed(order) if t._rec is not None and t._rec[1] is not None)
+
+
+def _backprop(rules: tuple, grads: dict, value: Callable, context: Callable) -> dict:
+    """The reverse pass: each of ``rules`` whose node has a gradient in
+    ``grads`` (key -> gradient, seeded with the output's) runs on
+    ``context(node key)`` and ``value(operand key)`` of each operand, and
+    adds its parents' gradients into ``grads``.  Returns ``grads``."""
+    for k, rule, args, parents in rules:
+        g = grads.get(k)
+        if g is None:
+            continue
+        for p, pg in zip(parents, rule(context(k), g, *map(value, args))):
+            if pg is not None and p is not None:
+                q = grads.get(p)
+                grads[p] = pg if q is None else q + pg
+    return grads
+
+
 def backward(output: Tensor, params: Mapping[str, Tensor], seed_grad=None,
              order: list[Tensor] | None = None) -> dict[str, np.ndarray]:
     """Reverse pass from ``output``: adds each parameter's gradient to its
     ``grad`` (zeros where none flows) and returns the gradients by name.
 
     ``seed_grad`` (an array) defaults to ones; ``order`` is the topological
-    order of ``output``'s tape, computed here when not given.
+    order of ``output``'s tape, computed here when not given.  The pass is
+    a plan's, :func:`_backprop`, keyed by the nodes themselves.
     """
     seed = np.ones_like(output.data) if seed_grad is None else np.asarray(seed_grad, np.float64)
     if seed.shape != output.data.shape:
         raise ValueError(f"seed gradient shape {seed.shape} does not match output "
                          f"shape {output.data.shape}")
-    grads: dict[int, np.ndarray] = {id(output): seed}
+    rules = _rules(_toposort(output) if order is None else order, lambda a: a)
     with np.errstate(all="ignore"):
-        for node in reversed(_toposort(output) if order is None else order):
-            g = grads.get(id(node))
-            if g is None or node._bwd is None:
-                continue
-            parent_grads = node._bwd(g, *(p.data for p in node._parents))
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is not None and parent.requires_grad:
-                    key = id(parent)
-                    grads[key] = grads[key] + pg if key in grads else pg
+        grads = _backprop(rules, {output: seed}, _array, lambda t: t._rec[3])
     result: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        g = grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+        g = grads[p] if p in grads else np.zeros_like(p.data)
         p.grad = g if p.grad is None else p.grad + g
         result[name] = g
     return result
@@ -708,9 +718,9 @@ class Plan:
     ``checkpoint.restore`` reach the plan), ``_plan_feeds`` binds the step's
     input arrays by name, and ``_plan_forward`` computes the rest, as
     (slot, forward, operand slots, whether layer norm's scale is checked).
-    ``_plan_backward`` holds (slot, rule, operand slots, parent slots or
-    None) in the tape's reverse topological order, and ``_plan_grads``
-    (parameter, slot) pairs.  A plan holds no value of a step.
+    ``_plan_backward`` holds the backward rules keyed by slot, as
+    :func:`_rules` lists them, and ``_plan_grads`` (parameter, slot) pairs.
+    A plan holds no value of a step.
     """
 
     __slots__ = ("_plan_template", "_plan_feeds", "_plan_forward", "_plan_backward",
@@ -726,8 +736,9 @@ class Plan:
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> float | None:
         """The recorded step on ``inputs``: the loss, with each parameter's
-        gradient in its ``grad``; None, with no gradient set, as soon as an
-        input or a replayed value is not finite under the per-node rule."""
+        gradient set in its ``grad`` (zeros where none flows); None, with no
+        gradient set, as soon as an input or a replayed value is not finite
+        under the per-node rule."""
         vals = list(self._plan_template)
         ctxs = [None] * len(vals)
         with np.errstate(all="ignore"):
@@ -742,25 +753,11 @@ class Plan:
                 if _nonfinite(out) or (ln and _ln_overflow(ctx)):
                     return None
                 vals[s], ctxs[s] = out, ctx
-            self._backprop(vals, ctxs)
-        return float(vals[self._plan_out])
-
-    def _backprop(self, vals, ctxs) -> None:
-        """The reverse pass of :func:`backward` over slots; sets each ``grad``."""
-        grads = [None] * len(vals)
-        out = self._plan_out
-        grads[out] = np.ones_like(vals[out])
-        for s, rule, args, parents in self._plan_backward:
-            g = grads[s]
-            if g is None:
-                continue
-            for p, pg in zip(parents, rule(ctxs[s], g, *[vals[i] for i in args])):
-                if pg is not None and p is not None:
-                    q = grads[p]
-                    grads[p] = pg if q is None else q + pg
+            seed = {self._plan_out: np.ones_like(vals[self._plan_out])}
+            grads = _backprop(self._plan_backward, seed, vals.__getitem__, ctxs.__getitem__)
         for param, s in self._plan_grads:
-            g = None if s is None else grads[s]
-            param.grad = np.zeros_like(param.data) if g is None else g
+            param.grad = grads[s] if s in grads else np.zeros_like(param.data)
+        return float(vals[self._plan_out])
 
 
 def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
@@ -771,10 +768,10 @@ def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
     every per-step value from them: an array operand or leaf that is not one
     of them raises a ``ValueError``, since a plan would replay it as a stale
     constant.  Derived values go through :func:`detached` or are computed
-    into ``inputs`` beforehand.  The plan's reverse pass over the tape's
-    values then sets each parameter's ``grad`` (zeros where none flows, as
-    :func:`backward` after ``zero_grad``).  Returns the plan and the loss; a
-    non-finite loss raises the tape's :class:`NonFiniteLoss`.
+    into ``inputs`` beforehand.  The step's gradients come from
+    :func:`backward` on the tape after ``zero_grad``, so each parameter's
+    ``grad`` is set, as :meth:`Plan.run` sets it.  Returns the plan and the
+    loss; a non-finite loss raises the tape's :class:`NonFiniteLoss`.
     """
     if _LOG.get() is not None:
         raise RuntimeError("record: already recording a step")
@@ -788,7 +785,7 @@ def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
         raise NonFiniteLoss(f"non-finite loss (first bad op: {out.nonfinite_op})")
 
     template: list = []
-    slots: dict[int, int] = {}          # id(Tensor) -> slot
+    slots: dict[int, int] = {}          # id(Tensor or operand) -> slot
     feeds: dict = {}                    # input name -> slot
     names = {}
     for key, value in inputs.items():
@@ -810,13 +807,14 @@ def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
         return feeds[key]
 
     def operand(a, op: str) -> int:
-        if isinstance(a, Tensor):
-            if id(a) not in slots:  # made before the step: read through its array
+        if id(a) not in slots:
+            if isinstance(a, Tensor):  # made before the step: read through its array
                 slots[id(a)] = new(a.data)
-            return slots[id(a)]
-        if isinstance(a, np.ndarray):
-            return feed(a, f"an operand of {op}")
-        return new(None if a is None else data_of(a))
+            elif isinstance(a, np.ndarray):
+                slots[id(a)] = feed(a, f"an operand of {op}")
+            else:
+                slots[id(a)] = new(_array(a))
+        return slots[id(a)]
 
     needed, stack = set(), [out]
     while stack:
@@ -825,40 +823,31 @@ def record(fn: Callable[[Mapping], Tensor], inputs: Mapping[str, np.ndarray],
             needed.add(id(t))
             stack.extend(a for a in (t._parents if t._rec is None else t._rec[2])
                          if isinstance(a, Tensor))
-    forward, operands, vals, ctxs = [], {}, {}, {}
+    forward, made = [], set()
     for t, from_array in log:
         if id(t) not in needed:
             continue
         if t._rec is not None:
-            fwd, _, args, ctx = t._rec
+            fwd, _, args, _ = t._rec
             s = slots[id(t)] = new()
-            operands[s] = tuple(operand(a, t._op) for a in args)
-            forward.append((s, fwd, operands[s], t._op == "dense"))
-            vals[s], ctxs[s] = t.data, ctx
+            made.add(id(t))
+            forward.append((s, fwd, tuple(operand(a, t._op) for a in args), t._op == "dense"))
         elif t._parents:
             raise ValueError(f"record: node {t._label()} has no recorded forward")
         elif from_array:
             slots[id(t)] = feed(t.data, "a leaf")
         else:
             slots[id(t)] = new(t.data)
-    backward_rules = []
-    for t in reversed(_toposort(out)):
-        if t._rec is None or t._rec[1] is None:
-            continue
-        s = slots[id(t)]
-        if s not in operands:
+    order = _toposort(out)
+    for t in reversed(order):
+        if t._rec is not None and t._rec[1] is not None and id(t) not in made:
             raise ValueError(f"record: the loss reads node {t._label()}, made before the step")
-        backward_rules.append((s, t._rec[1], operands[s], tuple(
-            slots[id(p)] if p.requires_grad else None for p in t._parents)))
-    plan = Plan(template, tuple(feeds.items()), tuple(forward), tuple(backward_rules),
+    plan = Plan(template, tuple(feeds.items()), tuple(forward),
+                _rules(order, lambda a: slots[id(a)]),
                 tuple((p, slots.get(id(p))) for p in params.values()), slots[id(out)])
-    step = list(template)
-    for key, s in feeds.items():
-        step[s] = inputs[key]
-    for s, value in vals.items():
-        step[s] = value
-    with np.errstate(all="ignore"):
-        plan._backprop(step, [ctxs.get(s) for s in range(len(step))])
+    for p in params.values():
+        p.zero_grad()
+    backward(out, params, order=order)
     return plan, float(out.data)
 
 
@@ -886,8 +875,10 @@ def grad_check(
     analytic = {name: p.grad.copy() for name, p in graph.params.items()}
     worst = 0.0
     for name, p in graph.params.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
+        # ``flat`` writes into the array itself; a reshape of a strided view
+        # would copy it and probe nothing
+        flat = p.data.flat
+        n = p.data.size
         if sample is not None and n > sample:
             idx = np.linspace(0, n - 1, sample).astype(int)
         else:
@@ -900,7 +891,7 @@ def grad_check(
             lo = float(graph.eval(inputs).data)
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * step)
-            err = abs(analytic[name].reshape(-1)[i] - numeric) / max(
+            err = abs(analytic[name].flat[i] - numeric) / max(
                 1.0, abs(numeric)
             )
             worst = max(worst, err)

@@ -158,10 +158,11 @@ def split_dataset(
 ) -> SplitResult:
     """Partition a dataset into train/validation/clean/test subsets.
 
-    The permutation is drawn from the spec's seed.  The clean subset is
-    carved from the validation block before any corruption; when a transition
-    matrix is supplied, train and validation labels are corrupted while clean
-    and test labels stay true.
+    The permutation is drawn from the spec's seed and cut, in order, into
+    train, validation, clean and test blocks of ``spec.sizes``: the clean
+    subset is a block of its own, sized by ``SplitSpec.clean``.  When a
+    transition matrix is supplied, train and validation labels are corrupted
+    while clean and test labels stay true.
     """
     n = ds.n
     sizes = spec.sizes(n)

@@ -111,7 +111,8 @@ def test_constant_operands_get_no_gradient():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="w")
     c = Tensor(np.array([3.0, 4.0]))
     product = w * c
-    assert product._bwd(np.ones(2), w.data, c.data)[1] is None
+    _, rule, _, ctx = product._rec
+    assert rule(ctx, np.ones(2), w.data, c.data)[1] is None
     g = ComputeGraph(lambda t: (t["w"] * c / c - c).sum(), {"w": w})
     g.eval()
     np.testing.assert_array_equal(g.backward()["w"], [1.0, 1.0])
@@ -199,10 +200,14 @@ def test_seed_gradient_shape_checked():
 
 def test_grad_check_linear_is_exact():
     rng = np.random.default_rng(4)
-    w = Tensor(rng.standard_normal(6), requires_grad=True, name="w")
+    w0 = rng.standard_normal(6)
     c = rng.standard_normal(6)
-    g = ComputeGraph(lambda t: (t["w"] * c).sum(), {"w": w})
-    assert grad_check(g) < 1e-9
+    # The transposed view is not C-contiguous: the probe must move the
+    # parameter's own array, not a copy of it.
+    for data, const in ((w0, c), (w0.reshape(2, 3).T, c.reshape(2, 3).T)):
+        w = Tensor(data, requires_grad=True, name="w")
+        g = ComputeGraph(lambda t: (t["w"] * const).sum(), {"w": w})
+        assert grad_check(g) < 1e-9
 
 
 def test_grad_check_constant_function():

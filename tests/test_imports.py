@@ -16,7 +16,7 @@ every artifact, and a second one would need ``struct`` again.
 Only ``evaluation.py`` defines ``to_csv`` or ``to_text``: ``Report`` is the
 one table that every command writes, and a second renderer would duplicate it.
 
-Only ``autodiff.py`` touches a node's ``_parents``, ``_bwd`` or ``_rec`` or a
+Only ``autodiff.py`` touches a node's ``_parents`` or ``_rec`` or a
 recorded plan's fields: the tape and the plan are one engine, and code
 elsewhere that walked a node's parents or called its rule would not be
 replayed by a plan.
@@ -175,7 +175,7 @@ def test_only_the_evaluation_module_renders_reports():
     assert renderers == ["evaluation.py"]
 
 
-TAPE_FIELDS = {"_parents", "_bwd", "_rec", *Plan.__slots__}
+TAPE_FIELDS = {"_parents", "_rec", *Plan.__slots__}
 
 
 def tape_accesses(text: str) -> list[str]:
@@ -188,10 +188,10 @@ def tape_accesses(text: str) -> list[str]:
 def test_the_tape_checker_flags_reads_and_writes():
     text = ("def walk(node, plan):\n"
             "    for p in node._parents:\n"
-            "        p._bwd(1.0)\n"
+            "        p._rec[1](None, 1.0)\n"
             "    node._rec = None\n"
             "    return plan._plan_forward, node.parents, node._op\n")
-    assert tape_accesses(text) == ["line 2: touches _parents", "line 3: touches _bwd",
+    assert tape_accesses(text) == ["line 2: touches _parents", "line 3: touches _rec",
                                    "line 4: touches _rec", "line 5: touches _plan_forward"]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lsnpc import autodiff, checkpoint, layers
-from lsnpc.autodiff import Tensor, backward, record
+from lsnpc.autodiff import Tensor, backward, detached, record
 from lsnpc.baseclf import BaseTrainConfig, _bce, _new_classifier, train_base
 from lsnpc.layers import AdamW, TrainingDiverged
 from lsnpc.model import (
@@ -127,6 +127,32 @@ def test_record_rejects_an_array_that_is_not_a_step_input():
     with pytest.raises(ValueError, match="'x' and 't' are one array"):
         record(lambda b: (w * Tensor(b["x"]) - b["t"]).sum(), {"x": target, "t": target},
                {"w": w})
+    # a node made before the step would need its gradient from a plan that
+    # cannot replay it; read without its gradient, it is a constant
+    before = w * 2.0
+    with pytest.raises(ValueError, match=r"reads node mul, made before the step"):
+        record(lambda b: (before * Tensor(b["x"])).sum(), {"x": np.ones(3)}, {"w": w})
+    plan, loss = record(lambda b: (w * detached(np.multiply, before, b["x"])).sum(),
+                        {"x": np.ones(3)}, {"w": w})
+    assert loss == 6.0 and plan.run({"x": np.full(3, 2.0)}) == 12.0
+    assert w.grad.tolist() == [4.0, 4.0, 4.0]
+
+
+def test_backward_adds_into_grad_while_record_and_run_set_it():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="w")
+    off = Tensor(np.array([5.0]), requires_grad=True, name="off")  # not on the tape
+    params = {"w": w, "off": off}
+    x = np.array([3.0, 4.0])
+    loss = (w * Tensor(x)).sum()
+    backward(loss, params)
+    backward(loss, params)
+    assert w.grad.tolist() == [6.0, 8.0] and off.grad.tolist() == [0.0]
+    # the grads left by backward are stale to the recorded step and its replays
+    plan, _ = record(lambda b: (w * Tensor(b["x"])).sum(), {"x": x}, params)
+    assert w.grad.tolist() == [3.0, 4.0] and off.grad.tolist() == [0.0]
+    w.grad, off.grad = np.full(2, 100.0), np.full(1, 100.0)
+    assert plan.run({"x": np.array([-1.0, 0.5])}) == 0.0
+    assert w.grad.tolist() == [-1.0, 0.5] and off.grad.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
