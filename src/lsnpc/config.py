@@ -190,7 +190,10 @@ class ExperimentConfig:
             spec = self.split_spec(0)
             if self.source == "synthetic":
                 self.generator_config(0)
-                spec.sizes(self.n)
+                n_train = spec.sizes(self.n)["train"]
+                if self.knn_k > n_train:
+                    raise ConfigError(f"knn_k={self.knn_k} exceeds the {n_train} training "
+                                      f"rows of n={self.n}")
                 if self.k < 2 and max((*self.noise_rates, self.theory.noise_rate)) > 0:
                     raise ConfigError(f"label noise needs at least 2 labels, got k={self.k}")
             spec.sizes(self.theory.train_n)  # verify_all's training split

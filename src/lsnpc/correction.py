@@ -25,12 +25,13 @@ corrections).  A key's draws, s_y * s_zhat * (1 + s_z) * n * m float64 plus
 s_y * s_zhat * n chi-square values, take 1.7 MB at n = 200 with the default
 ``[correction]``, so the two keys stay in memory between calls in 3.4 MB.
 
-The KNN baseline runs its distance blocks on one thread per core
-(``rngs.workers``): the matmul that dominates it and the neighbour
-selection's pass over each distance row release the GIL, while the
-selection's small steps on the gathered chunks hold it.  ``correct()`` stays
-on one thread: its small per-chain operations hold the GIL, so threads gave
-it no gain.
+The KNN baseline runs its blocks of ``_KNN_BLOCK`` = 64 query rows on one
+thread per core (``rngs.workers``), each thread holding one block of
+distances and the neighbour selection's arrays for that block: the matmul
+that dominates it and the selection's pass over each distance row release
+the GIL, while the selection's small steps on the gathered chunks hold it.
+``correct()`` stays on one thread: its small per-chain operations hold the
+GIL, so threads gave it no gain.
 """
 
 from __future__ import annotations
@@ -58,17 +59,13 @@ __all__ = [
 
 # Rows per batch of correct(): the default validation split.
 _BATCH = 200
-# Query rows per distance block in knn_correct: against 14 000 training rows
-# a block is 29 MB of float64 distances.  A row's distance bits can depend on
-# the row count of its block (BLAS picks its kernels by shape), so the blocks
-# keep these boundaries whatever the thread count.
-_KNN_BLOCK = 256
-# Query rows per gather in the second stage of the neighbour selection,
-# whose arrays take about 4 * _KNN_SLICE * K * _KNN_CHUNK * 8 bytes, and per
-# argpartition where a block falls back whole, which returns an int64 index
-# for every distance it is given: either is at most _KNN_SLICE * n_train * 8
-# bytes.  Both work row by row, so the indices do not depend on the slicing.
-_KNN_SLICE = 32
+# Query rows per distance block in knn_correct, each selected whole: against
+# 14 000 training rows a block is 7.2 MB of float64 distances, and the
+# argpartition of a block that falls back whole returns as many int64
+# indices.  A row's distance bits can depend on the row count of its block
+# (BLAS picks its kernels by shape), so the blocks keep these boundaries
+# whatever the thread count.
+_KNN_BLOCK = 64
 # Training columns per chunk in the neighbour selection: its first stage
 # reads every distance once for the chunk minima, its second only K chunks.
 _KNN_CHUNK = 128
@@ -220,32 +217,24 @@ def _k_nearest(d2, K: int):
     its K smallest values, the ones ``np.argpartition(row, K - 1)[:K]``
     selects, and the rows that took that argpartition (see ``knn_correct``)."""
     n_rows, n = d2.shape
-    nearest = np.empty((n_rows, K), dtype=np.intp)
-    slices, starts = range(0, n_rows, _KNN_SLICE), np.arange(0, n, _KNN_CHUNK)
+    starts = np.arange(0, n, _KNN_CHUNK)
     # the K gathered chunks must be at most a quarter of the row to pay
     if len(starts) < 4 * K:
-        for s in slices:
-            rows = d2[s : s + _KNN_SLICE]
-            nearest[s : s + len(rows)] = np.argpartition(rows, K - 1, axis=1)[:, :K]
-        return nearest, np.arange(n_rows)
+        return np.argpartition(d2, K - 1, axis=1)[:, :K], np.arange(n_rows)
     mins = np.minimum.reduceat(d2, starts, axis=1)
     chunks = np.argpartition(mins, K, axis=1)
     c = np.take_along_axis(mins, chunks[:, K : K + 1], axis=1)[:, 0]
+    at = np.arange(n_rows)
+    cols = (chunks[:, :K, None] * _KNN_CHUNK + np.arange(_KNN_CHUNK)).reshape(n_rows, -1)
+    vals = d2.reshape(-1)[np.minimum(cols, n - 1) + n * at[:, None]]
+    vals[cols >= n] = np.inf
+    pick = np.argpartition(vals, K, axis=1)
+    a = np.take_along_axis(vals, pick[:, :K], axis=1).max(axis=1)
+    b = vals[at, pick[:, K]]
+    nearest = np.take_along_axis(cols, pick[:, :K], axis=1)
     # a NaN makes its chunk's minimum NaN, which hides the chunk's other
     # distances, so a row with one falls back
-    proved = ~np.isnan(mins).any(axis=1)
-    for s in slices:
-        rows = d2[s : s + _KNN_SLICE]
-        at, part = np.arange(len(rows)), slice(s, s + len(rows))
-        cols = (chunks[part, :K, None] * _KNN_CHUNK + np.arange(_KNN_CHUNK)).reshape(len(rows), -1)
-        vals = rows.reshape(-1)[np.minimum(cols, n - 1) + n * at[:, None]]
-        vals[cols >= n] = np.inf
-        pick = np.argpartition(vals, K, axis=1)
-        a = np.take_along_axis(vals, pick[:, :K], axis=1).max(axis=1)
-        b = vals[at, pick[:, K]]
-        nearest[part] = np.take_along_axis(cols, pick[:, :K], axis=1)
-        proved[part] &= a < np.minimum(b, c[part])
-    fallback = np.flatnonzero(~proved)
+    fallback = np.flatnonzero(~(a < np.minimum(b, c)) | np.isnan(mins).any(axis=1))
     for i in fallback:
         nearest[i] = np.argpartition(d2[i], K - 1)[:K]
     return nearest, fallback
@@ -256,18 +245,18 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
 
     Exact K/2 ties resolve to 1, and noisy labels other than 0 and 1 are
     rejected.  Distances are computed for ``_KNN_BLOCK`` query rows at a
-    time, and each row's neighbours are selected in two stages.  First, its
-    distances are cut into chunks of ``_KNN_CHUNK`` columns and the K chunks
-    with the smallest minima found, for a whole block at once.  Then, for
-    ``_KNN_SLICE`` rows at a time, those chunks are gathered (a ragged last
-    chunk padded with +inf) and their K smallest values taken.  With a the
-    K-th smallest gathered value, b the (K+1)-th and c the (K+1)-th smallest
+    time, and the neighbours of a block's rows are selected in two stages,
+    each run on the whole block.  First, each row's distances are cut into
+    chunks of ``_KNN_CHUNK`` columns and the K chunks with the smallest
+    minima found.  Then those chunks are gathered (a ragged last chunk
+    padded with +inf) and their K smallest values taken.  With a the K-th
+    smallest gathered value, b the (K+1)-th and c the (K+1)-th smallest
     chunk minimum, every distance outside the gathered chunks is at least
     c, so when a < min(b, c) exactly K distances are at most a: the K
     nearest are unique, and are the ones ``np.argpartition(row, K - 1)[:K]``
     selects.  A row for which this fails (its K-th and (K+1)-th distances
     tie, or it holds a NaN, whose chunk minimum is NaN) takes that
-    argpartition.  So does every row, ``_KNN_SLICE`` at a time, when the
+    argpartition.  So does the whole block, in one argpartition, when the
     training set has fewer than 4 K chunks: there the gathers are more than
     a quarter of each row, and the two stages cost more than they save (a
     1 400-row training set selected 1.4x slower).  So the votes are
@@ -277,14 +266,16 @@ def knn_correct(train_features, noisy_train_labels, X, K: int = 5) -> np.ndarray
     inside a ``fan_out`` worker), each with one reused block buffer and
     writing its own rows of the result under the caller's numpy error
     state, so the labels do not depend on the thread count.  Beyond the
-    inputs and the result, memory stays near ``threads * (_KNN_BLOCK +
-    _KNN_SLICE) * n_train * 8`` bytes, whatever the number of queries: a
-    block of distances, and a slice's argpartition indices or the smaller
-    chunk minima (``_KNN_BLOCK * n_train / _KNN_CHUNK * 16`` bytes) and
-    gathers (about ``4 * _KNN_SLICE * K * _KNN_CHUNK * 8`` bytes, 0.6 MB at
-    K = 5) of the two-stage selection.  While more than one thread runs,
-    OpenBLAS runs on one thread (``rngs.one_blas_thread``), so the block
-    threads do not each ask it for every core.  Every thread has ended, and
+    inputs and the result, memory stays near ``threads * 2 * _KNN_BLOCK *
+    n_train * 8`` bytes, whatever the number of queries: a block of
+    distances, and either the int64 argpartition indices of a block that
+    falls back whole or the two-stage selection's chunk minima
+    (``_KNN_BLOCK * n_train / _KNN_CHUNK * 16`` bytes) and gathers (about
+    ``4 * _KNN_BLOCK * K * _KNN_CHUNK * 8`` bytes, 1.3 MB at K = 5, and
+    about a block at most, as the K chunks are at most a quarter of a
+    row).  While more than one thread runs, OpenBLAS runs on one thread
+    (``rngs.one_blas_thread``), so the block threads do not each ask it for
+    every core.  Every thread has ended, and
     the BLAS thread counts are restored, when the call returns or raises.
     """
     T = np.asarray(train_features, dtype=np.float64)

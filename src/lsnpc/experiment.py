@@ -199,6 +199,10 @@ def _run_cell(unit) -> _CellOutput:
     try:
         out.T = T = build_transition_matrix(kind, ds.k, nr) if nr > 0 else None
         sp = split_dataset(ds, cfg.split_spec(seed), T)
+        # a dataset file's size is known only here; knn_correct needs K rows
+        n_train = sp.splits["train"].n
+        if cfg.knn_k > n_train:
+            raise ValueError(f"K={cfg.knn_k} exceeds the {n_train} training rows")
         if rank < STAGES.index("train-base"):
             return out
         out.stage = "train-base"

@@ -75,6 +75,8 @@ class SplitSpec:
         for name in ("train", "validation", "test"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} fraction must be positive")
+        if self.clean < 0.0:
+            raise ValueError("clean fraction must be non-negative")
 
     def sizes(self, n: int) -> dict[str, int]:
         sizes = {name: int(n * getattr(self, name) + 1e-9)

@@ -189,6 +189,8 @@ def test_top_level_validation_applies_to_parsed_text():
         parse_config("[data]\nrank = 40\n")
     with pytest.raises(ConfigError, match="split fractions must sum to 1"):
         parse_config("[split]\ntrain = 0.9\n")
+    with pytest.raises(ConfigError, match="clean fraction must be non-negative"):
+        parse_config("[split]\ntrain = 0.835\nclean = -0.1\n")
     # n = 12 leaves the clean split without a row
     with pytest.raises(ConfigError, match="degenerate split sizes for n=12"):
         parse_config("[data]\nn = 12\nd = 4\nk = 3\nrank = 2\n")
@@ -317,6 +319,12 @@ def test_experiment_config_direct_validation():
         ExperimentConfig(clean_epochs=0)
     with pytest.raises(ConfigError, match="knn_k"):
         ExperimentConfig(knn_k=0)
+    # knn_correct needs K training rows: n = 400 leaves 280 in the train split
+    with pytest.raises(ConfigError, match="knn_k=281 exceeds the 280 training rows of n=400"):
+        ExperimentConfig(n=400, knn_k=281)
+    assert ExperimentConfig(n=400, knn_k=280).knn_k == 280
+    # a dataset file's size is unknown here, so run_experiment checks it
+    assert ExperimentConfig(source="ds.bin", n=400, knn_k=5000).knn_k == 5000
     with pytest.raises(ConfigError, match="train, validation, clean, test"):
         ExperimentConfig(split_fractions=(0.8, 0.1, 0.1))
 

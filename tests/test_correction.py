@@ -29,7 +29,6 @@ from lsnpc.correction import (
     _BATCH,
     _KNN_BLOCK,
     _KNN_CHUNK,
-    _KNN_SLICE,
     _k_nearest,
     _sq_distances,
     CorrectionConfig,
@@ -652,7 +651,7 @@ def test_k_nearest_at_edge_sizes(K, n):
     fewer than 4 K chunks (the block falls back whole), of one chunk, and
     K = n."""
     rng = np.random.default_rng(22)
-    rows = rng.uniform(1.0, 2.0, (_KNN_SLICE, n))
+    rows = rng.uniform(1.0, 2.0, (_KNN_BLOCK, n))
     if K < n:
         ordered = np.sort(rows[::2], axis=1)
         rows[::2, 0] = ordered[:, K - 1]  # a tie at the K-th in every other row
@@ -697,7 +696,7 @@ def test_knn_selection_cases_match_the_expression(monkeypatch, K, n_train):
     Q[5, 2], Q[6, 0], Q[7, 4] = np.nan, np.inf, -np.inf
     with np.errstate(all="ignore"):
         got = knn_correct(T, L, Q, K=K)
-        want = _knn_by_expression(T, L, Q, K, 256)
+        want = _knn_by_expression(T, L, Q, K, _KNN_BLOCK)
     assert_array_equal(got, want)
 
 
@@ -705,13 +704,31 @@ def test_block_distances_equal_the_expression_bit_for_bit():
     rng = np.random.default_rng(12)
     T = 3.7 * rng.standard_normal((900, 32)) + 0.3
     t2 = np.sum(np.square(T), axis=1)
-    for rows in (1, 16, 100, 256):
+    for rows in (1, 16, 37, 64, 100, 256):
         q = 2.1 * rng.standard_normal((rows, 32)) - 0.5
         want = np.sum(np.square(q), axis=1, keepdims=True) - 2.0 * q @ T.T + t2
         buf = np.full((256, 900), np.nan)
         got = _sq_distances(q, T, t2, buf[:rows])
         assert np.shares_memory(got, buf)
         assert np.array_equal(got, want)
+
+
+def test_small_blocks_keep_the_distance_bits_of_large_ones(monkeypatch):
+    """On benchmark-like features, the rows of 64-row and ragged blocks have
+    the bits of the same rows of one 256-row block, so the votes are those
+    of 256-row blocks."""
+    cfg = config.load_config(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
+    ds, _ = datagen.generate_synthetic(config.override(cfg, n=3300).generator_config(1))
+    T, L, Q = ds.X[:3000], ds.Y[:3000], ds.X[3000:]
+    t2 = np.sum(np.square(T), axis=1)
+    whole = _sq_distances(Q[:256], T, t2, np.empty((256, len(T))))
+    for start, rows in [(0, 64), (64, 64), (128, 64), (192, 64), (200, 37), (250, 6)]:
+        q = Q[start : start + rows]
+        assert np.array_equal(_sq_distances(q, T, t2, np.empty((rows, len(T)))),
+                              whole[start : start + rows]), (start, rows)
+    got = [knn_correct(T, L, Q, K=K) for K in (1, 5)]
+    monkeypatch.setattr(correction, "_KNN_BLOCK", 256)
+    assert_array_equal(got, [knn_correct(T, L, Q, K=K) for K in (1, 5)])
 
 
 @pytest.mark.parametrize("block", [16, 64, 256])
@@ -736,20 +753,21 @@ def _tied_knn_inputs(n_query, seed=14, n_base=200):
     return T, L, Q
 
 
-THREAD_CASES = [(n, K) for n in (1, 255, 256, 257, 3 * _KNN_BLOCK + 5) for K in (1, 5)]
+THREAD_CASES = [(n, K) for n in (1, _KNN_BLOCK - 1, _KNN_BLOCK, _KNN_BLOCK + 1, 3 * _KNN_BLOCK + 5)
+                for K in (1, 5)]
 
 
 def _thread_count_mismatches():
     """The (query count, K, cores) cases whose labels differ from the serial
-    expression at block 256.  Up to four threads, more than this machine may
-    have cores, switching as often as the interpreter allows."""
+    expression at block ``_KNN_BLOCK``.  Up to four threads, more than this
+    machine may have cores, switching as often as the interpreter allows."""
     bad = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for n_query, K in THREAD_CASES:
             T, L, Q = _tied_knn_inputs(n_query)
-            want = _knn_by_expression(T, L, Q, K, 256)
+            want = _knn_by_expression(T, L, Q, K, _KNN_BLOCK)
             for count in (1, 2, 3, 4):
                 with mock.patch.object(rngs, "cores", lambda: count):
                     if not np.array_equal(knn_correct(T, L, Q, K=K), want):
@@ -774,7 +792,8 @@ def test_knn_labels_do_not_depend_on_the_thread_count():
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_knn_threads_keep_the_block_boundaries(monkeypatch, count):
     """A row's distance bits can depend on its block's row count, so every
-    thread count computes the same 256-row blocks at the same offsets."""
+    thread count computes the same ``_KNN_BLOCK``-row blocks at the same
+    offsets."""
     T, L, Q = _tied_knn_inputs(3 * _KNN_BLOCK + 5)
     blocks = []
 
@@ -840,7 +859,8 @@ def _blas_threads_around_knn():
     before = _blas_thread_counts()
     with mock.patch.object(rngs, "cores", lambda: 2), \
             mock.patch.object(correction, "_sq_distances", recording):
-        same = np.array_equal(knn_correct(T, L, Q, K=5), _knn_by_expression(T, L, Q, 5, 256))
+        same = np.array_equal(knn_correct(T, L, Q, K=5),
+                              _knn_by_expression(T, L, Q, 5, _KNN_BLOCK))
         after = _blas_thread_counts()
         try:
             knn_correct(T, L, Q, K=5)
@@ -860,24 +880,25 @@ def test_knn_threads_run_blas_on_one_thread_and_restore_it():
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_knn_peak_memory_is_a_block_and_a_slice_per_thread(monkeypatch, count):
+def test_knn_peak_memory_is_two_blocks_per_thread(monkeypatch, count):
+    """A block of distances and a block's selection arrays per thread, both
+    where the two stages run (32 chunks) and where every block falls back
+    whole to argpartition (16 chunks, fewer than 4 K)."""
     rng = np.random.default_rng(15)
-    n_train = 4000
-    T = rng.standard_normal((n_train, 8))
-    L = (rng.random((n_train, 5)) < 0.3).astype(np.uint8)
-    Q = rng.standard_normal((4 * _KNN_BLOCK, 8))
-    block, index_slice = _KNN_BLOCK * n_train * 8, _KNN_SLICE * n_train * 8
     monkeypatch.setattr(rngs, "cores", lambda: count)
-    tracemalloc.start()
-    try:
-        knn_correct(T, L, Q, K=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the margin covers the float64 labels, t2, the result and the votes
-    assert peak <= count * (block + index_slice) + 2**19
-    # a block and two whole-block index arrays, as one selection per block took
-    assert peak < 3 * block
+    for n_train in (4000, 2000):
+        T = rng.standard_normal((n_train, 32))
+        L = (rng.random((n_train, 5)) < 0.3).astype(np.uint8)
+        Q = rng.standard_normal((300, 32))
+        tracemalloc.start()
+        try:
+            knn_correct(T, L, Q, K=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a fixed budget of two 64-row blocks, so a larger block exceeds it;
+        # the margin covers the float64 labels, t2, the result and the votes
+        assert peak <= count * 2 * 64 * n_train * 8 + 2**19, n_train
 
 
 def _record_threads(monkeypatch, barrier=None, fail_at=None):

@@ -202,6 +202,20 @@ def test_dataset_file_source_is_written_back_byte_identical(tmp_path):
     assert art.manifest["data/ds_s1.bin"] == file_digest(source)
 
 
+def test_knn_k_above_a_dataset_files_train_split_fails_before_training(tmp_path,
+                                                                      monkeypatch):
+    import lsnpc.experiment as exp
+
+    save_dataset(generate_synthetic(GeneratorConfig(n=240, d=6, k=3, rank=3, seed=1))[0],
+                 tmp_path / "source.bin")
+    monkeypatch.setattr(exp, "_train_base",
+                        lambda *args: pytest.fail("the base classifier trained"))
+    cfg = tiny_config(source=str(tmp_path / "source.bin"), knn_k=169)
+    with pytest.raises(StageError, match="K=169 exceeds the 168 training rows"):
+        run_experiment(cfg, out_dir=tmp_path / "run", quiet=True)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["data", "manifest.txt"]
+
+
 def test_correction_never_sees_test_truth(tmp_path, monkeypatch):
     """Flipping the held-back true test labels must not change correction bytes."""
     import lsnpc.experiment as exp
