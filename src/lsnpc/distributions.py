@@ -7,7 +7,7 @@ log-densities, and closed-form and bounded KL divergences.
 
 Every function takes its parameters as separate ``(mean, scale, nu)``
 operands, as in ``mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu,
-n_samples, rng)`` and ``student_entropy(scale, nu)``; the Normal ones drop
+draws)`` and ``student_entropy(scale, nu)``; the Normal ones drop
 ``nu``, and the Bernoulli ones take probabilities.  A sampler or log density
 operand is a numpy array (or scalar) or an autodiff
 :class:`~lsnpc.autodiff.Tensor`.  Each log density has one body, so the
@@ -332,37 +332,40 @@ _MC_ROWS = 8192
 _MC_LINE = 256
 
 
-def mc_kl_diag_student(
-    mean_p, scale_p, mean_q, scale_q, nu, n_samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
+def mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu, draws) -> tuple[float, float]:
     """Monte-Carlo KL[p || q] between diagonal Students, with standard error.
 
-    Draws from the first argument with per-dimension Student variates so the
-    samples follow exactly the product density the log-pdf evaluates; returns
-    (estimate, standard error of the mean) of at least two draws.  The
-    operands are rows of m values and are left as they were.
+    ``draws`` is an (n, m) array of standard Student(nu) variates, as
+    ``rng.standard_t(df=nu, size=(n, m))`` gives, with n at least 2; they are
+    scaled and shifted to p's parameters, so the samples follow exactly the
+    product density the log-pdf evaluates.  Returns (estimate, standard
+    error of the mean).  The operands are rows of m values, and neither they
+    nor ``draws`` are written, so one read-only block can serve many pairs.
 
-    The draws come in row tiles of ``_MC_ROWS``: consecutive tiles of
-    ``rng.standard_t`` are the variates of one (n_samples, m) draw, so the
-    stream is consumed as by one call.  ``_mc_tile`` scales and shifts each
-    tile in place and writes its per-draw log ratios log p - log q into one
-    (n_samples,) array; ``np.mean`` and ``np.std(ddof=1)`` run over that
-    array.  Every element takes the ufuncs of ``logpdf_diag_student``'s array
-    mode in the same order, and each row sum keeps numpy's order, so the
-    result equals that of one full-size draw evaluated by
-    ``logpdf_diag_student`` bit for bit.  Memory peaks at two (n_samples,)
-    arrays (the log ratios and ``np.std``'s deviations) plus three tile
-    buffers, not at the full-size draws.
+    The draws are evaluated in row tiles of ``_MC_ROWS``: ``_mc_tile`` scales
+    and shifts each tile into a buffer of its own and writes its per-draw log
+    ratios log p - log q into one (n,) array; ``np.mean`` and
+    ``np.std(ddof=1)`` run over that array.  Every element takes the ufuncs
+    of ``logpdf_diag_student``'s array mode in the same order, and each row
+    sum keeps numpy's order, so the result equals that of the whole block
+    evaluated by ``logpdf_diag_student`` bit for bit.  Memory peaks at two
+    (n,) arrays (the log ratios and ``np.std``'s deviations) plus three tile
+    buffers, besides the caller's ``n * m * 8`` bytes of draws.
     """
     (mean_p, mean_q), (scale_p, scale_q) = _checked(
         "mc_kl_diag_student", (mean_p, mean_q), (scale_p, scale_q), nu)
-    n, m = int(n_samples), mean_p.shape[-1]
-    if n < 2:
-        raise ValueError(f"mc_kl_diag_student: n_samples = {n_samples} gives no "
-                         f"standard error; it needs at least 2")
+    m = mean_p.shape[-1]
     if mean_p.size != m:
         raise ValueError(f"mc_kl_diag_student: operands must be one row, got shape "
                          f"{mean_p.shape}")
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] != m:
+        raise ValueError(f"mc_kl_diag_student: draws must be (n, {m}) for operands of "
+                         f"{m} values, got shape {draws.shape}")
+    n = len(draws)
+    if n < 2:
+        raise ValueError(f"mc_kl_diag_student: draws of shape {draws.shape} give no "
+                         f"standard error; it needs at least 2 rows")
 
     def operands(mean, scale):
         # A density's mean and scale, each keyed by the width of the view it
@@ -372,25 +375,26 @@ def mc_kl_diag_student(
 
     p, q = operands(mean_p, scale_p), operands(mean_q, scale_q)
     log_ratio = np.empty(n)
-    t = np.empty((min(n, _MC_ROWS), m))
+    x = np.empty((min(n, _MC_ROWS), m))
+    t = np.empty_like(x)
     q_rows = np.empty(len(t))
     for lo in range(0, n, _MC_ROWS):
         rows = min(_MC_ROWS, n - lo)
-        _mc_tile(rng.standard_t(df=nu, size=(rows, m)), t[:rows], p, q, nu,
+        _mc_tile(draws[lo:lo + rows], x[:rows], t[:rows], p, q, nu,
                  log_ratio[lo:lo + rows], q_rows[:rows])
     est = float(np.mean(log_ratio))
     se = float(np.std(log_ratio, ddof=1) / math.sqrt(n))
     return est, se
 
 
-def _mc_tile(draws, t, p, q, nu, out, q_out) -> None:
+def _mc_tile(draws, x, t, p, q, nu, out, q_out) -> None:
     """One tile of ``mc_kl_diag_student``: standard draws (rows, m) to log p - log q.
 
     ``p`` and ``q`` hold each density's mean and scale keyed by view width.
-    ``draws`` is scaled and shifted in place, ``t`` (rows, m) takes each
-    density's standardized values and ``student_logpdf_into``'s steps in
-    turn, ``q_out`` (rows,) the q row sums, and ``out`` (rows,) the log
-    ratios.
+    ``x`` (rows, m) takes the draws scaled and shifted to p, which leaves
+    ``draws`` as it was; ``t`` (rows, m) takes each density's standardized
+    values and ``student_logpdf_into``'s steps in turn, ``q_out`` (rows,) the
+    q row sums, and ``out`` (rows,) the log ratios.
 
     Wide view: the elementwise steps pair each element with the same operand
     value whatever the array's shape.  When rows is a multiple of _MC_LINE
@@ -405,8 +409,8 @@ def _mc_tile(draws, t, p, q, nu, out, q_out) -> None:
     """
     rows, m = draws.shape
     width = _MC_LINE * m if rows % _MC_LINE == 0 else m
-    x, buf = draws.reshape(-1, width), t.reshape(-1, width)
-    x *= p[1][width]
+    x, buf = x.reshape(-1, width), t.reshape(-1, width)
+    np.multiply(draws.reshape(-1, width), p[1][width], out=x)
     x += p[0][width]
     for (mean, scale), sums in ((p, out), (q, q_out)):
         np.subtract(x, mean[width], out=buf)

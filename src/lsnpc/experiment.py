@@ -404,8 +404,9 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
 
     The quadrature instances and the Monte-Carlo pairs of the affine bound
     run through ``rngs.fan_out``, on every core this process may use; each
-    instance and each pair draws from its own stream, so the report does not
-    depend on the worker count.  The two theory models train in this process,
+    instance draws from its own stream and every pair evaluates the one
+    shared block of Student draws, so the report does not depend on the
+    worker count.  The two theory models train in this process,
     on one split and one base classifier.  Unless ``quiet``, each of the four
     stages (the instances, the base and Student model, the pairs, the Normal
     model with the closed-form checks) prints one line with its wall time.

@@ -18,6 +18,7 @@ x1.5: M and L up, lambda down) and report the raw pass rate alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -422,16 +423,19 @@ def theorem2_check(
 ) -> list[BoundCheckRow]:
     """MC KL[q(.|x,y1) || q(.|x,y0)] per pair against the affine bound.
 
-    Pair i draws its ``n_mc`` samples from its own stream,
-    ``rngs.stream(seed, "theory", "mc_kl", i)``, so its estimate does not
-    depend on the other pairs; the pairs run through ``rngs.fan_out``, on
-    every core this process may use.
+    Every pair evaluates one shared block of ``n_mc`` standard Student draws
+    from the stream ``rngs.stream(seed, "theory", "mc_kl")``, common random
+    numbers: each pair's estimate and standard error are still unbiased, and
+    pair i's depends on no other pair.  The pairs run through
+    ``rngs.fan_out``, on every core this process may use, and each process
+    that evaluates a pair draws the block once and keeps it, ``n_mc * m * 8``
+    bytes, between calls, as ``correction`` keeps its noise.
     """
     if model.cfg.proposal != "student":
         raise ValueError("the affine bound addresses the Student proposal")
     delta, mu0, sig0, mu1, sig1 = _encoded_pairs(model, X_sample, pairs)
     nu = float(model.cfg.nu)
-    units = [(mu1[i], sig1[i], mu0[i], sig0[i], nu, n_mc, seed, i) for i in range(len(delta))]
+    units = [(mu1[i], sig1[i], mu0[i], sig0[i], nu, n_mc, seed) for i in range(len(delta))]
     with rngs.fan_out(_mc_kl_pair, units) as estimates:
         return [BoundCheckRow(delta=float(d), kl=kl, se=se,
                               bound=theorem2_bound(constants, float(d)))
@@ -439,9 +443,19 @@ def theorem2_check(
 
 
 def _mc_kl_pair(unit) -> tuple[float, float]:
-    """``theorem2_check``'s estimate for pair i, from pair i's own stream."""
-    *operands, seed, i = unit
-    return mc_kl_diag_student(*operands, rngs.stream(seed, "theory", "mc_kl", i))
+    """``theorem2_check``'s estimate for one pair, on the shared draws."""
+    *operands, nu, n_mc, seed = unit
+    return mc_kl_diag_student(*operands, nu, _mc_draws(seed, nu, n_mc, len(operands[0])))
+
+
+@functools.lru_cache(maxsize=1)
+def _mc_draws(seed: int, nu: float, n_mc: int, m: int) -> np.ndarray:
+    """The read-only (n_mc, m) standard Student(nu) draws that every pair of
+    ``theorem2_check`` shares, drawn from stream (seed, "theory", "mc_kl") by
+    one call: the only Student sampler of the package."""
+    draws = rngs.stream(seed, "theory", "mc_kl").standard_t(df=nu, size=(n_mc, m))
+    draws.flags.writeable = False
+    return draws
 
 
 # --------------------------------------------------------------------------

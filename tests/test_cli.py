@@ -105,7 +105,7 @@ def test_ablate_prints_its_table_unless_quiet(tiny_ini, tmp_path, capsys):
 
 
 # sha256 of the theory_report.csv that verify-theory writes for smoke.ini
-SMOKE_THEORY_CSV = "b8d4c7c284ed2474d13e634555ccd5c9f3e690b419690c8a6d867a15f8b089b7"
+SMOKE_THEORY_CSV = "62906ea40a19bced6738a1926bb0b39c300d9d358c6d8ef67b79e9f2f3d6ba02"
 
 
 def test_verify_theory_prints_one_timed_line_per_stage_unless_quiet(tmp_path, capsys):

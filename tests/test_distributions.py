@@ -6,6 +6,7 @@ trapezoid quadrature; Monte-Carlo checks freeze their seeds.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -430,7 +431,8 @@ KL_CALLS = {
     "kl_student_same_nu_upper_bound": lambda mean, scale, nu: kl_student_same_nu_upper_bound(
         mean, scale, np.zeros(2), np.ones(2), nu),
     "mc_kl_diag_student": lambda mean, scale, nu: mc_kl_diag_student(
-        np.zeros(2), np.ones(2), mean, scale, nu, 10, np.random.default_rng(0))[0],
+        np.zeros(2), np.ones(2), mean, scale, nu,
+        np.random.default_rng(0).standard_t(df=nu, size=(10, 2)))[0],
     "student_entropy": lambda mean, scale, nu: student_entropy(scale, nu),
 }
 
@@ -554,15 +556,33 @@ def test_student_bound_identity_simplification():
 
 
 def test_student_bound_dominates_mc_kl(rng):
+    # one shared block of draws per m serves every pair of that width
+    draws = {m: rng.standard_t(df=4.0, size=(100_000, m)) for m in (1, 2, 4)}
     worst = np.inf
     for i in range(200):
         m = (1, 2, 4)[i % 3]
         p, q = _random_student_pair(rng, m)
         bound = kl_student_same_nu_upper_bound(*p, *q, 4.0)
-        est, se = mc_kl_diag_student(*p, *q, 4.0, 100_000, rng)
+        est, se = mc_kl_diag_student(*p, *q, 4.0, draws[m])
         assert bound >= est - 3 * se, f"pair {i}: bound {bound} < MC {est} (se {se})"
         worst = min(worst, bound - est)
     assert math.isfinite(worst)
+
+
+def test_mc_kl_near_the_normal_limit_matches_the_normal_kl():
+    # At nu = 1e6 the Students are Normals up to O(1 / nu).  The three pairs
+    # share one block, and swapping p's and q's transforms moves every
+    # estimate many standard errors away.
+    draws = rngs.stream(11, "test", "mc_kl").standard_t(df=1e6, size=(100_000, 4))
+    pairs = [_pinned_pair(),
+             tuple(map(np.array, ([0.0] * 4, [1.0] * 4, [0.5, -0.5, 0.2, 0.0],
+                                  [1.2, 0.8, 1.0, 1.5]))),
+             tuple(map(np.array, ([1.0, 2.0, -1.0, 0.0], [0.5, 0.5, 2.0, 1.0],
+                                  [1.5, 1.0, -1.0, 0.5], [0.7, 0.6, 1.5, 1.1])))]
+    for mean_p, scale_p, mean_q, scale_q in pairs:
+        est, se = mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, 1e6, draws)
+        exact = kl_diag_normal(mean_p, scale_p, mean_q, scale_q)
+        assert abs(est - exact) <= 4 * se, (est, se, exact)
 
 
 # (estimate, se) of mc_kl_diag_student for fixed parameters and one stream,
@@ -585,32 +605,44 @@ def test_mc_kl_is_pinned_and_leaves_its_parameters_intact(nu):
     operands = _pinned_pair()
     before = [a.copy() for a in operands]
     seed, want = PINNED_MC_KL[nu]
-    got = mc_kl_diag_student(*operands, nu, 5000, rngs.stream(seed, "test", "mc_kl"))
+    draws = rngs.stream(seed, "test", "mc_kl").standard_t(df=nu, size=(5000, 4))
+    got = mc_kl_diag_student(*operands, nu, draws)
     assert repr(got) == repr(want)
     for kept, now in zip(before, operands):
         assert np.array_equal(kept, now)
 
 
+def test_mc_kl_leaves_its_draws_as_they_were_and_reads_a_read_only_block():
+    draws = np.random.default_rng(2).standard_t(df=4.0, size=(20_000, 4))
+    kept = draws.copy()
+    got = mc_kl_diag_student(*_pinned_pair(), 4.0, draws)
+    assert np.array_equal(draws, kept)
+    draws.flags.writeable = False
+    assert mc_kl_diag_student(*_pinned_pair(), 4.0, draws) == got
+    assert np.array_equal(draws, kept)
+
+
 def test_mc_kl_peak_memory_stays_within_its_row_array_and_tile_buffers():
-    # The (n,) log ratios and np.std's (n,) deviations, plus the draw tile,
-    # the density buffer and the row sums: about 0.6 draw arrays at this
-    # size.  The full-size estimator peaked at 2.5 draw arrays.
+    # The (n,) log ratios and np.std's (n,) deviations, plus the scaled draw
+    # tile, the density buffer and the row sums: about 0.6 draw arrays at
+    # this size, besides the caller's draws.  The full-size estimator peaked
+    # at 2.5 draw arrays.
     n, m = 100_000, 4
     operands = _pinned_pair()
-    rng = rngs.stream(5, "test", "mc_kl")
+    draws = rngs.stream(5, "test", "mc_kl").standard_t(df=4.0, size=(n, m))
     tracemalloc.start()
     try:
-        mc_kl_diag_student(*operands, 4.0, n, rng)
+        mc_kl_diag_student(*operands, 4.0, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * 8 + 3 * _MC_ROWS * m * 8
 
 
-def _mc_kl_reference(mean_p, scale_p, mean_q, scale_q, nu, n_samples, rng):
-    """The estimator before row tiles: one full-size draw through
+def _mc_kl_reference(mean_p, scale_p, mean_q, scale_q, nu, draws):
+    """The estimator before row tiles: the whole block through
     ``logpdf_diag_student``'s array mode, row sums by ``np.sum``."""
-    draws = rng.standard_t(df=nu, size=(n_samples, len(mean_p)))
+    draws = draws.copy()
     draws *= scale_p
     draws += mean_p
     log_ratio = logpdf_diag_student(draws, mean_p, scale_p, nu)
@@ -628,37 +660,38 @@ def test_mc_kl_tiles_equal_one_full_size_draw_bit_for_bit(m, n, nu):
     g = np.random.default_rng([m, n])
     operands = (g.normal(size=m), g.uniform(0.3, 2.0, m),
                 g.normal(size=m), g.uniform(0.3, 2.0, m))
-    got = mc_kl_diag_student(*operands, nu, n, np.random.default_rng(7))
-    want = _mc_kl_reference(*operands, nu, n, np.random.default_rng(7))
+    draws = np.random.default_rng(7).standard_t(df=nu, size=(n, m))
+    got = mc_kl_diag_student(*operands, nu, draws)
+    want = _mc_kl_reference(*operands, nu, draws)
     assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_mc_kl_needs_two_draws_for_its_standard_error(n):
-    with pytest.raises(ValueError, match=rf"n_samples = {n} .*at least 2"):
-        mc_kl_diag_student(*_pinned_pair(), 4.0, n, np.random.default_rng(0))
+    draws = np.random.default_rng(0).standard_t(df=4.0, size=(n, 4))
+    with pytest.raises(ValueError, match=rf"shape \({n}, 4\) .*at least 2 rows"):
+        mc_kl_diag_student(*_pinned_pair(), 4.0, draws)
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 3), (10, 5), (2, 10, 4), (4, 10)])
+def test_mc_kl_rejects_draws_of_another_width_or_rank(shape):
+    draws = np.random.default_rng(0).standard_t(df=4.0, size=shape)
+    want = re.escape(f"draws must be (n, 4) for operands of 4 values, got shape {shape}")
+    with pytest.raises(ValueError, match=want):
+        mc_kl_diag_student(*_pinned_pair(), 4.0, draws)
 
 
 def test_mc_kl_operands_are_one_row():
     mean_p, scale_p, mean_q, scale_q = (np.tile(a, (2, 1)) for a in _pinned_pair())
+    draws = np.random.default_rng(0).standard_t(df=4.0, size=(300, 4))
     with pytest.raises(ValueError, match=r"operands must be one row, got shape \(2, 4\)"):
-        mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, 4.0, 10, np.random.default_rng(0))
+        mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, 4.0, draws[:10])
     one_row = [a[:1] for a in (mean_p, scale_p, mean_q, scale_q)]
-    assert (mc_kl_diag_student(*one_row, 4.0, 300, np.random.default_rng(0))
-            == mc_kl_diag_student(*_pinned_pair(), 4.0, 300, np.random.default_rng(0)))
+    assert (mc_kl_diag_student(*one_row, 4.0, draws)
+            == mc_kl_diag_student(*_pinned_pair(), 4.0, draws))
 
 
-# Canaries for the numpy behaviour that mc_kl_diag_student's row tiles rely on.
-def test_numpy_canary_standard_t_row_tiles_are_one_draw():
-    for nu in (2.5, 4.0):
-        whole = np.random.default_rng(3).standard_t(nu, size=(20_000, 4))
-        rng = np.random.default_rng(3)
-        tiles = [rng.standard_t(nu, size=(rows, 4)) for rows in (8192, 8192, 3616)]
-        assert np.array_equal(np.concatenate(tiles), whole), (
-            "numpy canary: consecutive row tiles of Generator.standard_t no longer "
-            "equal one draw of their total size")
-
-
+# Canary for the numpy behaviour that mc_kl_diag_student's row sums rely on.
 @pytest.mark.parametrize("m", range(1, 8))
 def test_numpy_canary_short_row_sums_are_the_left_column_fold(m):
     g = np.random.default_rng(m)

@@ -20,6 +20,10 @@ Only ``autodiff.py`` touches a node's ``_parents`` or ``_rec`` or a
 recorded plan's fields: the tape and the plan are one engine, and code
 elsewhere that walked a node's parents or called its rule would not be
 replayed by a plan.
+
+Only ``theory._mc_draws`` calls ``standard_t``: the Monte-Carlo pairs of
+the affine-bound check share its one block of Student draws, and a sampler
+anywhere else would redraw that block per pair.
 """
 
 import ast
@@ -198,3 +202,44 @@ def test_the_tape_checker_flags_reads_and_writes():
 def test_only_the_autodiff_module_touches_the_tape_and_the_plan():
     touching = [p.name for p in SOURCES if tape_accesses(p.read_text(encoding="utf-8"))]
     assert touching == ["autodiff.py"]
+
+
+STUDENT_DRAWERS = {("theory.py", "_mc_draws")}
+
+
+def student_draw_calls(name: str, text: str) -> list[str]:
+    """One line per call of ``standard_t`` outside the functions of STUDENT_DRAWERS."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and (name, scope) not in STUDENT_DRAWERS:
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called == "standard_t":
+                found.append(f"line {node.lineno}: calls standard_t in {scope or 'module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_the_student_draw_checker_flags_a_planted_case():
+    text = ("from numpy.random import standard_t\n"
+            "def _mc_draws(rng):\n"
+            "    return rng.standard_t(df=4.0, size=(10, 2))\n"
+            "def _mc_kl_pair(rng, n):\n"
+            "    return rng.standard_t(4.0, size=(n, 2)), standard_t(4.0)\n"
+            "DRAWS = rngs.stream(1, 'theory').standard_t(4.0, 3)\n")
+    assert student_draw_calls("theory.py", text) == [
+        "line 5: calls standard_t in _mc_kl_pair", "line 5: calls standard_t in _mc_kl_pair",
+        "line 6: calls standard_t in module"]
+    assert student_draw_calls("distributions.py", text)[0] == (
+        "line 3: calls standard_t in _mc_draws")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_theory_draw_helper_calls_standard_t(path):
+    assert student_draw_calls(path.name, path.read_text(encoding="utf-8")) == []

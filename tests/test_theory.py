@@ -517,20 +517,39 @@ def test_affine_bound_dominates_mc_kl_on_tiny_instances():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_each_pair_draws_from_its_own_stream(monkeypatch, workers):
-    """Pair i's estimate is what pair i alone draws from stream
-    (seed, "theory", "mc_kl", i): it needs none of the other pairs' draws,
-    so the pairs can run apart."""
+def test_every_pair_evaluates_the_one_shared_block_of_draws(monkeypatch, workers):
+    """Pair i's estimate is its own KL on the (n_mc, m) block that stream
+    (seed, "theory", "mc_kl") draws: it needs none of the other pairs, so a
+    check of the first three pairs returns the first three rows of the whole
+    check, on any worker count."""
     monkeypatch.setattr(rngs, "cores", lambda: workers)
     model, X, (Y0, Y1) = _perturbed_pairs(4, n=5)
+    # BLAS may round a row's encoding differently in a batch of another
+    # size, so rows are encoded one at a time, as in any batch
+    encode = model.encode_xy
+    monkeypatch.setattr(model, "encode_xy", lambda X, Y: tuple(map(np.concatenate, zip(
+        *(encode(X[i:i + 1], Y[i:i + 1]) for i in range(len(X)))))))
     constants = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
     rows = theorem2_check(model, X, (Y0, Y1), constants, n_mc=3000, seed=7)
     mu0, sig0 = model.encode_xy(X, Y0)
     mu1, sig1 = model.encode_xy(X, Y1)
+    draws = rngs.stream(7, "theory", "mc_kl").standard_t(df=4.0, size=(3000, model.cfg.m))
     for i, row in enumerate(rows):
-        stream = rngs.stream(7, "theory", "mc_kl", i)
         assert (row.kl, row.se) == mc_kl_diag_student(mu1[i], sig1[i], mu0[i], sig0[i],
-                                                      4.0, 3000, stream)
+                                                      4.0, draws)
+    first = theorem2_check(model, X[:3], (Y0[:3], Y1[:3]), constants, n_mc=3000, seed=7)
+    assert first == rows[:3]
+
+
+def test_the_shared_draws_are_cached_read_only_and_keyed_by_seed_and_nu():
+    draws = theory._mc_draws(7, 4.0, 3000, 2)
+    assert theory._mc_draws(7, 4.0, 3000, 2) is draws
+    assert draws.shape == (3000, 2) and not draws.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        draws[0, 0] = 0.0
+    kept = draws.copy()
+    for other in (theory._mc_draws(8, 4.0, 3000, 2), theory._mc_draws(7, 5.0, 3000, 2)):
+        assert not np.array_equal(other, kept)
 
 
 def test_affine_check_rejects_normal_models():
