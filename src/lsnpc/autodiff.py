@@ -2,7 +2,7 @@
 
 Small by design: exactly the primitives needed for MLP encoders/decoders and
 the variational losses (matmul, broadcasting elementwise arithmetic, GELU,
-sigmoid, softplus, log, exp, sqrt, square, lgamma, clamp, reductions,
+sigmoid, softplus, log, sqrt, square, lgamma, clamp, reductions,
 concatenation), plus fused ops that each run a whole primitive chain as a
 single node with a hand-written backward pass, bit-identical to the chain:
 
@@ -250,9 +250,6 @@ class Tensor:
     def sqrt(self):
         return self._unary("sqrt", lambda _, g, a: (0.5 * g / np.sqrt(a),))
 
-    def exp(self):
-        return self._unary("exp", lambda _, g, a: (np.exp(a) * g,))
-
     def log(self):
         return self._unary("log", lambda _, g, a: (g / a,))
 
@@ -324,7 +321,6 @@ _FORWARD = {
     "matmul": _no_context(np.matmul),
     "square": _no_context(np.square),
     "sqrt": _no_context(np.sqrt),
-    "exp": _no_context(np.exp),
     "log": _no_context(np.log),
     "sigmoid": _sigmoid,
     "softplus": _no_context(lambda a: np.logaddexp(0.0, a)),

@@ -85,10 +85,6 @@ class CorrectionConfig:
         if not 0.0 < self.tau < 1.0:
             raise ValueError("threshold must lie strictly inside (0, 1)")
 
-    @property
-    def n_chains(self) -> int:
-        return self.s_y * self.s_zhat * self.s_z
-
 
 @dataclass
 class CorrectionResult:

@@ -3,7 +3,7 @@
 Diagonal Normal, diagonal Student (realized as independent univariate Student
 components per dimension, matching the diagonal determinant and trace algebra
 of the bounds), and multivariate Bernoulli: reparameterized samplers,
-log-densities, and closed-form and bounded KL divergences.
+log-densities, closed-form KL divergences and a Monte-Carlo Student KL.
 
 Every function takes its parameters as separate ``(mean, scale, nu)``
 operands, as in ``mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu,
@@ -36,7 +36,6 @@ __all__ = [
     "logpmf_bernoulli",
     "kl_diag_normal",
     "kl_mv_bernoulli",
-    "kl_student_same_nu_upper_bound",
     "mc_kl_diag_student",
     "student_entropy",
 ]
@@ -297,32 +296,6 @@ def kl_mv_bernoulli(p, q) -> float:
         p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q)),
     )
     return float(np.sum(terms, axis=-1))
-
-
-def kl_student_same_nu_upper_bound(mean_p, scale_p, mean_q, scale_q, nu) -> float:
-    """Upper bound on KL[p || q] for diagonal Students sharing nu > 2.
-
-    Uses the closed bound built from the diagonal determinant and trace:
-    half the log determinant ratio, a digamma correction, and a log term in
-    the second-argument-whitened first moment matrix (first argument's
-    covariance nu/(nu-2) * scale^2 plus the squared mean difference).
-    """
-    if not nu > 2.0:
-        raise ValueError(f"the bound requires nu > 2, got {nu}")
-    (mean_p, mean_q), (scale_p, scale_q) = _checked(
-        "kl_student_same_nu_upper_bound", (mean_p, mean_q), (scale_p, scale_q))
-    m = mean_p.shape[-1]
-    var1 = np.square(scale_p)
-    var2 = np.square(scale_q)
-    log_det_ratio = float(np.sum(np.log(var2) - np.log(var1)))
-    trace_term = float(np.sum(var1 / var2)) / (nu - 2.0)
-    mean_term = float(np.sum(np.square(mean_p - mean_q) / var2)) / nu
-    half_nm = (nu + m) / 2.0
-    return float(
-        0.5 * log_det_ratio
-        - half_nm * (_sp.psi(half_nm) - _sp.psi(nu / 2.0))
-        + half_nm * math.log(1.0 + trace_term + mean_term)
-    )
 
 
 # Rows per Monte-Carlo tile, a multiple of _MC_LINE so a whole tile takes the

@@ -37,6 +37,7 @@ from .evaluation import Report, RunMetrics, build_report, macro_f1, micro_f1
 from .model import LsnpcModel, train_semi_supervised, save_model
 from .noise import SplitResult, build_transition_matrix, save_transition, split_dataset
 from .theory import (
+    INFLATION,
     Theorem1Result,
     amortization_demo,
     estimate_constants,
@@ -454,9 +455,9 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
     for i in range(tc.pairs):
         a, b = random_label_pairs(k, 1, rng, delta=int(deltas[i]))
         Y0[i], Y1[i] = a[0], b[0]
-    const = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
+    const = estimate_constants(model, X, (Y0, Y1)).inflated()
     report.add("encoder-constants", tc.pairs, const.n_regular, const.lam)
-    report.notes.append(f"encoder-constants (x1.5 inflated): M={const.M:.4f} L={const.L:.4f} "
+    report.notes.append(f"encoder-constants (x{INFLATION} inflated): M={const.M:.4f} L={const.L:.4f} "
                         f"lam={const.lam:.6f} alpha={const.alpha:.4f} C1={const.C1:.4f} "
                         f"C2={const.C2:.4f}")
     rows = theorem2_check(model, X, (Y0, Y1), const, n_mc=tc.n_mc, seed=tc.seed)
@@ -470,7 +471,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
 
     # 4. Normal-proposal arm against the quadratic bound.
     gmodel = _trained_theory_model(run_cfg, sp, h, "normal")
-    gconst = estimate_constants(gmodel, X, (Y0, Y1)).inflated(1.5)
+    gconst = estimate_constants(gmodel, X, (Y0, Y1)).inflated()
     grows = gaussian_bound_check(gmodel, X, (Y0, Y1), gconst)
     gdom = sum(r.dominated for r in grows)
     exponent = fit_delta_exponent(grows)
@@ -480,7 +481,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
 
     # 5. Label-KL amortization across label-space sizes.
     ks = (20, 80, 320)
-    totals = [amortization_demo(k, 0.01, 0.9, 0.5, 2)[0] for k in ks]
+    totals = [amortization_demo(k) for k in ks]
     spread = max(totals) - min(totals)
     matches = sum(abs(t - totals[0]) <= 1e-12 for t in totals)
     report.add("bernoulli-amortization", len(ks), matches, spread)

@@ -100,6 +100,10 @@ def cosine_lr(epoch: int) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * (epoch % 10) / 10))
 
 
+# The moment decay rates and the denominator's epsilon of every AdamW.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """Adaptive moments with decoupled weight decay (Loshchilov & Hutter, 2019).
 
@@ -118,11 +122,9 @@ class AdamW:
     touching the moment state.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = params
-        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
-        self.eps, self.weight_decay = eps, weight_decay
+        self.lr, self.weight_decay = lr, weight_decay
         order = sorted(params, key=lambda name: ".W" not in name)
         sizes = [params[name].size for name in order]
         self._n_decayed = sum(size for name, size in zip(order, sizes) if ".W" in name)
@@ -153,22 +155,22 @@ class AdamW:
             g[...] = p.grad
         self._t += 1
         lr = self.lr * lr_scale
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
+        bc1 = 1.0 - ADAM_BETA1**self._t
+        bc2 = 1.0 - ADAM_BETA2**self._t
         g, m, v, update, data = self._grad, self._m, self._v, self._update, self._arena
         # m += (1 - beta1) g;  v += (1 - beta2) g^2;  data -= lr update, with
         # update = (m / bc1) / (sqrt(v / bc2) + eps) + weight_decay data on weights
-        np.multiply(1.0 - self.beta1, g, out=update)
-        m *= self.beta1
+        np.multiply(1.0 - ADAM_BETA1, g, out=update)
+        m *= ADAM_BETA1
         m += update
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.square(g, out=g)
-        g *= 1.0 - self.beta2
+        g *= 1.0 - ADAM_BETA2
         v += g
         np.divide(m, bc1, out=update)
         root = np.divide(v, bc2, out=g)
         np.sqrt(root, out=root)
-        root += self.eps
+        root += ADAM_EPS
         update /= root
         if self.weight_decay:
             n = self._n_decayed

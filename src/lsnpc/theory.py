@@ -12,8 +12,8 @@ Four families of checks:
   nothing, so the total divergence is independent of the label-space size.
 
 Empirical constants are maxima over finite samples and therefore
-under-estimates of the true suprema; bound checks inflate them (default
-x1.5: M and L up, lambda down) and report the raw pass rate alongside.
+under-estimates of the true suprema; bound checks inflate them by
+``INFLATION`` (M and L up, lambda down) and report the raw pass rate alongside.
 """
 
 from __future__ import annotations
@@ -282,6 +282,9 @@ def _kl_sum(lq, lp, diff_out, q_out, axis=None):
 # --------------------------------------------------------------------------
 # Encoder constants and the affine bound
 
+# The factor by which bound checks inflate the empirical constants.
+INFLATION = 1.5
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -302,8 +305,10 @@ class BoundConstants:
     m: int
     n_regular: int = 0
 
-    def inflated(self, factor: float = 1.5) -> "BoundConstants":
-        return replace(self, M=self.M * factor, L=self.L * factor, lam=self.lam / factor)
+    def inflated(self) -> "BoundConstants":
+        """M and L times ``INFLATION``, lam divided by it."""
+        return replace(self, M=self.M * INFLATION, L=self.L * INFLATION,
+                       lam=self.lam / INFLATION)
 
     @property
     def alpha(self) -> float:
@@ -508,29 +513,20 @@ def fit_delta_exponent(rows: list[BoundCheckRow]) -> float:
 # Amortization demonstration
 
 
-def amortization_demo(
-    k: int,
-    matched_prob: float,
-    pos_prob_a: float,
-    pos_prob_b: float,
-    n_pos: int,
-) -> tuple[float, float]:
-    """Total Bernoulli KL between vectors agreeing everywhere but n_pos labels.
+def amortization_demo(k: int) -> float:
+    """Total Bernoulli KL between k-label vectors that agree everywhere but
+    on two labels, at probability 0.9 against 0.5; the other labels agree at 0.01.
 
-    Returns (total KL, KL per disagreeing label).  The total depends only on
-    the disagreeing labels, so it is constant in k: spreading a fixed
-    disagreement over more labels dilutes the per-dimension divergence.
+    The total depends only on the disagreeing labels, so it is constant in k:
+    spreading a fixed disagreement over more labels dilutes the per-dimension
+    divergence.
     """
-    if k < n_pos:
-        raise ValueError("k must be at least the number of disagreeing labels")
-    if n_pos == 0:
-        return 0.0, 0.0
-    a = np.full(k, matched_prob)
-    b = np.full(k, matched_prob)
-    a[:n_pos] = pos_prob_a
-    b[:n_pos] = pos_prob_b
-    total = kl_mv_bernoulli(a, b)
-    return total, total / n_pos
+    if k < 2:
+        raise ValueError(f"k must be at least the 2 disagreeing labels, got {k}")
+    a = np.full(k, 0.01)
+    b = np.full(k, 0.01)
+    a[:2], b[:2] = 0.9, 0.5
+    return kl_mv_bernoulli(a, b)
 
 
 # --------------------------------------------------------------------------

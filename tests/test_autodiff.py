@@ -91,7 +91,7 @@ def test_huge_finite_values_are_not_flagged():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_first_non_finite_op_is_named(bad):
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="w")
-    out = (w * np.array([bad, 1.0])).exp().sum()
+    out = (w * np.array([bad, 1.0])).square().sum()
     assert out.nonfinite_op == "leaf"
     assert Tensor(np.array([bad, 1.0]), name="v").nonfinite_op == "leaf(v)"
     assert Tensor(np.array([np.inf, -np.inf])).nonfinite_op == "leaf"
@@ -229,7 +229,6 @@ def test_grad_check_rejects_nonscalar():
 UNARY_OPS = [
     ("square", lambda x: x.square(), (-3.0, 3.0)),
     ("sqrt", lambda x: x.sqrt(), (0.1, 4.0)),
-    ("exp", lambda x: x.exp(), (-2.0, 2.0)),
     ("log", lambda x: x.log(), (0.1, 5.0)),
     ("sigmoid", lambda x: x.sigmoid(), (-4.0, 4.0)),
     ("softplus", lambda x: x.softplus(), (-4.0, 4.0)),

@@ -70,7 +70,6 @@ def test_config_validation():
         CorrectionConfig(tau=1.0)
     with pytest.raises(ValueError, match="threshold"):
         CorrectionConfig(tau=0.0)
-    assert CorrectionConfig(s_y=8, s_zhat=4, s_z=1).n_chains == 32
 
 
 def test_correct_signature_takes_no_labels():
@@ -469,7 +468,7 @@ def test_correct_decodes_once_per_chain(monkeypatch):
     monkeypatch.setattr(LsnpcModel, "decode_labels", counting)
     cfg = CorrectionConfig(s_y=3, s_zhat=2, s_z=2)
     correct(model, h, X, cfg)
-    assert calls == [len(X)] * cfg.n_chains
+    assert calls == [len(X)] * (3 * 2 * 2)
 
 
 def test_mc_error_decays_like_inverse_root_chains():

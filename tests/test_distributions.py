@@ -24,7 +24,6 @@ from lsnpc.distributions import (
     _MC_ROWS,
     kl_diag_normal,
     kl_mv_bernoulli,
-    kl_student_same_nu_upper_bound,
     logpdf_diag_normal,
     logpdf_diag_student,
     logpmf_bernoulli,
@@ -428,8 +427,6 @@ def test_log_densities_are_one_tape_node_each():
 KL_CALLS = {
     "kl_diag_normal": lambda mean, scale, nu: kl_diag_normal(
         mean, scale, np.zeros(2), np.ones(2)),
-    "kl_student_same_nu_upper_bound": lambda mean, scale, nu: kl_student_same_nu_upper_bound(
-        mean, scale, np.zeros(2), np.ones(2), nu),
     "mc_kl_diag_student": lambda mean, scale, nu: mc_kl_diag_student(
         np.zeros(2), np.ones(2), mean, scale, nu,
         np.random.default_rng(0).standard_t(df=nu, size=(10, 2)))[0],
@@ -525,48 +522,61 @@ def test_kl_bernoulli_matched_components_free(extra, prob):
 
 
 # ---------------------------------------------------------------------------
-# Student KL upper bound
+# Monte-Carlo Student KL
 
 
-def _random_student_pair(rng, m, nu=4.0):
+def _random_student_pair(rng, m):
     # Moderate parameter regime (scale ratios < 2, mean gaps ~ one scale):
-    # the regime encoder heads actually produce.  The bound targets the
-    # jointly heavy-tailed multivariate Student; against our per-dimension
-    # product densities it is NOT universal, see
-    # test_student_bound_not_universal_for_product_densities.
+    # the regime encoder heads actually produce.
     p = (rng.normal(0, 0.5, m), rng.uniform(0.6, 1.1, m))
     q = (rng.normal(0, 0.5, m), rng.uniform(0.6, 1.1, m))
     return p, q
 
 
-def test_student_bound_identity_simplification():
-    # At p=q the bound collapses to
-    # (nu+m)/2 * [ln(1 + m/(nu-2)) - psi((nu+m)/2) + psi(nu/2)].
+def _student_kl_by_quadrature(mean_p, scale_p, mean_q, scale_q, nu, points=2001):
+    """Sum over dimensions of the 1-D KL[t_nu(mean_p, scale_p) || t_nu(mean_q, scale_q)].
+
+    With t standard Student and u = (mean_p - mean_q + scale_p t) / scale_q,
+    each term is log(scale_q / scale_p) + (nu + 1)/2 E[log(1 + u^2/nu) -
+    log(1 + t^2/nu)]; the expectation is a midpoint rule in
+    theta = arctan(t / sqrt(nu)), where t's density times dt is
+    Gamma((nu+1)/2) / (sqrt(pi) Gamma(nu/2)) cos(theta)^(nu-1) dtheta.
+    """
+    step = math.pi / points
+    theta = (np.arange(points) + 0.5) * step - math.pi / 2
+    t = math.sqrt(nu) * np.tan(theta)
+    weight = (math.exp(gammaln((nu + 1) / 2) - gammaln(nu / 2)) / math.sqrt(math.pi)
+              * np.cos(theta) ** (nu - 1) * step)
+    u = (mean_p - mean_q + scale_p * t[:, None]) / scale_q
+    inner = weight @ (np.log1p(np.square(u) / nu) - np.log1p(np.square(t[:, None]) / nu))
+    return float(np.sum(np.log(scale_q / scale_p) + (nu + 1) / 2 * inner))
+
+
+def test_student_kl_quadrature_matches_mpmath():
+    nu, (mp, sp, mq, sq) = 4.0, (0.3, 0.7, -0.4, 1.1)
+    dens = [lambda x, m=m, s=s: mpmath.exp(mpmath.loggamma((nu + 1) / 2)
+                                           - mpmath.loggamma(nu / 2))
+            / mpmath.sqrt(nu * mpmath.pi) / s * (1 + ((x - m) / s) ** 2 / nu) ** (-(nu + 1) / 2)
+            for m, s in ((mp, sp), (mq, sq))]
+    exact = mpmath.quad(lambda x: dens[0](x) * mpmath.log(dens[0](x) / dens[1](x)),
+                        [-mpmath.inf, mp, mpmath.inf])
+    got = _student_kl_by_quadrature(np.array([mp]), np.array([sp]), np.array([mq]),
+                                    np.array([sq]), nu)
+    assert got == pytest.approx(float(exact), rel=1e-9)
+    same = (np.array([0.2, -1.0]), np.array([0.8, 1.3]))
+    assert _student_kl_by_quadrature(*same, *same, nu) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_mc_kl_is_within_4_se_of_the_per_dimension_quadrature(rng):
+    # The widths take _mc_tile's one-column and short-row (m < 8) row sums;
+    # the pairs of one width share one block of draws, as theory's pairs do.
     for m in (1, 2, 4):
-        nu = 4.0
-        p = (np.linspace(-1, 1, m), np.full(m, 1.3))
-        got = kl_student_same_nu_upper_bound(*p, *p, nu)
-        half_nm = (nu + m) / 2.0
-        expected = half_nm * (
-            math.log(1.0 + m / (nu - 2.0))
-            - float(mpmath.digamma(half_nm)) + float(mpmath.digamma(nu / 2.0))
-        )
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert got >= 0.0
-
-
-def test_student_bound_dominates_mc_kl(rng):
-    # one shared block of draws per m serves every pair of that width
-    draws = {m: rng.standard_t(df=4.0, size=(100_000, m)) for m in (1, 2, 4)}
-    worst = np.inf
-    for i in range(200):
-        m = (1, 2, 4)[i % 3]
-        p, q = _random_student_pair(rng, m)
-        bound = kl_student_same_nu_upper_bound(*p, *q, 4.0)
-        est, se = mc_kl_diag_student(*p, *q, 4.0, draws[m])
-        assert bound >= est - 3 * se, f"pair {i}: bound {bound} < MC {est} (se {se})"
-        worst = min(worst, bound - est)
-    assert math.isfinite(worst)
+        draws = rngs.stream(m, "test", "mc_kl").standard_t(df=4.0, size=(20_000, m))
+        for i in range(12):
+            p, q = _random_student_pair(rng, m)
+            est, se = mc_kl_diag_student(*p, *q, 4.0, draws)
+            exact = _student_kl_by_quadrature(*p, *q, 4.0)
+            assert abs(est - exact) <= 4 * se, (m, i, est, se, exact)
 
 
 def test_mc_kl_near_the_normal_limit_matches_the_normal_kl():
@@ -702,33 +712,6 @@ def test_numpy_canary_short_row_sums_are_the_left_column_fold(m):
     assert np.array_equal(np.sum(a, axis=-1), fold), (
         f"numpy canary: np.sum(axis=-1) over a last axis of {m} is no longer the "
         f"left fold of the columns")
-
-
-def test_student_bound_depends_on_mean_difference_only(rng):
-    p, q = _random_student_pair(rng, 3)
-    shift = rng.normal(size=3)
-    shifted = kl_student_same_nu_upper_bound(p[0] + shift, p[1], q[0] + shift, q[1], 4.0)
-    assert shifted == pytest.approx(kl_student_same_nu_upper_bound(*p, *q, 4.0), abs=1e-12)
-
-
-def test_student_bound_not_universal_for_product_densities():
-    # Witness pinning a known limitation: with the diagonal Student realized
-    # as a product of univariate Students, the sum of exact per-dimension
-    # KLs exceeds the multivariate bound once per-dimension mean gaps reach
-    # a few scales.  Checks that does not silently change.
-    m, nu = 4, 4.0
-    bound = kl_student_same_nu_upper_bound(np.zeros(m), np.ones(m), np.full(m, 3.0),
-                                           np.ones(m), nu)
-    x = np.linspace(-300.0, 300.0, 1_200_001)[:, None]
-    lp = logpdf_diag_student(x, np.zeros(1), np.ones(1), nu)
-    lq = logpdf_diag_student(x, np.full(1, 3.0), np.ones(1), nu)
-    product_kl = m * float(np.trapezoid(np.exp(lp) * (lp - lq), dx=x[1, 0] - x[0, 0]))
-    assert product_kl > bound + 1.0
-
-
-def test_student_bound_rejects_nu_at_most_2():
-    with pytest.raises(ValueError, match="requires nu > 2"):
-        kl_student_same_nu_upper_bound(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2), 1.5)
 
 
 def test_student_entropy_matches_scipy():

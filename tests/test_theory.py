@@ -476,7 +476,8 @@ def test_bound_checks_validate_pairs_like_estimate_constants(proposal):
 
 def test_inflation_moves_every_constant_the_safe_way():
     constants = BoundConstants(M=2.0, L=0.5, lam=0.04, nu=4.0, m=1)
-    up = constants.inflated(1.5)
+    up = constants.inflated()
+    assert theory.INFLATION == 1.5
     assert up.M == 3.0 and up.L == 0.75 and up.lam == pytest.approx(0.04 / 1.5)
     # inflating constants can only raise the bound
     assert theorem2_bound(up, 2.0) >= theorem2_bound(constants, 2.0)
@@ -507,7 +508,7 @@ def test_bound_validation():
 
 def test_affine_bound_dominates_mc_kl_on_tiny_instances():
     model, X, pairs = _perturbed_pairs(4, n=20)
-    constants = estimate_constants(model, X, pairs).inflated(1.5)
+    constants = estimate_constants(model, X, pairs).inflated()
     rows = theorem2_check(model, X, pairs, constants, n_mc=20_000, seed=0)
     assert len(rows) == 20
     for row in rows:
@@ -529,7 +530,7 @@ def test_every_pair_evaluates_the_one_shared_block_of_draws(monkeypatch, workers
     encode = model.encode_xy
     monkeypatch.setattr(model, "encode_xy", lambda X, Y: tuple(map(np.concatenate, zip(
         *(encode(X[i:i + 1], Y[i:i + 1]) for i in range(len(X)))))))
-    constants = estimate_constants(model, X, (Y0, Y1)).inflated(1.5)
+    constants = estimate_constants(model, X, (Y0, Y1)).inflated()
     rows = theorem2_check(model, X, (Y0, Y1), constants, n_mc=3000, seed=7)
     mu0, sig0 = model.encode_xy(X, Y0)
     mu1, sig1 = model.encode_xy(X, Y1)
@@ -577,7 +578,7 @@ def test_quadratic_bound_dominates_closed_form_kl():
     rng = np.random.default_rng(40_000)
     X = rng.standard_normal((200, model.cfg.d))
     pairs = random_label_pairs(6, 200, rng)
-    constants = estimate_constants(model, X, pairs).inflated(1.5)
+    constants = estimate_constants(model, X, pairs).inflated()
     rows = gaussian_bound_check(model, X, pairs, constants)
     assert len(rows) == 200
     assert all(row.dominated for row in rows)
@@ -627,23 +628,16 @@ def test_fit_delta_exponent_recovers_exact_powers():
 
 
 def test_amortization_total_is_constant_in_label_count():
-    totals = []
-    for k in (20, 80, 320):
-        total, per_label = amortization_demo(k, 0.01, 0.9, 0.5, n_pos=2)
-        totals.append(total)
-        assert per_label == pytest.approx(total / 2.0)
-    assert totals[0] == totals[1] == totals[2]  # matched labels add exact zeros
+    totals = [amortization_demo(k) for k in (2, 20, 80, 320)]
+    assert totals[0] == totals[1] == totals[2] == totals[3]  # matched labels add exact zeros
     expected = 2.0 * (0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5))
     assert totals[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_amortization_edge_cases():
-    assert amortization_demo(10, 0.01, 0.9, 0.5, n_pos=0) == (0.0, 0.0)
-    with pytest.raises(ValueError, match="at least"):
-        amortization_demo(1, 0.01, 0.9, 0.5, n_pos=2)
-    # the per-dimension divergence dilutes as k grows while the total holds
-    total_small, _ = amortization_demo(20, 0.01, 0.9, 0.5, n_pos=2)
-    assert total_small / 320.0 < total_small / 20.0
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=f"at least the 2 disagreeing labels, got {k}"):
+            amortization_demo(k)
 
 
 # ---------------------------------------------------------------------------
