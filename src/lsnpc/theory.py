@@ -542,9 +542,14 @@ def tiny_model(
 ) -> LsnpcModel:
     """A 1-D-latent model with randomized heads for quadrature instances.
 
-    Default construction zero-initializes every head, which would make all
-    instances identical; here heads get small random weights, scaled so the
-    proposal stays well inside the default quadrature grid.
+    Default construction zero-initializes every output layer, which would make
+    all instances identical and, with psi and phi's heads at zero, make the
+    posterior the product of the priors.  Here ``theta.mu``, ``theta.sigma``,
+    ``kappa.mu`` and ``kappa.sigma`` (one layer each, ``W0``/``b0``), and both
+    layers of ``psi`` and ``phi`` (hidden ``W0``/``b0``, output ``W1``/``b1``)
+    get small random weights, scaled so the proposal stays well inside the
+    default quadrature grid.  The output layers of psi and phi draw from a
+    stream of their own, after the others.
     """
     cfg = ModelConfig(
         d=d,
@@ -560,7 +565,6 @@ def tiny_model(
         embed_dim=8,
     )
     model = LsnpcModel(cfg, seed=seed)
-    rng = rngs.stream(seed, "theory", "heads")
     # (weight scale, bias scale, bias shift); weights are fan-in normalized.
     # Scale heads produce softplus arguments around -0.4 so proposal scales
     # land in roughly [0.3, 1.0] and nu=4 tails stay on the default grid.
@@ -572,12 +576,17 @@ def tiny_model(
         "psi": (0.8, 0.3, 0.0),
         "phi": (1.5, 0.8, 0.0),
     }
-    for prefix, (w_scale, b_scale, b_shift) in scales.items():
-        W = model.params[f"{prefix}.W0"]
-        b = model.params[f"{prefix}.b0"]
+    rng = rngs.stream(seed, "theory", "heads")
+    out_rng = rngs.stream(seed, "theory", "heads", "out")
+    layers = [(prefix, 0, rng) for prefix in scales] + [(prefix, 1, out_rng)
+                                                        for prefix in ("psi", "phi")]
+    for prefix, layer, stream in layers:
+        w_scale, b_scale, b_shift = scales[prefix]
+        W = model.params[f"{prefix}.W{layer}"]
+        b = model.params[f"{prefix}.b{layer}"]
         fan_in = W.data.shape[0]
-        W.data[...] = rng.standard_normal(W.data.shape) * (w_scale / math.sqrt(fan_in))
-        b.data[...] = rng.standard_normal(b.data.shape) * b_scale + b_shift
+        W.data[...] = stream.standard_normal(W.data.shape) * (w_scale / math.sqrt(fan_in))
+        b.data[...] = stream.standard_normal(b.data.shape) * b_scale + b_shift
     return model
 
 

@@ -105,7 +105,7 @@ def test_ablate_prints_its_table_unless_quiet(tiny_ini, tmp_path, capsys):
 
 
 # sha256 of the theory_report.csv that verify-theory writes for smoke.ini
-SMOKE_THEORY_CSV = "62906ea40a19bced6738a1926bb0b39c300d9d358c6d8ef67b79e9f2f3d6ba02"
+SMOKE_THEORY_CSV = "3c390c921e8421775e351ba515177b6431a797371be31197d7f113ff39b05983"
 
 
 def test_verify_theory_prints_one_timed_line_per_stage_unless_quiet(tmp_path, capsys):

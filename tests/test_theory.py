@@ -4,6 +4,7 @@ estimation, both distance bounds, and the label-KL amortization demo."""
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.stats import t as student_t
 
 from lsnpc import rngs, theory
 from lsnpc.autodiff import Tensor
+from lsnpc.config import load_config
 from lsnpc.distributions import (
     kl_diag_normal,
     logpdf_diag_normal,
@@ -43,6 +45,9 @@ from lsnpc.theory import (
     tiny_model,
     verify_theorem1,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _instance(seed, k=2):
@@ -285,16 +290,16 @@ def test_kl_sum_paths_equal_the_masked_sum_bit_for_bit(case, axis, monkeypatch):
 # its out-of-place log table.  The quadrature must reproduce them bit for bit.
 PINNED_THEOREM1 = {
     "student": Theorem1Result(
-        lhs=0.7199289184722757, rhs=1.7876463764770403,
+        lhs=0.7325306688707088, rhs=1.720811864747558,
         proposal_entropy=1.065891113766942, entropy_nonneg=True, holds=True,
-        evidence=0.24997775085294885, proposal_mass=0.9999916330600133,
-        generative_mass=0.999911003411796, empty_columns=0,
+        evidence=0.07565057147445284, proposal_mass=0.9999916330600133,
+        generative_mass=0.9999107708693701, empty_columns=0,
     ),
     "normal": Theorem1Result(
-        lhs=0.68929080929311, rhs=1.9693026613286178,
+        lhs=0.702579158620552, rhs=1.9038920021602568,
         proposal_entropy=0.8030696300929483, entropy_nonneg=True, holds=True,
-        evidence=0.24997775085294885, proposal_mass=1.0,
-        generative_mass=0.999911003411796, empty_columns=0,
+        evidence=0.07565057147445284, proposal_mass=1.0,
+        generative_mass=0.9999107708693701, empty_columns=0,
     ),
 }
 
@@ -306,6 +311,25 @@ def test_theorem1_result_is_pinned(proposal):
     x = rng.standard_normal(model.cfg.d)
     yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
     assert verify_theorem1(model, x, yhat) == PINNED_THEOREM1[proposal]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tiny_model_shift_and_label_heads_vary_over_the_grid(seed):
+    # Zero psi and phi output layers would make the shift 0 and every label
+    # probability 0.5 at every latent value.
+    model = tiny_model(seed)
+    col = QuadratureGrid().values.reshape(-1, 1)
+    x = np.random.default_rng(seed).standard_normal(model.cfg.d)
+    assert np.ptp(model.decode_shift(col)) > 0.1
+    probs = model.decode_labels(np.tile(x, (len(col), 1)), col)
+    assert np.all(np.ptp(probs, axis=0) > 0.1)
+
+
+def test_no_two_theory_ini_instances_share_an_evidence_value():
+    instances = load_config(CONFIGS / "theory.ini").theory.instances
+    with rngs.fan_out(_theorem1_instance, range(instances)) as results:
+        evidence = [res.evidence for res in results]
+    assert len(set(evidence)) == instances == 50
 
 
 @pytest.mark.parametrize("instance,empty", [(0, 0), (43, 477)])
@@ -356,7 +380,7 @@ def test_masses_are_out_of_place_sums_of_exp_bit_for_bit(proposal):
 
 def test_grid_errors_name_the_density_that_misses_mass():
     model, x, yhat = _instance(0)
-    with pytest.raises(GridError, match="generative density integrates to 0.998682"):
+    with pytest.raises(GridError, match="generative density integrates to 0.998670"):
         verify_theorem1(model, x, yhat, grid=QuadratureGrid(lo=-8.0, hi=8.0, step=0.02))
     # a proposal scale of 2: its bulk fits the grid, its Student tails do not
     model.params["theta.sigma.W0"].data[...] = 0.0
