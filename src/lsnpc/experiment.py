@@ -457,9 +457,9 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
         Y0[i], Y1[i] = a[0], b[0]
     const = estimate_constants(model, X, (Y0, Y1)).inflated()
     report.add("encoder-constants", tc.pairs, const.n_regular, const.lam)
-    report.notes.append(f"encoder-constants (x{INFLATION} inflated): M={const.M:.4f} L={const.L:.4f} "
-                        f"lam={const.lam:.6f} alpha={const.alpha:.4f} C1={const.C1:.4f} "
-                        f"C2={const.C2:.4f}")
+    report.notes.append(f"encoder-constants (x{INFLATION} inflated): M={const.M:.4f} "
+                        f"L={const.L:.4f} lam={const.lam:.6f} alpha={const.alpha:.4f} "
+                        f"C1={const.C1:.4f} C2={const.C2:.4f}")
     rows = theorem2_check(model, X, (Y0, Y1), const, n_mc=tc.n_mc, seed=tc.seed)
     dominated = sum(r.dominated for r in rows)
     se_ok = sum(r.se < 0.01 * r.bound for r in rows)

@@ -13,7 +13,7 @@ Four families of checks:
 
 Empirical constants are maxima over finite samples and therefore
 under-estimates of the true suprema; bound checks inflate them by
-``INFLATION`` (M and L up, lambda down) and report the raw pass rate alongside.
+``INFLATION`` (M and L up, lambda down).
 """
 
 from __future__ import annotations
@@ -543,13 +543,13 @@ def tiny_model(
     """A 1-D-latent model with randomized heads for quadrature instances.
 
     Default construction zero-initializes every output layer, which would make
-    all instances identical and, with psi and phi's heads at zero, make the
-    posterior the product of the priors.  Here ``theta.mu``, ``theta.sigma``,
-    ``kappa.mu`` and ``kappa.sigma`` (one layer each, ``W0``/``b0``), and both
-    layers of ``psi`` and ``phi`` (hidden ``W0``/``b0``, output ``W1``/``b1``)
-    get small random weights, scaled so the proposal stays well inside the
-    default quadrature grid.  The output layers of psi and phi draw from a
-    stream of their own, after the others.
+    all instances identical and, through psi and phi, the posterior the product
+    of the priors.  Here the one-layer heads ``theta.mu``, ``theta.sigma``,
+    ``kappa.mu`` and ``kappa.sigma`` (``W0``/``b0``) and both layers of ``psi``
+    and ``phi`` (hidden ``W0``/``b0``, output ``W1``/``b1``) get small random
+    weights, scaled so the proposal stays well inside the default quadrature
+    grid.  The output layers of psi and phi draw from a stream of their own,
+    after the others.
     """
     cfg = ModelConfig(
         d=d,
@@ -565,6 +565,8 @@ def tiny_model(
         embed_dim=8,
     )
     model = LsnpcModel(cfg, seed=seed)
+    rng = rngs.stream(seed, "theory", "heads")
+    out_rng = rngs.stream(seed, "theory", "heads", "out")
     # (weight scale, bias scale, bias shift); weights are fan-in normalized.
     # Scale heads produce softplus arguments around -0.4 so proposal scales
     # land in roughly [0.3, 1.0] and nu=4 tails stay on the default grid.
@@ -576,10 +578,8 @@ def tiny_model(
         "psi": (0.8, 0.3, 0.0),
         "phi": (1.5, 0.8, 0.0),
     }
-    rng = rngs.stream(seed, "theory", "heads")
-    out_rng = rngs.stream(seed, "theory", "heads", "out")
-    layers = [(prefix, 0, rng) for prefix in scales] + [(prefix, 1, out_rng)
-                                                        for prefix in ("psi", "phi")]
+    layers = [(prefix, 0, rng) for prefix in scales]
+    layers += [(prefix, 1, out_rng) for prefix in ("psi", "phi")]
     for prefix, layer, stream in layers:
         w_scale, b_scale, b_shift = scales[prefix]
         W = model.params[f"{prefix}.W{layer}"]

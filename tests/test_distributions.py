@@ -553,18 +553,35 @@ def _student_kl_by_quadrature(mean_p, scale_p, mean_q, scale_q, nu, points=2001)
 
 
 def test_student_kl_quadrature_matches_mpmath():
-    nu, (mp, sp, mq, sq) = 4.0, (0.3, 0.7, -0.4, 1.1)
-    dens = [lambda x, m=m, s=s: mpmath.exp(mpmath.loggamma((nu + 1) / 2)
-                                           - mpmath.loggamma(nu / 2))
-            / mpmath.sqrt(nu * mpmath.pi) / s * (1 + ((x - m) / s) ** 2 / nu) ** (-(nu + 1) / 2)
-            for m, s in ((mp, sp), (mq, sq))]
-    exact = mpmath.quad(lambda x: dens[0](x) * mpmath.log(dens[0](x) / dens[1](x)),
-                        [-mpmath.inf, mp, mpmath.inf])
-    got = _student_kl_by_quadrature(np.array([mp]), np.array([sp]), np.array([mq]),
-                                    np.array([sq]), nu)
+    nu, (mean_p, scale_p, mean_q, scale_q) = 4.0, (0.3, 0.7, -0.4, 1.1)
+
+    def log_density(x, mean, scale):
+        return (mpmath.loggamma((nu + 1) / 2) - mpmath.loggamma(nu / 2)
+                - mpmath.log(mpmath.sqrt(nu * mpmath.pi) * scale)
+                - (nu + 1) / 2 * mpmath.log(1 + ((x - mean) / scale) ** 2 / nu))
+
+    def integrand(x):
+        lp = log_density(x, mean_p, scale_p)
+        return mpmath.exp(lp) * (lp - log_density(x, mean_q, scale_q))
+
+    exact = mpmath.quad(integrand, [-mpmath.inf, mean_p, mpmath.inf])
+    got = _student_kl_by_quadrature(*(np.array([v]) for v in (mean_p, scale_p, mean_q, scale_q)),
+                                    nu)
     assert got == pytest.approx(float(exact), rel=1e-9)
     same = (np.array([0.2, -1.0]), np.array([0.8, 1.3]))
     assert _student_kl_by_quadrature(*same, *same, nu) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_student_kl_quadrature_matches_the_dense_trapezoid():
+    # Mean gap 3 in each of 4 unit-scale dimensions at nu = 4.
+    m, nu = 4, 4.0
+    x = np.linspace(-300.0, 300.0, 1_200_001)[:, None]
+    lp = logpdf_diag_student(x, np.zeros(1), np.ones(1), nu)
+    lq = logpdf_diag_student(x, np.full(1, 3.0), np.ones(1), nu)
+    trapezoid = m * float(np.trapezoid(np.exp(lp) * (lp - lq), dx=x[1, 0] - x[0, 0]))
+    got = _student_kl_by_quadrature(np.zeros(m), np.ones(m), np.full(m, 3.0), np.ones(m), nu)
+    assert got == pytest.approx(trapezoid, rel=1e-9)
+    assert got == pytest.approx(8.8835, abs=1e-4)
 
 
 def test_mc_kl_is_within_4_se_of_the_per_dimension_quadrature(rng):
