@@ -65,6 +65,9 @@ class GridError(ValueError):
 # Largest grid-mass error of either density, and the slack of ``holds``.
 THEOREM1_TOL = 1e-3
 
+# z rows per tile of the Theorem-1 quadrature.
+_TILE = 64
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -113,13 +116,18 @@ def verify_theorem1(
     Requires a 1-D latent.  The joint posterior is p(z) p(zhat|z) p(yhat|x,zhat)
     normalized on the grid; both the proposal and the generative density must
     integrate to 1 within ``THEOREM1_TOL`` on the grid or a GridError is raised.
-    Each mass is the sum of a table the check makes anyway, times dz squared:
-    the generative mass sums exp(log p(z) + log p(zhat|z)), taken before
-    log p(yhat|x,zhat) joins the joint, and the proposal mass sums the
-    q(z, zhat) that the joint KL's ``_kl_sum`` leaves in its buffer.
     ``qz_log_override`` substitutes a tabulated log density for q(z|zhat)
     inside the expected-KL integrand (it does not touch the joint KL); it
     holds one value per grid point.
+
+    The G x G grid (rows z, columns zhat) is visited once, in tiles of
+    ``_TILE`` z rows, so memory is O(``_TILE`` * G).  Each tile adds to the
+    generative mass the sum of exp(log p(z) + log p(zhat|z)), takes each
+    row's logsumexp of the joint, and adds to four per-column sums over z:
+    the mass of q(z|zhat), q(z|zhat) times log q(z|zhat), q(z|zhat) times
+    the joint, and the rows' logsumexps weighted by q(z|zhat).  The KLs and
+    the proposal mass, sum_zhat q(zhat) sum_z q(z|zhat) dz^2, come from
+    these sums, so their last bits differ from whole-table sums.
 
     ``empty_columns`` counts the zhat columns whose q(z | zhat) is 0 at every
     grid point: the lhs gives them an inner KL of 0.
@@ -159,53 +167,63 @@ def verify_theorem1(
     mu_k, sig_k = model.encode_zhat_to_z(col)
     mu_k = mu_k[:, 0]
     sig_k = sig_k[:, 0]
-    # log q(z_i | zhat_j), rows index z, columns index zhat
-    log_q_z = np.subtract(g[:, None], mu_k[None, :])
-    log_q_z /= sig_k
-    np.square(log_q_z, out=log_q_z)
-    np.multiply(-0.5, log_q_z, out=log_q_z)
-    log_q_z -= np.log(sig_k)
-    log_q_z -= 0.5 * math.log(2 * math.pi)
-
+    half_prec_k = math.sqrt(0.5) / sig_k
+    log_norm_k = -np.log(sig_k) - 0.5 * math.log(2 * math.pi)
     psi_vals = model.decode_shift(col)[:, 0]
-    joint = student_logpdf_into(g[None, :] - psi_vals[:, None], model.cfg.nu0)
     log_p_z = -0.5 * np.square(g) - 0.5 * math.log(2 * math.pi)
     probs = model.decode_labels(np.tile(x, (G, 1)), col)
     log_p_yhat = logpmf_bernoulli(np.tile(yhat, (G, 1)), probs)
 
-    # joint = (log p(z) + log p(zhat|z)) + log p(yhat|x,zhat), built in the
-    # shift table's buffer; the bracket is the generative density, whose
-    # exponential goes into a buffer that then serves both logsumexps and
-    # finally takes log q(z, zhat)
-    np.add(log_p_z[:, None], joint, out=joint)
-    p_gen = np.exp(joint)
-    gen_mass = float(np.sum(p_gen)) * dz * dz
-    joint += log_p_yhat[None, :]
-    log_evidence = float(_logsumexp(joint, scratch=p_gen)) + 2.0 * math.log(dz)
-    log_post_z = _logsumexp(joint, axis=1, scratch=p_gen) + math.log(dz) - log_evidence
-    log_q_joint = np.add(log_q_zhat[None, :], log_q_z, out=p_gen)
-    del p_gen
+    # rows index z, columns zhat; a q(z|zhat) that underflows to 0 adds
+    # exactly 0 to every sum, because log q(z|zhat) and the joint are finite
+    lq_buf, joint_buf, q_buf = (np.empty((min(_TILE, G), G)) for _ in range(3))
+    row = np.empty(G)  # logsumexp over zhat of the joint, one per z
+    mass, q_lq, q_joint, q_row = (np.zeros(G) for _ in range(4))
+    gen_mass = 0.0
+    for lo in range(0, G, _TILE):
+        hi = min(lo + _TILE, G)
+        lq, joint, q = lq_buf[:hi - lo], joint_buf[:hi - lo], q_buf[:hi - lo]
+        # log q(z_i | zhat_j) = log_norm_j - ((z_i - mu_j) * half_prec_j)^2
+        np.subtract(g[lo:hi, None], mu_k[None, :], out=lq)
+        lq *= half_prec_k
+        np.square(lq, out=lq)
+        np.subtract(log_norm_k, lq, out=lq)
+        # (log p(z) + log p(zhat|z)) + log p(yhat|x,zhat); the bracket is
+        # the generative density
+        np.subtract(g[None, :], psi_vals[lo:hi, None], out=joint)
+        student_logpdf_into(joint, model.cfg.nu0)
+        joint += log_p_z[lo:hi, None]
+        gen_mass += float(np.sum(np.exp(joint, out=q)))
+        joint += log_p_yhat[None, :]
+        row[lo:hi] = _logsumexp(joint, axis=1, scratch=q)
+        np.exp(lq, out=q)
+        mass += np.sum(q, axis=0)
+        q_lq += np.einsum("ij,ij->j", q, lq)
+        q_joint += np.einsum("ij,ij->j", q, joint)
+        q_row += row[lo:hi] @ q
+    gen_mass *= dz * dz
 
-    log_post = np.subtract(joint, log_evidence, out=joint)
-    rhs = _kl_sum(log_q_joint, log_post, diff_out=log_post, q_out=log_q_joint)
-    rhs = float(rhs) * dz * dz
-    q_mass = float(np.sum(log_q_joint)) * dz * dz  # _kl_sum wrote q over log q
-    del log_q_joint
-    for name, mass in (("proposal", q_mass), ("generative", gen_mass)):
-        if abs(mass - 1.0) > THEOREM1_TOL:
+    log_evidence = float(_logsumexp(row)) + 2.0 * math.log(dz)
+    q_zhat = np.exp(log_q_zhat)
+    rhs = float(np.sum(q_zhat * (q_lq + (log_q_zhat + log_evidence) * mass - q_joint)))
+    rhs *= dz * dz
+    q_mass = float(np.sum(q_zhat * mass)) * dz * dz
+    for name, total in (("proposal", q_mass), ("generative", gen_mass)):
+        if abs(total - 1.0) > THEOREM1_TOL:
             raise GridError(
-                f"{name} density integrates to {mass:.6f} on the grid; "
+                f"{name} density integrates to {total:.6f} on the grid; "
                 f"refine or widen it"
             )
 
-    lq = log_q_z if qz_log_override is None else np.broadcast_to(
-        np.asarray(qz_log_override, dtype=np.float64).reshape(-1, 1), (G, G)
-    )
-    inner = _kl_sum(lq, log_post_z[:, None], diff_out=log_post, q_out=log_q_z,
-                    axis=0) * dz
-    empty_columns = int(np.count_nonzero(np.sum(log_q_z, axis=0) == 0))  # _kl_sum wrote q there
-    w = np.exp(log_q_zhat) * dz
-    lhs = float(np.sum(w * inner))
+    if qz_log_override is None:
+        inner = (q_lq - q_row - (math.log(dz) - log_evidence) * mass) * dz
+    else:
+        lq = np.asarray(qz_log_override, dtype=np.float64).reshape(-1)
+        log_post_z = row + math.log(dz) - log_evidence
+        q = np.exp(lq)
+        with np.errstate(invalid="ignore"):
+            inner = float(np.sum(np.where(q > 0, q * (lq - log_post_z), 0.0))) * dz
+    lhs = float(np.sum(q_zhat * dz * inner))
 
     return Theorem1Result(
         lhs=lhs,
@@ -216,7 +234,7 @@ def verify_theorem1(
         evidence=float(np.exp(log_evidence)),
         proposal_mass=q_mass,
         generative_mass=gen_mass,
-        empty_columns=empty_columns,
+        empty_columns=int(np.count_nonzero(mass == 0)),
     )
 
 
@@ -255,28 +273,6 @@ def _logsumexp(a, axis=None, scratch=None):
             out = np.where(bad, naive, out)
     out = np.squeeze(out, axis=axes)
     return out[()] if out.ndim == 0 else out
-
-
-def _kl_sum(lq, lp, diff_out, q_out, axis=None):
-    """``np.sum(np.where(q > 0, q * (lq - lp), 0.0), axis)`` with q = exp(lq).
-
-    Writes lq - lp into ``diff_out`` and q into ``q_out``, which may be
-    inputs the caller no longer needs, so no full-size array is made.
-
-    The unmasked products are summed first.  Where q is not > 0 the product
-    is NaN or a signed zero, so a total that is finite and nonzero is the
-    masked sum bit for bit: a -0.0 that the mask makes +0.0 can change only
-    the sign of a zero total.  Only other totals build the mask and sum again.
-    """
-    with np.errstate(invalid="ignore"):
-        diff = np.subtract(lq, lp, out=diff_out)
-        q = np.exp(lq, out=q_out)
-        diff *= q
-        total = np.sum(diff, axis=axis)
-        if np.all(np.isfinite(total) & (total != 0)):
-            return total
-        np.copyto(diff, 0.0, where=~(q > 0))
-        return np.sum(diff, axis=axis)
 
 
 # --------------------------------------------------------------------------

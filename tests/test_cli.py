@@ -105,7 +105,7 @@ def test_ablate_prints_its_table_unless_quiet(tiny_ini, tmp_path, capsys):
 
 
 # sha256 of the theory_report.csv that verify-theory writes for smoke.ini
-SMOKE_THEORY_CSV = "3c390c921e8421775e351ba515177b6431a797371be31197d7f113ff39b05983"
+SMOKE_THEORY_CSV = "4959e87270bbc7b33240f2438b23c7b4db7fb96fbf19d7df629c3afee53a0da4"
 
 
 def test_verify_theory_prints_one_timed_line_per_stage_unless_quiet(tmp_path, capsys):

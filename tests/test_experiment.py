@@ -304,6 +304,9 @@ def test_verify_all_reports_five_sections(theory_run):
     # the amortization identity is exact regardless of scale
     amort = report.rows[-1]
     assert amort[2] == amort[1]
+    notes = "\n".join(report.notes)
+    assert "expected-vs-joint-kl: a numerical test on the grid, not a proof" in notes
+    assert "it holds by construction, as matched labels add exactly 0" in notes
     # the trained models stay in memory: only the report is written
     assert list(cwd.iterdir()) == []
     assert sorted(p.name for p in out.iterdir()) == ["theory_report.csv", "theory_report.txt"]

@@ -3,6 +3,7 @@ estimation, both distance bounds, and the label-KL amortization demo."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from lsnpc.experiment import _theorem1_instance
 from lsnpc.model import LsnpcModel, ModelConfig
 from lsnpc.theory import (
     Theorem1Result,
-    _kl_sum,
     _logsumexp,
     BoundCheckRow,
     BoundConstants,
@@ -164,6 +164,16 @@ def test_evidence_is_a_probability_mass():
     assert 0.0 < result.evidence < 1.0
 
 
+@pytest.mark.parametrize("param", ["psi.b1", "phi.b1", "kappa.mu.b0"])
+def test_a_nan_from_the_model_fails_the_instance(param):
+    # the shift, the label probabilities and the mean of q(z | zhat)
+    model, x, yhat = _instance(7)
+    model.params[param].data[...] = np.nan
+    result = verify_theorem1(model, x, yhat)
+    assert math.isnan(result.lhs) and math.isnan(result.rhs)
+    assert not result.holds
+
+
 def _lse_cases():
     rng = np.random.default_rng(40)
     random = rng.standard_normal((7, 9)) * 30.0
@@ -214,103 +224,42 @@ def test_shift_table_equals_student_logpdf_bit_for_bit(nu0):
     assert np.array_equal(student_logpdf_into(t.copy(), nu0), want)
 
 
-@pytest.mark.parametrize("axis", [None, 0])
-def test_kl_sum_equals_masked_where_sum(axis):
-    rng = np.random.default_rng(41)
-    lq = rng.standard_normal((6, 5)) * 3.0
-    lq[1, :2] = -800.0  # exp underflows to 0
-    lq[2, 3] = -np.inf
-    lp = rng.standard_normal((6, 5))
-    q = np.exp(lq)
-    with np.errstate(invalid="ignore"):
-        want = np.sum(np.where(q > 0, q * (lq - lp), 0.0), axis=axis)
-        got = _kl_sum(lq.copy(), lp, diff_out=np.empty_like(lq), q_out=np.empty_like(lq),
-                      axis=axis)
-    assert np.array_equal(got, want)
-
-
 def _bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-class _NumpyWith:
-    """numpy, with the functions passed as keywords in place of its own."""
-
-    def __init__(self, **replaced):
-        self.__dict__.update(replaced)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-def _kl_sum_cases():
-    rng = np.random.default_rng(43)
-    lq = rng.standard_normal((7, 5)) * 3.0
-    lp = rng.standard_normal((7, 5))
-    lq[1, :2] = -800.0  # exp underflows to 0: a -0.0 product that the mask makes +0.0
-    column = lq.copy()
-    column[:, 3] = -800.0  # every q of column 3 underflows
-    neg_inf = lq.copy()
-    neg_inf[2, 3] = -np.inf
-    nan = lq.copy()
-    nan[4, 1] = np.nan
-    inf_lp = lp.copy()
-    inf_lp[5, 2] = np.inf
-    # (lq, lp, whether the mask is built for axis None, for axis 0)
-    return {"finite": (lq, lp, False, False), "underflow_column": (column, lp, False, True),
-            "neg_inf_lq": (neg_inf, lp, True, True), "nan_lq": (nan, lp, True, True),
-            "inf_lp": (lq, inf_lp, True, True)}
+def _ini_instance(s, proposal="student"):
+    """Instance s of verify_all's expected-vs-joint-kl check, with either proposal."""
+    model = tiny_model(seed=s, proposal=proposal)
+    rng = rngs.stream(s, "theory", "inputs")
+    x = rng.standard_normal(model.cfg.d)
+    yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
+    return model, x, yhat
 
 
-@pytest.mark.parametrize("case", sorted(_kl_sum_cases()))
-@pytest.mark.parametrize("axis", [None, 0])
-def test_kl_sum_paths_equal_the_masked_sum_bit_for_bit(case, axis, monkeypatch):
-    lq, lp, masked_none, masked_0 = _kl_sum_cases()[case]
-    q = np.exp(lq)
-    with np.errstate(invalid="ignore"):
-        want = np.sum(np.where(q > 0, q * (lq - lp), 0.0), axis)
-    masks = []
-
-    def copyto(dst, src, where):
-        masks.append(where)
-        np.copyto(dst, src, where=where)
-
-    monkeypatch.setattr(theory, "np", _NumpyWith(copyto=copyto))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _kl_sum(lq.copy(), lp, diff_out=np.empty_like(lq), q_out=np.empty_like(lq),
-                      axis=axis)
-    assert _bits(got) == _bits(want)
-    assert len(masks) == (masked_none if axis is None else masked_0)
-
-
-# Instance 0 of verify_all's expected-vs-joint-kl check.  lhs, rhs, the
-# entropy and the evidence were computed with scipy.special.logsumexp and
-# out-of-place grid tables; each mass is np.sum(np.exp(table)) * dz * dz of
-# its out-of-place log table.  The quadrature must reproduce them bit for bit.
+# Instance 0 of verify_all's expected-vs-joint-kl check, as the tiled
+# quadrature gives it.  test_theorem1_matches_the_out_of_place_oracle holds
+# these values within 1e-12 of scipy.special.logsumexp and masked sums over
+# out-of-place grid tables; the pins hold every bit of the tiled sums.
 PINNED_THEOREM1 = {
     "student": Theorem1Result(
-        lhs=0.7325306688707088, rhs=1.720811864747558,
+        lhs=0.7325306688707087, rhs=1.7208118647475579,
         proposal_entropy=1.065891113766942, entropy_nonneg=True, holds=True,
-        evidence=0.07565057147445284, proposal_mass=0.9999916330600133,
-        generative_mass=0.9999107708693701, empty_columns=0,
+        evidence=0.07565057147445284, proposal_mass=0.999991633060013,
+        generative_mass=0.9999107708693704, empty_columns=0,
     ),
     "normal": Theorem1Result(
-        lhs=0.702579158620552, rhs=1.9038920021602568,
+        lhs=0.7025791586205518, rhs=1.9038920021602566,
         proposal_entropy=0.8030696300929483, entropy_nonneg=True, holds=True,
         evidence=0.07565057147445284, proposal_mass=1.0,
-        generative_mass=0.9999107708693701, empty_columns=0,
+        generative_mass=0.9999107708693704, empty_columns=0,
     ),
 }
 
 
 @pytest.mark.parametrize("proposal", sorted(PINNED_THEOREM1))
 def test_theorem1_result_is_pinned(proposal):
-    model = tiny_model(seed=0, proposal=proposal)
-    rng = rngs.stream(0, "theory", "inputs")
-    x = rng.standard_normal(model.cfg.d)
-    yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
-    assert verify_theorem1(model, x, yhat) == PINNED_THEOREM1[proposal]
+    assert verify_theorem1(*_ini_instance(0, proposal)) == PINNED_THEOREM1[proposal]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -341,8 +290,8 @@ def test_theorem1_counts_the_zhat_columns_whose_q_is_zero_on_the_grid(instance, 
 
 def _grid_tables(model, x, yhat, grid):
     """verify_theorem1's log tables, built out of place: the generative
-    log p(z) + log p(zhat|z), the proposal log q(zhat) + log q(z|zhat) and the
-    joint, rows indexing z and columns zhat; and the proposal's log q(zhat)."""
+    log p(z) + log p(zhat|z), log q(z|zhat) and the joint, rows indexing z
+    and columns zhat; and the proposal's log q(zhat)."""
     g = grid.values
     G = len(g)
     col = g.reshape(-1, 1)
@@ -361,21 +310,96 @@ def _grid_tables(model, x, yhat, grid):
                                                         model.cfg.nu0)
     probs = model.decode_labels(np.tile(x.reshape(1, -1), (G, 1)), col)
     joint = generative + logpmf_bernoulli(np.tile(yhat.reshape(1, -1), (G, 1)), probs)[None, :]
-    return generative, log_q_zhat[None, :] + log_q_z, joint, log_q_zhat
+    return generative, log_q_z, joint, log_q_zhat
+
+
+def _masked_kl_terms(log_q, log_p):
+    """q * (log q - log p) with q = exp(log_q), and 0 where q is 0."""
+    q = np.exp(log_q)
+    with np.errstate(invalid="ignore"):
+        return np.where(q > 0, q * (log_q - log_p), 0.0)
+
+
+def _oracle(model, x, yhat, grid):
+    """verify_theorem1's lhs, rhs, evidence and masses from full out-of-place
+    tables, scipy's logsumexp and np.where-masked sums."""
+    dz = grid.step
+    generative, log_q_z, joint, log_q_zhat = _grid_tables(model, x, yhat, grid)
+    log_evidence = float(logsumexp(joint)) + 2.0 * math.log(dz)
+    log_q_joint = log_q_zhat[None, :] + log_q_z
+    rhs = float(np.sum(_masked_kl_terms(log_q_joint, joint - log_evidence))) * dz * dz
+    log_post_z = logsumexp(joint, axis=1) + math.log(dz) - log_evidence
+    inner = np.sum(_masked_kl_terms(log_q_z, log_post_z[:, None]), axis=0) * dz
+    return {"lhs": float(np.sum(np.exp(log_q_zhat) * dz * inner)), "rhs": rhs,
+            "evidence": math.exp(log_evidence),
+            "proposal_mass": float(np.sum(np.exp(log_q_joint))) * dz * dz,
+            "generative_mass": float(np.sum(np.exp(generative))) * dz * dz}
 
 
 @pytest.mark.parametrize("proposal", ["student", "normal"])
-def test_masses_are_out_of_place_sums_of_exp_bit_for_bit(proposal):
-    model = tiny_model(seed=0, proposal=proposal)
-    rng = rngs.stream(0, "theory", "inputs")
-    x = rng.standard_normal(model.cfg.d)
-    yhat = (rng.random(model.cfg.k) < 0.5).astype(np.float64)
+def test_masses_are_out_of_place_sums_of_exp_within_1e_14(proposal):
+    model, x, yhat = _ini_instance(0, proposal)
     grid = QuadratureGrid()
-    generative, proposal_table, _, _ = _grid_tables(model, x, yhat, grid)
+    generative, log_q_z, _, log_q_zhat = _grid_tables(model, x, yhat, grid)
     dz = grid.step
     result = verify_theorem1(model, x, yhat, grid=grid)
-    assert result.generative_mass == float(np.sum(np.exp(generative))) * dz * dz
-    assert result.proposal_mass == float(np.sum(np.exp(proposal_table))) * dz * dz
+    want = float(np.sum(np.exp(generative))) * dz * dz
+    assert result.generative_mass == pytest.approx(want, rel=1e-14, abs=0)
+    want = float(np.sum(np.exp(log_q_zhat[None, :] + log_q_z))) * dz * dz
+    assert result.proposal_mass == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("proposal", ["student", "normal"])
+@pytest.mark.parametrize("instance", range(12))
+def test_theorem1_matches_the_out_of_place_oracle(instance, proposal):
+    model, x, yhat = _ini_instance(instance, proposal)
+    result = verify_theorem1(model, x, yhat)
+    want = _oracle(model, x, yhat, QuadratureGrid())
+    assert {name: getattr(result, name) for name in want} == pytest.approx(
+        want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64, 1601, 4096])
+@pytest.mark.parametrize("instance", [0, 43])
+def test_theorem1_does_not_depend_on_the_tile_height(instance, tile, monkeypatch):
+    # the default grid has 1601 = 25 * 64 + 1 points: a one-row last tile at
+    # 64 rows, one tile at 1601 and a tile taller than the grid at 4096
+    model, x, yhat = _ini_instance(instance)
+    want = verify_theorem1(model, x, yhat)
+    monkeypatch.setattr(theory, "_TILE", tile)
+    got = verify_theorem1(model, x, yhat)
+    for name in ("lhs", "rhs", "evidence", "proposal_mass", "generative_mass"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13, abs=0)
+    assert (got.holds, got.empty_columns) == (want.holds, want.empty_columns)
+
+
+def test_one_quadrature_holds_no_grid_sized_table():
+    # one float64 table of the default 1601 x 1601 grid takes 20.5 MB
+    model, x, yhat = _ini_instance(0)
+    verify_theorem1(model, x, yhat)  # first-call set-up is not the quadrature's
+    tracemalloc.start()
+    try:
+        verify_theorem1(model, x, yhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("instance", [0, 3, 43])
+def test_theorem1_gap_is_the_expected_log_ratio_of_zhat_posteriors(instance):
+    # rhs - lhs = E_q(z, zhat)[log q(zhat) - log p(zhat | z, x, yhat)], since
+    # p(z, zhat | x, yhat) = p(z | x, yhat) p(zhat | z, x, yhat); instance 43
+    # has 477 zhat columns whose q(z | zhat) is 0 on the grid
+    model, x, yhat = _ini_instance(instance)
+    grid = QuadratureGrid()
+    dz = grid.step
+    _, log_q_z, joint, log_q_zhat = _grid_tables(model, x, yhat, grid)
+    log_p_zhat = joint - logsumexp(joint, axis=1, keepdims=True) - math.log(dz)
+    q_joint = np.exp(log_q_zhat[None, :] + log_q_z)
+    want = float(np.sum(q_joint * (log_q_zhat[None, :] - log_p_zhat))) * dz * dz
+    result = verify_theorem1(model, x, yhat, grid=grid)
+    assert result.rhs - result.lhs == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_grid_errors_name_the_density_that_misses_mass():
@@ -406,7 +430,7 @@ def test_override_with_zero_density_gives_the_masked_lhs_without_warning():
     q = np.exp(override)
     with np.errstate(invalid="ignore"):
         terms = np.where(q > 0, q * (override - log_post_z), 0.0)
-    # the expected KL sums a G x G table down its columns, every column this one
+    # every column of the expected KL's G x G table is this one
     inner = np.sum(np.repeat(terms[:, None], G, axis=1), axis=0) * dz
     want = float(np.sum(np.exp(log_q_zhat) * dz * inner))
     assert math.isfinite(result.lhs)
