@@ -92,16 +92,13 @@ def _student_factor(noise, nu, chi2):
 #
 # Each density's forward is one function of its operands' arrays, computing
 # its value in named steps and returning it with the context of its backward
-# pass.  With plain arrays that value is returned as it is; the Student
-# density then runs its steps in one buffer of the operands' broadcast shape
-# that it allocates itself, never in an operand, with the same ufuncs in the
-# same order, so its bits do not change.  With a Tensor operand the forward
-# becomes one tape node (which a recorded plan replays), whose backward pass
-# repeats the backward rules of the primitive chain those steps spell out,
-# operation by operation and reduction by reduction, and keeps every
-# temporary that pass reads.  A value used once inside the chain gets the same
-# gradient either way; a value used twice sums two terms, and a sum of two
-# floats does not depend on their order.
+# pass.  With plain arrays that value is returned as it is.  With a Tensor
+# operand the forward becomes one tape node (which a recorded plan replays),
+# whose backward pass repeats the backward rules of the primitive chain those
+# steps spell out, operation by operation and reduction by reduction, and
+# keeps every temporary that pass reads.  A value used once inside the chain
+# gets the same gradient either way; a value used twice sums two terms, and a
+# sum of two floats does not depend on their order.
 # Inputs shared with the rest of the tape receive their gradient terms in the
 # chain's order (``autodiff.fused``), so losses and gradients are
 # bit-identical to the chain.
@@ -149,11 +146,7 @@ def logpdf_diag_student(x, mean, scale, nu):
     """
     _check_nu("logpdf_diag_student", nu)
     if not any_tensor(x, mean, scale, nu):
-        xd, md, sd, nd = map(data_of, (x, mean, scale, nu))
-        t = np.empty(np.broadcast_shapes(xd.shape, md.shape, sd.shape, nd.shape))
-        np.subtract(xd, md, out=t)
-        t /= sd
-        return np.sum(student_logpdf_into(t, nd, sd), axis=-1)
+        return _student(*map(data_of, (x, mean, scale, nu)))[0]
     # The chain adds the scale's log term before its t term, and a learned
     # nu's terms in the order nu / 2, log(nu), nu + 1, t^2 / nu.
     return fused("logpdf_student", _student, _student_grads, (x, mean, scale, nu),
@@ -298,11 +291,8 @@ def kl_mv_bernoulli(p, q) -> float:
     return float(np.sum(terms, axis=-1))
 
 
-# Rows per Monte-Carlo tile, a multiple of _MC_LINE so a whole tile takes the
-# wide view of ``_mc_tile``.
+# Draws per Monte-Carlo tile.
 _MC_ROWS = 8192
-# Draw rows per line of that wide view.
-_MC_LINE = 256
 
 
 def mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu, draws) -> tuple[float, float]:
@@ -315,15 +305,15 @@ def mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu, draws) -> tuple[flo
     error of the mean).  The operands are rows of m values, and neither they
     nor ``draws`` are written, so one read-only block can serve many pairs.
 
-    The draws are evaluated in row tiles of ``_MC_ROWS``: ``_mc_tile`` scales
-    and shifts each tile into a buffer of its own and writes its per-draw log
-    ratios log p - log q into one (n,) array; ``np.mean`` and
-    ``np.std(ddof=1)`` run over that array.  Every element takes the ufuncs
-    of ``logpdf_diag_student``'s array mode in the same order, and each row
-    sum keeps numpy's order, so the result equals that of the whole block
-    evaluated by ``logpdf_diag_student`` bit for bit.  Memory peaks at two
-    (n,) arrays (the log ratios and ``np.std``'s deviations) plus three tile
-    buffers, besides the caller's ``n * m * 8`` bytes of draws.
+    The draws are evaluated in tiles of ``_MC_ROWS`` rows, each read as its
+    (m, rows) transpose, a free view of a Fortran-ordered block: every
+    elementwise step of ``student_logpdf_into`` runs along the tile's draws,
+    against operands reshaped to (m, 1), in two (m, rows) buffers.  Each
+    draw's log ratio log p - log q sums its m dimensions left to right
+    (``np.sum(axis=0)``) into one (n,) array, over which ``np.mean`` and
+    ``np.std(ddof=1)`` run.  Memory peaks at two (n,) arrays (the log ratios
+    and ``np.std``'s deviations) plus the tile buffers, besides the caller's
+    ``n * m * 8`` bytes of draws.
     """
     (mean_p, mean_q), (scale_p, scale_q) = _checked(
         "mc_kl_diag_student", (mean_p, mean_q), (scale_p, scale_q), nu)
@@ -339,65 +329,25 @@ def mc_kl_diag_student(mean_p, scale_p, mean_q, scale_q, nu, draws) -> tuple[flo
     if n < 2:
         raise ValueError(f"mc_kl_diag_student: draws of shape {draws.shape} give no "
                          f"standard error; it needs at least 2 rows")
-
-    def operands(mean, scale):
-        # A density's mean and scale, each keyed by the width of the view it
-        # meets: a row of m values, or that row tiled over a line.
-        return [{m: a.reshape(m), _MC_LINE * m: np.tile(a.reshape(m), _MC_LINE)}
-                for a in (mean, scale)]
-
-    p, q = operands(mean_p, scale_p), operands(mean_q, scale_q)
+    mean_p, scale_p, mean_q, scale_q = (a.reshape(m, 1)
+                                        for a in (mean_p, scale_p, mean_q, scale_q))
     log_ratio = np.empty(n)
-    x = np.empty((min(n, _MC_ROWS), m))
-    t = np.empty_like(x)
-    q_rows = np.empty(len(t))
+    x_buf, t_buf = (np.empty((m, min(n, _MC_ROWS))) for _ in range(2))
+    q_buf = np.empty(x_buf.shape[1])
     for lo in range(0, n, _MC_ROWS):
-        rows = min(_MC_ROWS, n - lo)
-        _mc_tile(draws[lo:lo + rows], x[:rows], t[:rows], p, q, nu,
-                 log_ratio[lo:lo + rows], q_rows[:rows])
+        hi = min(lo + _MC_ROWS, n)
+        x, t = x_buf[:, :hi - lo], t_buf[:, :hi - lo]
+        out, q_sums = log_ratio[lo:hi], q_buf[:hi - lo]
+        np.multiply(draws[lo:hi].T, scale_p, out=x)
+        x += mean_p
+        for mean, scale, sums in ((mean_p, scale_p, out), (mean_q, scale_q, q_sums)):
+            np.subtract(x, mean, out=t)
+            t /= scale
+            np.sum(student_logpdf_into(t, nu, scale), axis=0, out=sums)
+        out -= q_sums
     est = float(np.mean(log_ratio))
     se = float(np.std(log_ratio, ddof=1) / math.sqrt(n))
     return est, se
-
-
-def _mc_tile(draws, x, t, p, q, nu, out, q_out) -> None:
-    """One tile of ``mc_kl_diag_student``: standard draws (rows, m) to log p - log q.
-
-    ``p`` and ``q`` hold each density's mean and scale keyed by view width.
-    ``x`` (rows, m) takes the draws scaled and shifted to p, which leaves
-    ``draws`` as it was; ``t`` (rows, m) takes each density's standardized
-    values and ``student_logpdf_into``'s steps in turn, ``q_out`` (rows,) the
-    q row sums, and ``out`` (rows,) the log ratios.
-
-    Wide view: the elementwise steps pair each element with the same operand
-    value whatever the array's shape.  When rows is a multiple of _MC_LINE
-    they run on the (rows / _MC_LINE, _MC_LINE * m) view against the tiled
-    operands, so numpy's inner loops span a line, not m elements.
-
-    Row sums: for a last axis shorter than 8, ``np.sum(axis=-1)`` adds the
-    elements left to right, after its 0.0 start, which changes only the sign
-    of a zero total, a sign the mean and the deviations drop.  So for m < 8 the sum is that left fold run down the
-    columns, ~8x faster than ``np.sum`` on an (8192, 4) tile.  From m = 8 on
-    numpy sums in another order, and ``np.sum`` runs.
-    """
-    rows, m = draws.shape
-    width = _MC_LINE * m if rows % _MC_LINE == 0 else m
-    x, buf = x.reshape(-1, width), t.reshape(-1, width)
-    np.multiply(draws.reshape(-1, width), p[1][width], out=x)
-    x += p[0][width]
-    for (mean, scale), sums in ((p, out), (q, q_out)):
-        np.subtract(x, mean[width], out=buf)
-        buf /= scale[width]
-        student_logpdf_into(buf, nu, scale[width])
-        if m == 1:
-            sums[:] = t[:, 0]
-        elif m < 8:
-            np.add(t[:, 0], t[:, 1], out=sums)
-            for j in range(2, m):
-                sums += t[:, j]
-        else:
-            np.sum(t, axis=-1, out=sums)
-    out -= q_out
 
 
 def student_entropy(scale, nu) -> float:

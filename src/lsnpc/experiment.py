@@ -374,13 +374,6 @@ def _theory_base(cfg: ExperimentConfig) -> tuple[ExperimentConfig, SplitResult, 
     return run_cfg, sp, _train_base(run_cfg, sp, tc.seed)
 
 
-def _trained_theory_model(run_cfg: ExperimentConfig, sp: SplitResult, h: BaseClassifier,
-                          proposal: str) -> LsnpcModel:
-    """Small end-to-end training run of one proposal on ``_theory_base``'s output."""
-    return _train_lsnpc(dataclasses.replace(run_cfg, proposal=proposal), sp, h,
-                        run_cfg.theory.seed)
-
-
 def _check_pair_distances(k: int, pairs: int) -> None:
     """The label pairs sit at distances 1..min(3, k) in turn, and the
     normal-quadratic-bound slope needs two of them."""
@@ -446,7 +439,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
 
     # 2 + 3. Encoder constants and the affine bound on a trained model.
     run_cfg, sp, h = _theory_base(cfg)
-    model = _trained_theory_model(run_cfg, sp, h, "student")
+    model = _train_lsnpc(dataclasses.replace(run_cfg, proposal="student"), sp, h, tc.seed)
     stage_done("base and student model trained")
     X_train = sp.splits["train"].X.astype(np.float64)
     rng = rngs.stream(tc.seed, "theory", "pairs")
@@ -473,7 +466,7 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
     stage_done(f"monte-carlo pairs: {dominated}/{len(rows)} dominated")
 
     # 4. Normal-proposal arm against the quadratic bound.
-    gmodel = _trained_theory_model(run_cfg, sp, h, "normal")
+    gmodel = _train_lsnpc(dataclasses.replace(run_cfg, proposal="normal"), sp, h, tc.seed)
     gconst = estimate_constants(gmodel, X, (Y0, Y1)).inflated()
     grows = gaussian_bound_check(gmodel, X, (Y0, Y1), gconst)
     gdom = sum(r.dominated for r in grows)

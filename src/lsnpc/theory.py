@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import psi
+from scipy.special import logsumexp, psi
 
 from . import rngs
 from .distributions import (
@@ -123,11 +123,13 @@ def verify_theorem1(
     The G x G grid (rows z, columns zhat) is visited once, in tiles of
     ``_TILE`` z rows, so memory is O(``_TILE`` * G).  Each tile adds to the
     generative mass the sum of exp(log p(z) + log p(zhat|z)), takes each
-    row's logsumexp of the joint, and adds to four per-column sums over z:
+    row's logsumexp of the joint, shifted by the row's maximum, and adds to
+    four per-column sums over z:
     the mass of q(z|zhat), q(z|zhat) times log q(z|zhat), q(z|zhat) times
     the joint, and the rows' logsumexps weighted by q(z|zhat).  The KLs and
     the proposal mass, sum_zhat q(zhat) sum_z q(z|zhat) dz^2, come from
-    these sums, so their last bits differ from whole-table sums.
+    these sums, so their last bits differ from whole-table sums.  The log
+    evidence is ``scipy.special.logsumexp`` of the G row logsumexps.
 
     ``empty_columns`` counts the zhat columns whose q(z | zhat) is 0 at every
     grid point: the lhs gives them an inner KL of 0.
@@ -195,7 +197,10 @@ def verify_theorem1(
         joint += log_p_z[lo:hi, None]
         gen_mass += float(np.sum(np.exp(joint, out=q)))
         joint += log_p_yhat[None, :]
-        row[lo:hi] = _logsumexp(joint, axis=1, scratch=q)
+        top = joint.max(axis=1, keepdims=True)
+        np.subtract(joint, top, out=q)
+        np.exp(q, out=q)
+        row[lo:hi] = np.log(q.sum(axis=1)) + top[:, 0]
         np.exp(lq, out=q)
         mass += np.sum(q, axis=0)
         q_lq += np.einsum("ij,ij->j", q, lq)
@@ -203,7 +208,7 @@ def verify_theorem1(
         q_row += row[lo:hi] @ q
     gen_mass *= dz * dz
 
-    log_evidence = float(_logsumexp(row)) + 2.0 * math.log(dz)
+    log_evidence = float(logsumexp(row)) + 2.0 * math.log(dz)
     q_zhat = np.exp(log_q_zhat)
     rhs = float(np.sum(q_zhat * (q_lq + (log_q_zhat + log_evidence) * mass - q_joint)))
     rhs *= dz * dz
@@ -236,43 +241,6 @@ def verify_theorem1(
         generative_mass=gen_mass,
         empty_columns=int(np.count_nonzero(mass == 0)),
     )
-
-
-def _logsumexp(a, axis=None, scratch=None):
-    """``scipy.special.logsumexp(a, axis)`` for real input, bit for bit.
-
-    Runs the steps of scipy 1.17's algorithm in the same order: the maxima
-    are split out of the shifted sum and counted, the result is
-    log1p(s) + log(count) + max, NaN where its sign is negative, and the naive
-    log(sum(exp(a))) replaces it where it is not finite.  It needs one
-    full-size buffer where scipy makes several copies: ``scratch``, a float64
-    array of a's shape whose values the caller no longer needs, or a new one.
-    It takes the naive pass only when some result needs it.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    axes = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = np.max(a, axis=axes, keepdims=True)
-        ties = a == a_max
-        shifted = np.subtract(a, a_max, out=scratch)
-        np.exp(shifted, out=shifted)
-        # scipy sets the tied entries to -inf before the shift; their
-        # exponentials are 0 wherever the result can stay finite
-        shifted.reshape(-1)[np.flatnonzero(ties)] = 0.0
-        m = np.reshape(np.count_nonzero(ties, axis=axis), a_max.shape).astype(np.float64)
-        s = np.sum(shifted, axis=axes, keepdims=True)
-        del ties, shifted
-        s = np.where(s == 0, s, s / m)
-        sign = np.sign(s + 1) * np.sign(m)
-        out = np.log1p(s) + np.log(m) + a_max
-        out[sign < 0] = np.nan
-        bad = ~np.isfinite(out)
-        if bad.any():
-            with np.errstate(over="ignore"):
-                naive = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
-            out = np.where(bad, naive, out)
-    out = np.squeeze(out, axis=axes)
-    return out[()] if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -419,8 +387,9 @@ def theorem2_check(
     X_sample,
     pairs,
     constants: BoundConstants,
-    n_mc: int = 100_000,
-    seed: int = 0,
+    *,
+    n_mc: int,
+    seed: int,
 ) -> list[BoundCheckRow]:
     """MC KL[q(.|x,y1) || q(.|x,y0)] per pair against the affine bound.
 
@@ -453,8 +422,11 @@ def _mc_kl_pair(unit) -> tuple[float, float]:
 def _mc_draws(seed: int, nu: float, n_mc: int, m: int) -> np.ndarray:
     """The read-only (n_mc, m) standard Student(nu) draws that every pair of
     ``theorem2_check`` shares, drawn from stream (seed, "theory", "mc_kl") by
-    one call: the only Student sampler of the package."""
-    draws = rngs.stream(seed, "theory", "mc_kl").standard_t(df=nu, size=(n_mc, m))
+    one call: the only Student sampler of the package.  The block is kept in
+    Fortran order, so ``mc_kl_diag_student`` reads its tiles' transposes as
+    contiguous rows."""
+    draws = np.asfortranarray(
+        rngs.stream(seed, "theory", "mc_kl").standard_t(df=nu, size=(n_mc, m)))
     draws.flags.writeable = False
     return draws
 

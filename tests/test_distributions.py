@@ -5,6 +5,7 @@ Bernoulli KL) evaluated independently here; integral checks use dense
 trapezoid quadrature; Monte-Carlo checks freeze their seeds.
 """
 
+import functools
 import math
 import re
 import tracemalloc
@@ -585,8 +586,7 @@ def test_student_kl_quadrature_matches_the_dense_trapezoid():
 
 
 def test_mc_kl_is_within_4_se_of_the_per_dimension_quadrature(rng):
-    # The widths take _mc_tile's one-column and short-row (m < 8) row sums;
-    # the pairs of one width share one block of draws, as theory's pairs do.
+    # The pairs of one width share one block of draws, as theory's pairs do.
     for m in (1, 2, 4):
         draws = rngs.stream(m, "test", "mc_kl").standard_t(df=4.0, size=(20_000, m))
         for i in range(12):
@@ -667,19 +667,22 @@ def test_mc_kl_peak_memory_stays_within_its_row_array_and_tile_buffers():
 
 
 def _mc_kl_reference(mean_p, scale_p, mean_q, scale_q, nu, draws):
-    """The estimator before row tiles: the whole block through
-    ``logpdf_diag_student``'s array mode, row sums by ``np.sum``."""
-    draws = draws.copy()
-    draws *= scale_p
-    draws += mean_p
-    log_ratio = logpdf_diag_student(draws, mean_p, scale_p, nu)
-    log_ratio -= logpdf_diag_student(draws, mean_q, scale_q, nu)
+    """The estimator untiled and out of place: the whole block scaled and
+    shifted to p, each dimension's log densities by ``logpdf_diag_student``,
+    and each draw's m values summed left to right."""
+    x = draws * scale_p + mean_p
+
+    def log_density(mean, scale):
+        return functools.reduce(np.add, (
+            logpdf_diag_student(x[:, [j]], mean[[j]], scale[[j]], nu) for j in range(len(mean))))
+
+    log_ratio = log_density(mean_p, scale_p) - log_density(mean_q, scale_q)
     return (float(np.mean(log_ratio)),
             float(np.std(log_ratio, ddof=1) / math.sqrt(len(log_ratio))))
 
 
-# Ragged tiles (n below, above and between multiples of 256 and of the tile),
-# the column fold (m < 8) and np.sum's own order (m >= 8).
+# Ragged tiles (n below, at and above one tile and between tiles), and widths
+# on both sides of 8, from which np.sum(axis=-1) would sum pairwise.
 @pytest.mark.parametrize("nu", [2.5, 4.0])
 @pytest.mark.parametrize("n", [2, 10, 255, 256, 8192, 8193, 20_000])
 @pytest.mark.parametrize("m", [1, 3, 4, 7, 8, 9])
@@ -691,6 +694,16 @@ def test_mc_kl_tiles_equal_one_full_size_draw_bit_for_bit(m, n, nu):
     got = mc_kl_diag_student(*operands, nu, draws)
     want = _mc_kl_reference(*operands, nu, draws)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_mc_kl_has_the_same_bits_on_c_and_fortran_ordered_draws(m):
+    g = np.random.default_rng([m, 3])
+    operands = (g.normal(size=m), g.uniform(0.3, 2.0, m),
+                g.normal(size=m), g.uniform(0.3, 2.0, m))
+    draws = g.standard_t(df=4.0, size=(20_000, m))
+    got = mc_kl_diag_student(*operands, 4.0, np.asfortranarray(draws))
+    assert repr(got) == repr(mc_kl_diag_student(*operands, 4.0, np.ascontiguousarray(draws)))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -718,17 +731,20 @@ def test_mc_kl_operands_are_one_row():
             == mc_kl_diag_student(*_pinned_pair(), 4.0, draws))
 
 
-# Canary for the numpy behaviour that mc_kl_diag_student's row sums rely on.
-@pytest.mark.parametrize("m", range(1, 8))
-def test_numpy_canary_short_row_sums_are_the_left_column_fold(m):
+# Canary for the numpy behaviour that mc_kl_diag_student's per-draw sums rely on.
+@pytest.mark.parametrize("m", range(1, 17))
+def test_numpy_canary_axis_0_sums_of_a_row_strided_view_are_the_left_row_fold(m):
     g = np.random.default_rng(m)
-    a = g.standard_normal((1000, m)) * 10.0 ** g.uniform(-8.0, 8.0, (1000, m))
-    fold = a[:, 0].copy()
-    for j in range(1, m):
-        fold += a[:, j]
-    assert np.array_equal(np.sum(a, axis=-1), fold), (
-        f"numpy canary: np.sum(axis=-1) over a last axis of {m} is no longer the "
-        f"left fold of the columns")
+    buf = g.standard_normal((m, 1500)) * 10.0 ** g.uniform(-8.0, 8.0, (m, 1500))
+    a = buf[:, :1000]  # a short last tile's view of its tile buffer
+    fold = a[0].copy()
+    for row in a[1:]:
+        fold += row
+    out = np.empty(1000)
+    np.sum(a, axis=0, out=out)
+    assert np.array_equal(out, fold), (
+        f"numpy canary: np.sum(axis=0) over {m} strided rows is no longer the left "
+        f"fold of the rows")
 
 
 def test_student_entropy_matches_scipy():
