@@ -747,6 +747,21 @@ def test_numpy_canary_axis_0_sums_of_a_row_strided_view_are_the_left_row_fold(m)
         f"fold of the rows")
 
 
+# Canary for the numpy behaviour that logpdf_diag_student's row sums rely on to
+# match the left fold above: for rows shorter than 8, so the pinned estimates
+# (recorded from np.sum(axis=-1) row sums) keep their bits.
+@pytest.mark.parametrize("m", range(1, 8))
+def test_numpy_canary_short_row_sums_are_the_left_column_fold(m):
+    g = np.random.default_rng(m)
+    a = g.standard_normal((1000, m)) * 10.0 ** g.uniform(-8.0, 8.0, (1000, m))
+    fold = a[:, 0].copy()
+    for j in range(1, m):
+        fold += a[:, j]
+    assert np.array_equal(np.sum(a, axis=-1), fold), (
+        f"numpy canary: np.sum(axis=-1) over a last axis of {m} is no longer the "
+        f"left fold of the columns")
+
+
 def test_student_entropy_matches_scipy():
     scale = np.array([1.0, 3.0])
     expected = sum(stats.t.entropy(df=4.0, scale=s) for s in scale)
