@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} stage")
         cmd.add_argument("--config", required=True, help="INI config path")
         cmd.add_argument("--seed", type=int, default=None,
-                         help="replace the config's seed list and [theory] seed with this seed")
+                         help="replace the config's seed list and [theory] seed with this "
+                              "seed; verify-theory's quadrature instances do not depend on it")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--quiet", action="store_true",
                          help="suppress progress output")

@@ -7,13 +7,15 @@ factors make labels correlated, and the threshold offsets control imbalance;
 labels stay recoverable from features up to the injected feature noise.
 
 Datasets persist as 'dataset' files of the container laid out in the
-``checkpoint`` module docstring: identical configs reproduce byte-identical
-files, and a load followed by a save reproduces the file byte for byte.
+``checkpoint`` module docstring, with the generator's name and every
+``GeneratorConfig`` field in the header's ``meta`` object: identical configs
+reproduce byte-identical files, and a load followed by a save reproduces the
+file byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,18 +125,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> tuple[FeatureDataset, SyntheticA
     X = u @ A.T
     if cfg.noise_scale > 0:
         X = X + cfg.noise_scale * rng.standard_normal((cfg.n, cfg.d))
-    metadata = {
-        "generator": "synthetic-latent-factor",
-        "n": cfg.n,
-        "d": cfg.d,
-        "k": cfg.k,
-        "rank": cfg.rank,
-        "noise_scale": cfg.noise_scale,
-        "b_loc": cfg.b_loc,
-        "b_scale": cfg.b_scale,
-        "seed": cfg.seed,
-        "identity_embedding": cfg.identity_embedding,
-    }
+    metadata = {"generator": "synthetic-latent-factor", **asdict(cfg)}
     ds = FeatureDataset(X=X.astype(np.float32), Y=Y, metadata=metadata)
     aux = SyntheticAux(factors=u, label_weights=W, label_offsets=b, embedding=A)
     return ds, aux

@@ -429,6 +429,9 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
     report.notes.append("expected-vs-joint-kl: a numerical test on the grid, not a proof; "
                         "the margin rhs - lhs equals E_q(z, zhat)[log q(zhat) - "
                         "log p(zhat | z, x, yhat)]")
+    report.notes.append(f"expected-vs-joint-kl: instance s is tiny_model(seed=s) on inputs "
+                        f"from its own stream, for s = 0..{tc.instances - 1}, whatever "
+                        f"[theory] seed")
     report.notes.append(f"expected-vs-joint-kl: {flagged} instances had negative proposal "
                         f"entropy (reported, not failed)")
     dropped = [res.empty_columns for res in results if res.empty_columns]
@@ -474,6 +477,10 @@ def verify_all(cfg: ExperimentConfig, out_dir=None, quiet: bool = False) -> Repo
     report.add("normal-quadratic-bound", len(grows), gdom,
                min(r.margin for r in grows))
     report.notes.append(f"normal-quadratic-bound: fitted distance exponent {exponent:.3f}")
+    report.notes.append("normal-quadratic-bound: M, L and lam come from these same pairs, so "
+                        "the row holds for any encoder with finite encodings: each KL is at "
+                        "most (m M delta + L^2 delta^2 / lam) / 2, which the bound exceeds by "
+                        "at least m/2 since M delta >= 1")
 
     # 5. Label-KL amortization across label-space sizes.
     ks = (20, 80, 320)

@@ -252,7 +252,7 @@ def test_base_checkpoint_saves_numpy_scalars_as_python_scalars(tmp_path):
     meta = dict(loaded.metadata)
     nan_pair = meta.pop("nan_pair")
     assert np.isnan(nan_pair[0]) and nan_pair[1] == 1
-    assert meta == {"score": 0.5, "n": 3, "nested": (0.5, 2), "infs": [np.inf],
+    assert meta == {"score": 0.5, "n": 3, "nested": [0.5, 2], "infs": [np.inf],  # tuples as lists
                     "counts": {"a": 3}}
     assert type(loaded.metadata["score"]) is float and type(loaded.metadata["n"]) is int
     assert type(loaded.metadata["nested"][0]) is float

@@ -1,5 +1,7 @@
 """Synthetic data generation and dataset persistence."""
 
+import dataclasses
+import json
 import math
 import struct
 
@@ -73,6 +75,18 @@ def test_generation_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_saved_metadata_is_the_generator_name_and_every_config_field(tmp_path):
+    cfg = GeneratorConfig(n=50, seed=3)
+    ds, _ = generate_synthetic(cfg)
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path)
+    assert load_dataset(path).metadata == {
+        "generator": "synthetic-latent-factor", **dataclasses.asdict(cfg)} == {
+        "generator": "synthetic-latent-factor", "n": 50, "d": 32, "k": 10, "rank": 8,
+        "noise_scale": 0.5, "b_loc": -2.0, "b_scale": 0.5, "seed": 3,
+        "identity_embedding": False}
+
+
 def test_default_dataset_learnable():
     # Calibration floor for the benchmark: a plain MLP on clean labels.
     ds, _ = generate_synthetic(GeneratorConfig(seed=1))
@@ -137,8 +151,9 @@ def test_numpy_and_nonfinite_metadata_round_trip_as_values(tmp_path):
     assert meta["i"] == 7 and type(meta["i"]) is int
     assert math.isnan(meta["nan"])
     assert meta["inf"] == math.inf and meta["ninf"] == -math.inf
-    assert meta["pair"] == (1, "b") and meta["word"] == "inf"
-    assert meta["nested"] == (0.5, 2) and type(meta["nested"][0]) is float
+    # a tuple is stored as a JSON list, and metadata declares no types
+    assert meta["pair"] == [1, "b"] and meta["word"] == "inf"
+    assert meta["nested"] == [0.5, 2] and type(meta["nested"][0]) is float
     assert math.isnan(meta["nan_pair"][0]) and meta["nan_pair"][1] == 1
     assert meta["infs"] == [math.inf]
     assert meta["counts"] == {"a": 3} and type(meta["counts"]["a"]) is int
@@ -168,11 +183,12 @@ def test_label_payload_is_ceil_nk_over_8_bytes(tmp_path):
     blob = path.read_bytes()
     labels = np.packbits(ds.Y).tobytes()
     assert len(labels) == math.ceil(n * k / 8) == 34
-    # Y sorts last: name, type 2 (bits), rank 2, dims (n, k), then the payload
-    assert blob.endswith(b"\x01\x00Y\x02\x02" + struct.pack("<2I", n, k) + labels)
-    header_len = int.from_bytes(blob[5:9], "little")
-    entry = 2 + 1 + 1 + 1 + 8  # name length, name, type, rank, two dims
-    assert len(blob) == 9 + header_len + 4 + entry + 4 * n * d + entry + len(labels)
+    # magic, version, header length, header, then X's and Y's payloads
+    (header_len,) = struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9 : 9 + header_len])
+    assert header["arrays"] == [["X", 1, [n, d]], ["Y", 2, [n, k]]]  # Y sorts last
+    assert blob.endswith(labels)
+    assert len(blob) == 9 + header_len + 4 * n * d + len(labels)
 
 
 def test_loading_as_the_wrong_kind_names_both_kinds(tmp_path):

@@ -290,7 +290,7 @@ def theory_run(tmp_path_factory):
 
 
 def test_verify_all_reports_five_sections(theory_run):
-    _, report, out, cwd = theory_run
+    cfg, report, out, cwd = theory_run
     names = [row[0] for row in report.rows]
     assert names == [
         "expected-vs-joint-kl",
@@ -307,6 +307,12 @@ def test_verify_all_reports_five_sections(theory_run):
     notes = "\n".join(report.notes)
     assert "expected-vs-joint-kl: a numerical test on the grid, not a proof" in notes
     assert "it holds by construction, as matched labels add exactly 0" in notes
+    assert (f"expected-vs-joint-kl: instance s is tiny_model(seed=s) on inputs from its own "
+            f"stream, for s = 0..{cfg.theory.instances - 1}, whatever [theory] seed") in notes
+    assert ("normal-quadratic-bound: M, L and lam come from these same pairs, so the row "
+            "holds for any encoder with finite encodings: each KL is at most "
+            "(m M delta + L^2 delta^2 / lam) / 2, which the bound exceeds by at least m/2 "
+            "since M delta >= 1") in notes
     # the trained models stay in memory: only the report is written
     assert list(cwd.iterdir()) == []
     assert sorted(p.name for p in out.iterdir()) == ["theory_report.csv", "theory_report.txt"]

@@ -10,8 +10,10 @@ which moves the parameters into the arena it owns.  Anywhere else a
 rebinding would silently detach a parameter from its optimizer; writes go
 into the array (``p.data[...] = ...``).
 
-Only ``checkpoint.py`` imports ``struct``: it is the one binary codec of
-every artifact, and a second one would need ``struct`` again.
+Only ``checkpoint.py`` imports ``struct`` or ``json``: it is the one codec
+of every artifact, binary payloads behind a JSON header, and a second one
+would need them again.  No module imports ``ast``: header values are JSON,
+not Python literals.
 
 Only ``evaluation.py`` defines ``to_csv`` or ``to_text``: ``Report`` is the
 one table that every command writes, and a second renderer would duplicate it.
@@ -124,8 +126,8 @@ def test_no_module_rebinds_a_tensors_data(path):
     assert data_rebindings(path.read_text(encoding="utf-8")) == []
 
 
-def struct_imports(text: str) -> list[str]:
-    """One line per import of the ``struct`` module, in either form."""
+def module_imports(text: str, module: str) -> list[str]:
+    """One line per import of ``module``, in either form."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Import):
@@ -134,8 +136,8 @@ def struct_imports(text: str) -> list[str]:
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "struct" for name in names):
-            found.append(f"line {node.lineno}: imports struct")
+        if any(name.split(".")[0] == module for name in names):
+            found.append(f"line {node.lineno}: imports {module}")
     return found
 
 
@@ -144,12 +146,30 @@ def test_the_struct_checker_flags_both_import_forms():
             "from struct import pack\n"
             "from . import structure\n"
             "import structlog\n")
-    assert struct_imports(text) == ["line 1: imports struct", "line 2: imports struct"]
+    assert module_imports(text, "struct") == ["line 1: imports struct", "line 2: imports struct"]
+
+
+def test_the_import_checker_flags_json_and_ast_in_both_forms():
+    text = ("import json\n"
+            "from ast import literal_eval\n"
+            "import jsonschema, astroid\n"
+            "from .json import dumps\n"
+            "import os, ast as syntax\n"
+            "from json.decoder import JSONDecodeError\n")
+    assert module_imports(text, "json") == ["line 1: imports json", "line 6: imports json"]
+    assert module_imports(text, "ast") == ["line 2: imports ast", "line 5: imports ast"]
 
 
 def test_only_the_checkpoint_module_imports_struct():
-    importers = [p.name for p in SOURCES if struct_imports(p.read_text(encoding="utf-8"))]
-    assert importers == ["checkpoint.py"]
+    for module in ("struct", "json"):
+        importers = [p.name for p in SOURCES
+                     if module_imports(p.read_text(encoding="utf-8"), module)]
+        assert importers == ["checkpoint.py"], module
+
+
+def test_no_module_imports_ast():
+    importers = [p.name for p in SOURCES if module_imports(p.read_text(encoding="utf-8"), "ast")]
+    assert importers == []
 
 
 RENDERERS = {"to_csv", "to_text"}

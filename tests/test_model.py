@@ -941,7 +941,7 @@ def test_checkpoint_saves_numpy_scalars_as_python_scalars(tmp_path):
     first, second = tmp_path / "a.lsck", tmp_path / "b.lsck"
     save_model(model, first)
     loaded = load_model(first)
-    assert loaded.metadata == {"score": 0.5, "n": 3, "nested": (0.5, 2),
+    assert loaded.metadata == {"score": 0.5, "n": 3, "nested": [0.5, 2],  # a tuple as a list
                                "infs": [np.inf], "counts": {"a": 3}}
     assert type(loaded.metadata["score"]) is float and type(loaded.metadata["n"]) is int
     assert type(loaded.metadata["nested"][0]) is float

@@ -5,11 +5,14 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
@@ -634,6 +637,57 @@ def test_gaussian_bound_value_worked_example():
     constants = BoundConstants(M=2.0, L=0.5, lam=0.25, nu=4.0, m=2)
     # (3*2*2/2)*3 - 2/2 + 2*0.25/0.25*9 = 18 - 1 + 18
     assert gaussian_bound_value(constants, 3.0) == pytest.approx(35.0)
+
+
+class _StubEncoder:
+    """A Normal-proposal model whose encodings of (x, y) are given per label
+    row: ``table`` maps ``y.tobytes()`` to the rows' (means, scales)."""
+
+    def __init__(self, m, table):
+        self.cfg = types.SimpleNamespace(proposal="normal", m=m, nu=4.0, lambda_floor=1e-3)
+        self.table = table
+
+    def encode_xy(self, X, Y):
+        return self.table[np.asarray(Y, dtype=np.float64).tobytes()]
+
+
+@st.composite
+def _stub_encodings(draw):
+    """A stub encoder and label pairs at Hamming distances 1..k, with
+    arbitrary finite means and positive scales."""
+    m, k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    Y0 = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=k,
+                                         max_size=k), min_size=n, max_size=n)))
+    Y1 = Y0.copy()
+    for row in Y1:
+        flip = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+        row[flip] = 1.0 - row[flip]
+    means = st.floats(-1e6, 1e6)
+    scales = st.floats(1e-3, 1e3)
+
+    def encodings():
+        return tuple(np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                            min_size=n, max_size=n)))
+                     for values in (means, scales))
+
+    return _StubEncoder(m, {Y0.tobytes(): encodings(), Y1.tobytes(): encodings()}), Y0, Y1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_stub_encodings())
+def test_normal_bound_exceeds_every_kl_by_m_over_2_on_its_own_sample(case):
+    # M, L and lam come from the same pairs the row checks, so each KL is at
+    # most (m M delta + L^2 delta^2 / lam) / 2, and M delta >= 1 leaves at
+    # least m/2 below the bound: the row holds for any finite encoder.
+    model, Y0, Y1 = case
+    X = np.zeros((len(Y0), 1))
+    with warnings.catch_warnings():  # equal means: L falls back to machine epsilon
+        warnings.simplefilter("ignore", RuntimeWarning)
+        raw = estimate_constants(model, X, (Y0, Y1))
+    half_m = model.cfg.m / 2
+    for constants in (raw, raw.inflated()):
+        for row in gaussian_bound_check(model, X, (Y0, Y1), constants):
+            assert row.margin >= half_m - 1e-9 * max(abs(row.bound), half_m), row
 
 
 def test_kl_growth_exponent_is_at_most_quadratic():
